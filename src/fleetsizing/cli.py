@@ -158,6 +158,10 @@ def cmd_replay(args):
     eta = None
     if args.eta_from_model:
         eta = load_model(args.eta_from_model).eta
+        if len(eta) != design.k:
+            raise ValueError(
+                f"--eta-from-model model has {len(eta)} stations, design has {design.k}"
+            )
     if args.plan:
         plan = load_plan(args.plan)
     else:

@@ -165,9 +165,10 @@ def estimate_demand(trips, station_ids=None, bin_hours=1.0, days="working", mont
     exposure n_days * bin_hours, so integrating the model over the day
     and multiplying by n_days recovers the trip counts exactly.
     """
-    if bin_hours <= 0.0 or DAY_HOURS % bin_hours > 1e-9:
+    # count whole bins rather than take a float modulo: 24 % 0.1 == 0.0999...
+    n_bins = round(DAY_HOURS / bin_hours) if bin_hours > 0.0 else 0
+    if n_bins < 1 or abs(n_bins * bin_hours - DAY_HOURS) > 1e-9:
         raise ValueError("bin_hours must evenly divide 24")
-    n_bins = int(round(DAY_HOURS / bin_hours))
     kept, _ = _filter_trips(trips, days, month)
     if not kept:
         raise ValueError("no trips left after filtering; cannot estimate demand")

@@ -217,6 +217,8 @@ def design_from_json(doc):
         raise ValueError("design document lists no stations")
     by_id = {int(s["id"]): (int(s["v"]), int(s["c"])) for s in stations}
     k = len(by_id)
+    if k != len(stations):
+        raise ValueError("design document lists a station id more than once")
     if sorted(by_id) != list(range(1, k + 1)):
         raise ValueError("station ids must be dense labels 1..k")
     return SystemDesign(

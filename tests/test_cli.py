@@ -12,8 +12,9 @@ from fleetsizing.cli import (
     EXIT_OK,
     run,
 )
-from fleetsizing.model import InvariantViolationError, SystemDesign
+from fleetsizing.model import InvariantViolationError, SystemDesign, save_model
 from fleetsizing.sizing import SizingInfeasibleError, design_to_json
+from fleetsizing.synth import uniform_demand_model
 
 
 def write_demo_trips(path):
@@ -267,6 +268,24 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_replay_eta_model_must_match_design(self, pipeline, tmp_path, capsys, k):
+        # the pipeline design has three stations
+        model = tmp_path / "model.json"
+        save_model(uniform_demand_model(k, 0.5, 24.0, eta_hours=0.25), model)
+        code = run(
+            [
+                "replay",
+                "--sequences", str(pipeline["sequences"]),
+                "--design", str(pipeline["design"]),
+                "--plan", str(pipeline["plan"]),
+                "--eta-from-model", str(model),
+                "--out", str(tmp_path / "r.csv"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert f"has {k} stations, design has 3" in capsys.readouterr().err
 
     def test_corrupt_json_model(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -214,6 +214,19 @@ class TestEstimateDemand:
             estimate_demand(records, bin_hours=7.0)
         with pytest.raises(ValueError):
             estimate_demand(records, bin_hours=0.0)
+        with pytest.raises(ValueError):
+            estimate_demand(records, bin_hours=48.0)
+
+    @pytest.mark.parametrize("bin_hours", [0.1, 0.2, 0.25, 0.5, 1.5])
+    def test_decimal_bin_widths_that_divide_the_day(self, tmp_path, bin_hours):
+        records = parse_trips(month_of_commutes(tmp_path / "t.csv")).records
+        model = estimate_demand(records, bin_hours=bin_hours)
+        n_bins = round(24 / bin_hours)
+        for lam in model.intensities.values():
+            assert len(lam.breakpoints) == n_bins
+        # integrating over the day recovers the two trips per working day
+        per_day = sum(lam.integral(0.0, 24.0) for lam in model.intensities.values())
+        assert per_day == pytest.approx(2.0)
 
     def test_nothing_left_after_filtering_is_an_error(self, tmp_path):
         path = write_trips(

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetsizing.exact import joint_failure_probability, joint_transient, marginal_distribution
 from fleetsizing.model import (
@@ -13,6 +15,7 @@ from fleetsizing.model import (
 )
 from fleetsizing.simulate import (
     _compile_tables,
+    _plan_arrays,
     _sample_requests,
     estimate_failure_curve,
     estimate_marginals,
@@ -23,6 +26,125 @@ from fleetsizing.station_bound import system_failure_bound_curve
 from conftest import random_small_instance
 
 P_GE_2 = 0.26424111765711533  # 1 - 2 e^-1
+
+
+def dense_first_failure(t_sorted, station_rows, delta_rows, check_o, check_d, v, c):
+    """Slow reference scan over a dense (events x stations) stock matrix.
+
+    ``station_rows``/``delta_rows`` are (n, 2): each event touches up to
+    two stations (0-based; -1 = unused slot).  ``check_o[n]`` is the
+    station whose emptiness fails the event (-1 = no check), ``check_d``
+    likewise for fullness.  Returns (failed_at, cumulative stock changes).
+    """
+    n = len(t_sorted)
+    k = len(v)
+    delta = np.zeros((n, k), dtype=np.int32)
+    rows = np.arange(n)
+    for slot in range(station_rows.shape[1]):
+        st_ = station_rows[:, slot]
+        used = st_ >= 0
+        np.add.at(delta, (rows[used], st_[used]), delta_rows[used, slot])
+    cum = np.cumsum(delta, axis=0)
+    before = v[np.newaxis, :] + cum - delta
+    bad = np.zeros(n, dtype=bool)
+    m = check_o >= 0
+    bad[m] |= before[rows[m], check_o[m]] == 0
+    m = check_d >= 0
+    bad[m] |= before[rows[m], check_d[m]] == c[check_d[m]]
+    if bad.any():
+        return float(t_sorted[int(bad.argmax())]), cum
+    return None, cum
+
+
+def dense_simulate(model, plan, design, T, seed, with_delay, sample_times):
+    """One run replayed in full lexicographic event order through the dense scan.
+
+    Draws the same streams as ``simulate_run`` and returns
+    (failed_at, occupancy, occupancy_valid).
+    """
+    tables = _compile_tables(model)
+    t_pl, o_pl, d_pl, eta_pl = _plan_arrays(model, plan)
+    v = np.asarray(design.v, dtype=np.int32)
+    c = np.asarray(design.c, dtype=np.int32)
+    t_req, o_req, d_req, eta_req = _sample_requests(tables, T, np.random.default_rng(seed))
+    keep = t_pl <= T
+    t_all = np.concatenate([t_req, t_pl[keep]])
+    o_all = np.concatenate([o_req, o_pl[keep]]).astype(np.int64)
+    d_all = np.concatenate([d_req, d_pl[keep]]).astype(np.int64)
+    eta_all = np.concatenate([eta_req, eta_pl[keep]])
+    if not with_delay:
+        order = np.lexsort((d_all, o_all, t_all))
+        t_s = t_all[order]
+        o_s = o_all[order] - 1
+        d_s = d_all[order] - 1
+        station_rows = np.stack([o_s, d_s], axis=1)
+        delta_rows = np.tile(np.array([-1, 1], dtype=np.int32), (len(t_s), 1))
+        failed_at, cum = dense_first_failure(
+            t_s, station_rows, delta_rows, o_s.copy(), d_s.copy(), v, c
+        )
+    else:
+        arr_keep = t_all + eta_all <= T
+        t_ev = np.concatenate([t_all, (t_all + eta_all)[arr_keep]])
+        st_ev = np.concatenate([o_all, d_all[arr_keep]]) - 1
+        kind = np.concatenate(
+            [np.full(len(t_all), 2, np.int8), np.ones(int(arr_keep.sum()), np.int8)]
+        )
+        sign = np.where(kind == 2, -1, 1).astype(np.int32)
+        order = np.lexsort((st_ev, kind, t_ev))
+        t_s = t_ev[order]
+        st_s = st_ev[order]
+        sign_s = sign[order]
+        station_rows = np.stack([st_s, np.full_like(st_s, -1)], axis=1)
+        delta_rows = np.stack([sign_s, np.zeros_like(sign_s)], axis=1)
+        check_o = np.where(sign_s < 0, st_s, -1)
+        check_d = np.where(sign_s > 0, st_s, -1)
+        failed_at, cum = dense_first_failure(
+            t_s, station_rows, delta_rows, check_o, check_d, v, c
+        )
+    sample_times = np.asarray(sample_times, dtype=float)
+    pos = np.searchsorted(t_s, sample_times, side="right")
+    padded = np.vstack([np.zeros((1, len(v)), dtype=cum.dtype), cum])
+    occ = v[np.newaxis, :] + padded[pos]
+    valid = (
+        np.ones(len(sample_times), dtype=bool)
+        if failed_at is None
+        else sample_times < failed_at
+    )
+    return failed_at, occ, valid
+
+
+SHARED_INSTANTS = (0.5, 1.0, 1.5)
+
+
+@st.composite
+def small_systems(draw, horizon=2.0):
+    """Random model, plan and design with k in 2..8; relocations share instants."""
+    k = draw(st.integers(2, 8))
+    pairs = [(o, d) for o in range(1, k + 1) for d in range(1, k + 1) if o != d]
+    intensities = {}
+    for pair in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)):
+        split = draw(st.sampled_from([None, 0.5, 1.3]))
+        rates = draw(st.lists(st.floats(0.0, 6.0), min_size=2, max_size=2))
+        if split is None:
+            intensities[pair] = PiecewiseConstantIntensity.constant(rates[0], horizon)
+        else:
+            intensities[pair] = PiecewiseConstantIntensity((0.0, split), tuple(rates), horizon)
+    eta_choices = st.sampled_from([0.0, 0.1, 0.5, 1.0])
+    eta = tuple(
+        tuple(0.0 if o == d else draw(eta_choices) for d in range(k)) for o in range(k)
+    )
+    model = DemandModel(k, intensities, eta, horizon)
+    rho = {}
+    moves = st.tuples(
+        st.sampled_from(pairs),
+        st.one_of(st.sampled_from(SHARED_INSTANTS), st.floats(0.01, horizon - 0.01)),
+    )
+    for pair, t in draw(st.lists(moves, max_size=8)):
+        rho[pair] = tuple(sorted(set(rho.get(pair, ())) | {t}))
+    plan = RebalancingPlan(k, horizon, rho)
+    c = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    v = [draw(st.integers(0, ci)) for ci in c]
+    return model, plan, SystemDesign(tuple(v), tuple(c))
 
 
 def two_station_model(lam_12=1.0, lam_21=0.0, horizon=1.0):
@@ -229,3 +351,71 @@ class TestThinning:
         for _ in range(50):
             times, _, _, _ = _sample_requests(tables, 10.0, rng)
             assert np.all(times >= 5.0)
+
+
+class TestSegmentedScanMatchesDenseReference:
+    """The segmented first-failure scan against the dense (events x k) reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_systems(), st.integers(0, 2**16), st.booleans())
+    def test_runs_match(self, system, seed, with_delay):
+        model, plan, design = system
+        times = np.array([0.0, 0.5, 0.77, 1.0, 1.5, 2.0])
+        ref = dense_simulate(model, plan, design, 2.0, seed, with_delay, times)
+        run = simulate_run(model, plan, design, 2.0, seed, with_delay, times)
+        assert run.failed_at == ref[0]
+        assert np.array_equal(run.occupancy, ref[1])
+        assert np.array_equal(run.occupancy_valid, ref[2])
+        bare = simulate_run(model, plan, design, 2.0, seed, with_delay)
+        assert bare.failed_at == ref[0]
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_systems(), st.integers(0, 2**16), st.booleans())
+    def test_estimates_match(self, system, seed, with_delay):
+        model, plan, design = system
+        times = np.array([0.25, 1.0, 1.5, 2.0])
+        n = 6
+        refs = [
+            dense_simulate(model, plan, design, 2.0, seed + i, with_delay, times)
+            for i in range(n)
+        ]
+        curve = estimate_failure_curve(
+            model, plan, design, 2.0, n, times, with_delay=with_delay, seed=seed
+        )
+        for t, est in curve:
+            hits = sum(f is not None and f <= t for f, _, _ in refs)
+            assert est.mean == hits / n
+        station = 1 + seed % model.k
+        est = estimate_marginals(
+            model, plan, design, 2.0, n, station, times, with_delay=with_delay, seed=seed
+        )
+        counts = np.zeros_like(est.mean)
+        for _, occ, valid in refs:
+            for row in np.flatnonzero(valid):
+                counts[row, occ[row, station - 1]] += 1
+        assert np.array_equal(est.mean, counts / n)
+
+    def test_tied_relocations_keep_lexicographic_order(self):
+        # relocations 2->1 and 1->2 share instants; demand adds requests
+        intensities = {(1, 2): PiecewiseConstantIntensity.constant(1.0, 2.0)}
+        m = DemandModel(2, intensities, ((0.0, 0.5), (0.5, 0.0)), 2.0)
+        plan = RebalancingPlan(2, 2.0, {(1, 2): (0.5, 1.0), (2, 1): (0.5, 1.0)})
+        times = np.linspace(0.0, 2.0, 9)
+        for design in (SystemDesign((0, 1), (1, 1)), SystemDesign((1, 1), (2, 2))):
+            for with_delay in (False, True):
+                for seed in range(20):
+                    ref = dense_simulate(m, plan, design, 2.0, seed, with_delay, times)
+                    run = simulate_run(m, plan, design, 2.0, seed, with_delay, times)
+                    assert run.failed_at == ref[0]
+                    assert np.array_equal(run.occupancy, ref[1])
+
+    def test_tied_arrival_lands_before_departure(self):
+        # with delay, the 2->1 relocation lands at station 1 at t = 1.0, the
+        # instant the 1->2 relocation leaves it: arrivals go first, so the
+        # departure finds the vehicle; a time-only stable order would not
+        m = DemandModel(2, {}, ((0.0, 0.5), (0.5, 0.0)), 2.0)
+        plan = RebalancingPlan(2, 2.0, {(2, 1): (0.5,), (1, 2): (1.0,)})
+        design = SystemDesign((0, 1), (1, 1))
+        run = simulate_run(m, plan, design, 2.0, 0, with_delay=True, sample_times=[1.0, 2.0])
+        assert run.failed_at is None
+        assert np.array_equal(run.occupancy, [[0, 0], [0, 1]])

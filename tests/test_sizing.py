@@ -216,3 +216,8 @@ class TestDesignFiles:
             design_from_json(
                 {"stations": [{"id": 1, "v": 1, "c": 2}, {"id": 3, "v": 1, "c": 2}]}
             )
+
+    def test_duplicate_station_ids_are_rejected(self):
+        doc = {"stations": [{"id": 1, "v": 1, "c": 2}, {"id": 1, "v": 0, "c": 3}]}
+        with pytest.raises(ValueError, match="more than once"):
+            design_from_json(doc)
