@@ -155,6 +155,8 @@ def cmd_simulate(args):
 def cmd_replay(args):
     sequences = ingest.load_sequences(args.sequences)
     design = sizing.load_design(args.design)
+    if sequences.k != design.k:
+        raise ValueError(f"sequences have {sequences.k} stations, design has {design.k}")
     eta = None
     if args.eta_from_model:
         eta = load_model(args.eta_from_model).eta
@@ -194,6 +196,8 @@ def _parse_grid(text, cast):
 def cmd_sweep(args):
     model = load_model(args.model)
     sequences = ingest.load_sequences(args.sequences)
+    if sequences.k != model.k:
+        raise ValueError(f"sequences have {sequences.k} stations, model has {model.k}")
     plans = [("norebal", RebalancingPlan.empty(model.k, model.horizon))]
     if args.plan:
         plans.append(("rebal", load_plan(args.plan)))

@@ -287,8 +287,17 @@ def sequences_to_json(sequences, k, station_ids=None):
     return doc
 
 
+class DaySequences(list):
+    """The day sequences of one file, with the station count ``k`` it states."""
+
+    def __init__(self, days, k):
+        super().__init__(days)
+        self.k = k
+
+
 def sequences_from_json(doc):
     try:
+        k = int(doc["k"])
         horizon = float(doc["horizon_hours"])
         days = doc["days"]
     except KeyError as exc:
@@ -300,7 +309,7 @@ def sequences_from_json(doc):
             for e in day["events"]
         )
         sequences.append(DaySequence(day["date"], events, horizon))
-    return sequences
+    return DaySequences(sequences, k)
 
 
 def load_sequences(path):

@@ -17,6 +17,12 @@ which keeps the vector non-negative, and the Poisson tail that is cut
 off is re-assigned to the highest computed power, so probability mass is
 conserved to floating-point rounding (far inside the 1e-9 contract
 enforced after every piece).
+
+Several starts of one station (initial stock and capacity) can share a
+pass: ``station_failure_probabilities`` carries them as the rows of one
+matrix through the same series, each row bitwise equal to its one-start
+evaluation.  Sizing uses it to evaluate a search's next candidates at
+once; bounds, curves and transients keep the one-start path.
 """
 
 import math
@@ -30,6 +36,9 @@ _POISSON_TAIL = 1e-13
 _MAX_RATE_STEP = 30.0  # uniformization substep cap on (rate * dt)
 _MASS_TOL = 1e-9
 _NEG_CLIP = -1e-12
+_MAX_BATCH_CELLS = 1 << 21  # states per column-batched pass (16 MB per matrix)
+_MAX_TRUNCATION = 50_000_000  # largest working truncation that may still be doubled
+_TRUNCATION_GREW = "working truncation for the unlimited-capacity station grew unreasonably"
 
 
 @dataclass
@@ -171,7 +180,13 @@ def apply_jump(dist, kind):
     return StationDistribution(q, qF, dist.t)
 
 
-_RECORD = "record"
+def _schedule(profile, T):
+    """Events up to T as (time, rank, kind), rank 0/1/2 for breakpoint/arrival/departure."""
+    return [
+        (t, 0 if kind == "breakpoint" else (1 if kind == "arrival" else 2), kind)
+        for t, kind in merged_event_timeline(profile)
+        if t <= T
+    ]
 
 
 def _evolve(profile, v, c_eff, T, cap_absorbs, record_times=None, record_full=False):
@@ -181,11 +196,7 @@ def _evolve(profile, v, c_eff, T, cap_absorbs, record_times=None, record_full=Fa
     entry per requested record time: qF, or (q copy, qF) if record_full.
     Record times coinciding with an event see the post-event state.
     """
-    schedule = [
-        (t, 0 if kind == "breakpoint" else (1 if kind == "arrival" else 2), kind)
-        for t, kind in merged_event_timeline(profile)
-        if t <= T
-    ]
+    schedule = _schedule(profile, T)
     if record_times is not None:
         for idx, t in enumerate(record_times):
             if t < 0.0 or t > T + 1e-9:
@@ -221,6 +232,152 @@ def _evolve(profile, v, c_eff, T, cap_absorbs, record_times=None, record_full=Fa
             recorded[payload] = (q.copy(), qF) if record_full else qF
     run_to(T)
     return q, qF, lost, recorded
+
+
+class _Block:
+    """One (m, width) matrix of the column kernel and the views it reuses."""
+
+    __slots__ = ("full", "flat", "pre", "post", "head", "fail", "lost")
+
+    def __init__(self, m, width):
+        self.full = np.zeros((m, width))
+        self.flat = self.full.reshape(-1)
+        self.pre = self.flat[:-1]  # cell k, for a flat shift by one ...
+        self.post = self.flat[1:]  # ... to or from cell k + 1
+        self.head = self.full[:, :2]  # [qF, q_0]
+        self.fail = self.full[:, 0]
+        self.lost = self.full[:, -1]
+
+
+_KEEP_FAILED = np.array([1.0, 0.0])
+
+
+def _evolve_columns(profile, starts, tops, T, cap_absorbs):
+    """``_evolve`` of m (start, top) columns in one pass over the timeline.
+
+    Row i of the state matrix carries column i as ``[qF, q_0 .. q_top,
+    zero padding, lost]``, padded to the tallest top plus one state, and
+    a term's shifts run over the flattened matrix.  Every column sees the
+    same Poisson weights and per-element operations as its one-column
+    ``_evolve``; the cells a flat shift fills from a neighbouring row are
+    reset, and the mass an arrival pushes past a column's top is read
+    from its first padding state (the top flux) before that is cleared.
+    So the padding only ever contributes ``+0.0``, and each column's q,
+    qF and lost are bitwise those of ``_evolve(profile, starts[i],
+    tops[i], T, cap_absorbs)``.
+
+    A column that breaks a piece check gets the error ``_evolve`` would
+    raise instead of stopping the pass.  Returns (q, qF, lost, errors):
+    the (m, max(tops) + 2) states, two length-m arrays and a list with
+    None or an InvariantViolationError per column.
+    """
+    tops = np.asarray(tops, dtype=np.intp)
+    m = len(tops)
+    width = int(tops.max()) + 4  # failed cell, states 0 .. max top + 1, lost cell
+    row_at = np.arange(m) * width
+    top_at = row_at + 1 + tops  # flat index of each column's top state
+    pad_at = top_at + 1  # ... and of its first padding state
+    # after a term's flat shifts: the pads, the last state (it received
+    # pd * lost) and the lost cell (it received pd * the next row's qF)
+    clear_at = np.concatenate([pad_at, row_at + width - 2, row_at + width - 1])
+    cur, nxt, acc, tmp = (_Block(m, width) for _ in range(4))
+    cur.full[np.arange(m), 1 + np.asarray(starts, dtype=np.intp)] = 1.0
+    errors = [None] * m
+    lam_a = profile.lambda_a
+    lam_d = profile.lambda_d
+    t = 0.0
+
+    def advance(la, ld, dt):
+        nonlocal cur, nxt
+        lam = la + ld
+        if lam == 0.0 or dt == 0.0:
+            return
+        pa = la / lam
+        pd = ld / lam
+        n_sub = max(1, math.ceil(lam * dt / _MAX_RATE_STEP))
+        x = lam * (dt / n_sub)
+        for _ in range(n_sub):
+            w = math.exp(-x)
+            np.multiply(cur.flat, w, out=acc.flat)
+            wsum = w
+            n = 0
+            while wsum < 1.0 - _POISSON_TAIL:
+                n += 1
+                if n > 100_000:
+                    raise InvariantViolationError("uniformization series did not converge")
+                if pa:
+                    np.multiply(cur.pre, pa, out=nxt.post)
+                else:
+                    nxt.post.fill(0.0)
+                np.multiply(cur.head, _KEEP_FAILED, out=nxt.head)  # qF kept, no arrival to 0
+                top_flux = nxt.flat[pad_at]  # pa * q_top
+                if pd:  # also adds pd * q_0 to the failed cell
+                    np.multiply(cur.post, pd, out=tmp.pre)
+                    np.add(nxt.pre, tmp.pre, out=nxt.pre)
+                nxt.flat[clear_at] = 0.0
+                if cap_absorbs:
+                    np.add(nxt.fail, top_flux, out=nxt.fail)
+                else:
+                    np.add(cur.lost, top_flux, out=nxt.lost)
+                w *= x / n
+                np.multiply(nxt.flat, w, out=tmp.flat)
+                np.add(acc.flat, tmp.flat, out=acc.flat)
+                wsum += w
+                cur, nxt = nxt, cur
+            rem = 1.0 - wsum
+            np.multiply(cur.flat, rem, out=tmp.flat)
+            np.add(acc.flat, tmp.flat, out=nxt.flat)
+            cur, nxt = nxt, cur
+
+    def guard(where):
+        # _guard per column; the vectorized drift differs from the one-column
+        # sum by rounding only, so a column near the limit is re-summed exactly
+        q_all = cur.full
+        if q_all.min() < 0.0:
+            for i in np.flatnonzero(q_all.min(axis=1) < 0.0):
+                if errors[i] is not None:
+                    continue
+                q = q_all[i, 1 : tops[i] + 2]
+                if q.min() <= _NEG_CLIP:
+                    errors[i] = InvariantViolationError(
+                        f"negative probability {q.min():.3e} {where}"
+                    )
+                    continue
+                q = np.maximum(q, 0.0)
+                total = q.sum() + cur.fail[i] + cur.lost[i]
+                q_all[i, 1 : tops[i] + 2] = q / total
+                cur.fail[i] /= total
+                cur.lost[i] /= total
+        drift = np.abs(q_all.sum(axis=1) - 1.0)
+        for i in np.flatnonzero(drift >= 0.5 * _MASS_TOL):
+            exact = abs(q_all[i, 1 : tops[i] + 2].sum() + cur.fail[i] + cur.lost[i] - 1.0)
+            if exact >= _MASS_TOL and errors[i] is None:
+                errors[i] = InvariantViolationError(
+                    f"probability mass drifted by {exact:.3e} {where}"
+                )
+
+    for ev_t, rank, _kind in _schedule(profile, T) + [(T, 0, None)]:
+        if ev_t > t:
+            mid = 0.5 * (t + ev_t)
+            advance(lam_a.value_at(mid), lam_d.value_at(mid), ev_t - t)
+            guard(f"at t={ev_t}")
+            t = ev_t
+        if rank == 0:
+            continue
+        nxt.fail[:] = cur.fail
+        nxt.lost[:] = cur.lost
+        if rank == 1:
+            nxt.full[:, 2:-1] = cur.full[:, 1:-2]
+            nxt.full[:, 1] = 0.0
+            nxt.flat[pad_at] = 0.0
+            to = nxt.fail if cap_absorbs else nxt.lost
+            np.add(to, cur.flat[top_at], out=to)
+        else:
+            nxt.full[:, 1:-2] = cur.full[:, 2:-1]
+            nxt.full[:, -2] = 0.0
+            np.add(nxt.fail, cur.full[:, 1], out=nxt.fail)
+        cur, nxt = nxt, cur
+    return cur.full[:, 1:-1].copy(), cur.fail.copy(), cur.lost.copy(), errors
 
 
 def _validate_vcT(profile, v, c, T):
@@ -261,11 +418,63 @@ def station_failure_probability(profile, v, c, T, tail_tolerance=1e-9):
         _, qF, lost, _ = _evolve(profile, v, c_w, T, cap_absorbs=False)
         if lost < tail_tolerance:
             return qF
-        if c_w > 50_000_000:
-            raise InvariantViolationError(
-                "working truncation for the unlimited-capacity station grew unreasonably"
-            )
+        if c_w > _MAX_TRUNCATION:
+            raise InvariantViolationError(_TRUNCATION_GREW)
         c_w *= 2
+
+
+def station_failure_probabilities(profile, vs, cs, T, tail_tolerance=1e-9):
+    """``station_failure_probability`` of several (v, c) starts of one station.
+
+    The finite-capacity starts share one column-batched pass of the event
+    timeline, and the unlimited-parking ones (``c=None``) one pass per
+    truncation round: each such column starts from its own working
+    truncation and doubles it while the mass escaping through its top
+    reaches ``tail_tolerance``.  Columns are split into several passes only
+    when one pass would hold more than ``_MAX_BATCH_CELLS`` states.
+
+    Entry i of the returned list is bitwise the value of
+    ``station_failure_probability(profile, vs[i], cs[i], T,
+    tail_tolerance)``, or the InvariantViolationError that call would
+    raise; a failing start does not stop the others.
+    """
+    for v, c in zip(vs, cs, strict=True):
+        _validate_vcT(profile, v, c, T)
+    out = [None] * len(vs)
+
+    def run(idx, tops, cap_absorbs):
+        # (i, qF, lost, error) per column, in passes of at most _MAX_BATCH_CELLS states
+        order = sorted(range(len(idx)), key=tops.__getitem__)
+        while order:
+            take = 1
+            while take < len(order) and (take + 1) * (tops[order[take]] + 4) <= _MAX_BATCH_CELLS:
+                take += 1
+            part, order = order[:take], order[take:]
+            _, qF, lost, errors = _evolve_columns(
+                profile, [int(vs[idx[j]]) for j in part], [tops[j] for j in part], T, cap_absorbs
+            )
+            yield from zip((idx[j] for j in part), qF, lost, errors)
+
+    finite = [i for i, c in enumerate(cs) if c is not None]
+    if finite:
+        for i, qF, _, error in run(finite, [int(cs[i]) for i in finite], True):
+            out[i] = qF if error is None else error
+    pending = {i: _unbounded_start(profile, int(vs[i]), T) for i, c in enumerate(cs) if c is None}
+    if pending and tail_tolerance <= 0.0:
+        raise ValueError("tail_tolerance must be positive")
+    while pending:
+        rounds = list(pending)
+        for i, qF, lost, error in run(rounds, [pending[i] for i in rounds], False):
+            c_w = pending.pop(i)
+            if error is not None:
+                out[i] = error
+            elif lost < tail_tolerance:
+                out[i] = qF
+            elif c_w > _MAX_TRUNCATION:
+                out[i] = InvariantViolationError(_TRUNCATION_GREW)
+            else:
+                pending[i] = 2 * c_w
+    return out
 
 
 def station_failure_curve(profile, v, c, times):

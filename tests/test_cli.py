@@ -287,6 +287,39 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert f"has {k} stations, design has 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_sweep_sequences_must_match_model(self, pipeline, tmp_path, capsys, k):
+        # the pipeline sequences have three stations
+        model = tmp_path / "model.json"
+        save_model(uniform_demand_model(k, 0.5, 24.0, eta_hours=0.25), model)
+        code = run(
+            [
+                "sweep",
+                "--model", str(model),
+                "--sequences", str(pipeline["sequences"]),
+                "--z-grid", "0.5",
+                "--capacity-grid", "4",
+                "--out", str(tmp_path / "s.csv"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert f"sequences have 3 stations, model has {k}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_replay_sequences_must_match_design(self, pipeline, tmp_path, capsys, k):
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps(design_to_json(SystemDesign((2,) * k, (4,) * k))))
+        code = run(
+            [
+                "replay",
+                "--sequences", str(pipeline["sequences"]),
+                "--design", str(design),
+                "--out", str(tmp_path / "r.csv"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert f"sequences have 3 stations, design has {k}" in capsys.readouterr().err
+
     def test_corrupt_json_model(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fleetsizing.exact import (
     StateSpaceTooLargeError,
@@ -23,7 +25,7 @@ from fleetsizing.model import (
     SystemDesign,
     aggregate_station_flows,
 )
-from fleetsizing.station_bound import station_transient
+from fleetsizing.station_bound import station_transient, system_failure_bound_curve
 
 from conftest import random_small_instance
 
@@ -165,8 +167,6 @@ class TestMarginalDominance:
                     assert np.all(marg <= q_row + 1e-8)
 
     def test_joint_failure_below_summed_station_bound(self, rng):
-        from fleetsizing.station_bound import system_failure_bound_curve
-
         for _ in range(10):
             model, plan, design = random_small_instance(rng)
             times = np.linspace(0.15, model.horizon, 8)
@@ -174,3 +174,18 @@ class TestMarginalDominance:
             _, total = system_failure_bound_curve(model, plan, design, times)
             for snap, bound in zip(snaps, total):
                 assert snap.pF <= bound + 1e-8
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bound_dominates_exact_failure_on_random_instances(self, seed):
+        # bound >= exact >= 0 at every sample time, to the joint solver's 1e-8
+        # mass contract, on random piecewise-constant instances with relocations
+        model, plan, design = random_small_instance(
+            np.random.default_rng(seed), max_rebalances=6
+        )
+        assume(any(plan.rho.values()))
+        times = np.linspace(model.horizon / 10.0, model.horizon, 10)
+        _, bound = system_failure_bound_curve(model, plan, design, times)
+        exact = [snap.pF for snap in joint_transient(model, plan, design, times)]
+        for e, b in zip(exact, bound):
+            assert -1e-8 <= e <= b + 1e-8

@@ -1,11 +1,18 @@
 """Fleet and capacity sizing against per-station failure budgets."""
 
+import logging
 import math
+import re
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetsizing.model import (
     DemandModel,
+    InvariantViolationError,
     PiecewiseConstantIntensity,
     RebalancingPlan,
     aggregate_station_flows,
@@ -13,6 +20,7 @@ from fleetsizing.model import (
 from fleetsizing.sizing import (
     SizingInfeasibleError,
     SizingRequest,
+    _minimal_feasible,
     design_from_json,
     design_to_json,
     result_to_json,
@@ -23,7 +31,7 @@ from fleetsizing.sizing import (
 )
 from fleetsizing.station_bound import station_failure_probability
 
-from conftest import constant_profile
+from conftest import constant_profile, random_small_instance
 
 # P(Poisson(1) >= n) for the unit-demand closed forms below.
 P_GE_4 = 0.01898815687615385
@@ -221,3 +229,239 @@ class TestDesignFiles:
         doc = {"stations": [{"id": 1, "v": 1, "c": 2}, {"id": 1, "v": 0, "c": 3}]}
         with pytest.raises(ValueError, match="more than once"):
             design_from_json(doc)
+
+
+# --- the prefetching search against the one-candidate-at-a-time search ------
+
+
+def reference_minimal_feasible(f, lo, hi, cap, budget, slack, what):
+    """The bracket-doubling and bisection search, one f(n) per step.
+
+    ``sizing._minimal_feasible`` must make the same reads and decisions
+    and raise the same errors while evaluating candidates in batches.
+    """
+    if cap < 1:
+        raise ValueError("search cap must be at least 1")
+    prev = f(lo)
+    if prev <= budget:
+        return lo
+    hi = min(max(hi, lo + 1), cap)
+    f_hi = f(hi)
+    while True:
+        if f_hi > prev + slack:
+            raise InvariantViolationError(
+                f"{what}: failure probability rose from {prev:.6e} to {f_hi:.6e} "
+                f"while growing the bracket to {hi}; expected non-increasing"
+            )
+        if f_hi <= budget:
+            break
+        if hi >= cap:
+            raise SizingInfeasibleError(
+                f"{what}: failure probability {f_hi:.3e} still exceeds budget "
+                f"{budget:.3e} at search cap {cap}"
+            )
+        lo, prev = hi, f_hi
+        hi = min(2 * hi, cap)
+        f_hi = f(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(mid) <= budget:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class NoValue(RuntimeError):
+    """f is undefined at this candidate."""
+
+
+class NotRead(RuntimeError):
+    """The one-candidate search never read this candidate."""
+
+
+def batched(f, evaluated):
+    """f as a batch evaluator: exceptions become values; records every candidate."""
+
+    def evaluate(ns):
+        out = []
+        for n in ns:
+            assert n not in evaluated, f"candidate {n} evaluated twice"
+            evaluated.append(n)
+            try:
+                out.append(f(n))
+            except (NoValue, NotRead) as exc:
+                out.append(exc)
+        return out
+
+    return evaluate
+
+
+@contextmanager
+def sizing_log():
+    """Messages the sizing logger emits at DEBUG inside the block."""
+    messages = []
+
+    class Collect(logging.Handler):
+        def emit(self, record):
+            messages.append(record.getMessage())
+
+    logger = logging.getLogger("fleetsizing.sizing")
+    handler = Collect(logging.DEBUG)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def outcome(call):
+    try:
+        return ("returns", call())
+    except (ValueError, InvariantViolationError, SizingInfeasibleError, NoValue) as exc:
+        return ("raises", type(exc), str(exc))
+
+
+@st.composite
+def searches(draw):
+    """A search over a random integer -> float function on 0 .. size - 1."""
+    size = draw(st.integers(2, 70))
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        values.sort(reverse=True)  # non-increasing, as sizing assumes
+    undefined = draw(st.sets(st.integers(0, size - 1), max_size=3))
+    cap = draw(st.integers(1, size - 1))
+    lo = draw(st.one_of(st.just(0), st.integers(0, size - 1)))
+    hi = draw(st.integers(0, size - 1))
+    budget = draw(st.one_of(st.sampled_from(values), st.floats(0.0, 1.0)))
+    slack = draw(st.sampled_from([0.0, 1e-9, 0.05, 1.0]))
+
+    def f(n):
+        if n in undefined:
+            raise NoValue(f"f is undefined at {n}")
+        return values[n]
+
+    return f, (lo, hi, cap, budget, slack, "test search")
+
+
+class TestPrefetchingSearch:
+    @given(searches())
+    @settings(max_examples=400, deadline=None)
+    def test_reads_and_outcome_match_the_one_candidate_search(self, case):
+        f, args = case
+        reads = []
+
+        def traced(n):
+            reads.append(n)
+            return f(n)
+
+        expected = outcome(lambda: reference_minimal_feasible(traced, *args))
+
+        def only_reference_reads(n):
+            if n not in reads:
+                raise NotRead(f"the reference search never read {n}")
+            return f(n)
+
+        evaluated = []
+        with sizing_log() as messages:
+            got = outcome(lambda: _minimal_feasible(batched(only_reference_reads, evaluated), *args))
+        if got[0] == "returns":
+            n, value = got[1]
+            assert value == f(n)
+            got = ("returns", n)
+        assert got == expected
+        assert set(reads) <= set(evaluated)
+        if messages:
+            passes, columns, read = map(int, re.findall(r"\d+", messages[-1]))
+            assert read == len(reads)
+            assert columns == len(evaluated)
+            assert passes <= read
+
+    def test_lo_already_feasible_reads_only_lo(self):
+        evaluated = []
+        n, value = _minimal_feasible(
+            batched(lambda n: 1.0 / (n + 1), evaluated), 3, 8, 100, 0.5, 0.0, "lo"
+        )
+        assert (n, value) == (3, 0.25)
+        assert 3 in evaluated
+
+    def test_search_cap_is_honoured_by_speculation(self):
+        evaluated = []
+        with pytest.raises(SizingInfeasibleError, match="at search cap 5"):
+            _minimal_feasible(batched(lambda n: 1.0, evaluated), 0, 2, 5, 0.5, 0.0, "cap")
+        assert max(evaluated) <= 5
+
+    def test_speculative_failure_is_raised_only_when_read(self):
+        def f(n):
+            if n == 40:  # the next doubling, which a feasible bracket never reads
+                raise NoValue("f is undefined at 40")
+            return 1.0 if n < 7 else 0.0
+
+        evaluated = []
+        n, _ = _minimal_feasible(batched(f, evaluated), 0, 20, 1000, 0.5, 0.0, "spec")
+        assert n == 7
+        assert 40 in evaluated
+
+    def test_one_pass_serves_several_reads(self):
+        calls = []
+
+        def evaluate(ns):
+            calls.append(list(ns))
+            return [1.0 if n < 13 else 0.0 for n in ns]
+
+        with sizing_log() as messages:
+            assert _minimal_feasible(evaluate, 0, 32, 1000, 0.5, 0.0, "few")[0] == 13
+        assert len(calls) < 7  # the one-candidate search evaluates 7 times
+        assert "candidates read" in messages[-1]
+
+
+class TestBatchedSizingMatchesOneCandidateSearch:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.01, 0.05, 0.2]))
+    @settings(max_examples=12, deadline=None)
+    def test_designs_and_failures_are_bitwise_equal(self, seed, z):
+        model, plan, _ = random_small_instance(np.random.default_rng(seed))
+        T = model.horizon
+        res = size_system(model, plan, SizingRequest(z, T))
+        for i in range(model.k):
+            profile = aggregate_station_flows(model, plan, i + 1)
+            z_i = z / model.k
+            tail = 1e-3 * 0.5 * z_i
+            v = reference_minimal_feasible(
+                lambda v: station_failure_probability(profile, v, None, T, tail_tolerance=tail),
+                0,
+                max(1, math.ceil(profile.lambda_d.integral(0.0, T))),
+                1_000_000,
+                0.5 * z_i,
+                2.0 * tail,
+                "stock sizing",
+            )
+            extra = reference_minimal_feasible(
+                lambda e: station_failure_probability(profile, v, v + e, T),
+                0,
+                max(1, math.ceil(profile.lambda_a.integral(0.0, T))),
+                1_000_000,
+                z_i,
+                1e-9,
+                "capacity sizing",
+            )
+            assert (res.design.v[i], res.design.c[i]) == (v, v + extra)
+            assert res.station_failure[i] == station_failure_probability(profile, v, v + extra, T)
+        assert res.bound == sum(res.station_failure)
+
+    def test_capacity_search_returns_the_failure_it_read(self):
+        profile = constant_profile(1.3, 0.7, 2.0, rho_a=(0.5,), rho_d=(1.5,))
+        v = size_station_stock(profile, 2.0, 0.005)
+        c, qf = size_station_capacity(profile, 2.0, v, 0.01, return_failure=True)
+        assert c == size_station_capacity(profile, 2.0, v, 0.01)
+        assert qf == station_failure_probability(profile, v, c, 2.0)
+
+    def test_debug_log_counts_passes_per_station(self):
+        model = two_station_symmetric(rate=2.0)
+        with sizing_log() as messages:
+            size_system(model, RebalancingPlan(2, 1.0, {}), SizingRequest(0.02, 1.0))
+        assert sum("station" in m and "v=" in m for m in messages) == 2
+        assert sum(m.startswith("stock sizing:") for m in messages) == 2
+        assert sum(m.startswith("capacity sizing:") for m in messages) == 2

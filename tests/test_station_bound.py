@@ -1,6 +1,7 @@
 """Per-station transient bound: closed forms, an expm oracle, MC cross-checks."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,17 +9,22 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleetsizing import station_bound
 from fleetsizing.model import (
     DemandModel,
+    InvariantViolationError,
     PiecewiseConstantIntensity,
     RebalancingPlan,
     StationFlowProfile,
 )
 from fleetsizing.station_bound import (
     StationDistribution,
+    _evolve,
+    _evolve_columns,
     apply_jump,
     initial_distribution,
     station_failure_curve,
+    station_failure_probabilities,
     station_failure_probability,
     station_transient,
     step_smooth,
@@ -250,3 +256,98 @@ class TestSystemBound:
             m, RebalancingPlan.empty(3, 2.0), SystemDesign((0, 0, 0), (1, 1, 1)), 2.0
         )
         assert bound > 1.0
+
+
+def random_profile(r, horizon, max_rate=8.0):
+    """Piecewise-constant rates, either stream possibly silent, with relocations."""
+
+    def rate():
+        if r.random() < 0.2:
+            return PiecewiseConstantIntensity.zero(horizon)
+        return make_pci(r, horizon, max_rate=max_rate, max_pieces=4)
+
+    def instants():
+        return tuple(sorted(np.round(r.uniform(0.05, 0.95 * horizon, r.integers(0, 4)), 6)))
+
+    return StationFlowProfile(rate(), rate(), instants(), instants())
+
+
+def outcome(call):
+    try:
+        return ("returns", call())
+    except InvariantViolationError as exc:
+        return ("raises", str(exc))
+
+
+class TestColumnKernel:
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_every_column_is_bitwise_the_one_column_evolve(self, seed, cap_absorbs):
+        r = np.random.default_rng(seed)
+        horizon = float(r.choice([1.0, 4.0]))  # rate * piece length up past a substep
+        prof = random_profile(r, horizon, max_rate=float(r.choice([3.0, 25.0])))
+        jumps = prof.rho_a + prof.rho_d
+        T = float(r.choice([horizon, r.uniform(0.1, horizon), *jumps]))
+        m = int(r.integers(1, 8))
+        tops = r.integers(0, 14, m)
+        starts = [int(r.integers(0, top + 1)) for top in tops]
+        q, qF, lost, errors = _evolve_columns(prof, starts, tops, T, cap_absorbs)
+        assert errors == [None] * m
+        for i, (v, top) in enumerate(zip(starts, tops)):
+            q1, qF1, lost1, _ = _evolve(prof, v, int(top), T, cap_absorbs)
+            assert qF[i] == qF1
+            assert lost[i] == lost1
+            assert np.array_equal(q[i, : top + 1], q1)
+            assert not q[i, top + 1 :].any()
+
+    def test_piece_check_failure_is_the_one_column_error(self):
+        prof = constant_profile(2.0, 1.0, 1.0, rho_a=(0.5,))
+        with mock.patch.object(station_bound, "_MASS_TOL", 0.0):
+            _, _, _, errors = _evolve_columns(prof, [0, 1], [1, 3], 1.0, True)
+            for error, (v, c) in zip(errors, [(0, 1), (1, 3)]):
+                with pytest.raises(InvariantViolationError) as one_column:
+                    _evolve(prof, v, c, 1.0, True)
+                assert str(error) == str(one_column.value)
+
+
+class TestStationFailureProbabilities:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_each_entry_is_the_one_start_result(self, seed):
+        r = np.random.default_rng(seed)
+        prof = random_profile(r, 2.0)
+        n = int(r.integers(1, 9))
+        vs = [int(x) for x in r.integers(0, 10, n)]
+        cs = [None if r.random() < 0.5 else v + int(r.integers(0, 8)) for v in vs]
+        tail = float(r.choice([1e-3, 1e-9]))
+        # small first truncations and a low doubling limit, so that columns
+        # double different numbers of times and some run out of room; a low
+        # cell limit splits the batch into several passes
+        with mock.patch.object(station_bound, "_unbounded_start", lambda p, v, T: v + 1), \
+                mock.patch.object(station_bound, "_MAX_TRUNCATION", 20), \
+                mock.patch.object(station_bound, "_MAX_BATCH_CELLS", int(r.choice([40, 1 << 21]))):
+            got = station_failure_probabilities(prof, vs, cs, 2.0, tail_tolerance=tail)
+            for v, c, value in zip(vs, cs, got):
+                one = outcome(
+                    lambda: station_failure_probability(prof, v, c, 2.0, tail_tolerance=tail)
+                )
+                if isinstance(value, InvariantViolationError):
+                    assert one == ("raises", str(value))
+                else:
+                    assert one == ("returns", value)
+
+    def test_truncation_limit_fails_only_its_column(self):
+        prof = constant_profile(6.0, 0.5, 2.0)
+        with mock.patch.object(station_bound, "_unbounded_start", lambda p, v, T: v + 1), \
+                mock.patch.object(station_bound, "_MAX_TRUNCATION", 10):
+            finite, unlimited = station_failure_probabilities(prof, [2, 2], [4, None], 2.0)
+        assert finite == station_failure_probability(prof, 2, 4, 2.0)
+        assert isinstance(unlimited, InvariantViolationError)
+        assert "grew unreasonably" in str(unlimited)
+
+    def test_invalid_start_is_rejected_up_front(self):
+        prof = constant_profile(1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            station_failure_probabilities(prof, [1, 3], [2, 2], 1.0)
+        with pytest.raises(ValueError):
+            station_failure_probabilities(prof, [1], [None], 1.0, tail_tolerance=0.0)
