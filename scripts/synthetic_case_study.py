@@ -42,9 +42,11 @@ def main():
     days = sample_day_sequences(model, args.days, seed=args.seed + 1)
     print(f"{k} stations, {plan.count()} planned relocations, {len(days)} sampled days")
 
-    designs = []
-    for cap in (int(c) for c in args.capacity_grid.split(",")):
-        designs.append((f"baseline-C{cap}", baseline_design(k, cap)))
+    baselines = [
+        (f"baseline-C{cap}", baseline_design(k, cap))
+        for cap in (int(c) for c in args.capacity_grid.split(","))
+    ]
+    proposed = []
     sized_at = {}
     for z in (float(z) for z in args.z_grid.split(",")):
         try:
@@ -53,15 +55,9 @@ def main():
             print(f"z={z:g}: {exc}")
             continue
         sized_at[z] = result.design
-        designs.append((f"proposed-z{z:g}", result.design))
+        proposed.append((f"proposed-z{z:g}", result.design))
 
-    rows = []
-    for label, design in designs:
-        use_plan = plan if label.startswith("proposed") else empty
-        outcomes = replay_all(days, use_plan, design, eta=model.eta)
-        rows.append(
-            (label, design.fleet_size, design.total_capacity, failure_rate(outcomes))
-        )
+    rows = sweep(baselines, days, empty, eta=model.eta) + sweep(proposed, days, plan, eta=model.eta)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -10,11 +10,9 @@ it, a demand-driven rebalancing planner, and replay of recorded days.
 from .exact import (
     JointDistribution,
     StateSpaceTooLargeError,
-    initial_joint_distribution,
     joint_failure_probability,
     joint_transient,
     marginal_distribution,
-    move_vehicle,
 )
 from .ingest import (
     DaySequence,
@@ -97,13 +95,11 @@ __all__ = [
     "estimate_marginals",
     "extract_day_sequences",
     "failure_rate",
-    "initial_joint_distribution",
     "joint_failure_probability",
     "joint_transient",
     "load_model",
     "load_plan",
     "marginal_distribution",
-    "move_vehicle",
     "parse_trips",
     "replay_all",
     "replay_day",

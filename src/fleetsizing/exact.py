@@ -8,45 +8,29 @@ absorbing failed state F.  Because every move conserves the vehicle
 count, only states on the slice sum(m) == sum(v) are reachable, and the
 distribution is stored on that slice.
 
-The generator has total exit rate sum(lambda_od) in every state, so the
-piecewise propagation uses the same uniformization scheme as the
-per-station bound, with mass conservation checked to 1e-8 per piece.
+The solver's state vector is ``[p_0 .. p_{n-1}, pF]``: the slice states
+in lexicographic order, then F.  The generator has total exit rate
+sum(lambda_od) in every state, so each piece of constant rates is
+propagated by the shared uniformization core
+(``fleetsizing.uniformization``) with a bincount kernel over per-pair
+transition tables, on the same event timeline as the per-station bound,
+and mass conservation is checked to 1e-8 per piece.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import InvariantViolationError, RebalancingPlan
+from .uniformization import BREAKPOINT, JUMP, RECORD, check_mass, event_timeline, uniformize
 
 STATE_SPACE_CAP = 2_000_000
 
-_POISSON_TAIL = 1e-13
-_MAX_RATE_STEP = 30.0
 _MASS_TOL = 1e-8
 
 
 class StateSpaceTooLargeError(ValueError):
     """The joint state space exceeds the cap; use simulation instead."""
-
-
-def move_vehicle(m, o, d):
-    """One vehicle relocated from station o to station d (1-based labels)."""
-    k = len(m)
-    if not (1 <= o <= k and 1 <= d <= k):
-        raise ValueError(f"station labels must be in 1..{k}")
-    if o == d:
-        return tuple(m)
-    out = list(m)
-    out[o - 1] -= 1
-    out[d - 1] += 1
-    return tuple(out)
-
-
-def move_vehicle_inverse(m, o, d):
-    """Inverse of :func:`move_vehicle`: the state the move started from."""
-    return move_vehicle(m, d, o)
 
 
 def _slice_states(caps, total):
@@ -128,55 +112,35 @@ class _JointEngine:
         row = self.state_index(v)
         if row < 0:
             raise ValueError("initial stocks are not a valid state")
-        p = np.zeros(self.n)
-        p[row] = 1.0
-        return p
+        state = np.zeros(self.n + 1)
+        state[row] = 1.0
+        return state
 
-    def step(self, p, pF, pair_rates, dt):
-        """Advance over dt hours with constant per-pair rates."""
+    def kernel(self, pair_rates):
+        """(total rate, one-step kernel) of the chain under constant per-pair rates."""
         pairs = [(o, d, lam) for (o, d), lam in pair_rates if lam > 0.0]
         lam_tot = sum(lam for _, _, lam in pairs)
-        if lam_tot == 0.0 or dt == 0.0:
-            return p, pF
         weights = [(self.table(o, d), lam / lam_tot) for o, d, lam in pairs]
-        n_sub = max(1, math.ceil(lam_tot * dt / _MAX_RATE_STEP))
-        x = lam_tot * (dt / n_sub)
-        for _ in range(n_sub):
-            cur, cur_f = p, pF
-            w = math.exp(-x)
-            acc = w * cur
-            acc_f = w * cur_f
-            wsum = w
-            n = 0
-            while wsum < 1.0 - _POISSON_TAIL:
-                n += 1
-                if n > 100_000:
-                    raise InvariantViolationError("uniformization series did not converge")
-                nxt = np.zeros_like(cur)
-                gone = 0.0
-                for (src_ok, tgt, src_blocked), wt in weights:
-                    nxt += np.bincount(tgt, weights=wt * cur[src_ok], minlength=self.n)
-                    if src_blocked.size:
-                        gone += wt * cur[src_blocked].sum()
-                nxt_f = cur_f + gone
-                w *= x / n
-                acc += w * nxt
-                acc_f += w * nxt_f
-                wsum += w
-                cur, cur_f = nxt, nxt_f
-            rem = 1.0 - wsum
-            p = acc + rem * cur
-            pF = acc_f + rem * cur_f
-        return p, pF
 
-    def rebalance(self, p, pF, o, d):
+        def kernel(cur, out):
+            p, nxt = cur[:-1], out[:-1]
+            nxt.fill(0.0)
+            gone = 0.0
+            for (src_ok, tgt, src_blocked), wt in weights:
+                nxt += np.bincount(tgt, weights=wt * p[src_ok], minlength=self.n)
+                if src_blocked.size:
+                    gone += wt * p[src_blocked].sum()
+            out[-1] = cur[-1] + gone
+
+        return lam_tot, kernel
+
+    def rebalance(self, state, o, d):
         """One scheduled relocation: blocked mass fails, the rest shifts."""
         src_ok, tgt, src_blocked = self.table(o, d)
-        out = np.zeros_like(p)
-        out[tgt] = p[src_ok]
-        if src_blocked.size:
-            pF += p[src_blocked].sum()
-        return out, pF
+        out = np.zeros_like(state)
+        out[tgt] = state[src_ok]
+        out[-1] = state[-1] + state[src_blocked].sum()
+        return out
 
     def marginal(self, p, station):
         i = station - 1
@@ -199,42 +163,8 @@ class JointDistribution:
         return self.engine.states
 
 
-def initial_joint_distribution(design):
-    engine = _JointEngine(design)
-    return JointDistribution(engine.initial(design.v), 0.0, 0.0, engine)
-
-
-def _guard(p, pF, where):
-    if p.min() < 0.0:
-        if p.min() <= -1e-12:
-            raise InvariantViolationError(f"negative probability {p.min():.3e} {where}")
-        p = np.maximum(p, 0.0)
-    drift = abs(p.sum() + pF - 1.0)
-    if drift >= _MASS_TOL:
-        raise InvariantViolationError(f"probability mass drifted by {drift:.3e} {where}")
-    return p, pF
-
-
 def _pair_rates_at(model, t):
     return [((o, d), model.intensities[(o, d)].value_at(t)) for (o, d) in model.pairs()]
-
-
-def joint_step_smooth(dist, model, t0, t1):
-    """Advance the joint distribution across an event-free piece [t0, t1]."""
-    if abs(dist.t - t0) > 1e-12:
-        raise ValueError(f"distribution is at t={dist.t}, piece starts at {t0}")
-    if t1 < t0:
-        raise ValueError("piece must not run backwards")
-    mid = 0.5 * (t0 + t1)
-    p, pF = dist.engine.step(dist.p, dist.pF, _pair_rates_at(model, mid), t1 - t0)
-    p, pF = _guard(p, pF, f"in piece [{t0}, {t1}]")
-    return JointDistribution(p, pF, t1, dist.engine)
-
-
-def joint_apply_rebalance(dist, o, d):
-    """Apply one scheduled relocation from o to d at the current time."""
-    p, pF = dist.engine.rebalance(dist.p, dist.pF, o, d)
-    return JointDistribution(p, pF, dist.t, dist.engine)
 
 
 def marginal_distribution(dist, station):
@@ -242,23 +172,7 @@ def marginal_distribution(dist, station):
     return dist.engine.marginal(dist.p, station)
 
 
-def _schedule(model, plan, T, record_times):
-    events = []
-    bps = sorted({b for pci in model.intensities.values() for b in pci.breakpoints})
-    events += [(t, 0, 0, 0, None) for t in bps if 0.0 < t <= T]
-    for t, o, d in plan.instants():
-        if t <= T:
-            events.append((t, 1, o, d, None))
-    if record_times is not None:
-        for idx, t in enumerate(record_times):
-            if t < 0.0 or t > T + 1e-9:
-                raise ValueError("record times must lie within [0, T]")
-            events.append((min(float(t), T), 2, 0, 0, idx))
-    events.sort(key=lambda e: e[:4])
-    return events
-
-
-def _walk(model, plan, design, T, record_times=None):
+def _walk(model, plan, design, T, record_times=()):
     if design.k != model.k:
         raise ValueError(f"design is for {design.k} stations, model has {model.k}")
     if plan is None:
@@ -267,20 +181,26 @@ def _walk(model, plan, design, T, record_times=None):
         raise ValueError("plan and model disagree on stations or horizon")
     if T < 0.0 or T > model.horizon + 1e-9:
         raise ValueError(f"evaluation time {T} outside [0, {model.horizon}]")
-    dist = initial_joint_distribution(design)
-    snapshots = [None] * (len(record_times) if record_times is not None else 0)
-    for ev_t, rank, o, d, payload in _schedule(model, plan, T, record_times):
-        if ev_t > dist.t:
-            dist = joint_step_smooth(dist, model, dist.t, ev_t)
-        if rank == 1:
-            dist = joint_apply_rebalance(dist, o, d)
-        elif rank == 2:
-            snapshots[payload] = JointDistribution(
-                dist.p.copy(), dist.pF, ev_t, dist.engine
-            )
-    if T > dist.t:
-        dist = joint_step_smooth(dist, model, dist.t, T)
-    return dist, snapshots
+    engine = _JointEngine(design)
+    state = engine.initial(design.v)
+    breakpoints = {b for pci in model.intensities.values() for b in pci.breakpoints}
+    jumps = [(t, (o, d)) for t, o, d in plan.instants()]
+    timeline = event_timeline(breakpoints, jumps, T, record_times) + [(T, BREAKPOINT, None)]
+    snapshots = [None] * len(record_times)
+    t = 0.0
+    for ev_t, rank, payload in timeline:
+        if ev_t > t:
+            rate, kernel = engine.kernel(_pair_rates_at(model, 0.5 * (t + ev_t)))
+            uniformize(state, rate, ev_t - t, kernel)
+            failed = check_mass(state[None, :], _MASS_TOL, f"in piece [{t}, {ev_t}]")
+            if failed:
+                raise failed[0][1]
+            t = ev_t
+        if rank == JUMP:
+            state = engine.rebalance(state, *payload)
+        elif rank == RECORD:
+            snapshots[payload] = JointDistribution(state[:-1].copy(), state[-1], ev_t, engine)
+    return JointDistribution(state[:-1], state[-1], T, engine), snapshots
 
 
 def joint_failure_probability(model, plan, design, T):

@@ -15,13 +15,12 @@ with a count reported.
 """
 
 import csv
-import json
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime
 from statistics import median
 
-from .model import DemandModel, PiecewiseConstantIntensity
+from .model import DemandModel, PiecewiseConstantIntensity, read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -313,11 +312,8 @@ def sequences_from_json(doc):
 
 
 def load_sequences(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return sequences_from_json(json.load(fh))
+    return sequences_from_json(read_json(path))
 
 
 def save_sequences(sequences, k, path, station_ids=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sequences_to_json(sequences, k, station_ids), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(sequences_to_json(sequences, k, station_ids), path)

@@ -12,10 +12,6 @@ from dataclasses import dataclass, field
 
 _TIME_EPS = 1e-9
 
-#: ordering of simultaneous events: rate breakpoints are processed first,
-#: then relocation arrivals, then relocation departures.
-KIND_ORDER = {"breakpoint": 0, "arrival": 1, "departure": 2}
-
 
 class InvariantViolationError(RuntimeError):
     """A numerical invariant (mass conservation, monotone bracket) failed."""
@@ -347,21 +343,6 @@ def aggregate_station_flows(model, plan, station, with_delay=False):
     return StationFlowProfile(lambda_a, lambda_d, tuple(rho_a), tuple(rho_d))
 
 
-def merged_event_timeline(profile):
-    """All instants where a station's smooth evolution is interrupted.
-
-    Returns (time, kind) pairs sorted by time; simultaneous events are
-    ordered breakpoint, then arrival, then departure.  Interior rate
-    breakpoints only: the horizon endpoints are not events.
-    """
-    bps = sorted(set(profile.lambda_a.breakpoints) | set(profile.lambda_d.breakpoints))
-    events = [(t, "breakpoint") for t in bps if t > 0.0]
-    events += [(t, "arrival") for t in profile.rho_a]
-    events += [(t, "departure") for t in profile.rho_d]
-    events.sort(key=lambda e: (e[0], KIND_ORDER[e[1]]))
-    return events
-
-
 # --- JSON wire format ------------------------------------------------------
 #
 # One document shape carries demand models and relocation plans:
@@ -436,28 +417,30 @@ def plan_from_json(doc):
     return RebalancingPlan(k, horizon, rho)
 
 
-def _load_doc(path):
+def read_json(path):
+    """The JSON document in ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def _save_doc(doc, path):
+def write_json(doc, path):
+    """Write ``doc`` the way every file of the package is written: sorted, indented."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_model(path):
-    return model_from_json(_load_doc(path))
+    return model_from_json(read_json(path))
 
 
 def save_model(model, path):
-    _save_doc(model_to_json(model), path)
+    write_json(model_to_json(model), path)
 
 
 def load_plan(path):
-    return plan_from_json(_load_doc(path))
+    return plan_from_json(read_json(path))
 
 
 def save_plan(plan, path):
-    _save_doc(plan_to_json(plan), path)
+    write_json(plan_to_json(plan), path)

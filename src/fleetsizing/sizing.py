@@ -19,7 +19,6 @@ errors are those of evaluating one candidate at a time; the capacity
 search hands its last read back as the station's failure probability.
 """
 
-import json
 import logging
 import math
 from collections import deque
@@ -29,6 +28,8 @@ from .model import (
     InvariantViolationError,
     SystemDesign,
     aggregate_station_flows,
+    read_json,
+    write_json,
 )
 from .station_bound import station_failure_probabilities, station_failure_probability
 
@@ -314,11 +315,8 @@ def design_from_json(doc):
 
 
 def load_design(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return design_from_json(json.load(fh))
+    return design_from_json(read_json(path))
 
 
 def save_design_doc(doc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)

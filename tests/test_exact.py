@@ -1,25 +1,23 @@
-"""Joint stock process: vehicle moves, conservation, closed forms, dominance."""
+"""Joint stock process: relocations, conservation, closed forms, dominance."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fleetsizing import exact
 from fleetsizing.exact import (
     StateSpaceTooLargeError,
-    initial_joint_distribution,
-    joint_apply_rebalance,
     joint_failure_probability,
-    joint_step_smooth,
     joint_transient,
     marginal_distribution,
-    move_vehicle,
-    move_vehicle_inverse,
 )
 from fleetsizing.model import (
     DemandModel,
+    InvariantViolationError,
     PiecewiseConstantIntensity,
     RebalancingPlan,
     SystemDesign,
@@ -41,23 +39,6 @@ def two_station_model(lam_12=1.0, lam_21=0.0, horizon=1.0):
     return DemandModel(2, intensities, ((0.0, 0.0), (0.0, 0.0)), horizon)
 
 
-class TestMoveVehicle:
-    def test_moves_one_vehicle(self):
-        assert move_vehicle((3, 4, 5), 1, 2) == (2, 5, 5)
-
-    def test_same_station_is_identity(self):
-        assert move_vehicle((3, 4, 5), 1, 1) == (3, 4, 5)
-
-    def test_inverse_undoes_move(self):
-        assert move_vehicle_inverse((2, 5, 5), 1, 2) == (3, 4, 5)
-        m = (1, 0, 3)
-        assert move_vehicle_inverse(move_vehicle(m, 2, 3), 2, 3) == m
-
-    def test_intermediate_values_may_leave_bounds(self):
-        # the transform itself ignores capacity constraints
-        assert move_vehicle((0, 1), 1, 2) == (-1, 2)
-
-
 class TestJointIntegration:
     def test_single_flow_chain_closed_form(self):
         # (1,0) -> (0,1) on the first request; the second finds station 1 empty,
@@ -70,9 +51,10 @@ class TestJointIntegration:
 
     def test_zero_demand_is_inert(self):
         m = DemandModel(2, {}, ((0.0, 0.0), (0.0, 0.0)), 1.0)
-        dist = initial_joint_distribution(SystemDesign((1, 1), (2, 2)))
-        out = joint_step_smooth(dist, m, 0.0, 1.0)
-        assert np.allclose(out.p, dist.p)
+        design = SystemDesign((1, 1), (2, 2))
+        (start, out) = joint_transient(m, RebalancingPlan.empty(2, 1.0), design, [0.0, 1.0])
+        assert np.array_equal(out.p, start.p)
+        assert start.p.max() == 1.0 and tuple(start.states[start.p.argmax()]) == (1, 1)
         assert out.pF == 0.0
 
     def test_all_stock_at_origin_side_failure_is_first_request_tail(self):
@@ -117,6 +99,13 @@ class TestJointIntegration:
         pFs = [s.pF for s in snaps]
         assert all(b >= a - 1e-12 for a, b in zip(pFs, pFs[1:]))
 
+    def test_mass_check_runs_after_every_piece(self):
+        m = two_station_model()
+        design = SystemDesign((1, 0), (1, 1))
+        with mock.patch.object(exact, "_MASS_TOL", 0.0):
+            with pytest.raises(InvariantViolationError, match=r"drifted by .* in piece \[0.0, 1.0\]"):
+                joint_failure_probability(m, RebalancingPlan.empty(2, 1.0), design, 1.0)
+
     def test_state_space_cap_raises_early(self):
         k = 12
         eta = tuple(tuple(0.0 for _ in range(k)) for _ in range(k))
@@ -126,30 +115,38 @@ class TestJointIntegration:
             joint_failure_probability(m, RebalancingPlan.empty(k, 1.0), design, 1.0)
 
 
+def after_relocation(design, o=1, d=2):
+    """The joint distribution after one o -> d relocation at t=0.5, no demand."""
+    m = DemandModel(2, {}, ((0.0, 0.0), (0.0, 0.0)), 1.0)
+    plan = RebalancingPlan(2, 1.0, {(o, d): (0.5,)})
+    (snap,) = joint_transient(m, plan, design, [0.5])
+    return snap
+
+
 class TestRebalanceJump:
     def test_moves_point_mass(self):
-        dist = initial_joint_distribution(SystemDesign((1, 0), (1, 1)))
-        out = joint_apply_rebalance(dist, 1, 2)
+        out = after_relocation(SystemDesign((1, 0), (1, 1)))
         marg = marginal_distribution(out, 2)
         assert marg[1] == pytest.approx(1.0)
         assert out.pF == 0.0
 
     def test_empty_origin_absorbs(self):
-        dist = initial_joint_distribution(SystemDesign((0, 1), (1, 1)))
-        out = joint_apply_rebalance(dist, 1, 2)
+        out = after_relocation(SystemDesign((0, 1), (1, 1)))
         assert out.pF == pytest.approx(1.0)
 
     def test_full_destination_absorbs(self):
-        dist = initial_joint_distribution(SystemDesign((1, 1), (1, 1)))
-        out = joint_apply_rebalance(dist, 1, 2)
+        out = after_relocation(SystemDesign((1, 1), (1, 1)))
         assert out.pF == pytest.approx(1.0)
 
     def test_jump_preserves_mass(self, rng):
         model, plan, design = random_small_instance(rng)
-        dist = initial_joint_distribution(design)
-        dist = joint_step_smooth(dist, model, 0.0, model.horizon / 2)
-        out = joint_apply_rebalance(dist, 1, 2)
-        assert out.p.sum() + out.pF == pytest.approx(1.0, abs=1e-8)
+        half = model.horizon / 2
+        rho = dict(plan.rho)
+        rho[(1, 2)] = tuple(sorted({*rho.get((1, 2), ()), half}))
+        plan = RebalancingPlan(model.k, model.horizon, rho)
+        before, after = joint_transient(model, plan, design, [half - 1e-9, half])
+        assert after.pF >= before.pF
+        assert after.p.sum() + after.pF == pytest.approx(1.0, abs=1e-8)
 
 
 class TestMarginalDominance:

@@ -15,7 +15,6 @@ from fleetsizing.model import (
     aggregate_station_flows,
     load_model,
     load_plan,
-    merged_event_timeline,
     model_from_json,
     model_to_json,
     plan_from_json,
@@ -24,6 +23,7 @@ from fleetsizing.model import (
     save_plan,
     sum_intensities,
 )
+from fleetsizing.uniformization import BREAKPOINT, JUMP, RECORD, event_timeline
 
 from conftest import make_pci, random_small_instance
 
@@ -208,6 +208,13 @@ class TestAggregateStationFlows:
         assert prof.rho_a == ()
 
 
+def station_timeline(prof, T=None, record_times=()):
+    """The event timeline of one station, as the station solver builds it."""
+    breakpoints = set(prof.lambda_a.breakpoints) | set(prof.lambda_d.breakpoints)
+    jumps = [(t, "arrival") for t in prof.rho_a] + [(t, "departure") for t in prof.rho_d]
+    return event_timeline(breakpoints, jumps, prof.horizon if T is None else T, record_times)
+
+
 class TestMergedEventTimeline:
     def test_orders_breakpoints_then_arrivals_then_departures(self):
         prof_lambda = PiecewiseConstantIntensity((0.0, 8.0, 17.0), (1.0, 2.0, 1.0), 24.0)
@@ -216,12 +223,21 @@ class TestMergedEventTimeline:
         prof = StationFlowProfile(
             prof_lambda, PiecewiseConstantIntensity.zero(24.0), (9.0,), (12.0,)
         )
-        assert merged_event_timeline(prof) == [
-            (8.0, "breakpoint"),
-            (9.0, "arrival"),
-            (12.0, "departure"),
-            (17.0, "breakpoint"),
+        assert station_timeline(prof) == [
+            (8.0, BREAKPOINT, None),
+            (9.0, JUMP, "arrival"),
+            (12.0, JUMP, "departure"),
+            (17.0, BREAKPOINT, None),
         ]
+        # events past T are dropped; a record at an event's instant comes last
+        assert station_timeline(prof, T=9.0, record_times=[9.0, 2.0]) == [
+            (2.0, RECORD, 1),
+            (8.0, BREAKPOINT, None),
+            (9.0, JUMP, "arrival"),
+            (9.0, RECORD, 0),
+        ]
+        with pytest.raises(ValueError, match="record times"):
+            station_timeline(prof, T=9.0, record_times=[9.5])
 
     def test_constant_intensity_empty_plan_has_no_events(self):
         from fleetsizing.model import StationFlowProfile
@@ -232,24 +248,28 @@ class TestMergedEventTimeline:
             (),
             (),
         )
-        assert merged_event_timeline(prof) == []
+        assert station_timeline(prof) == []
 
     def test_simultaneous_arrival_precedes_departure(self):
         from fleetsizing.model import StationFlowProfile
 
         prof = StationFlowProfile(
-            PiecewiseConstantIntensity.zero(24.0),
+            PiecewiseConstantIntensity((0.0, 5.0), (0.0, 1.0), 24.0),
             PiecewiseConstantIntensity.zero(24.0),
             (5.0,),
             (5.0,),
         )
-        assert merged_event_timeline(prof) == [(5.0, "arrival"), (5.0, "departure")]
+        assert station_timeline(prof) == [
+            (5.0, BREAKPOINT, None),
+            (5.0, JUMP, "arrival"),
+            (5.0, JUMP, "departure"),
+        ]
 
     def test_merge_is_idempotent(self, rng):
         model, plan, _ = random_small_instance(rng)
         prof = aggregate_station_flows(model, plan, 1)
-        events = merged_event_timeline(prof)
-        assert sorted(events, key=lambda e: (e[0], {"breakpoint": 0, "arrival": 1, "departure": 2}[e[1]])) == events
+        events = station_timeline(prof, record_times=[0.5, 1.0])
+        assert sorted(events, key=lambda e: e[:2]) == events
 
 
 class TestWireFormat:

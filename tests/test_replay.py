@@ -1,6 +1,9 @@
 """Replaying recorded days against candidate designs."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetsizing.ingest import DaySequence, RentalEvent
 from fleetsizing.model import RebalancingPlan, SystemDesign
@@ -12,7 +15,10 @@ from fleetsizing.replay import (
     replay_day,
     sweep,
 )
+from fleetsizing.simulate import _compile_tables, _sample_requests, simulate_run
 from fleetsizing.synth import sample_day_sequences, synthetic_imbalanced_model
+
+from conftest import random_small_instance
 
 
 def day(events, date="2016-05-02"):
@@ -196,3 +202,24 @@ class TestSweep:
         sequences = sample_day_sequences(model, 5, seed=3)
         outs = replay_all(sequences, no_plan(4), baseline_design(4, 6))
         assert [o.day for o in outs] == [s.date for s in sequences]
+
+
+class TestReplayMatchesMonteCarlo:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_same_sampled_events_same_outcome(self, instance_seed, run_seed):
+        # replay with zero ride times and the Monte Carlo first-failure scan
+        # are two implementations of one semantics: fed the draws of one
+        # simulate_run, they agree on failure and, without one, on the stocks
+        model, plan, design = random_small_instance(
+            np.random.default_rng(instance_seed), c_max=8, max_rebalances=6
+        )
+        T = model.horizon
+        t, o, d, _ = _sample_requests(_compile_tables(model), T, np.random.default_rng(run_seed))
+        order = np.argsort(t, kind="stable")
+        events = [RentalEvent(float(t[i]), int(o[i]), int(d[i]), 0.0) for i in order]
+        out = replay_day(DaySequence("sampled", events, T), plan, design)
+        run = simulate_run(model, plan, design, T, run_seed, sample_times=[T])
+        assert out.day_failed == (run.failed_at is not None)
+        if run.failed_at is None:
+            assert out.final_stocks == tuple(int(x) for x in run.occupancy[0])

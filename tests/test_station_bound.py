@@ -18,18 +18,14 @@ from fleetsizing.model import (
     StationFlowProfile,
 )
 from fleetsizing.station_bound import (
-    StationDistribution,
-    _evolve,
     _evolve_columns,
-    apply_jump,
-    initial_distribution,
     station_failure_curve,
     station_failure_probabilities,
     station_failure_probability,
     station_transient,
-    step_smooth,
     system_failure_upper_bound,
 )
+from fleetsizing.uniformization import uniformize
 
 from conftest import (
     constant_profile,
@@ -46,61 +42,218 @@ P_GE_4 = 0.01898815687615385
 P_GE_5 = 0.003659846827343771
 
 
+# --- one-column reference -----------------------------------------------------
+#
+# The evolution as it was written before the column kernel: one start, one
+# Poisson series per piece with freshly allocated terms, and its own event
+# schedule.  The column kernel must reproduce it bitwise.
+
+REF_POISSON_TAIL = 1e-13
+REF_MAX_RATE_STEP = 30.0
+REF_NEG_CLIP = -1e-12
+
+
+def reference_advance(q, qF, lost, lam_a, lam_d, dt, cap_absorbs):
+    """Propagate (q, qF, lost) over dt hours of constant rates."""
+    lam = lam_a + lam_d
+    if lam == 0.0 or dt == 0.0:
+        return q, qF, lost
+    pa = lam_a / lam
+    pd = lam_d / lam
+    n_sub = max(1, math.ceil(lam * dt / REF_MAX_RATE_STEP))
+    x = lam * (dt / n_sub)
+    for _ in range(n_sub):
+        cur, cur_f, cur_l = q, qF, lost
+        w = math.exp(-x)
+        acc = w * cur
+        acc_f = w * cur_f
+        acc_l = w * cur_l
+        wsum = w
+        n = 0
+        while wsum < 1.0 - REF_POISSON_TAIL:
+            n += 1
+            nxt = np.zeros_like(cur)
+            if pa:
+                nxt[1:] += pa * cur[:-1]
+            if pd:
+                nxt[:-1] += pd * cur[1:]
+            top_flux = pa * cur[-1]
+            nxt_f = cur_f + pd * cur[0] + (top_flux if cap_absorbs else 0.0)
+            nxt_l = cur_l + (0.0 if cap_absorbs else top_flux)
+            w *= x / n
+            acc += w * nxt
+            acc_f += w * nxt_f
+            acc_l += w * nxt_l
+            wsum += w
+            cur, cur_f, cur_l = nxt, nxt_f, nxt_l
+        rem = 1.0 - wsum
+        q = acc + rem * cur
+        qF = acc_f + rem * cur_f
+        lost = acc_l + rem * cur_l
+    return q, qF, lost
+
+
+def reference_guard(q, qF, lost, where, mass_tol):
+    """Clamp rounding negatives and verify mass conservation per piece."""
+    if q.min() < 0.0:
+        if q.min() <= REF_NEG_CLIP:
+            raise InvariantViolationError(f"negative probability {q.min():.3e} {where}")
+        q = np.maximum(q, 0.0)
+        total = q.sum() + qF + lost
+        q = q / total
+        qF /= total
+        lost /= total
+    drift = abs(q.sum() + qF + lost - 1.0)
+    if drift >= mass_tol:
+        raise InvariantViolationError(f"probability mass drifted by {drift:.3e} {where}")
+    return q, qF, lost
+
+
+def reference_arrival(q, qF, lost, cap_absorbs):
+    out = np.empty_like(q)
+    out[0] = 0.0
+    out[1:] = q[:-1]
+    top = q[-1]
+    if cap_absorbs:
+        return out, qF + top, lost
+    return out, qF, lost + top
+
+
+def reference_departure(q, qF, lost):
+    out = np.empty_like(q)
+    out[-1] = 0.0
+    out[:-1] = q[1:]
+    return out, qF + q[0], lost
+
+
+def reference_evolve(profile, v, c_eff, T, cap_absorbs, record_times=(), mass_tol=1e-9):
+    """Run one station from its point-mass start to T.
+
+    Returns (q, qF, lost, recorded) with one (q copy, qF) per record time;
+    record times coinciding with an event see the post-event state.
+    """
+    bps = sorted(set(profile.lambda_a.breakpoints) | set(profile.lambda_d.breakpoints))
+    schedule = [(t, 0, None) for t in bps if 0.0 < t <= T]
+    schedule += [(t, 1, None) for t in profile.rho_a if t <= T]
+    schedule += [(t, 2, None) for t in profile.rho_d if t <= T]
+    schedule += [(min(t, T), 3, idx) for idx, t in enumerate(record_times)]
+    schedule.sort(key=lambda e: (e[0], e[1]))
+
+    q = np.zeros(c_eff + 1)
+    q[v] = 1.0
+    qF = 0.0
+    lost = 0.0
+    t = 0.0
+    recorded = [None] * len(record_times)
+
+    def run_to(t_next):
+        nonlocal q, qF, lost, t
+        if t_next > t:
+            la = profile.lambda_a.value_at(0.5 * (t + t_next))
+            ld = profile.lambda_d.value_at(0.5 * (t + t_next))
+            q, qF, lost = reference_advance(q, qF, lost, la, ld, t_next - t, cap_absorbs)
+            q, qF, lost = reference_guard(q, qF, lost, f"at t={t_next}", mass_tol)
+            t = t_next
+
+    for ev_t, rank, payload in schedule:
+        run_to(ev_t)
+        if rank == 1:
+            q, qF, lost = reference_arrival(q, qF, lost, cap_absorbs)
+        elif rank == 2:
+            q, qF, lost = reference_departure(q, qF, lost)
+        elif rank == 3:
+            recorded[payload] = (q.copy(), qF)
+    run_to(T)
+    return q, qF, lost, recorded
+
+
+# --- relocation jumps and the uniformization step ----------------------------
+
+
+def around_relocations(v, c, rho_a=(), rho_d=()):
+    """(q, qF) at t=1.2 and t=1.8 around relocations at t=1.5; rates stop at t=1."""
+    rate = PiecewiseConstantIntensity((0.0, 1.0), (1.5, 0.0), 2.0)
+    q, qF = station_transient(StationFlowProfile(rate, rate, rho_a, rho_d), v, c, [1.2, 1.8])
+    return (q[0], qF[0]), (q[1], qF[1])
+
+
 class TestApplyJump:
     def test_departure_shifts_left_and_absorbs_empty_mass(self):
-        dist = StationDistribution(np.array([0.2, 0.3, 0.5]), 0.0, 0.0)
-        out = apply_jump(dist, "departure")
-        assert np.allclose(out.q, [0.3, 0.5, 0.0])
-        assert out.qF == pytest.approx(0.2)
+        (q, qF), (out, outF) = around_relocations(1, 2, rho_d=(1.5,))
+        assert q.min() > 0.0
+        assert np.array_equal(out, [q[1], q[2], 0.0])
+        assert outF == qF + q[0]
 
     def test_arrival_shifts_right_and_absorbs_full_mass(self):
-        dist = StationDistribution(np.array([0.2, 0.3, 0.5]), 0.0, 0.0)
-        out = apply_jump(dist, "arrival")
-        assert np.allclose(out.q, [0.0, 0.2, 0.3])
-        assert out.qF == pytest.approx(0.5)
+        (q, qF), (out, outF) = around_relocations(1, 2, rho_a=(1.5,))
+        assert q.min() > 0.0
+        assert np.array_equal(out, [0.0, q[0], q[1]])
+        assert outF == qF + q[2]
 
     def test_arrival_with_no_mass_at_capacity_absorbs_nothing(self):
-        dist = StationDistribution(np.array([1.0, 0.0, 0.0]), 0.0, 0.0)
-        out = apply_jump(dist, "arrival")
-        assert np.allclose(out.q, [0.0, 1.0, 0.0])
-        assert out.qF == 0.0
+        prof = constant_profile(0.0, 0.0, 1.0, rho_a=(0.5,))
+        q, qF = station_transient(prof, 0, 2, [1.0])
+        assert np.array_equal(q[0], [0.0, 1.0, 0.0])
+        assert qF[0] == 0.0
 
-    def test_jump_preserves_total_mass(self, rng):
-        q = rng.dirichlet(np.ones(6)) * 0.9
-        dist = StationDistribution(q, 0.1, 0.0)
-        for kind in ("arrival", "departure"):
-            out = apply_jump(dist, kind)
-            assert out.q.sum() + out.qF == pytest.approx(1.0, abs=1e-12)
+    def test_jump_preserves_total_mass(self):
+        for kind in ("rho_a", "rho_d"):
+            for jumps in [(1.5,), (1.5, 1.5), (1.5, 1.5, 1.5)]:
+                (q, qF), (out, outF) = around_relocations(2, 4, **{kind: jumps})
+                assert q.sum() + qF == pytest.approx(1.0, abs=1e-12)
+                assert out.sum() + outF == pytest.approx(1.0, abs=1e-12)
+
+
+def birth_death_kernel(lam_a, lam_d):
+    """(rate, kernel) of one station on ``[q_0 .. q_c, qF]``, full and empty failing."""
+    lam = lam_a + lam_d
+    pa, pd = (lam_a / lam, lam_d / lam) if lam else (0.0, 0.0)
+
+    def kernel(cur, out):
+        q = cur[:-1]
+        out[:-1] = 0.0
+        out[1:-1] += pa * q[:-1]
+        out[:-2] += pd * q[1:]
+        out[-1] = cur[-1] + pd * q[0] + pa * q[-1]
+
+    return lam, kernel
+
+
+def smooth_step(q0, lam_a, lam_d, dt):
+    """(q, qF) after dt hours of constant rates from the stock distribution q0."""
+    state = np.append(np.asarray(q0, dtype=float), 0.0)
+    rate, kernel = birth_death_kernel(lam_a, lam_d)
+    uniformize(state, rate, dt, kernel)
+    return state[:-1], state[-1]
+
+
+def point_mass(v, c):
+    q = np.zeros(c + 1)
+    q[v] = 1.0
+    return q
 
 
 class TestStepSmooth:
     def test_zero_rates_leave_distribution_unchanged(self):
-        prof = constant_profile(0.0, 0.0, 1.0)
-        dist = initial_distribution(2, 4)
-        out = step_smooth(dist, prof, 0.0, 1.0)
-        assert np.allclose(out.q, dist.q)
-        assert out.qF == 0.0
-        assert out.t == 1.0
+        q, qF = smooth_step(point_mass(2, 4), 0.0, 0.0, 1.0)
+        assert np.array_equal(q, point_mass(2, 4))
+        assert qF == 0.0
 
     def test_empty_station_pure_departures(self):
         # every departure request fails immediately from stock 0
-        prof = constant_profile(0.0, 1.0, 1.0)
-        dist = step_smooth(initial_distribution(0, 5), prof, 0.0, 1.0)
-        assert dist.qF == pytest.approx(P_GE_1, abs=1e-12)
+        _, qF = smooth_step(point_mass(0, 5), 0.0, 1.0, 1.0)
+        assert qF == pytest.approx(P_GE_1, abs=1e-12)
 
     def test_pure_arrivals_fill_to_capacity(self):
         # failure iff at least 3 arrivals hit a 2-slot station
-        prof = constant_profile(1.0, 0.0, 1.0)
-        dist = step_smooth(initial_distribution(0, 2), prof, 0.0, 1.0)
-        assert dist.qF == pytest.approx(P_GE_3, abs=1e-12)
+        _, qF = smooth_step(point_mass(0, 2), 1.0, 0.0, 1.0)
+        assert qF == pytest.approx(P_GE_3, abs=1e-12)
 
     def test_matches_matrix_exponential(self, rng):
         lam_a, lam_d = 0.8, 1.3
         c = 5
-        prof = constant_profile(lam_a, lam_d, 2.0)
         q0 = rng.dirichlet(np.ones(c + 1))
-        dist = StationDistribution(q0.copy(), 0.0, 0.0)
-        out = step_smooth(dist, prof, 0.0, 2.0)
+        q, qF = smooth_step(q0, lam_a, lam_d, 2.0)
 
         # independent route: dense generator over states 0..c plus failure
         n = c + 2
@@ -117,15 +270,14 @@ class TestStepSmooth:
                 G[c + 1, j] += lam_a
         p0 = np.concatenate([q0, [0.0]])
         p1 = scipy.linalg.expm(G * 2.0) @ p0
-        assert np.allclose(out.q, p1[:-1], atol=1e-10)
-        assert out.qF == pytest.approx(p1[-1], abs=1e-10)
+        assert np.allclose(q, p1[:-1], atol=1e-10)
+        assert qF == pytest.approx(p1[-1], abs=1e-10)
 
     def test_long_piece_is_split_internally(self):
         # rate * length far beyond one uniformization step still conserves mass
-        prof = constant_profile(40.0, 40.0, 10.0)
-        out = step_smooth(initial_distribution(3, 6), prof, 0.0, 10.0)
-        assert out.q.sum() + out.qF == pytest.approx(1.0, abs=1e-9)
-        assert out.qF > 0.99  # heavy traffic on a tiny station almost surely fails
+        q, qF = smooth_step(point_mass(3, 6), 40.0, 40.0, 10.0)
+        assert q.sum() + qF == pytest.approx(1.0, abs=1e-9)
+        assert qF > 0.99  # heavy traffic on a tiny station almost surely fails
 
 
 class TestStationFailureProbability:
@@ -291,23 +443,30 @@ class TestColumnKernel:
         m = int(r.integers(1, 8))
         tops = r.integers(0, 14, m)
         starts = [int(r.integers(0, top + 1)) for top in tops]
-        q, qF, lost, errors = _evolve_columns(prof, starts, tops, T, cap_absorbs)
+        # unordered, some at a jump (post-jump state) or at T
+        times = [*r.uniform(0.0, T, r.integers(0, 4)), *(t for t in jumps if t <= T), T]
+        times = [float(t) for t in r.permutation(times)]
+        q, qF, lost, errors, recorded = _evolve_columns(prof, starts, tops, T, cap_absorbs, times)
         assert errors == [None] * m
         for i, (v, top) in enumerate(zip(starts, tops)):
-            q1, qF1, lost1, _ = _evolve(prof, v, int(top), T, cap_absorbs)
+            q1, qF1, lost1, recorded1 = reference_evolve(prof, v, int(top), T, cap_absorbs, times)
             assert qF[i] == qF1
             assert lost[i] == lost1
             assert np.array_equal(q[i, : top + 1], q1)
             assert not q[i, top + 1 :].any()
+            for (q_at, qF_at), (q1_at, qF1_at) in zip(recorded, recorded1, strict=True):
+                assert qF_at[i] == qF1_at
+                assert np.array_equal(q_at[i, : top + 1], q1_at)
+                assert not q_at[i, top + 1 :].any()
 
     def test_piece_check_failure_is_the_one_column_error(self):
         prof = constant_profile(2.0, 1.0, 1.0, rho_a=(0.5,))
         with mock.patch.object(station_bound, "_MASS_TOL", 0.0):
-            _, _, _, errors = _evolve_columns(prof, [0, 1], [1, 3], 1.0, True)
-            for error, (v, c) in zip(errors, [(0, 1), (1, 3)]):
-                with pytest.raises(InvariantViolationError) as one_column:
-                    _evolve(prof, v, c, 1.0, True)
-                assert str(error) == str(one_column.value)
+            errors = _evolve_columns(prof, [0, 1], [1, 3], 1.0, True)[3]
+        for error, (v, c) in zip(errors, [(0, 1), (1, 3)]):
+            with pytest.raises(InvariantViolationError) as one_column:
+                reference_evolve(prof, v, c, 1.0, True, mass_tol=0.0)
+            assert str(error) == str(one_column.value)
 
 
 class TestStationFailureProbabilities:
