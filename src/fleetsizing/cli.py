@@ -47,6 +47,8 @@ def _load_plan_or_empty(args, model):
 
 
 def _sample_times(T, points):
+    if points < 1:
+        raise ValueError(f"--points must be at least 1, got {points}")
     return np.linspace(0.0, T, points + 1)[1:]
 
 
@@ -100,6 +102,8 @@ def cmd_size(args):
 
 
 def cmd_bound(args):
+    if args.z is not None and not 0.0 < args.z < 1.0:
+        raise ValueError("budget z must lie in (0, 1)")
     model = load_model(args.model)
     plan = _load_plan_or_empty(args, model)
     design = sizing.load_design(args.design)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import InvariantViolationError, RebalancingPlan
+from .model import InvariantViolationError, RebalancingPlan, rate_grid
 from .uniformization import BREAKPOINT, JUMP, RECORD, check_mass, event_timeline, uniformize
 
 STATE_SPACE_CAP = 2_000_000
@@ -163,10 +163,6 @@ class JointDistribution:
         return self.engine.states
 
 
-def _pair_rates_at(model, t):
-    return [((o, d), model.intensities[(o, d)].value_at(t)) for (o, d) in model.pairs()]
-
-
 def marginal_distribution(dist, station):
     """P(station holds j vehicles and the system has not failed), j = 0..c_i."""
     return dist.engine.marginal(dist.p, station)
@@ -179,18 +175,20 @@ def _walk(model, plan, design, T, record_times=()):
         plan = RebalancingPlan.empty(model.k, model.horizon)
     if plan.k != model.k or plan.horizon != model.horizon:
         raise ValueError("plan and model disagree on stations or horizon")
-    if T < 0.0 or T > model.horizon + 1e-9:
+    if not 0.0 <= T <= model.horizon + 1e-9:
         raise ValueError(f"evaluation time {T} outside [0, {model.horizon}]")
     engine = _JointEngine(design)
     state = engine.initial(design.v)
-    breakpoints = {b for pci in model.intensities.values() for b in pci.breakpoints}
+    pairs = model.pairs()
+    edges, rates = rate_grid([model.intensities[pair] for pair in pairs])
     jumps = [(t, (o, d)) for t, o, d in plan.instants()]
-    timeline = event_timeline(breakpoints, jumps, T, record_times) + [(T, BREAKPOINT, None)]
+    timeline = event_timeline(edges.tolist(), jumps, T, record_times) + [(T, BREAKPOINT, None)]
     snapshots = [None] * len(record_times)
     t = 0.0
     for ev_t, rank, payload in timeline:
         if ev_t > t:
-            rate, kernel = engine.kernel(_pair_rates_at(model, 0.5 * (t + ev_t)))
+            piece = rates[:, np.searchsorted(edges, t, side="right") - 1]
+            rate, kernel = engine.kernel(zip(pairs, piece.tolist()))
             uniformize(state, rate, ev_t - t, kernel)
             failed = check_mass(state[None, :], _MASS_TOL, f"in piece [{t}, {ev_t}]")
             if failed:

@@ -8,7 +8,10 @@ every file format; internal arrays are 0-based.
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 _TIME_EPS = 1e-9
 
@@ -113,8 +116,27 @@ class PiecewiseConstantIntensity:
             vals.append(v)
         return PiecewiseConstantIntensity(tuple(bps), tuple(vals), self.horizon_end)
 
-    def __add__(self, other):
-        return sum_intensities([self, other], self.horizon_end)
+
+def rate_grid(items):
+    """The merged breakpoints of several intensities and each one's rate per piece.
+
+    Returns (edges, rates): the sorted union of the items' breakpoints
+    (``[0.0]`` for no items), and an (items x pieces) array whose row r
+    holds ``items[r]`` on ``[edges[j], edges[j+1])``, the last piece
+    ending at the horizon.  Entries are looked up, never computed, so each
+    is bitwise ``items[r].value_at`` anywhere in its piece.
+    """
+    starts = np.fromiter(chain.from_iterable(it.breakpoints for it in items), float)
+    values = np.fromiter(chain.from_iterable(it.values for it in items), float)
+    edges = np.unique(np.append(starts, 0.0))
+    # mark the column where each of an item's pieces starts with the piece's
+    # index in ``values``; a running maximum carries it over the columns up
+    # to the item's next breakpoint
+    owner = np.repeat(np.arange(len(items)), [len(it.breakpoints) for it in items])
+    piece = np.zeros((len(items), len(edges)), dtype=np.intp)
+    piece[owner, np.searchsorted(edges, starts)] = np.arange(len(starts))
+    np.maximum.accumulate(piece, axis=1, out=piece)
+    return edges, values[piece]
 
 
 def sum_intensities(items, horizon_end):
@@ -126,9 +148,9 @@ def sum_intensities(items, horizon_end):
     for it in items:
         if it.horizon_end != horizon_end:
             raise ValueError("cannot sum intensities with different horizons")
-    merged = sorted({b for it in items for b in it.breakpoints})
-    values = tuple(sum(it.value_at(s) for it in items) for s in merged)
-    return PiecewiseConstantIntensity(tuple(merged), values, horizon_end)
+    edges, rates = rate_grid(items)
+    # rows added in item order, each piece as the scalar sum 0 + r_0 + r_1 + ...
+    return PiecewiseConstantIntensity(tuple(edges), tuple(sum(rates)), horizon_end)
 
 
 def _check_station(label, k, what="station"):
@@ -299,48 +321,41 @@ class StationFlowProfile:
         return self.lambda_a.horizon_end
 
 
-def aggregate_station_flows(model, plan, station, with_delay=False):
-    """Fold a demand model and relocation plan into one station's flow profile.
+def aggregate_station_flows(model, plan, *, with_delay=False):
+    """Fold a demand model and relocation plan into every station's flow profile.
 
-    With ``with_delay`` the arrival stream of station i is the sum of the
-    origin streams delayed by the pairwise travel times (vehicles arrive
-    eta hours after they depart); otherwise transfers are instantaneous.
-    Scheduled relocation arrivals shift the same way; shifted instants
-    falling past the horizon are discarded.
+    Returns k profiles, station i's at index i - 1, built in one pass over
+    the model's pairs and the plan's relocations.  With ``with_delay`` the
+    arrival stream of station i is the sum of the origin streams delayed
+    by the pairwise travel times (vehicles arrive eta hours after they
+    depart); otherwise transfers are instantaneous.  Scheduled relocation
+    arrivals shift the same way; shifted instants falling past the horizon
+    are discarded.
     """
     if plan is None:
         plan = RebalancingPlan.empty(model.k, model.horizon)
-    _check_station(station, model.k)
     if plan.k != model.k:
         raise ValueError(f"plan is for {plan.k} stations, model has {model.k}")
     if plan.horizon != model.horizon:
         raise ValueError(
             f"inconsistent horizons: model {model.horizon}, plan {plan.horizon}"
         )
-    i = station
-    dep_items = [pci for (o, d), pci in model.intensities.items() if o == i]
-    if with_delay:
-        arr_items = [
-            pci.shifted(model.eta_hours(o, i))
-            for (o, d), pci in model.intensities.items()
-            if d == i
-        ]
-    else:
-        arr_items = [pci for (o, d), pci in model.intensities.items() if d == i]
-    lambda_d = sum_intensities(dep_items, model.horizon)
-    lambda_a = sum_intensities(arr_items, model.horizon)
-    rho_d = sorted(t for (o, d), ts in plan.rho.items() if o == i for t in ts)
-    if with_delay:
-        rho_a = sorted(
-            t + model.eta_hours(o, i)
-            for (o, d), ts in plan.rho.items()
-            if d == i
-            for t in ts
-            if t + model.eta_hours(o, i) <= model.horizon
-        )
-    else:
-        rho_a = sorted(t for (o, d), ts in plan.rho.items() if d == i for t in ts)
-    return StationFlowProfile(lambda_a, lambda_d, tuple(rho_a), tuple(rho_d))
+    k, horizon = model.k, model.horizon
+    # without delay every shift is by 0.0: ``shifted(0.0)`` is the item
+    # itself and ``t + 0.0 == t``, so both modes share one path
+    eta = model.eta if with_delay else [[0.0] * k] * k
+    dep, arr, rho_d, rho_a = ([[] for _ in range(k)] for _ in range(4))
+    for (o, d), pci in model.intensities.items():
+        dep[o - 1].append(pci)
+        arr[d - 1].append(pci.shifted(eta[o - 1][d - 1]))
+    for (o, d), ts in plan.rho.items():
+        rho_d[o - 1].extend(ts)
+        e = eta[o - 1][d - 1]
+        rho_a[d - 1].extend(t + e for t in ts if t + e <= horizon)
+    return tuple(
+        StationFlowProfile(sum_intensities(a, horizon), sum_intensities(d, horizon), ra, rd)
+        for a, d, ra, rd in zip(arr, dep, map(sorted, rho_a), map(sorted, rho_d))
+    )
 
 
 # --- JSON wire format ------------------------------------------------------

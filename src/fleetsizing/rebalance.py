@@ -53,6 +53,8 @@ class RebalanceRates:
 
 
 def uniform_bins(horizon, bin_hours):
+    if not (math.isfinite(bin_hours) and bin_hours > 0.0):
+        raise ValueError(f"bin width must be a positive number of hours, got {bin_hours}")
     n = max(1, math.ceil(horizon / bin_hours - 1e-9))
     edges = [min(i * bin_hours, horizon) for i in range(n)] + [horizon]
     return tuple(edges)

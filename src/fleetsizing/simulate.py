@@ -12,7 +12,8 @@ sorted by (o, d); (2) all candidate times in one uniform block, laid out
 pair-by-pair in the same order; (3) one uniform thinning mark per
 candidate, aligned with the times.  Runs are therefore independent of
 scheduling and may be evaluated in parallel (set FLEETSIZING_WORKERS)
-without changing any result.
+without changing any result.  ``sample_requests`` is that sampler, and
+synthetic days (``synth.sample_day_sequences``) draw with it too.
 
 Within a run, events are replayed in time order; events at the same
 instant go by (origin, destination), and with travel delays arrivals go
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RebalancingPlan
+from .model import RebalancingPlan, rate_grid
 
 _WORKERS_ENV = "FLEETSIZING_WORKERS"
 
@@ -80,7 +81,7 @@ class MarginalEstimate:
 
 
 @dataclass
-class _Tables:
+class RequestTables:
     """Demand model compiled to flat arrays for fast per-run sampling."""
 
     k: int
@@ -93,26 +94,19 @@ class _Tables:
     max_rate: np.ndarray
 
 
-def _compile_tables(model):
+def compile_tables(model):
+    """The model's pairs, sorted by (o, d), and their rates on one shared grid."""
     pairs = model.pairs()
-    edges = sorted({b for pci in model.intensities.values() for b in pci.breakpoints})
-    if not edges:
-        edges = [0.0]
-    grid = np.asarray(edges + [model.horizon], dtype=float)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    rates = np.zeros((len(pairs), len(mids)))
-    for r, (o, d) in enumerate(pairs):
-        pci = model.intensities[(o, d)]
-        rates[r] = [pci.value_at(t) for t in mids]
-    return _Tables(
+    edges, rates = rate_grid([model.intensities[pair] for pair in pairs])
+    return RequestTables(
         k=model.k,
         horizon=model.horizon,
         pair_o=np.asarray([o for o, _ in pairs], dtype=np.int64),
         pair_d=np.asarray([d for _, d in pairs], dtype=np.int64),
         pair_eta=np.asarray([model.eta_hours(o, d) for o, d in pairs], dtype=float),
-        grid=grid,
+        grid=np.append(edges, model.horizon),
         rates=rates,
-        max_rate=rates.max(axis=1) if len(pairs) else np.zeros(0),
+        max_rate=rates.max(axis=1),
     )
 
 
@@ -129,7 +123,7 @@ def _plan_arrays(model, plan):
     return t, o, d, eta
 
 
-def _sample_requests(tables, T, rng):
+def sample_requests(tables, T, rng):
     """Thinned request events over [0, T]: (times, origins, dests, etas), unsorted."""
     n_pairs = len(tables.max_rate)
     if n_pairs == 0:
@@ -198,7 +192,7 @@ def _segmented_scan(st, up, v, c):
 
 def _simulate_prepared(tables, plan_arrays, v, c, T, seed, with_delay, sample_times, stations):
     rng = np.random.default_rng(seed)
-    t_req, o_req, d_req, eta_req = _sample_requests(tables, T, rng)
+    t_req, o_req, d_req, eta_req = sample_requests(tables, T, rng)
     t_pl, o_pl, d_pl, eta_pl = plan_arrays
     keep = t_pl <= T
     t_all = np.concatenate([t_req, t_pl[keep]])
@@ -253,9 +247,9 @@ def simulate_run(model, plan, design, T, seed, with_delay=False, sample_times=No
     """Sample one trajectory; see the module docstring for the RNG contract."""
     if design.k != model.k:
         raise ValueError(f"design is for {design.k} stations, model has {model.k}")
-    if T < 0.0 or T > model.horizon + 1e-9:
+    if not 0.0 <= T <= model.horizon + 1e-9:
         raise ValueError(f"simulation end {T} outside [0, {model.horizon}]")
-    tables = _compile_tables(model)
+    tables = compile_tables(model)
     plan_arrays = _plan_arrays(model, plan)
     v = np.asarray(design.v, dtype=np.int32)
     c = np.asarray(design.c, dtype=np.int32)
@@ -269,10 +263,9 @@ def simulate_run(model, plan, design, T, seed, with_delay=False, sample_times=No
 
 def _worker_count():
     raw = os.environ.get(_WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{_WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _run_batch(args):
@@ -298,9 +291,9 @@ def _collect(model, plan, design, T, n_runs, seed, with_delay, sample_times, sta
         raise ValueError("need at least one run")
     if design.k != model.k:
         raise ValueError(f"design is for {design.k} stations, model has {model.k}")
-    if T < 0.0 or T > model.horizon + 1e-9:
+    if not 0.0 <= T <= model.horizon + 1e-9:
         raise ValueError(f"simulation end {T} outside [0, {model.horizon}]")
-    tables = _compile_tables(model)
+    tables = compile_tables(model)
     plan_arrays = _plan_arrays(model, plan)
     v = np.asarray(design.v, dtype=np.int32)
     c = np.asarray(design.c, dtype=np.int32)

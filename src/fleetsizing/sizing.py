@@ -251,8 +251,8 @@ def size_system(model, plan, request, with_delay=False, search_cap=DEFAULT_SEARC
     vs = []
     cs = []
     qfs = []
-    for i in range(1, model.k + 1):
-        profile = aggregate_station_flows(model, plan, i, with_delay=with_delay)
+    profiles = aggregate_station_flows(model, plan, with_delay=with_delay)
+    for i, profile in enumerate(profiles, start=1):
         z_i = budgets[i - 1]
         v = size_station_stock(profile, request.T, 0.5 * z_i, search_cap=search_cap)
         c, qf = size_station_capacity(

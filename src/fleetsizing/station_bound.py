@@ -27,7 +27,8 @@ import math
 
 import numpy as np
 
-from .model import InvariantViolationError
+from . import model as model_module  # read at call time, where a tracer may wrap it
+from .model import InvariantViolationError, rate_grid
 from .uniformization import BREAKPOINT, RECORD, check_mass, event_timeline, uniformize
 
 _MASS_TOL = 1e-9
@@ -116,17 +117,15 @@ def _evolve_columns(profile, starts, tops, T, cap_absorbs, record_times=()):
         else:
             np.add(c.lost, top_flux, out=o.lost)
 
-    lam_a = profile.lambda_a
-    lam_d = profile.lambda_d
-    breakpoints = set(lam_a.breakpoints) | set(lam_d.breakpoints)
+    edges, rates = rate_grid([profile.lambda_a, profile.lambda_d])
+    lam_a, lam_d = rates.tolist()
     jumps = [(t, "arrival") for t in profile.rho_a] + [(t, "departure") for t in profile.rho_d]
-    timeline = event_timeline(breakpoints, jumps, T, record_times) + [(T, BREAKPOINT, None)]
+    timeline = event_timeline(edges.tolist(), jumps, T, record_times) + [(T, BREAKPOINT, None)]
     t = 0.0
     for ev_t, rank, payload in timeline:
         if ev_t > t:
-            mid = 0.5 * (t + ev_t)
-            la = lam_a.value_at(mid)
-            ld = lam_d.value_at(mid)
+            j = np.searchsorted(edges, t, side="right") - 1
+            la, ld = lam_a[j], lam_d[j]
             lam = la + ld
             if lam:
                 pa = la / lam
@@ -160,7 +159,7 @@ def _validate_vcT(profile, v, c, T):
             raise ValueError("capacity c must be a non-negative integer or None")
         if v > c:
             raise ValueError("initial stock cannot exceed capacity")
-    if T < 0.0 or T > profile.horizon + 1e-9:
+    if not 0.0 <= T <= profile.horizon + 1e-9:
         raise ValueError(f"evaluation time {T} outside [0, {profile.horizon}]")
 
 
@@ -261,15 +260,6 @@ def station_transient(profile, v, c, times):
     return qs, qfs
 
 
-def _station_profiles(model, plan, with_delay):
-    from .model import aggregate_station_flows
-
-    return [
-        aggregate_station_flows(model, plan, i, with_delay=with_delay)
-        for i in range(1, model.k + 1)
-    ]
-
-
 def system_failure_upper_bound(model, plan, design, T, with_delay=False):
     """Sum of per-station failure probabilities by T.
 
@@ -278,7 +268,7 @@ def system_failure_upper_bound(model, plan, design, T, with_delay=False):
     """
     if design.k != model.k:
         raise ValueError(f"design is for {design.k} stations, model has {model.k}")
-    profiles = _station_profiles(model, plan, with_delay)
+    profiles = model_module.aggregate_station_flows(model, plan, with_delay=with_delay)
     return sum(
         station_failure_probability(prof, design.v[i], design.c[i], T)
         for i, prof in enumerate(profiles)
@@ -292,7 +282,7 @@ def system_failure_bound_curve(model, plan, design, times, with_delay=False):
     """
     if design.k != model.k:
         raise ValueError(f"design is for {design.k} stations, model has {model.k}")
-    profiles = _station_profiles(model, plan, with_delay)
+    profiles = model_module.aggregate_station_flows(model, plan, with_delay=with_delay)
     per_station = np.stack(
         [
             station_failure_curve(prof, design.v[i], design.c[i], times)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .ingest import DAY_HOURS, DaySequence, RentalEvent
 from .model import DemandModel, PiecewiseConstantIntensity
-from .simulate import _compile_tables, _sample_requests
+from .simulate import compile_tables, sample_requests
 
 
 def uniform_demand_model(k, rate, horizon, eta_hours=0.0):
@@ -91,14 +91,14 @@ def sample_day_sequences(model, n_days, seed=0, start=date(2016, 5, 2)):
     consecutive weekdays from ``start``.  Events carry the model's pair
     travel times.
     """
-    tables = _compile_tables(model)
+    tables = compile_tables(model)
     sequences = []
     day = start
     if day.weekday() >= 5:
         day = _next_weekday(day)
     for i in range(n_days):
         rng = np.random.default_rng((seed, i))
-        times, origins, dests, etas = _sample_requests(tables, model.horizon, rng)
+        times, origins, dests, etas = sample_requests(tables, model.horizon, rng)
         order = np.argsort(times, kind="stable")
         events = tuple(
             RentalEvent(float(times[j]), int(origins[j]), int(dests[j]), float(etas[j]))

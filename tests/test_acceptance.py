@@ -76,7 +76,7 @@ def test_station_bounds_dominate_joint_marginals(small_instances):
         snapshots = joint_transient(model, plan, design, times)
         per_station = []
         for i in range(1, model.k + 1):
-            profile = aggregate_station_flows(model, plan, i, with_delay=False)
+            profile = aggregate_station_flows(model, plan, with_delay=False)[i - 1]
             qs, qfs = station_transient(
                 profile, design.v[i - 1], design.c[i - 1], times
             )

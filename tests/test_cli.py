@@ -357,3 +357,65 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_INVARIANT
+
+    @pytest.mark.parametrize("width", ["0", "-1", "nan", "inf"])
+    def test_plan_rejects_a_bin_width_that_is_not_positive(
+        self, pipeline, tmp_path, capsys, width
+    ):
+        out = tmp_path / "p.json"
+        argv = ["plan", "--model", str(pipeline["model"]), "--out", str(out), "--bin-hours", width]
+        code = run(argv)
+        assert code == EXIT_INPUT
+        assert "bin width" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode", [["bound", "--curve"], ["simulate", "--mc"], ["simulate", "--exact"]]
+    )
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_points_must_be_positive(self, pipeline, tmp_path, capsys, mode, points):
+        out = str(tmp_path / "x.csv")
+        command, flag = mode
+        argv = [command, flag] if command == "simulate" else [command, flag, out]
+        argv += ["--model", str(pipeline["model"]), "--design", str(pipeline["design"]),
+                 "--T", "24", "--points", points]
+        if command == "simulate":
+            argv += ["--out", out, "--runs", "10"]
+        assert run(argv) == EXIT_INPUT
+        assert "--points must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--T", "nan"],
+            ["bound", "--T", "nan", "--curve", "{out}"],
+            ["bound", "--T", "-1"],
+            ["simulate", "--exact", "--T", "nan", "--out", "{out}"],
+            ["simulate", "--mc", "--T", "nan", "--runs", "10", "--out", "{out}"],
+        ],
+    )
+    def test_time_outside_the_horizon_is_rejected(self, pipeline, tmp_path, capsys, argv):
+        argv = [a.format(out=tmp_path / "x.csv") for a in argv]
+        argv += ["--model", str(pipeline["model"]), "--design", str(pipeline["design"])]
+        assert run(argv) == EXIT_INPUT
+        assert "outside [0, 24.0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("z", ["nan", "0", "1", "1.5", "-0.1"])
+    def test_bound_rejects_a_budget_outside_the_unit_interval(self, pipeline, capsys, z):
+        argv = ["bound", "--model", str(pipeline["model"]), "--design", str(pipeline["design"]),
+                "--T", "24", "--z", z]
+        assert run(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "budget z must lie in (0, 1)" in captured.err
+        assert "feasible" not in captured.out
+
+    @pytest.mark.parametrize("workers", ["abc", "0", "-2", ""])
+    def test_worker_count_must_be_a_positive_integer(
+        self, pipeline, tmp_path, capsys, monkeypatch, workers
+    ):
+        monkeypatch.setenv("FLEETSIZING_WORKERS", workers)
+        argv = ["simulate", "--mc", "--model", str(pipeline["model"]),
+                "--design", str(pipeline["design"]), "--T", "24", "--runs", "10",
+                "--out", str(tmp_path / "x.csv")]
+        assert run(argv) == EXIT_INPUT
+        assert "FLEETSIZING_WORKERS must be a positive integer" in capsys.readouterr().err

@@ -157,7 +157,7 @@ class TestMarginalDominance:
             times = np.linspace(0.15, model.horizon, 8)
             snaps = joint_transient(model, plan, design, times)
             for i in range(1, model.k + 1):
-                prof = aggregate_station_flows(model, plan, i)
+                prof = aggregate_station_flows(model, plan)[i - 1]
                 q, _ = station_transient(prof, design.v[i - 1], design.c[i - 1], times)
                 for snap, q_row in zip(snaps, q):
                     marg = marginal_distribution(snap, i)

@@ -11,6 +11,7 @@ from fleetsizing.model import (
     DemandModel,
     PiecewiseConstantIntensity,
     RebalancingPlan,
+    StationFlowProfile,
     SystemDesign,
     aggregate_station_flows,
     load_model,
@@ -19,6 +20,7 @@ from fleetsizing.model import (
     model_to_json,
     plan_from_json,
     plan_to_json,
+    rate_grid,
     save_model,
     save_plan,
     sum_intensities,
@@ -26,6 +28,84 @@ from fleetsizing.model import (
 from fleetsizing.uniformization import BREAKPOINT, JUMP, RECORD, event_timeline
 
 from conftest import make_pci, random_small_instance
+
+
+def reference_sum_intensities(items, horizon_end):
+    """The scalar sum: each item's ``value_at`` at every merged breakpoint, in item order."""
+    items = list(items)
+    if not items:
+        return PiecewiseConstantIntensity.zero(horizon_end)
+    merged = sorted({b for it in items for b in it.breakpoints})
+    values = tuple(sum(it.value_at(s) for it in items) for s in merged)
+    return PiecewiseConstantIntensity(tuple(merged), values, horizon_end)
+
+
+def reference_station_flows(model, plan, station, with_delay=False):
+    """One station's flow profile from a scan over every pair, as it was built per station."""
+    i = station
+    dep_items = [pci for (o, d), pci in model.intensities.items() if o == i]
+    if with_delay:
+        arr_items = [
+            pci.shifted(model.eta_hours(o, i))
+            for (o, d), pci in model.intensities.items()
+            if d == i
+        ]
+    else:
+        arr_items = [pci for (o, d), pci in model.intensities.items() if d == i]
+    lambda_d = reference_sum_intensities(dep_items, model.horizon)
+    lambda_a = reference_sum_intensities(arr_items, model.horizon)
+    rho_d = sorted(t for (o, d), ts in plan.rho.items() if o == i for t in ts)
+    if with_delay:
+        rho_a = sorted(
+            t + model.eta_hours(o, i)
+            for (o, d), ts in plan.rho.items()
+            if d == i
+            for t in ts
+            if t + model.eta_hours(o, i) <= model.horizon
+        )
+    else:
+        rho_a = sorted(t for (o, d), ts in plan.rho.items() if d == i for t in ts)
+    return StationFlowProfile(lambda_a, lambda_d, tuple(rho_a), tuple(rho_d))
+
+
+def same_intensity(a, b):
+    return (a.breakpoints, a.values, a.horizon_end) == (b.breakpoints, b.values, b.horizon_end)
+
+
+def grid_points(horizon, max_size, steps=100):
+    """Distinct instants strictly inside (0, horizon), on a grid of horizon / steps."""
+    return st.lists(st.integers(1, steps - 1), max_size=max_size, unique=True).map(
+        lambda cuts: tuple(sorted(c * horizon / steps for c in cuts))
+    )
+
+
+@st.composite
+def piecewise_rates(draw, horizon):
+    """A piecewise-constant rate with its own breakpoints, some pieces exactly 0."""
+    bps = (0.0, *draw(grid_points(horizon, 4)))
+    rate = st.one_of(st.just(0.0), st.floats(0.0, 3.0, allow_subnormal=False))
+    return PiecewiseConstantIntensity(bps, tuple(draw(rate) for _ in bps), horizon)
+
+
+@st.composite
+def models_with_plans(draw):
+    """Random demand, travel times (some past the horizon) and relocations.
+
+    Travel times and relocation instants lie on a grid of horizon / 16, so
+    their sums are exact and a shifted relocation often lands on the horizon.
+    """
+    k = draw(st.integers(2, 4))
+    horizon = draw(st.sampled_from([2.0, 24.0]))
+    pairs = [(o, d) for o in range(1, k + 1) for d in range(1, k + 1) if o != d]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+    lam = {pair: draw(piecewise_rates(horizon)) for pair in chosen}
+    eta = tuple(
+        tuple(0.0 if o == d else draw(st.integers(0, 24)) * horizon / 16 for d in range(k))
+        for o in range(k)
+    )
+    moved = draw(st.lists(st.sampled_from(pairs), unique=True))
+    rho = {pair: draw(grid_points(horizon, 3, steps=16)) for pair in moved}
+    return DemandModel(k, lam, eta, horizon), RebalancingPlan(k, horizon, rho)
 
 
 class TestPiecewiseConstantIntensity:
@@ -66,6 +146,32 @@ class TestPiecewiseConstantIntensity:
             [PiecewiseConstantIntensity.constant(0.05, 24.0) for _ in range(49)], 24.0
         )
         assert total.value_at(12.0) == pytest.approx(2.45, rel=1e-12)
+
+    @given(st.sampled_from([2.0, 24.0]).flatmap(lambda h: st.lists(piecewise_rates(h), max_size=6)))
+    @settings(max_examples=200, deadline=None)
+    def test_sum_matches_the_scalar_sum(self, items):
+        horizon = items[0].horizon_end if items else 24.0
+        assert same_intensity(
+            sum_intensities(items, horizon), reference_sum_intensities(items, horizon)
+        )
+
+    @given(st.sampled_from([2.0, 24.0]).flatmap(lambda h: st.lists(piecewise_rates(h), max_size=6)))
+    @settings(max_examples=200, deadline=None)
+    def test_rate_grid_entries_are_value_at(self, items):
+        edges, rates = rate_grid(items)
+        assert edges.tolist() == sorted({0.0, *(b for it in items for b in it.breakpoints)})
+        assert rates.shape == (len(items), len(edges))
+        if not items:
+            return
+        ends = [*edges[1:], items[0].horizon_end]
+        for row, it in zip(rates, items):
+            for j, (a, b) in enumerate(zip(edges, ends)):
+                assert row[j] == it.value_at(a) == it.value_at(0.5 * (a + b))
+
+    def test_rate_grid_of_no_items(self):
+        edges, rates = rate_grid([])
+        assert edges.tolist() == [0.0]
+        assert rates.shape == (0, 1)
 
     def test_shift_by_delay_prepends_zero(self):
         pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
@@ -155,7 +261,7 @@ class TestAggregateStationFlows:
         }
         eta = tuple(tuple(0.0 for _ in range(50)) for _ in range(50))
         m = DemandModel(50, intensities, eta, 24.0)
-        prof = aggregate_station_flows(m, RebalancingPlan.empty(50, 24.0), 7)
+        prof = aggregate_station_flows(m, RebalancingPlan.empty(50, 24.0))[6]
         for t in (0.0, 6.0, 23.0):
             assert prof.lambda_a.value_at(t) == pytest.approx(2.45, rel=1e-12)
             assert prof.lambda_d.value_at(t) == pytest.approx(2.45, rel=1e-12)
@@ -163,7 +269,7 @@ class TestAggregateStationFlows:
     def test_departure_rate_is_row_sum(self, rng):
         model, plan, _ = random_small_instance(rng)
         for i in range(1, model.k + 1):
-            prof = aggregate_station_flows(model, plan, i)
+            prof = aggregate_station_flows(model, plan)[i - 1]
             for t in (0.0, 0.3, 1.1, 1.9):
                 expected = sum(
                     model.rate(i, d).value_at(t) for d in range(1, model.k + 1) if d != i
@@ -173,7 +279,7 @@ class TestAggregateStationFlows:
     def test_delayed_arrival_turns_on_after_travel_time(self):
         pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
         m = DemandModel(2, {(1, 2): pci}, ((0.0, 0.5), (0.5, 0.0)), 24.0)
-        prof = aggregate_station_flows(m, RebalancingPlan.empty(2, 24.0), 2, with_delay=True)
+        prof = aggregate_station_flows(m, RebalancingPlan.empty(2, 24.0), with_delay=True)[1]
         assert prof.lambda_a.value_at(0.25) == 0.0
         assert prof.lambda_a.value_at(0.5) == 1.0
 
@@ -181,7 +287,7 @@ class TestAggregateStationFlows:
         model, plan, _ = random_small_instance(rng)
         T = model.horizon
         for i in range(1, model.k + 1):
-            prof = aggregate_station_flows(model, plan, i, with_delay=True)
+            prof = aggregate_station_flows(model, plan, with_delay=True)[i - 1]
             expected = sum(
                 model.rate(o, i).integral(0.0, max(0.0, T - model.eta_hours(o, i)))
                 for o in range(1, model.k + 1)
@@ -195,31 +301,42 @@ class TestAggregateStationFlows:
         pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
         m = DemandModel(2, {(1, 2): pci}, ((0.0, 0.4), (0.4, 0.0)), 24.0)
         plan = RebalancingPlan(2, 24.0, {(1, 2): (1.0,)})
-        prof = aggregate_station_flows(m, plan, 2, with_delay=True)
+        prof = aggregate_station_flows(m, plan, with_delay=True)[1]
         assert prof.rho_a == (1.4,)
-        prof_o = aggregate_station_flows(m, plan, 1, with_delay=True)
+        prof_o = aggregate_station_flows(m, plan, with_delay=True)[0]
         assert prof_o.rho_d == (1.0,)
+
+    @given(models_with_plans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_matches_the_per_station_scan(self, model_plan, with_delay):
+        model, plan = model_plan
+        profiles = aggregate_station_flows(model, plan, with_delay=with_delay)
+        assert len(profiles) == model.k
+        for i, prof in enumerate(profiles, start=1):
+            ref = reference_station_flows(model, plan, i, with_delay)
+            assert same_intensity(prof.lambda_a, ref.lambda_a)
+            assert same_intensity(prof.lambda_d, ref.lambda_d)
+            assert prof.rho_a == ref.rho_a
+            assert prof.rho_d == ref.rho_d
 
     def test_delayed_relocation_arrivals_past_horizon_are_dropped(self):
         pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
         m = DemandModel(2, {(1, 2): pci}, ((0.0, 0.5), (0.5, 0.0)), 24.0)
         plan = RebalancingPlan(2, 24.0, {(1, 2): (23.8,)})
-        prof = aggregate_station_flows(m, plan, 2, with_delay=True)
+        prof = aggregate_station_flows(m, plan, with_delay=True)[1]
         assert prof.rho_a == ()
 
 
 def station_timeline(prof, T=None, record_times=()):
     """The event timeline of one station, as the station solver builds it."""
-    breakpoints = set(prof.lambda_a.breakpoints) | set(prof.lambda_d.breakpoints)
+    edges, _ = rate_grid([prof.lambda_a, prof.lambda_d])
     jumps = [(t, "arrival") for t in prof.rho_a] + [(t, "departure") for t in prof.rho_d]
-    return event_timeline(breakpoints, jumps, prof.horizon if T is None else T, record_times)
+    return event_timeline(edges.tolist(), jumps, prof.horizon if T is None else T, record_times)
 
 
 class TestMergedEventTimeline:
     def test_orders_breakpoints_then_arrivals_then_departures(self):
         prof_lambda = PiecewiseConstantIntensity((0.0, 8.0, 17.0), (1.0, 2.0, 1.0), 24.0)
-        from fleetsizing.model import StationFlowProfile
-
         prof = StationFlowProfile(
             prof_lambda, PiecewiseConstantIntensity.zero(24.0), (9.0,), (12.0,)
         )
@@ -240,8 +357,6 @@ class TestMergedEventTimeline:
             station_timeline(prof, T=9.0, record_times=[9.5])
 
     def test_constant_intensity_empty_plan_has_no_events(self):
-        from fleetsizing.model import StationFlowProfile
-
         prof = StationFlowProfile(
             PiecewiseConstantIntensity.constant(1.0, 24.0),
             PiecewiseConstantIntensity.constant(2.0, 24.0),
@@ -251,8 +366,6 @@ class TestMergedEventTimeline:
         assert station_timeline(prof) == []
 
     def test_simultaneous_arrival_precedes_departure(self):
-        from fleetsizing.model import StationFlowProfile
-
         prof = StationFlowProfile(
             PiecewiseConstantIntensity((0.0, 5.0), (0.0, 1.0), 24.0),
             PiecewiseConstantIntensity.zero(24.0),
@@ -267,7 +380,7 @@ class TestMergedEventTimeline:
 
     def test_merge_is_idempotent(self, rng):
         model, plan, _ = random_small_instance(rng)
-        prof = aggregate_station_flows(model, plan, 1)
+        prof = aggregate_station_flows(model, plan)[0]
         events = station_timeline(prof, record_times=[0.5, 1.0])
         assert sorted(events, key=lambda e: e[:2]) == events
 

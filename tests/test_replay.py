@@ -15,7 +15,7 @@ from fleetsizing.replay import (
     replay_day,
     sweep,
 )
-from fleetsizing.simulate import _compile_tables, _sample_requests, simulate_run
+from fleetsizing.simulate import compile_tables, sample_requests, simulate_run
 from fleetsizing.synth import sample_day_sequences, synthetic_imbalanced_model
 
 from conftest import random_small_instance
@@ -215,7 +215,7 @@ class TestReplayMatchesMonteCarlo:
             np.random.default_rng(instance_seed), c_max=8, max_rebalances=6
         )
         T = model.horizon
-        t, o, d, _ = _sample_requests(_compile_tables(model), T, np.random.default_rng(run_seed))
+        t, o, d, _ = sample_requests(compile_tables(model), T, np.random.default_rng(run_seed))
         order = np.argsort(t, kind="stable")
         events = [RentalEvent(float(t[i]), int(o[i]), int(d[i]), 0.0) for i in order]
         out = replay_day(DaySequence("sampled", events, T), plan, design)

@@ -14,11 +14,11 @@ from fleetsizing.model import (
     SystemDesign,
 )
 from fleetsizing.simulate import (
-    _compile_tables,
     _plan_arrays,
-    _sample_requests,
+    compile_tables,
     estimate_failure_curve,
     estimate_marginals,
+    sample_requests,
     simulate_run,
 )
 from fleetsizing.station_bound import system_failure_bound_curve
@@ -62,11 +62,11 @@ def dense_simulate(model, plan, design, T, seed, with_delay, sample_times):
     Draws the same streams as ``simulate_run`` and returns
     (failed_at, occupancy, occupancy_valid).
     """
-    tables = _compile_tables(model)
+    tables = compile_tables(model)
     t_pl, o_pl, d_pl, eta_pl = _plan_arrays(model, plan)
     v = np.asarray(design.v, dtype=np.int32)
     c = np.asarray(design.c, dtype=np.int32)
-    t_req, o_req, d_req, eta_req = _sample_requests(tables, T, np.random.default_rng(seed))
+    t_req, o_req, d_req, eta_req = sample_requests(tables, T, np.random.default_rng(seed))
     keep = t_pl <= T
     t_all = np.concatenate([t_req, t_pl[keep]])
     o_all = np.concatenate([o_req, o_pl[keep]]).astype(np.int64)
@@ -314,15 +314,43 @@ class TestEstimateMarginals:
                 assert est.mean[row].sum() == pytest.approx(1.0 - fail.mean, abs=1e-12)
 
 
+class TestProcessPool:
+    @pytest.mark.parametrize("with_delay", [False, True])
+    def test_two_workers_match_serial(self, rng, monkeypatch, with_delay):
+        model, plan, design = random_small_instance(rng)
+        times = np.linspace(0.1, model.horizon, 7)
+        T, n = model.horizon, 300
+
+        def estimates():
+            curve = estimate_failure_curve(
+                model, plan, design, T, n, times, with_delay=with_delay, seed=5
+            )
+            marginals = estimate_marginals(
+                model, plan, design, T, n, station=2, sample_times=times,
+                with_delay=with_delay, seed=5,
+            )
+            return curve, marginals
+
+        monkeypatch.setenv("FLEETSIZING_WORKERS", "1")
+        serial_curve, serial_marg = estimates()
+        monkeypatch.setenv("FLEETSIZING_WORKERS", "2")
+        pool_curve, pool_marg = estimates()
+        assert pool_curve == serial_curve
+        assert np.array_equal(pool_marg.mean, serial_marg.mean)
+        assert np.array_equal(pool_marg.stderr, serial_marg.stderr)
+        # the runs must see failures and stocks for the comparison to mean anything
+        assert 0.0 < serial_curve[-1][1].mean < 1.0
+
+
 class TestThinning:
     def test_constant_rate_interarrivals_are_exponential(self):
         lam = 2.0
         m = two_station_model(lam_12=lam, horizon=50.0)
-        tables = _compile_tables(m)
+        tables = compile_tables(m)
         rng = np.random.default_rng(123)
         gaps = []
         for _ in range(200):
-            times, _, _, _ = _sample_requests(tables, 50.0, rng)
+            times, _, _, _ = sample_requests(tables, 50.0, rng)
             ts = np.sort(times)
             gaps.extend(np.diff(ts))
         stat = scipy.stats.kstest(gaps, "expon", args=(0.0, 1.0 / lam))
@@ -331,13 +359,13 @@ class TestThinning:
     def test_piecewise_rate_bin_counts_match_integrals(self):
         pci = PiecewiseConstantIntensity((0.0, 5.0, 10.0), (2.0, 0.2, 1.0), 20.0)
         m = DemandModel(2, {(1, 2): pci}, ((0.0, 0.0), (0.0, 0.0)), 20.0)
-        tables = _compile_tables(m)
+        tables = compile_tables(m)
         rng = np.random.default_rng(7)
         edges = [0.0, 5.0, 10.0, 20.0]
         counts = np.zeros(3)
         n_rep = 400
         for _ in range(n_rep):
-            times, _, _, _ = _sample_requests(tables, 20.0, rng)
+            times, _, _, _ = sample_requests(tables, 20.0, rng)
             counts += np.histogram(times, bins=edges)[0]
         for b, (a, t1) in enumerate(zip(edges[:-1], edges[1:])):
             expected = pci.integral(a, t1) * n_rep
@@ -346,10 +374,10 @@ class TestThinning:
     def test_thinning_never_emits_events_where_rate_is_zero(self):
         pci = PiecewiseConstantIntensity((0.0, 5.0), (0.0, 3.0), 10.0)
         m = DemandModel(2, {(1, 2): pci}, ((0.0, 0.0), (0.0, 0.0)), 10.0)
-        tables = _compile_tables(m)
+        tables = compile_tables(m)
         rng = np.random.default_rng(9)
         for _ in range(50):
-            times, _, _, _ = _sample_requests(tables, 10.0, rng)
+            times, _, _, _ = sample_requests(tables, 10.0, rng)
             assert np.all(times >= 5.0)
 
 

@@ -162,7 +162,7 @@ class TestSizeSystem:
         res = size_system(model, plan, req)
         for i, qf in enumerate(res.station_failure):
             assert qf <= req.z / model.k + 1e-9
-            profile = aggregate_station_flows(model, plan, i + 1)
+            profile = aggregate_station_flows(model, plan)[i]
             assert qf == pytest.approx(
                 station_failure_probability(
                     profile, res.design.v[i], res.design.c[i], req.T
@@ -426,7 +426,7 @@ class TestBatchedSizingMatchesOneCandidateSearch:
         T = model.horizon
         res = size_system(model, plan, SizingRequest(z, T))
         for i in range(model.k):
-            profile = aggregate_station_flows(model, plan, i + 1)
+            profile = aggregate_station_flows(model, plan)[i]
             z_i = z / model.k
             tail = 1e-3 * 0.5 * z_i
             v = reference_minimal_feasible(

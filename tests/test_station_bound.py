@@ -381,7 +381,7 @@ class TestSystemBound:
         from fleetsizing.model import aggregate_station_flows
 
         per_station = station_failure_probability(
-            aggregate_station_flows(m, plan, 1), 1, 2, 1.0
+            aggregate_station_flows(m, plan)[0], 1, 2, 1.0
         )
         from fleetsizing.model import SystemDesign
 
