@@ -126,6 +126,10 @@ def cmd_bound(args):
 
 
 def cmd_simulate(args):
+    if args.exact and args.with_delay:
+        raise ValueError(
+            "--with-delay applies to --mc only; the exact solver neglects travel times"
+        )
     model = load_model(args.model)
     plan = _load_plan_or_empty(args, model)
     design = sizing.load_design(args.design)

@@ -12,17 +12,30 @@ The solver's state vector is ``[p_0 .. p_{n-1}, pF]``: the slice states
 in lexicographic order, then F.  The generator has total exit rate
 sum(lambda_od) in every state, so each piece of constant rates is
 propagated by the shared uniformization core
-(``fleetsizing.uniformization``) with a bincount kernel over per-pair
-transition tables, on the same event timeline as the per-station bound,
-and mass conservation is checked to 1e-8 per piece.
+(``fleetsizing.uniformization``) on the same event timeline as the
+per-station bound, and mass conservation is checked to 1e-8 per piece.
+
+The move part of the one-step kernel is one sparse matrix-vector product
+(Stewart 1994, ch. 8).  Each solve builds a single CSR matrix holding
+every pair's moves: row = target state, column = source state, and a
+row's entries in pair order.  A piece only rewrites the entries' weights
+(lambda_od / sum(lambda), 0 for a pair without demand in the piece).
+Every pair's move is injective, so row j's sum adds the same products in
+the same order as one scatter per pair into a zeroed vector would; the
+entries are never sorted or merged, and the inactive pairs' ``+ 0.0``
+terms are exact because every probability is non-negative.
 """
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .model import InvariantViolationError, RebalancingPlan, rate_grid
 from .uniformization import BREAKPOINT, JUMP, RECORD, check_mass, event_timeline, uniformize
+
+log = logging.getLogger(__name__)
 
 STATE_SPACE_CAP = 2_000_000
 
@@ -59,9 +72,13 @@ def _slice_states(caps, total):
 
 
 class _JointEngine:
-    """State enumeration and per-pair transition tables for one design."""
+    """State enumeration, per-pair transition tables and the move matrix of one design.
 
-    def __init__(self, design):
+    ``pairs`` are the demand pairs in the order of the rates that
+    ``kernel`` is given.
+    """
+
+    def __init__(self, design, pairs):
         self.caps = np.asarray(design.c, dtype=np.int64)
         self.total = design.fleet_size
         self.k = design.k
@@ -83,6 +100,9 @@ class _JointEngine:
         self._dims = dims
         self._row_of = row_of
         self._tables = {}
+        self.pairs = list(pairs)
+        self._moves, self._pair_of_entry = self._move_matrix()
+        self.terms = 0
 
     def state_index(self, m):
         m = tuple(m)
@@ -116,21 +136,58 @@ class _JointEngine:
         state[row] = 1.0
         return state
 
-    def kernel(self, pair_rates):
-        """(total rate, one-step kernel) of the chain under constant per-pair rates."""
-        pairs = [(o, d, lam) for (o, d), lam in pair_rates if lam > 0.0]
-        lam_tot = sum(lam for _, _, lam in pairs)
-        weights = [(self.table(o, d), lam / lam_tot) for o, d, lam in pairs]
+    def _move_matrix(self):
+        """CSR matrix of every pair's moves, and the pair index of each entry.
+
+        Row = target state, column = source state.  The pairs fill each
+        row in pair order, one entry per pair that moves a vehicle into
+        it, and the indices are never sorted within a row.
+        """
+        tables = [self.table(o, d) for o, d in self.pairs]
+        indptr = np.zeros(self.n + 1, dtype=np.int32)
+        for _, tgt, _ in tables:
+            indptr[1:][tgt] += 1  # a move is injective: no target repeats
+        np.cumsum(indptr, out=indptr)
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        pair_of_entry = np.empty(indptr[-1], dtype=np.min_scalar_type(len(tables)))
+        fill = indptr[:-1].copy()
+        for j, (src_ok, tgt, _) in enumerate(tables):
+            at = fill[tgt]
+            indices[at] = src_ok
+            pair_of_entry[at] = j
+            fill[tgt] += 1
+        matrix = csr_matrix((np.zeros(indices.size), indices, indptr), shape=(self.n, self.n))
+        return matrix, pair_of_entry
+
+    def kernel(self, rates):
+        """(total rate, one-step kernel) of the chain under constant per-pair rates.
+
+        ``rates`` are aligned with ``self.pairs``.  The kernel reads the
+        move matrix's weights, which this call sets, so it is valid until
+        the next call.
+        """
+        active = [(j, lam) for j, lam in enumerate(rates) if lam > 0.0]
+        lam_tot = sum(lam for _, lam in active)
+        w = np.zeros(len(self.pairs))
+        blocked = []
+        for j, lam in active:
+            wt = lam / lam_tot
+            w[j] = wt
+            src_blocked = self.table(*self.pairs[j])[2]
+            if src_blocked.size:
+                blocked.append((src_blocked, wt))
+        moves = self._moves
+        # every index is valid; "clip" writes straight into the data, "raise" would buffer a copy
+        np.take(w, self._pair_of_entry, out=moves.data, mode="clip")
 
         def kernel(cur, out):
-            p, nxt = cur[:-1], out[:-1]
-            nxt.fill(0.0)
+            p = cur[:-1]
+            out[:-1] = moves @ p
             gone = 0.0
-            for (src_ok, tgt, src_blocked), wt in weights:
-                nxt += np.bincount(tgt, weights=wt * p[src_ok], minlength=self.n)
-                if src_blocked.size:
-                    gone += wt * p[src_blocked].sum()
+            for src_blocked, wt in blocked:
+                gone += wt * p[src_blocked].sum()
             out[-1] = cur[-1] + gone
+            self.terms += 1
 
         return lam_tot, kernel
 
@@ -177,27 +234,36 @@ def _walk(model, plan, design, T, record_times=()):
         raise ValueError("plan and model disagree on stations or horizon")
     if not 0.0 <= T <= model.horizon + 1e-9:
         raise ValueError(f"evaluation time {T} outside [0, {model.horizon}]")
-    engine = _JointEngine(design)
-    state = engine.initial(design.v)
     pairs = model.pairs()
+    engine = _JointEngine(design, pairs)
+    state = engine.initial(design.v)
     edges, rates = rate_grid([model.intensities[pair] for pair in pairs])
     jumps = [(t, (o, d)) for t, o, d in plan.instants()]
     timeline = event_timeline(edges.tolist(), jumps, T, record_times) + [(T, BREAKPOINT, None)]
     snapshots = [None] * len(record_times)
     t = 0.0
+    pieces = 0
+    worst_drift = 0.0
     for ev_t, rank, payload in timeline:
         if ev_t > t:
             piece = rates[:, np.searchsorted(edges, t, side="right") - 1]
-            rate, kernel = engine.kernel(zip(pairs, piece.tolist()))
+            rate, kernel = engine.kernel(piece.tolist())
             uniformize(state, rate, ev_t - t, kernel)
             failed = check_mass(state[None, :], _MASS_TOL, f"in piece [{t}, {ev_t}]")
             if failed:
                 raise failed[0][1]
+            pieces += 1
+            worst_drift = max(worst_drift, abs(float(state.sum()) - 1.0))
             t = ev_t
         if rank == JUMP:
             state = engine.rebalance(state, *payload)
         elif rank == RECORD:
             snapshots[payload] = JointDistribution(state[:-1].copy(), state[-1], ev_t, engine)
+    log.debug(
+        "joint solve: %d slice states, %d matrix entries, %d pieces, %d kernel terms, "
+        "worst mass drift %.3e (tolerance %.0e)",
+        engine.n, engine._moves.nnz, pieces, engine.terms, worst_drift, _MASS_TOL,
+    )
     return JointDistribution(state[:-1], state[-1], T, engine), snapshots
 
 

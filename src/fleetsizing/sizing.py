@@ -31,7 +31,8 @@ from .model import (
     read_json,
     write_json,
 )
-from .station_bound import station_failure_probabilities, station_failure_probability
+# station_failure_probability is also read from this module by perfbench's tracer
+from .station_bound import station_failure_probabilities, station_failure_probability  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -53,20 +54,19 @@ class SizingRequest:
     def __post_init__(self):
         if not 0.0 < self.z < 1.0:
             raise ValueError("budget z must lie in (0, 1)")
-        if self.T <= 0.0:
-            raise ValueError("sizing horizon T must be positive")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ValueError("sizing horizon T must be finite and positive")
         if self.partition is not None:
-            object.__setattr__(
-                self, "partition", tuple(float(x) for x in self.partition)
-            )
+            partition = tuple(float(x) for x in self.partition)
+            if not all(math.isfinite(x) and x > 0.0 for x in partition):
+                raise ValueError("per-station budgets must be finite and positive")
+            object.__setattr__(self, "partition", partition)
 
     def station_budgets(self, k):
         if self.partition is None:
             return tuple(self.z / k for _ in range(k))
         if len(self.partition) != k:
             raise ValueError(f"partition has {len(self.partition)} entries for k={k}")
-        if any(x <= 0.0 for x in self.partition):
-            raise ValueError("per-station budgets must be positive")
         if abs(sum(self.partition) - self.z) > 1e-12 * max(1.0, self.z):
             raise ValueError("per-station budgets must sum to z")
         return self.partition
@@ -224,23 +224,6 @@ def size_station_capacity(
     start = max(1, math.ceil(profile.lambda_a.integral(0.0, T)))
     extra, qf = _minimal_feasible(g, 0, start, search_cap, budget, 1e-9, "capacity sizing")
     return (v + extra, qf) if return_failure else v + extra
-
-
-def size_station_joint(profile, T, budget, v_cap=60, c_cap=60):
-    """Exhaustive minimum of v + c subject to the budget (small stations only).
-
-    Cross-check oracle for the two-stage search: scans totals in
-    increasing order and returns the first feasible (v, c), preferring
-    the smallest stock among equal totals.
-    """
-    for total in range(0, v_cap + c_cap + 1):
-        for v in range(0, min(total // 2, v_cap) + 1):
-            c = total - v
-            if c < v or c > c_cap:
-                continue
-            if station_failure_probability(profile, v, c, T) <= budget:
-                return v, c
-    raise SizingInfeasibleError("no feasible (v, c) within the search caps")
 
 
 def size_system(model, plan, request, with_delay=False, search_cap=DEFAULT_SEARCH_CAP):

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import json
+import logging
 
 import pytest
 
@@ -214,6 +215,21 @@ class TestDeterminism:
         header = outs[0].decode().splitlines()[0]
         assert header == "t,p_fail,stderr,runs"
 
+    def test_exact_output_is_unchanged_by_debug_logging(self, pipeline, tmp_path, caplog, capsys):
+        small = tmp_path / "small.json"
+        small.write_text(json.dumps(design_to_json(SystemDesign((1, 1, 1), (2, 2, 2)))))
+        outs = []
+        for level in (logging.WARNING, logging.DEBUG):
+            out = tmp_path / f"exact-{level}.csv"
+            with caplog.at_level(level, logger="fleetsizing"):
+                code = run(["simulate", "--exact", "--model", str(pipeline["model"]),
+                            "--design", str(small), "--T", "24", "--points", "8",
+                            "--out", str(out)])
+            assert code == EXIT_OK
+            outs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outs[0] == outs[1]
+        assert any("joint solve:" in r.getMessage() for r in caplog.records)
+
     def test_replay_output_is_byte_identical(self, pipeline, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):
@@ -399,6 +415,28 @@ class TestExitCodes:
         argv += ["--model", str(pipeline["model"]), "--design", str(pipeline["design"])]
         assert run(argv) == EXIT_INPUT
         assert "outside [0, 24.0]" in capsys.readouterr().err
+
+    def test_exact_rejects_travel_delays(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--exact", "--with-delay", "--model", str(pipeline["model"]),
+                "--design", str(pipeline["design"]), "--T", "24", "--out", str(out)]
+        assert run(argv) == EXIT_INPUT
+        assert "--with-delay applies to --mc only" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["size", "sweep"])
+    @pytest.mark.parametrize("T", ["nan", "inf"])
+    def test_sizing_horizon_must_be_finite(self, pipeline, tmp_path, capsys, command, T):
+        out = tmp_path / "x.out"
+        argv = [command, "--model", str(pipeline["model"]), "--T", T, "--out", str(out)]
+        if command == "size":
+            argv += ["--z", "0.1"]
+        else:
+            argv += ["--sequences", str(pipeline["sequences"]), "--z-grid", "0.1",
+                     "--capacity-grid", "2"]
+        assert run(argv) == EXIT_INPUT
+        assert "sizing horizon T must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("z", ["nan", "0", "1", "1.5", "-0.1"])
     def test_bound_rejects_a_budget_outside_the_unit_interval(self, pipeline, capsys, z):

@@ -1,6 +1,8 @@
 """Joint stock process: relocations, conservation, closed forms, dominance."""
 
+import logging
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -22,6 +24,7 @@ from fleetsizing.model import (
     RebalancingPlan,
     SystemDesign,
     aggregate_station_flows,
+    rate_grid,
 )
 from fleetsizing.station_bound import station_transient, system_failure_bound_curve
 
@@ -186,3 +189,122 @@ class TestMarginalDominance:
         exact = [snap.pF for snap in joint_transient(model, plan, design, times)]
         for e, b in zip(exact, bound):
             assert -1e-8 <= e <= b + 1e-8
+
+
+def reference_kernel(self, rates):
+    """The kernel before the move matrix: one bincount scatter per active pair."""
+    pairs = [(o, d, lam) for (o, d), lam in zip(self.pairs, rates) if lam > 0.0]
+    lam_tot = sum(lam for _, _, lam in pairs)
+    weights = [(self.table(o, d), lam / lam_tot) for o, d, lam in pairs]
+
+    def kernel(cur, out):
+        p, nxt = cur[:-1], out[:-1]
+        nxt.fill(0.0)
+        gone = 0.0
+        for (src_ok, tgt, src_blocked), wt in weights:
+            nxt += np.bincount(tgt, weights=wt * p[src_ok], minlength=self.n)
+            if src_blocked.size:
+                gone += wt * p[src_blocked].sum()
+        out[-1] = cur[-1] + gone
+
+    return lam_tot, kernel
+
+
+def with_idle_pieces(model, rng):
+    """The model with some pieces switched off and some pairs never active."""
+    intensities = {}
+    for pair, pci in model.intensities.items():
+        roll = rng.random()
+        if roll < 0.2:
+            pci = PiecewiseConstantIntensity.zero(model.horizon)
+        elif roll < 0.6:
+            values = [0.0 if rng.random() < 0.5 else v for v in pci.values]
+            pci = PiecewiseConstantIntensity(pci.breakpoints, values, model.horizon)
+        intensities[pair] = pci
+    return DemandModel(model.k, intensities, model.eta, model.horizon)
+
+
+def solve(model, plan, design, times):
+    """joint_transient snapshots and joint_failure_probability at the horizon."""
+    return (
+        joint_transient(model, plan, design, times),
+        joint_failure_probability(model, plan, design, model.horizon),
+    )
+
+
+def solve_both(model, plan, design, times):
+    """``solve`` with the move matrix, then with the reference kernel."""
+    got = solve(model, plan, design, times)
+    with mock.patch.object(exact._JointEngine, "kernel", reference_kernel):
+        return got, solve(model, plan, design, times)
+
+
+class TestMoveMatrixKernel:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_bincount_kernel_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        model, plan, design = random_small_instance(rng, k_max=4, max_rebalances=6)
+        model = with_idle_pieces(model, rng)
+        reloc = sorted(t for ts in plan.rho.values() for t in ts)
+        times = sorted({*np.linspace(model.horizon / 10.0, model.horizon, 10), *reloc})
+        (snaps, pF), (ref_snaps, ref_pF) = solve_both(model, plan, design, times)
+        assert pF == ref_pF
+        for snap, ref in zip(snaps, ref_snaps, strict=True):
+            assert np.array_equal(snap.p, ref.p)
+            assert snap.pF == ref.pF
+            for i in range(1, model.k + 1):
+                assert np.array_equal(
+                    marginal_distribution(snap, i), marginal_distribution(ref, i)
+                )
+
+    def test_relocation_pairs_without_demand_and_idle_pairs(self):
+        # (2, 3) only relocates, (3, 1) never has demand, (1, 2) stops halfway
+        intensities = {
+            (1, 2): PiecewiseConstantIntensity((0.0, 0.5), (1.5, 0.0), 1.0),
+            (2, 1): PiecewiseConstantIntensity.constant(0.7, 1.0),
+            (3, 1): PiecewiseConstantIntensity.zero(1.0),
+        }
+        eta = tuple(tuple(0.0 for _ in range(3)) for _ in range(3))
+        model = DemandModel(3, intensities, eta, 1.0)
+        plan = RebalancingPlan(3, 1.0, {(2, 3): (0.25, 0.75), (1, 3): (0.5,)})
+        design = SystemDesign((2, 1, 1), (3, 3, 3))
+        (snaps, pF), (ref_snaps, ref_pF) = solve_both(model, plan, design, [0.25, 0.6, 1.0])
+        assert pF == ref_pF > 0.0
+        for snap, ref in zip(snaps, ref_snaps, strict=True):
+            assert np.array_equal(snap.p, ref.p) and snap.pF == ref.pF
+
+    def test_one_matrix_per_engine_whatever_the_active_pairs(self):
+        # five pieces with five different sets of active pairs
+        horizon = 1.0
+        on = {
+            (1, 2): ((0.0, 0.2, 0.6), (1.0, 0.0, 2.0)),
+            (2, 3): ((0.0, 0.4), (0.0, 1.5)),
+            (3, 1): ((0.0, 0.8), (0.5, 0.0)),
+        }
+        intensities = {
+            pair: PiecewiseConstantIntensity(bps, vals, horizon) for pair, (bps, vals) in on.items()
+        }
+        eta = tuple(tuple(0.0 for _ in range(3)) for _ in range(3))
+        model = DemandModel(3, intensities, eta, horizon)
+        _, rates = rate_grid([intensities[pair] for pair in model.pairs()])
+        assert len({tuple(col > 0.0) for col in rates.T}) == 5
+        with mock.patch.object(exact, "csr_matrix", wraps=exact.csr_matrix) as build:
+            joint_transient(model, None, SystemDesign((2, 2, 2), (4, 4, 4)), [0.5, 1.0])
+        assert build.call_count == 1
+
+    def test_debug_line_reports_the_solve(self, caplog):
+        m = two_station_model()
+        with caplog.at_level(logging.DEBUG, logger="fleetsizing.exact"):
+            joint_failure_probability(
+                m, RebalancingPlan.empty(2, 1.0), SystemDesign((1, 0), (1, 1)), 1.0
+            )
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "fleetsizing.exact"]
+        found = re.fullmatch(
+            r"joint solve: 2 slice states, 1 matrix entries, 1 pieces, (\d+) kernel terms, "
+            r"worst mass drift (\S+) \(tolerance 1e-08\)",
+            line,
+        )
+        assert found, line
+        assert int(found.group(1)) > 0
+        assert float(found.group(2)) < 1e-8

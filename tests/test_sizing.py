@@ -25,7 +25,6 @@ from fleetsizing.sizing import (
     design_to_json,
     result_to_json,
     size_station_capacity,
-    size_station_joint,
     size_station_stock,
     size_system,
 )
@@ -93,6 +92,23 @@ class TestCapacitySizing:
             size_station_capacity(profile, 1.0, 0, 1e-6, search_cap=3)
 
 
+def size_station_joint(profile, T, budget, v_cap=60, c_cap=60):
+    """Exhaustive minimum of v + c subject to the budget (small stations only).
+
+    Cross-check oracle for the two-stage search: scans totals in
+    increasing order and returns the first feasible (v, c), preferring
+    the smallest stock among equal totals.
+    """
+    for total in range(0, v_cap + c_cap + 1):
+        for v in range(0, min(total // 2, v_cap) + 1):
+            c = total - v
+            if c < v or c > c_cap:
+                continue
+            if station_failure_probability(profile, v, c, T) <= budget:
+                return v, c
+    raise SizingInfeasibleError("no feasible (v, c) within the search caps")
+
+
 class TestJointSizing:
     def test_joint_never_beats_its_own_budget(self):
         profile = constant_profile(0.8, 1.2, 2.0)
@@ -114,6 +130,33 @@ class TestJointSizing:
         profile = constant_profile(40.0, 40.0, 1.0)
         with pytest.raises(SizingInfeasibleError):
             size_station_joint(profile, 1.0, 1e-9, v_cap=2, c_cap=2)
+
+    @given(
+        lam_a=st.floats(0.0, 2.0),
+        lam_d=st.floats(0.0, 2.0),
+        T=st.floats(0.25, 2.0),
+        budget=st.floats(0.005, 0.5),
+        relocation=st.sampled_from(["none", "arrival", "departure"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_two_stage_design_is_feasible_and_no_smaller_than_joint_minimum(
+        self, lam_a, lam_d, T, budget, relocation
+    ):
+        rho = (0.5 * T,)
+        profile = constant_profile(
+            lam_a,
+            lam_d,
+            T,
+            rho_a=rho if relocation == "arrival" else (),
+            rho_d=rho if relocation == "departure" else (),
+        )
+        v = size_station_stock(profile, T, 0.5 * budget)
+        c, qf = size_station_capacity(profile, T, v, budget, return_failure=True)
+        assert v <= c
+        assert qf == station_failure_probability(profile, v, c, T)
+        assert qf <= budget
+        vj, cj = size_station_joint(profile, T, budget)
+        assert vj + cj <= v + c
 
 
 class TestSizingRequest:
@@ -137,6 +180,16 @@ class TestSizingRequest:
             SizingRequest(0.1, 1.0, partition=(0.2, 0.4)).station_budgets(2)
         with pytest.raises(ValueError):
             SizingRequest(0.1, 1.0, partition=(0.1, -0.0)).station_budgets(2)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+    def test_horizon_must_be_finite(self, T):
+        with pytest.raises(ValueError, match="sizing horizon T must be finite and positive"):
+            SizingRequest(0.1, T)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_partition_entries_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="per-station budgets must be finite and positive"):
+            SizingRequest(0.1, 1.0, partition=(0.1, bad))
 
 
 def two_station_symmetric(rate=1.0, horizon=1.0):
