@@ -80,8 +80,6 @@ class _JointEngine:
 
     def __init__(self, design, pairs):
         self.caps = np.asarray(design.c, dtype=np.int64)
-        self.total = design.fleet_size
-        self.k = design.k
         full_size = 1
         for c in design.c:
             full_size *= c + 1
@@ -90,26 +88,23 @@ class _JointEngine:
                     f"joint state space exceeds {STATE_SPACE_CAP} states; "
                     "use the Monte Carlo estimator instead"
                 )
-        states = _slice_states(design.c, self.total)
+        states = _slice_states(design.c, design.fleet_size)
         self.states = np.asarray(states, dtype=np.int64)
         self.n = len(states)
-        dims = self.caps + 1
-        row_of = np.full(full_size, -1, dtype=np.int64)
-        flat = np.ravel_multi_index(self.states.T, dims)
-        row_of[flat] = np.arange(self.n)
-        self._dims = dims
-        self._row_of = row_of
+        # each state's index in the product space, increasing in lexicographic
+        # order, so a state's row is found by search
+        self._stride = np.cumprod(np.append(1, self.caps[:0:-1] + 1))[::-1]
+        self._flat = self.states @ self._stride
         self._tables = {}
         self.pairs = list(pairs)
         self._moves, self._pair_of_entry = self._move_matrix()
         self.terms = 0
 
-    def state_index(self, m):
-        m = tuple(m)
-        if len(m) != self.k or any(x < 0 or x > c for x, c in zip(m, self.caps)):
-            return -1
-        row = self._row_of[np.ravel_multi_index(np.asarray(m), self._dims)]
-        return int(row)
+    def _rows(self, flat):
+        """Slice rows of the states with these flat indices, -1 for a state off the slice."""
+        rows = np.searchsorted(self._flat, flat)
+        on_slice = self._flat[np.minimum(rows, self.n - 1)] == flat
+        return np.where(on_slice, rows, -1)
 
     def table(self, o, d):
         """(src_ok, tgt_ok, src_blocked) row index arrays for pair (o, d)."""
@@ -117,10 +112,7 @@ class _JointEngine:
         if key not in self._tables:
             oi, di = o - 1, d - 1
             ok = (self.states[:, oi] > 0) & (self.states[:, di] < self.caps[di])
-            moved = self.states[ok].copy()
-            moved[:, oi] -= 1
-            moved[:, di] += 1
-            tgt = self._row_of[np.ravel_multi_index(moved.T, self._dims)]
+            tgt = self._rows(self._flat[ok] - self._stride[oi] + self._stride[di])
             if np.any(tgt < 0):
                 raise InvariantViolationError("vehicle move left the state slice")
             src_ok = np.nonzero(ok)[0]
@@ -129,7 +121,7 @@ class _JointEngine:
         return self._tables[key]
 
     def initial(self, v):
-        row = self.state_index(v)
+        row = self._rows(np.asarray(v) @ self._stride)
         if row < 0:
             raise ValueError("initial stocks are not a valid state")
         state = np.zeros(self.n + 1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from statistics import median
 
-from .model import DemandModel, PiecewiseConstantIntensity, read_json, write_json
+from .model import DemandModel, PiecewiseConstantIntensity, parsing, read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -295,20 +295,17 @@ class DaySequences(list):
 
 
 def sequences_from_json(doc):
-    try:
+    with parsing("sequence"):
         k = int(doc["k"])
         horizon = float(doc["horizon_hours"])
-        days = doc["days"]
-    except KeyError as exc:
-        raise ValueError(f"sequence document is missing key {exc}") from exc
-    sequences = []
-    for day in days:
-        events = tuple(
-            RentalEvent(float(e["t"]), int(e["o"]), int(e["d"]), float(e["eta"]))
-            for e in day["events"]
-        )
-        sequences.append(DaySequence(day["date"], events, horizon))
-    return DaySequences(sequences, k)
+        sequences = []
+        for day in doc["days"]:
+            events = tuple(
+                RentalEvent(float(e["t"]), int(e["o"]), int(e["d"]), float(e["eta"]))
+                for e in day["events"]
+            )
+            sequences.append(DaySequence(day["date"], events, horizon))
+        return DaySequences(sequences, k)
 
 
 def load_sequences(path):

@@ -8,6 +8,7 @@ every file format; internal arrays are 0-based.
 import json
 import math
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
@@ -48,8 +49,8 @@ class PiecewiseConstantIntensity:
             raise ValueError("need exactly one value per interval")
         if bp[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
-        if any(b >= a for b, a in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+        if not all(map(math.isfinite, bp)) or any(b >= a for b, a in zip(bp, bp[1:])):
+            raise ValueError("breakpoints must be finite and strictly increasing")
         if not math.isfinite(self.horizon_end) or self.horizon_end <= bp[-1]:
             raise ValueError("horizon_end must exceed the last breakpoint")
         if any(not math.isfinite(v) or v < 0.0 for v in vals):
@@ -63,58 +64,39 @@ class PiecewiseConstantIntensity:
     def zero(cls, horizon_end):
         return cls((0.0,), (0.0,), horizon_end)
 
-    def _check_time(self, t):
-        if t < -_TIME_EPS or t > self.horizon_end + _TIME_EPS:
-            raise ValueError(
-                f"time {t} outside intensity domain [0, {self.horizon_end}]"
-            )
-        return min(max(t, 0.0), self.horizon_end)
-
     def value_at(self, t):
-        t = self._check_time(t)
-        return self.values[bisect_right(self.breakpoints, t) - 1]
+        if t < -_TIME_EPS or t > self.horizon_end + _TIME_EPS:
+            raise ValueError(f"time {t} outside intensity domain [0, {self.horizon_end}]")
+        return self.values[bisect_right(self.breakpoints, min(max(t, 0.0), self.horizon_end)) - 1]
 
-    def integral(self, a, b):
-        a = self._check_time(a)
-        b = self._check_time(b)
-        if b < a:
-            raise ValueError("integral bounds must satisfy a <= b")
-        bp, vals = self.breakpoints, self.values
-        ia = bisect_right(bp, a) - 1
-        ib = bisect_right(bp, b) - 1
-        if ia == ib:
-            return vals[ia] * (b - a)
-        total = vals[ia] * (bp[ia + 1] - a)
-        for j in range(ia + 1, ib):
-            total += vals[j] * (bp[j + 1] - bp[j])
-        total += vals[ib] * (b - bp[ib])
-        return total
+def _pieces(items):
+    """The items' breakpoints and rates, concatenated, and each item's piece count."""
+    starts = np.fromiter(chain.from_iterable(it.breakpoints for it in items), float)
+    values = np.fromiter(chain.from_iterable(it.values for it in items), float)
+    counts = np.fromiter((len(it.breakpoints) for it in items), np.intp, len(items))
+    return starts, values, counts
 
-    def is_zero(self):
-        return all(v == 0.0 for v in self.values)
 
-    def shifted(self, delay):
-        """Delay the whole profile by ``delay`` hours within the same horizon.
+def _holding(starts, counts, edges):
+    """(items x edges): the index of each item's piece that holds each edge.
 
-        The shifted function is 0 on ``[0, delay)`` and whatever falls past
-        ``horizon_end`` is discarded.
-        """
-        delay = float(delay)
-        if delay < 0.0:
-            raise ValueError("delay must be non-negative")
-        if delay == 0.0:
-            return self
-        if delay >= self.horizon_end:
-            return PiecewiseConstantIntensity.zero(self.horizon_end)
-        bps = [0.0]
-        vals = [0.0]
-        for b, v in zip(self.breakpoints, self.values):
-            s = b + delay
-            if s >= self.horizon_end:
-                break
-            bps.append(s)
-            vals.append(v)
-        return PiecewiseConstantIntensity(tuple(bps), tuple(vals), self.horizon_end)
+    That is the item's last piece starting at or before the edge, as
+    ``bisect_right`` finds it; edges are at least 0, so one always does.
+    """
+    piece = np.zeros((len(counts), len(edges) + 1), dtype=np.intp)
+    # mark the first edge at or past each piece's start with the piece's
+    # index; a running maximum carries it over the edges up to the item's
+    # next piece (and the last column takes the pieces past every edge)
+    at = np.repeat(np.arange(len(counts)) * piece.shape[1], counts) + np.searchsorted(edges, starts)
+    np.maximum.at(piece.reshape(-1), at, np.arange(len(starts)))
+    np.maximum.accumulate(piece, axis=1, out=piece)
+    return piece[:, :-1]
+
+
+def _grid(starts, values, counts):
+    """``rate_grid`` of items given by their concatenated pieces."""
+    edges = np.unique(np.append(starts, 0.0))
+    return edges, values[_holding(starts, counts, edges)]
 
 
 def rate_grid(items):
@@ -126,31 +108,40 @@ def rate_grid(items):
     ending at the horizon.  Entries are looked up, never computed, so each
     is bitwise ``items[r].value_at`` anywhere in its piece.
     """
-    starts = np.fromiter(chain.from_iterable(it.breakpoints for it in items), float)
-    values = np.fromiter(chain.from_iterable(it.values for it in items), float)
-    edges = np.unique(np.append(starts, 0.0))
-    # mark the column where each of an item's pieces starts with the piece's
-    # index in ``values``; a running maximum carries it over the columns up
-    # to the item's next breakpoint
-    owner = np.repeat(np.arange(len(items)), [len(it.breakpoints) for it in items])
-    piece = np.zeros((len(items), len(edges)), dtype=np.intp)
-    piece[owner, np.searchsorted(edges, starts)] = np.arange(len(starts))
-    np.maximum.accumulate(piece, axis=1, out=piece)
-    return edges, values[piece]
+    return _grid(*_pieces(items))
 
 
-def sum_intensities(items, horizon_end):
-    """Pointwise sum of piecewise-constant intensities over a shared horizon."""
-    items = list(items)
-    horizon_end = float(horizon_end)
-    if not items:
-        return PiecewiseConstantIntensity.zero(horizon_end)
-    for it in items:
-        if it.horizon_end != horizon_end:
-            raise ValueError("cannot sum intensities with different horizons")
-    edges, rates = rate_grid(items)
-    # rows added in item order, each piece as the scalar sum 0 + r_0 + r_1 + ...
-    return PiecewiseConstantIntensity(tuple(edges), tuple(sum(rates)), horizon_end)
+def bin_integrals(items, edges):
+    """Each item's integral over each bin ``[edges[b], edges[b+1]]``: (items x bins).
+
+    Entry (r, b) adds up the pieces of ``items[r]`` that meet bin b, each
+    clipped to the bin as rate x width, from left to right, so it is
+    bitwise the scalar walk over the item's own breakpoints.  Edges up to
+    1e-9 outside an item's ``[0, horizon_end]`` are clamped to it, as
+    ``value_at`` clamps times; a zero-width bin gives 0.0.
+    """
+    edges = np.asarray(edges, dtype=float)
+    if not (edges.size and np.isfinite(edges).all() and np.all(np.diff(edges) >= 0.0)):
+        raise ValueError("bin edges must be finite and must not decrease")
+    starts, values, counts = _pieces(items)
+    horizons = np.array([it.horizon_end for it in items])
+    if horizons.size and (edges[0] < -_TIME_EPS or edges[-1] > horizons.min() + _TIME_EPS):
+        raise ValueError(f"bin edges outside intensity domain [0, {horizons.min()}]")
+    x = np.maximum(edges, 0.0)
+    ends = np.append(starts[1:], 0.0)  # each piece's right end
+    ends[np.cumsum(counts) - 1] = horizons
+    hold = _holding(starts, counts, x)
+    out = np.empty((len(counts), x.size - 1))
+    for b in range(x.size - 1):
+        lo, hi = np.minimum(x[b], horizons), np.minimum(x[b + 1], horizons)
+        n_pieces = hold[:, b + 1] - hold[:, b] + 1
+        for m in np.unique(n_pieces):
+            r = np.flatnonzero(n_pieces == m)
+            j = hold[r, b, None] + np.arange(m)
+            width = np.minimum(ends[j], hi[r, None]) - np.maximum(starts[j], lo[r, None])
+            # a running sum along each row adds the pieces one after another
+            out[r, b] = np.cumsum(values[j] * width, axis=1)[:, -1]
+    return out
 
 
 def _check_station(label, k, what="station"):
@@ -189,7 +180,7 @@ class DemandModel:
                 raise ValueError("demand between a station and itself is not allowed")
             if pci.horizon_end != self.horizon:
                 raise ValueError("all intensities must share the model horizon")
-            if not pci.is_zero():
+            if any(pci.values):  # an all-zero pair has no demand, like an absent one
                 cleaned[(o, d)] = pci
         object.__setattr__(self, "intensities", cleaned)
         eta = tuple(_float_tuple(row) for row in self.eta)
@@ -235,8 +226,8 @@ class RebalancingPlan:
             if o == d:
                 raise ValueError("relocating a vehicle to its own station is a no-op")
             ts = _float_tuple(times)
-            if any(b >= a for b, a in zip(ts, ts[1:])):
-                raise ValueError(f"relocation instants for {(o, d)} must be strictly increasing")
+            if not all(map(math.isfinite, ts)) or any(b >= a for b, a in zip(ts, ts[1:])):
+                raise ValueError(f"relocation instants for {(o, d)} must be finite and increasing")
             if ts and (ts[0] <= 0.0 or ts[-1] >= self.horizon):
                 raise ValueError("relocation instants must lie strictly inside (0, horizon)")
             if ts:
@@ -267,6 +258,8 @@ class SystemDesign:
     def __post_init__(self):
         v = tuple(int(x) for x in self.v)
         c = tuple(int(x) for x in self.c)
+        if v != tuple(self.v) or c != tuple(self.c):
+            raise ValueError("stock and capacity must be whole numbers")
         if len(v) != len(c) or not v:
             raise ValueError("v and c must be non-empty and the same length")
         for vi, ci in zip(v, c):
@@ -321,6 +314,27 @@ class StationFlowProfile:
         return self.lambda_a.horizon_end
 
 
+def _delayed_sum(items, horizon):
+    """The pointwise sum of ``(intensity, delay)`` items, rates added in item order.
+
+    An intensity delayed by ``delay`` hours is 0 on ``[0, delay)`` and loses
+    the pieces that then start at or past the horizon; a delay of 0 leaves
+    it as it is.
+    """
+    starts, values, counts = _pieces([pci for pci, _ in items])
+    delays = np.array([delay for _, delay in items], dtype=float)
+    owner = np.repeat(np.arange(len(items)), counts)
+    # a (0.0, 0.0) piece goes in ahead of each delayed item's first piece
+    lead = (np.cumsum(counts) - counts)[delays > 0.0]
+    starts = np.insert(starts + delays[owner], lead, 0.0)
+    values = np.insert(values, lead, 0.0)
+    owner = np.insert(owner, lead, owner[lead])
+    keep = starts < horizon
+    edges, rates = _grid(starts[keep], values[keep], np.bincount(owner[keep], minlength=len(items)))
+    total = sum(rates, np.zeros(len(edges)))  # 0.0 + r_0 + r_1 + ...
+    return PiecewiseConstantIntensity(tuple(edges), tuple(total), horizon)
+
+
 def aggregate_station_flows(model, plan, *, with_delay=False):
     """Fold a demand model and relocation plan into every station's flow profile.
 
@@ -330,7 +344,8 @@ def aggregate_station_flows(model, plan, *, with_delay=False):
     by the pairwise travel times (vehicles arrive eta hours after they
     depart); otherwise transfers are instantaneous.  Scheduled relocation
     arrivals shift the same way; shifted instants falling past the horizon
-    are discarded.
+    are discarded.  Each station's intensities are shifted and summed as
+    one set of breakpoint arrays; only the k profiles' intensities are built.
     """
     if plan is None:
         plan = RebalancingPlan.empty(model.k, model.horizon)
@@ -341,19 +356,19 @@ def aggregate_station_flows(model, plan, *, with_delay=False):
             f"inconsistent horizons: model {model.horizon}, plan {plan.horizon}"
         )
     k, horizon = model.k, model.horizon
-    # without delay every shift is by 0.0: ``shifted(0.0)`` is the item
-    # itself and ``t + 0.0 == t``, so both modes share one path
-    eta = model.eta if with_delay else [[0.0] * k] * k
+    # without delay every shift is by 0.0: an item keeps its pieces and
+    # ``t + 0.0 == t``, so both modes share one path
+    eta = model.eta if with_delay else ((0.0,) * k,) * k
     dep, arr, rho_d, rho_a = ([[] for _ in range(k)] for _ in range(4))
     for (o, d), pci in model.intensities.items():
-        dep[o - 1].append(pci)
-        arr[d - 1].append(pci.shifted(eta[o - 1][d - 1]))
+        dep[o - 1].append((pci, 0.0))
+        arr[d - 1].append((pci, eta[o - 1][d - 1]))
     for (o, d), ts in plan.rho.items():
         rho_d[o - 1].extend(ts)
         e = eta[o - 1][d - 1]
         rho_a[d - 1].extend(t + e for t in ts if t + e <= horizon)
     return tuple(
-        StationFlowProfile(sum_intensities(a, horizon), sum_intensities(d, horizon), ra, rd)
+        StationFlowProfile(_delayed_sum(a, horizon), _delayed_sum(d, horizon), ra, rd)
         for a, d, ra, rd in zip(arr, dep, map(sorted, rho_a), map(sorted, rho_d))
     )
 
@@ -367,6 +382,15 @@ def aggregate_station_flows(model, plan, *, with_delay=False):
 #    "rho": [{"o": int, "d": int, "times": [...]}, ...]}
 # A model file uses k/horizon_hours/lambda/eta, a plan file k/horizon_hours/rho;
 # unknown keys are ignored so both can live in one file.
+
+
+@contextmanager
+def parsing(what):
+    """Raise a missing key or a wrongly typed value in a ``what`` document as a ValueError."""
+    try:
+        yield
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed {what} document: {exc!r}") from exc
 
 
 def model_to_json(model):
@@ -387,22 +411,18 @@ def model_to_json(model):
 
 
 def model_from_json(doc):
-    try:
+    with parsing("demand model"):
         k = int(doc["k"])
         horizon = float(doc["horizon_hours"])
-        entries = doc["lambda"]
-        eta = doc["eta"]
-    except KeyError as exc:
-        raise ValueError(f"demand model document is missing key {exc}") from exc
-    intensities = {}
-    for entry in entries:
-        key = (int(entry["o"]), int(entry["d"]))
-        if key in intensities:
-            raise ValueError(f"duplicate intensity entry for pair {key}")
-        intensities[key] = PiecewiseConstantIntensity(
-            tuple(entry["breakpoints"]), tuple(entry["values"]), horizon
-        )
-    return DemandModel(k, intensities, tuple(tuple(row) for row in eta), horizon)
+        intensities = {}
+        for entry in doc["lambda"]:
+            key = (int(entry["o"]), int(entry["d"]))
+            if key in intensities:
+                raise ValueError(f"duplicate intensity entry for pair {key}")
+            intensities[key] = PiecewiseConstantIntensity(
+                tuple(entry["breakpoints"]), tuple(entry["values"]), horizon
+            )
+        return DemandModel(k, intensities, tuple(tuple(row) for row in doc["eta"]), horizon)
 
 
 def plan_to_json(plan):
@@ -417,19 +437,16 @@ def plan_to_json(plan):
 
 
 def plan_from_json(doc):
-    try:
+    with parsing("relocation plan"):
         k = int(doc["k"])
         horizon = float(doc["horizon_hours"])
-        entries = doc["rho"]
-    except KeyError as exc:
-        raise ValueError(f"relocation plan document is missing key {exc}") from exc
-    rho = {}
-    for entry in entries:
-        key = (int(entry["o"]), int(entry["d"]))
-        if key in rho:
-            raise ValueError(f"duplicate plan entry for pair {key}")
-        rho[key] = tuple(entry["times"])
-    return RebalancingPlan(k, horizon, rho)
+        rho = {}
+        for entry in doc["rho"]:
+            key = (int(entry["o"]), int(entry["d"]))
+            if key in rho:
+                raise ValueError(f"duplicate plan entry for pair {key}")
+            rho[key] = tuple(entry["times"])
+        return RebalancingPlan(k, horizon, rho)
 
 
 def read_json(path):

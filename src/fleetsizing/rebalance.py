@@ -2,6 +2,9 @@
 
 Per time bin, each station's expected net vehicle accumulation is the
 integrated inflow minus outflow (instantaneous-transfer accounting).
+Every pair's expected flow in every bin comes from one array of bin
+integrals (``model.bin_integrals``), and each station's bin adds its
+pairs' flows in pair order, as a loop over the pairs would.
 Stations that accumulate must ship the surplus out and depleting
 stations must receive it, which is a balanced transportation problem
 solved per bin with travel times as costs.  The fractional flows are
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize, sparse
 
-from .model import RebalancingPlan
+from .model import RebalancingPlan, bin_integrals
 
 _BALANCE_ATOL = 1e-9
 _FLOW_EPS = 1e-9
@@ -65,12 +68,14 @@ def compute_imbalance(model, bin_edges):
     edges = tuple(float(e) for e in bin_edges)
     if edges[0] != 0.0 or abs(edges[-1] - model.horizon) > _BALANCE_ATOL:
         raise ValueError("bins must partition [0, horizon]")
-    delta = np.zeros((model.k, len(edges) - 1))
-    for (o, d), pci in model.intensities.items():
-        for b in range(len(edges) - 1):
-            flow = pci.integral(edges[b], edges[b + 1])
-            delta[d - 1, b] += flow
-            delta[o - 1, b] -= flow
+    flows = bin_integrals(list(model.intensities.values()), edges)
+    # pair by pair, +flow at the destination and then -flow at the origin:
+    # bincount adds its weights in input order, so each station sums its
+    # terms in pair order
+    stations = np.array(list(model.intensities), dtype=np.intp).reshape(-1, 2)[:, ::-1].ravel() - 1
+    delta = np.empty((model.k, len(edges) - 1))
+    for b, flow in enumerate(flows.T):
+        delta[:, b] = np.bincount(stations, np.stack([flow, -flow], axis=1).ravel(), model.k)
     return ImbalanceProfile(edges, delta)
 
 

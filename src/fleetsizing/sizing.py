@@ -28,6 +28,8 @@ from .model import (
     InvariantViolationError,
     SystemDesign,
     aggregate_station_flows,
+    bin_integrals,
+    parsing,
     read_json,
     write_json,
 )
@@ -199,7 +201,7 @@ def size_station_stock(profile, T, budget, search_cap=DEFAULT_SEARCH_CAP):
             profile, vs, [None] * len(vs), T, tail_tolerance=tail
         )
 
-    start = max(1, math.ceil(profile.lambda_d.integral(0.0, T)))
+    start = max(1, math.ceil(bin_integrals([profile.lambda_d], (0.0, T))[0, 0]))
     v, _ = _minimal_feasible(f, 0, start, search_cap, budget, 2.0 * tail, "stock sizing")
     return v
 
@@ -221,7 +223,7 @@ def size_station_capacity(
             profile, [v] * len(extras), [v + e for e in extras], T
         )
 
-    start = max(1, math.ceil(profile.lambda_a.integral(0.0, T)))
+    start = max(1, math.ceil(bin_integrals([profile.lambda_a], (0.0, T))[0, 0]))
     extra, qf = _minimal_feasible(g, 0, start, search_cap, budget, 1e-9, "capacity sizing")
     return (v + extra, qf) if return_failure else v + extra
 
@@ -279,22 +281,20 @@ def design_to_json(design):
 
 
 def design_from_json(doc):
-    try:
+    with parsing("design"):
         stations = doc["stations"]
-    except KeyError as exc:
-        raise ValueError("design document is missing key 'stations'") from exc
-    if not stations:
-        raise ValueError("design document lists no stations")
-    by_id = {int(s["id"]): (int(s["v"]), int(s["c"])) for s in stations}
-    k = len(by_id)
-    if k != len(stations):
-        raise ValueError("design document lists a station id more than once")
-    if sorted(by_id) != list(range(1, k + 1)):
-        raise ValueError("station ids must be dense labels 1..k")
-    return SystemDesign(
-        tuple(by_id[i][0] for i in range(1, k + 1)),
-        tuple(by_id[i][1] for i in range(1, k + 1)),
-    )
+        if not stations:
+            raise ValueError("design document lists no stations")
+        by_id = {int(s["id"]): (s["v"], s["c"]) for s in stations}
+        k = len(by_id)
+        if k != len(stations):
+            raise ValueError("design document lists a station id more than once")
+        if sorted(by_id) != list(range(1, k + 1)):
+            raise ValueError("station ids must be dense labels 1..k")
+        return SystemDesign(
+            tuple(by_id[i][0] for i in range(1, k + 1)),
+            tuple(by_id[i][1] for i in range(1, k + 1)),
+        )
 
 
 def load_design(path):

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from . import model as model_module  # read at call time, where a tracer may wrap it
-from .model import InvariantViolationError, rate_grid
+from .model import InvariantViolationError, bin_integrals, rate_grid
 from .uniformization import BREAKPOINT, RECORD, check_mass, event_timeline, uniformize
 
 _MASS_TOL = 1e-9
@@ -163,8 +163,7 @@ def _validate_vcT(profile, v, c, T):
         raise ValueError(f"evaluation time {T} outside [0, {profile.horizon}]")
 
 
-def _unbounded_start(profile, v, T):
-    arrivals = profile.lambda_a.integral(0.0, T) + sum(1 for t in profile.rho_a if t <= T)
+def _unbounded_start(arrivals, v):
     return int(v + math.ceil(arrivals + 10.0 * math.sqrt(v + arrivals))) + 1
 
 
@@ -218,7 +217,8 @@ def station_failure_probabilities(profile, vs, cs, T, tail_tolerance=1e-9):
     if finite:
         for i, qF, _, error in run(finite, [int(cs[i]) for i in finite], True):
             out[i] = qF if error is None else error
-    pending = {i: _unbounded_start(profile, int(vs[i]), T) for i, c in enumerate(cs) if c is None}
+    arrivals = bin_integrals([profile.lambda_a], (0.0, T))[0, 0] + sum(t <= T for t in profile.rho_a)
+    pending = {i: _unbounded_start(arrivals, int(vs[i])) for i, c in enumerate(cs) if c is None}
     if pending and tail_tolerance <= 0.0:
         raise ValueError("tail_tolerance must be positive")
     while pending:

@@ -1,6 +1,7 @@
 """Shared helpers: random small instances and independent brute-force oracles."""
 
 import itertools
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -24,6 +25,57 @@ def make_pci(rng, horizon, max_rate=2.0, max_pieces=3):
         bps = (0.0, *np.round(interior, 6))
     values = tuple(np.round(rng.uniform(0.0, max_rate, n), 6))
     return PiecewiseConstantIntensity(bps, values, horizon)
+
+
+def reference_integral(pci, a, b):
+    """The integral of ``pci`` over [a, b] by a walk over its own breakpoints.
+
+    Times up to 1e-9 outside the horizon are clamped to it, as ``value_at``
+    clamps them; the pieces are added left to right.
+    """
+
+    def clamp(t):
+        if t < -1e-9 or t > pci.horizon_end + 1e-9:
+            raise ValueError(f"time {t} outside intensity domain [0, {pci.horizon_end}]")
+        return min(max(t, 0.0), pci.horizon_end)
+
+    a, b = clamp(a), clamp(b)
+    if b < a:
+        raise ValueError("integral bounds must satisfy a <= b")
+    bp, vals = pci.breakpoints, pci.values
+    ia = bisect_right(bp, a) - 1
+    ib = bisect_right(bp, b) - 1
+    if ia == ib:
+        return vals[ia] * (b - a)
+    total = vals[ia] * (bp[ia + 1] - a)
+    for j in range(ia + 1, ib):
+        total += vals[j] * (bp[j + 1] - bp[j])
+    total += vals[ib] * (b - bp[ib])
+    return total
+
+
+def reference_shifted(pci, delay):
+    """``pci`` delayed by ``delay`` hours within the same horizon.
+
+    The shifted function is 0 on ``[0, delay)`` and whatever falls past
+    the horizon is discarded; a delay of 0 returns ``pci`` itself.
+    """
+    delay = float(delay)
+    if delay < 0.0:
+        raise ValueError("delay must be non-negative")
+    if delay == 0.0:
+        return pci
+    if delay >= pci.horizon_end:
+        return PiecewiseConstantIntensity.zero(pci.horizon_end)
+    bps = [0.0]
+    vals = [0.0]
+    for b, v in zip(pci.breakpoints, pci.values):
+        s = b + delay
+        if s >= pci.horizon_end:
+            break
+        bps.append(s)
+        vals.append(v)
+    return PiecewiseConstantIntensity(tuple(bps), tuple(vals), pci.horizon_end)
 
 
 def random_small_instance(rng, k_max=3, c_max=4, max_rebalances=5, horizon=2.0):

@@ -3,6 +3,7 @@
 import datetime as dt
 import json
 import logging
+import math
 
 import pytest
 
@@ -457,3 +458,98 @@ class TestExitCodes:
                 "--out", str(tmp_path / "x.csv")]
         assert run(argv) == EXIT_INPUT
         assert "FLEETSIZING_WORKERS must be a positive integer" in capsys.readouterr().err
+
+
+def edited_copy(src, dst, edit):
+    """Write ``edit(doc)`` of the JSON document in ``src`` to ``dst``."""
+    dst.write_text(json.dumps(edit(json.loads(src.read_text()))))
+    return str(dst)
+
+
+def with_breakpoints(bps):
+    def edit(doc):
+        doc["lambda"][0].update(breakpoints=bps, values=[1.0] * len(bps))
+        return doc
+
+    return edit
+
+
+def replaced(path, value):
+    """An edit that sets the entry at ``path`` (keys and indices) to ``value``."""
+
+    def edit(doc):
+        inner = doc
+        for key in path[:-1]:
+            inner = inner[key]
+        inner[path[-1]] = value
+        return doc
+
+    return edit
+
+
+def plan_doc(times):
+    return {"k": 3, "horizon_hours": 24.0, "rho": [{"o": 1, "d": 2, "times": times}]}
+
+
+class TestMalformedDocuments:
+    """Documents that parse as JSON but do not describe valid inputs exit 1."""
+
+    @pytest.mark.parametrize("bps", [[0.0, math.nan], [0.0, 30.0, math.nan]])
+    @pytest.mark.parametrize("command", ["plan", "bound"])
+    def test_non_finite_breakpoints(self, pipeline, tmp_path, capsys, bps, command):
+        model = edited_copy(pipeline["model"], tmp_path / "m.json", with_breakpoints(bps))
+        out = tmp_path / "out"
+        argv = {
+            "plan": ["plan", "--model", model, "--out", str(out)],
+            "bound": ["bound", "--model", model, "--design", str(pipeline["design"]),
+                      "--T", "24"],
+        }[command]
+        assert run(argv) == EXIT_INPUT
+        assert "breakpoints must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("times", [[math.nan], [1.0, math.nan, 2.0]])
+    @pytest.mark.parametrize("command", [["bound"], ["simulate", "--exact"]])
+    def test_non_finite_relocation_instants(self, pipeline, tmp_path, capsys, times, command):
+        plan = tmp_path / "p.json"
+        plan.write_text(json.dumps(plan_doc(times)))
+        out = tmp_path / "x.csv"
+        argv = [*command, "--model", str(pipeline["model"]), "--design",
+                str(pipeline["design"]), "--plan", str(plan), "--T", "24"]
+        if command[0] == "simulate":
+            argv += ["--out", str(out)]
+        assert run(argv) == EXIT_INPUT
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "which, edit",
+        [
+            pytest.param("model", replaced(["lambda", 0, "values", 0], None), id="null-rate"),
+            pytest.param("model", replaced(["eta", 0, 1], None), id="null-eta"),
+            pytest.param("model", lambda doc: [doc], id="model-in-a-list"),
+            pytest.param("design", replaced(["stations", 0, "c"], None), id="null-capacity"),
+            pytest.param("design", replaced(["stations", 0, "v"], 1.5), id="fractional-stock"),
+            pytest.param("design", replaced(["stations", 0, "c"], 10.25), id="fractional-capacity"),
+            pytest.param("plan", lambda doc: plan_doc([None]), id="null-instant"),
+        ],
+    )
+    def test_document_with_a_wrong_value(self, pipeline, tmp_path, capsys, which, edit):
+        files = {name: str(pipeline[name]) for name in ("model", "design", "plan")}
+        files[which] = edited_copy(pipeline[which], tmp_path / f"{which}.json", edit)
+        argv = ["bound", "--model", files["model"], "--design", files["design"],
+                "--plan", files["plan"], "--T", "24"]
+        assert run(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "feasible" not in captured.out
+
+    def test_sequence_with_a_null_time(self, pipeline, tmp_path, capsys):
+        edit = replaced(["days", 0, "events", 0, "t"], None)
+        days = edited_copy(pipeline["sequences"], tmp_path / "days.json", edit)
+        out = tmp_path / "r.csv"
+        argv = ["replay", "--sequences", days, "--design", str(pipeline["design"]),
+                "--out", str(out)]
+        assert run(argv) == EXIT_INPUT
+        assert "malformed sequence document" in capsys.readouterr().err
+        assert not out.exists()

@@ -16,6 +16,8 @@ from fleetsizing.ingest import (
     station_set_from_trips,
 )
 
+from conftest import reference_integral
+
 HEADER = "start_time,end_time,start_station_id,end_station_id"
 
 
@@ -146,7 +148,7 @@ class TestEstimateDemand:
         )
         n_days = 22
         total = sum(
-            lam.integral(0.0, model.horizon) * n_days
+            reference_integral(lam, 0.0, model.horizon) * n_days
             for lam in model.intensities.values()
         )
         assert total == pytest.approx(44.0, abs=1e-9)
@@ -183,7 +185,7 @@ class TestEstimateDemand:
             ],
         )
         model = estimate_demand(parse_trips(path).records, month="2016-05")
-        assert model.intensities[(1, 2)].integral(0.0, 24.0) == pytest.approx(1.0)
+        assert reference_integral(model.intensities[(1, 2)], 0.0, 24.0) == pytest.approx(1.0)
 
     def test_round_trips_are_dropped(self, tmp_path):
         path = write_trips(
@@ -225,7 +227,7 @@ class TestEstimateDemand:
         for lam in model.intensities.values():
             assert len(lam.breakpoints) == n_bins
         # integrating over the day recovers the two trips per working day
-        per_day = sum(lam.integral(0.0, 24.0) for lam in model.intensities.values())
+        per_day = sum(reference_integral(lam, 0.0, 24.0) for lam in model.intensities.values())
         assert per_day == pytest.approx(2.0)
 
     def test_nothing_left_after_filtering_is_an_error(self, tmp_path):

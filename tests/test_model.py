@@ -2,7 +2,9 @@
 
 import json
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from fleetsizing.model import (
     StationFlowProfile,
     SystemDesign,
     aggregate_station_flows,
+    bin_integrals,
     load_model,
     load_plan,
     model_from_json,
@@ -23,11 +26,10 @@ from fleetsizing.model import (
     rate_grid,
     save_model,
     save_plan,
-    sum_intensities,
 )
 from fleetsizing.uniformization import BREAKPOINT, JUMP, RECORD, event_timeline
 
-from conftest import make_pci, random_small_instance
+from conftest import make_pci, random_small_instance, reference_integral, reference_shifted
 
 
 def reference_sum_intensities(items, horizon_end):
@@ -46,7 +48,7 @@ def reference_station_flows(model, plan, station, with_delay=False):
     dep_items = [pci for (o, d), pci in model.intensities.items() if o == i]
     if with_delay:
         arr_items = [
-            pci.shifted(model.eta_hours(o, i))
+            reference_shifted(pci, model.eta_hours(o, i))
             for (o, d), pci in model.intensities.items()
             if d == i
         ]
@@ -80,9 +82,9 @@ def grid_points(horizon, max_size, steps=100):
 
 
 @st.composite
-def piecewise_rates(draw, horizon):
+def piecewise_rates(draw, horizon, max_breaks=4):
     """A piecewise-constant rate with its own breakpoints, some pieces exactly 0."""
-    bps = (0.0, *draw(grid_points(horizon, 4)))
+    bps = (0.0, *draw(grid_points(horizon, max_breaks)))
     rate = st.one_of(st.just(0.0), st.floats(0.0, 3.0, allow_subnormal=False))
     return PiecewiseConstantIntensity(bps, tuple(draw(rate) for _ in bps), horizon)
 
@@ -134,25 +136,37 @@ class TestPiecewiseConstantIntensity:
         with pytest.raises(ValueError):
             PiecewiseConstantIntensity((0.0,), (-0.1,), 10.0)
 
+    @pytest.mark.parametrize("bps", [(0.0, math.nan), (0.0, 30.0, math.nan), (0.0, math.inf)])
+    def test_breakpoints_must_be_finite(self, bps):
+        with pytest.raises(ValueError):
+            PiecewiseConstantIntensity(bps, (1.0,) * len(bps), 24.0)
+
     def test_integral_piecewise(self):
         pci = PiecewiseConstantIntensity((0.0, 2.0), (1.0, 3.0), 10.0)
-        assert pci.integral(0.0, 2.0) == pytest.approx(2.0)
-        assert pci.integral(1.0, 3.0) == pytest.approx(1.0 + 3.0)
-        assert pci.integral(0.0, 10.0) == pytest.approx(2.0 + 24.0)
-        assert pci.integral(4.0, 4.0) == 0.0
+        assert reference_integral(pci, 0.0, 2.0) == pytest.approx(2.0)
+        assert reference_integral(pci, 1.0, 3.0) == pytest.approx(1.0 + 3.0)
+        assert reference_integral(pci, 0.0, 10.0) == pytest.approx(2.0 + 24.0)
+        assert reference_integral(pci, 4.0, 4.0) == 0.0
+        assert bin_integrals([pci], (0.0, 2.0, 3.0, 10.0)).tolist() == [[2.0, 3.0, 21.0]]
 
     def test_sum_of_constants(self):
-        total = sum_intensities(
-            [PiecewiseConstantIntensity.constant(0.05, 24.0) for _ in range(49)], 24.0
-        )
+        pci = PiecewiseConstantIntensity.constant(0.05, 24.0)
+        model = DemandModel(50, {(o, 50): pci for o in range(1, 50)}, ((0.0,) * 50,) * 50, 24.0)
+        total = aggregate_station_flows(model, None)[-1].lambda_a
         assert total.value_at(12.0) == pytest.approx(2.45, rel=1e-12)
 
     @given(st.sampled_from([2.0, 24.0]).flatmap(lambda h: st.lists(piecewise_rates(h), max_size=6)))
     @settings(max_examples=200, deadline=None)
     def test_sum_matches_the_scalar_sum(self, items):
+        # the items arrive at the last station, which sums its nonzero inflows
         horizon = items[0].horizon_end if items else 24.0
+        k = len(items) + 1
+        model = DemandModel(k, dict(zip(((o, k) for o in range(1, k)), items)),
+                            ((0.0,) * k,) * k, horizon)
+        kept = [it for it in items if any(it.values)]
         assert same_intensity(
-            sum_intensities(items, horizon), reference_sum_intensities(items, horizon)
+            aggregate_station_flows(model, None)[-1].lambda_a,
+            reference_sum_intensities(kept, horizon),
         )
 
     @given(st.sampled_from([2.0, 24.0]).flatmap(lambda h: st.lists(piecewise_rates(h), max_size=6)))
@@ -175,7 +189,7 @@ class TestPiecewiseConstantIntensity:
 
     def test_shift_by_delay_prepends_zero(self):
         pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
-        shifted = pci.shifted(0.5)
+        shifted = reference_shifted(pci, 0.5)
         assert shifted.value_at(0.25) == 0.0
         assert shifted.value_at(0.5) == 1.0
         assert shifted.value_at(23.9) == 1.0
@@ -185,21 +199,55 @@ class TestPiecewiseConstantIntensity:
         # integral over [0, T - eta]
         pci = PiecewiseConstantIntensity((0.0, 3.0, 7.0), (0.4, 1.2, 0.1), 24.0)
         eta = 1.75
-        assert pci.shifted(eta).integral(0.0, 24.0) == pytest.approx(
-            pci.integral(0.0, 24.0 - eta), rel=1e-9
+        assert reference_integral(reference_shifted(pci, eta), 0.0, 24.0) == pytest.approx(
+            reference_integral(pci, 0.0, 24.0 - eta), rel=1e-9
         )
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.1, 0.9), st.floats(0.1, 0.9))
     @settings(max_examples=50, deadline=None)
     def test_integral_is_additive(self, seed, fa, fb):
-        import numpy as np
-
         pci = make_pci(np.random.default_rng(seed), 8.0)
         a, b = sorted((8.0 * fa, 8.0 * fb))
-        whole = pci.integral(0.0, 8.0)
-        assert pci.integral(0.0, a) + pci.integral(a, b) + pci.integral(b, 8.0) == pytest.approx(
-            whole, abs=1e-12
-        )
+        whole = reference_integral(pci, 0.0, 8.0)
+        parts = [reference_integral(pci, s, t) for s, t in ((0.0, a), (a, b), (b, 8.0))]
+        assert sum(parts) == pytest.approx(whole, abs=1e-12)
+
+
+@st.composite
+def items_and_edges(draw):
+    """Intensities on one horizon and bin edges on, between and 1e-9 past their breakpoints.
+
+    Edges may repeat (zero-width bins) and may lie up to 1e-9 outside the horizon.
+    """
+    horizon = draw(st.sampled_from([2.0, 24.0, 7.3]))
+    items = draw(st.lists(piecewise_rates(horizon, max_breaks=12), max_size=5))
+    bps = sorted({0.0, horizon, *(b for it in items for b in it.breakpoints)})
+    near = [*bps, *(b + 1e-9 for b in bps[1:]), *(b - 1e-9 for b in bps)]
+    near += [0.5 * (a + b) for a, b in zip(bps, bps[1:])]
+    edges = draw(st.lists(st.sampled_from(near), min_size=1, max_size=12))
+    return items, sorted(edges)
+
+
+class TestBinIntegrals:
+    @given(items_and_edges())
+    @settings(max_examples=300, deadline=None)
+    def test_entries_are_the_scalar_integrals(self, case):
+        items, edges = case
+        got = bin_integrals(items, edges)
+        assert got.shape == (len(items), len(edges) - 1)
+        for row, it in zip(got.tolist(), items):
+            assert row == [reference_integral(it, a, b) for a, b in zip(edges, edges[1:])]
+
+    def test_one_bin_over_many_pieces(self):
+        pci = PiecewiseConstantIntensity(tuple(np.arange(0.0, 24.0, 0.1)), (0.3,) * 240, 24.0)
+        assert bin_integrals([pci], (0.0, 24.0))[0, 0] == reference_integral(pci, 0.0, 24.0)
+
+    @pytest.mark.parametrize(
+        "edges", [(0.0, 2.0, 1.0), (0.0, 24.1), (-0.1, 1.0), (0.0, math.nan), (0.0, math.inf), ()]
+    )
+    def test_bad_edges_are_rejected(self, edges):
+        with pytest.raises(ValueError):
+            bin_integrals([PiecewiseConstantIntensity.constant(1.0, 24.0)], edges)
 
 
 class TestDemandModel:
@@ -211,7 +259,7 @@ class TestDemandModel:
     def test_absent_pairs_have_zero_rate(self):
         pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
         m = DemandModel(2, {(1, 2): pci}, ((0.0, 0.1), (0.1, 0.0)), 24.0)
-        assert m.rate(2, 1).is_zero()
+        assert m.rate(2, 1).values == (0.0,)
         assert m.rate(1, 2).value_at(3.0) == 1.0
 
     def test_eta_diagonal_must_be_zero(self):
@@ -289,11 +337,11 @@ class TestAggregateStationFlows:
         for i in range(1, model.k + 1):
             prof = aggregate_station_flows(model, plan, with_delay=True)[i - 1]
             expected = sum(
-                model.rate(o, i).integral(0.0, max(0.0, T - model.eta_hours(o, i)))
+                reference_integral(model.rate(o, i), 0.0, max(0.0, T - model.eta_hours(o, i)))
                 for o in range(1, model.k + 1)
                 if o != i
             )
-            assert prof.lambda_a.integral(0.0, T) == pytest.approx(
+            assert reference_integral(prof.lambda_a, 0.0, T) == pytest.approx(
                 expected, rel=1e-9, abs=1e-12
             )
 
@@ -318,6 +366,15 @@ class TestAggregateStationFlows:
             assert same_intensity(prof.lambda_d, ref.lambda_d)
             assert prof.rho_a == ref.rho_a
             assert prof.rho_d == ref.rho_d
+
+    def test_delay_builds_only_the_station_intensities(self, rng):
+        model, plan, _ = random_small_instance(rng, k_max=4)
+        check = PiecewiseConstantIntensity.__post_init__
+        with mock.patch.object(
+            PiecewiseConstantIntensity, "__post_init__", autospec=True, side_effect=check
+        ) as built:
+            aggregate_station_flows(model, plan, with_delay=True)
+        assert built.call_count == 2 * model.k
 
     def test_delayed_relocation_arrivals_past_horizon_are_dropped(self):
         pci = PiecewiseConstantIntensity.constant(1.0, 24.0)

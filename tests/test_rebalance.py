@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetsizing.model import DemandModel, PiecewiseConstantIntensity, RebalancingPlan
 from fleetsizing.rebalance import (
@@ -14,7 +16,7 @@ from fleetsizing.rebalance import (
 )
 from fleetsizing.synth import synthetic_imbalanced_model
 
-from conftest import brute_force_transport
+from conftest import brute_force_transport, random_small_instance, reference_integral
 
 
 def model_from_rates(k, rates, horizon=1.0, eta=None):
@@ -28,7 +30,31 @@ def model_from_rates(k, rates, horizon=1.0, eta=None):
     return DemandModel(k, intensities, eta, horizon)
 
 
+def reference_imbalance(model, edges):
+    """delta[i, b] from a loop over the pairs and bins, in pair order."""
+    delta = np.zeros((model.k, len(edges) - 1))
+    for (o, d), pci in model.intensities.items():
+        for b in range(len(edges) - 1):
+            flow = reference_integral(pci, edges[b], edges[b + 1])
+            delta[d - 1, b] += flow
+            delta[o - 1, b] -= flow
+    return delta
+
+
 class TestComputeImbalance:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2.0, 24.0]),
+        st.sampled_from([0.25, 0.3, 0.7, 1.0, 3.0, 50.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_delta_is_the_per_pair_loop(self, seed, horizon, bin_hours):
+        model, _, _ = random_small_instance(np.random.default_rng(seed), k_max=5, horizon=horizon)
+        edges = uniform_bins(horizon, bin_hours)
+        assert compute_imbalance(model, edges).delta.tolist() == (
+            reference_imbalance(model, edges).tolist()
+        )
+
     def test_two_station_net_flow(self):
         m = model_from_rates(2, {(1, 2): 2.0, (2, 1): 1.0})
         imb = compute_imbalance(m, (0.0, 1.0))

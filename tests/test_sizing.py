@@ -30,7 +30,7 @@ from fleetsizing.sizing import (
 )
 from fleetsizing.station_bound import station_failure_probability
 
-from conftest import constant_profile, random_small_instance
+from conftest import constant_profile, random_small_instance, reference_integral
 
 # P(Poisson(1) >= n) for the unit-demand closed forms below.
 P_GE_4 = 0.01898815687615385
@@ -485,7 +485,7 @@ class TestBatchedSizingMatchesOneCandidateSearch:
             v = reference_minimal_feasible(
                 lambda v: station_failure_probability(profile, v, None, T, tail_tolerance=tail),
                 0,
-                max(1, math.ceil(profile.lambda_d.integral(0.0, T))),
+                max(1, math.ceil(reference_integral(profile.lambda_d, 0.0, T))),
                 1_000_000,
                 0.5 * z_i,
                 2.0 * tail,
@@ -494,7 +494,7 @@ class TestBatchedSizingMatchesOneCandidateSearch:
             extra = reference_minimal_feasible(
                 lambda e: station_failure_probability(profile, v, v + e, T),
                 0,
-                max(1, math.ceil(profile.lambda_a.integral(0.0, T))),
+                max(1, math.ceil(reference_integral(profile.lambda_a, 0.0, T))),
                 1_000_000,
                 z_i,
                 1e-9,

@@ -482,7 +482,7 @@ class TestStationFailureProbabilities:
         # small first truncations and a low doubling limit, so that columns
         # double different numbers of times and some run out of room; a low
         # cell limit splits the batch into several passes
-        with mock.patch.object(station_bound, "_unbounded_start", lambda p, v, T: v + 1), \
+        with mock.patch.object(station_bound, "_unbounded_start", lambda arrivals, v: v + 1), \
                 mock.patch.object(station_bound, "_MAX_TRUNCATION", 20), \
                 mock.patch.object(station_bound, "_MAX_BATCH_CELLS", int(r.choice([40, 1 << 21]))):
             got = station_failure_probabilities(prof, vs, cs, 2.0, tail_tolerance=tail)
@@ -497,7 +497,7 @@ class TestStationFailureProbabilities:
 
     def test_truncation_limit_fails_only_its_column(self):
         prof = constant_profile(6.0, 0.5, 2.0)
-        with mock.patch.object(station_bound, "_unbounded_start", lambda p, v, T: v + 1), \
+        with mock.patch.object(station_bound, "_unbounded_start", lambda arrivals, v: v + 1), \
                 mock.patch.object(station_bound, "_MAX_TRUNCATION", 10):
             finite, unlimited = station_failure_probabilities(prof, [2, 2], [4, None], 2.0)
         assert finite == station_failure_probability(prof, 2, 4, 2.0)
