@@ -98,7 +98,6 @@ class _JointEngine:
         self._tables = {}
         self.pairs = list(pairs)
         self._moves, self._pair_of_entry = self._move_matrix()
-        self.terms = 0
 
     def _rows(self, flat):
         """Slice rows of the states with these flat indices, -1 for a state off the slice."""
@@ -179,7 +178,6 @@ class _JointEngine:
             for src_blocked, wt in blocked:
                 gone += wt * p[src_blocked].sum()
             out[-1] = cur[-1] + gone
-            self.terms += 1
 
         return lam_tot, kernel
 
@@ -234,18 +232,21 @@ def _walk(model, plan, design, T, record_times=()):
     timeline = event_timeline(edges.tolist(), jumps, T, record_times) + [(T, BREAKPOINT, None)]
     snapshots = [None] * len(record_times)
     t = 0.0
-    pieces = 0
+    pieces = terms = 0
+    last_piece = None
     worst_drift = 0.0
     for ev_t, rank, payload in timeline:
         if ev_t > t:
-            piece = rates[:, np.searchsorted(edges, t, side="right") - 1]
-            rate, kernel = engine.kernel(piece.tolist())
-            uniformize(state, rate, ev_t - t, kernel)
-            failed = check_mass(state[None, :], _MASS_TOL, f"in piece [{t}, {ev_t}]")
+            piece = rates[:, np.searchsorted(edges, t, side="right") - 1].tolist()
+            if piece != last_piece:  # after a relocation or a record the rates may be unchanged
+                rate, kernel = engine.kernel(piece)
+                last_piece = piece
+            terms += uniformize(state, rate, ev_t - t, kernel)
+            failed, drift = check_mass(state[None, :], _MASS_TOL, f"in piece [{t}, {ev_t}]")
             if failed:
                 raise failed[0][1]
             pieces += 1
-            worst_drift = max(worst_drift, abs(float(state.sum()) - 1.0))
+            worst_drift = max(worst_drift, drift)
             t = ev_t
         if rank == JUMP:
             state = engine.rebalance(state, *payload)
@@ -254,7 +255,7 @@ def _walk(model, plan, design, T, record_times=()):
     log.debug(
         "joint solve: %d slice states, %d matrix entries, %d pieces, %d kernel terms, "
         "worst mass drift %.3e (tolerance %.0e)",
-        engine.n, engine._moves.nnz, pieces, engine.terms, worst_drift, _MASS_TOL,
+        engine.n, engine._moves.nnz, pieces, terms, worst_drift, _MASS_TOL,
     )
     return JointDistribution(state[:-1], state[-1], T, engine), snapshots
 

@@ -16,11 +16,19 @@ with a count reported.
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from statistics import median
 
-from .model import DemandModel, PiecewiseConstantIntensity, parsing, read_json, write_json
+from .model import (
+    DemandModel,
+    PiecewiseConstantIntensity,
+    parsing,
+    read_json,
+    whole_number,
+    write_json,
+)
 
 log = logging.getLogger(__name__)
 
@@ -238,6 +246,8 @@ class DaySequence:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
+        if not all(math.isfinite(e.t) and math.isfinite(e.eta) for e in self.events):
+            raise ValueError("event times and riding times must be finite")
         if any(
             a.t > b.t for a, b in zip(self.events, self.events[1:])
         ):
@@ -296,12 +306,14 @@ class DaySequences(list):
 
 def sequences_from_json(doc):
     with parsing("sequence"):
-        k = int(doc["k"])
+        k = whole_number(doc["k"])
         horizon = float(doc["horizon_hours"])
         sequences = []
         for day in doc["days"]:
             events = tuple(
-                RentalEvent(float(e["t"]), int(e["o"]), int(e["d"]), float(e["eta"]))
+                RentalEvent(
+                    float(e["t"]), whole_number(e["o"]), whole_number(e["d"]), float(e["eta"])
+                )
                 for e in day["events"]
             )
             sequences.append(DaySequence(day["date"], events, horizon))

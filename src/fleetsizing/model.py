@@ -393,6 +393,17 @@ def parsing(what):
         raise ValueError(f"malformed {what} document: {exc!r}") from exc
 
 
+def whole_number(value):
+    """A station label or count read from a document: ``value`` as an int.
+
+    A non-integral number is a ValueError rather than being truncated.
+    """
+    out = int(value)
+    if out != value:
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return out
+
+
 def model_to_json(model):
     return {
         "k": model.k,
@@ -412,11 +423,11 @@ def model_to_json(model):
 
 def model_from_json(doc):
     with parsing("demand model"):
-        k = int(doc["k"])
+        k = whole_number(doc["k"])
         horizon = float(doc["horizon_hours"])
         intensities = {}
         for entry in doc["lambda"]:
-            key = (int(entry["o"]), int(entry["d"]))
+            key = (whole_number(entry["o"]), whole_number(entry["d"]))
             if key in intensities:
                 raise ValueError(f"duplicate intensity entry for pair {key}")
             intensities[key] = PiecewiseConstantIntensity(
@@ -438,11 +449,11 @@ def plan_to_json(plan):
 
 def plan_from_json(doc):
     with parsing("relocation plan"):
-        k = int(doc["k"])
+        k = whole_number(doc["k"])
         horizon = float(doc["horizon_hours"])
         rho = {}
         for entry in doc["rho"]:
-            key = (int(entry["o"]), int(entry["d"]))
+            key = (whole_number(entry["o"]), whole_number(entry["d"]))
             if key in rho:
                 raise ValueError(f"duplicate plan entry for pair {key}")
             rho[key] = tuple(entry["times"])

@@ -15,21 +15,30 @@ is propagated by the shared uniformization core
 (``fleetsizing.uniformization``), with mass conservation checked to 1e-9
 after every piece.
 
-``_evolve_columns`` is the only evolution: it carries one or several
-starts of a station (initial stock and top state) as the rows of one
-matrix through the same series, and every start is evaluated exactly as
-it would be alone.  Bounds, curves and transients run it with one
-column; ``station_failure_probabilities`` runs it with several, which
-sizing uses to evaluate a search's next candidates at once.
+``_evolve_columns`` is the only evolution.  It carries columns -- each a
+station with one start (initial stock and top state) -- as the rows of
+one matrix.  Each station keeps its own event timeline, and step j
+advances every row over its own station's j-th piece, so one call of
+the column kernel per Poisson term serves every station of the pass,
+and every column is bitwise what it would be alone.  The system bound
+and curve run all k stations in one pass (split only when it would hold
+more than ``_MAX_BATCH_CELLS`` states); ``station_failure_probabilities``
+runs several starts of one station, which sizing uses to evaluate a
+search's next candidates at once; a station's curve or transient runs
+one column.  At DEBUG each pass logs its columns, stations, steps,
+kernel terms and worst mass drift.
 """
 
+import logging
 import math
 
 import numpy as np
 
 from . import model as model_module  # read at call time, where a tracer may wrap it
 from .model import InvariantViolationError, bin_integrals, rate_grid
-from .uniformization import BREAKPOINT, RECORD, check_mass, event_timeline, uniformize
+from .uniformization import BREAKPOINT, check_mass, event_timeline, uniformize
+
+log = logging.getLogger(__name__)
 
 _MASS_TOL = 1e-9
 _MAX_BATCH_CELLS = 1 << 21  # states per column-batched pass (16 MB per matrix)
@@ -38,117 +47,213 @@ _TRUNCATION_GREW = "working truncation for the unlimited-capacity station grew u
 
 
 class _Views:
-    """Views of one flat (m, width) state buffer that the column kernel reuses."""
+    """Views of one (rows, width) state buffer that the column kernel reuses."""
 
-    __slots__ = ("buf", "pre", "post", "head", "fail", "lost")
+    __slots__ = ("buf", "flat", "pre", "post", "head", "fail", "lost")
 
-    def __init__(self, buf, m, width):
+    def __init__(self, buf):
         self.buf = buf
-        self.pre = buf[:-1]  # cell k, for a flat shift by one ...
-        self.post = buf[1:]  # ... to or from cell k + 1
-        self.head = buf.reshape(m, width)[:, :2]  # [qF, q_0]
-        self.fail = buf[::width]
-        self.lost = buf[width - 1 :: width]
+        self.flat = buf.reshape(-1)
+        self.pre = self.flat[:-1]  # cell k, for a flat shift by one ...
+        self.post = self.flat[1:]  # ... to or from cell k + 1
+        self.head = buf[:, :2]  # [qF, q_0]
+        self.fail = buf[:, 0]
+        self.lost = buf[:, -1]
 
 
 _KEEP_FAILED = np.array([1.0, 0.0])
 
 
-def _evolve_columns(profile, starts, tops, T, cap_absorbs, record_times=()):
-    """Run m (start, top) columns of one station from point masses to T.
+def _pieces(profile, T, record_times):
+    """One station's timeline to T as pieces of constant rates.
 
-    Row i of the state matrix carries column i as ``[qF, q_0 .. q_top,
+    Returns (pieces, ends, payloads, cuts): a (pieces, 3) array of each
+    piece's (dt, lambda_a, lambda_d); the times at which they end; the
+    timeline's jumps ("arrival", "departure") and record indices in
+    order; and where that list is cut at each piece boundary, so that
+    ``payloads[cuts[b]:cuts[b + 1]]`` run at boundary b: b = 0 at t=0 and
+    b = j + 1 after piece j.
+    """
+    edges, rates = rate_grid([profile.lambda_a, profile.lambda_d])
+    jumps = [(t, "arrival") for t in profile.rho_a] + [(t, "departure") for t in profile.rho_d]
+    timeline = event_timeline(edges.tolist(), jumps, T, record_times) + [(T, BREAKPOINT, None)]
+    starts, ends, payloads, cuts = [], [], [], [0]
+    t = 0.0
+    for ev_t, rank, payload in timeline:
+        if ev_t > t:
+            starts.append(t)
+            ends.append(ev_t)
+            cuts.append(len(payloads))
+            t = ev_t
+        if rank != BREAKPOINT:
+            payloads.append(payload)
+    cuts.append(len(payloads))
+    pieces = np.empty((len(starts), 3))
+    pieces[:, 0] = np.subtract(ends, starts)
+    pieces[:, 1:] = rates[:, np.searchsorted(edges, starts, side="right") - 1].T
+    return pieces, np.array(ends), payloads, cuts
+
+
+def _evolve_columns(profiles, starts, tops, T, cap_absorbs, record_times=(), keep_q=False):
+    """Run m (station, start, top) columns from point masses to T in one pass.
+
+    Row i evolves the station ``profiles[i]`` from stock ``starts[i]`` on
+    the states 0 .. ``tops[i]``; rows given the same profile object share
+    one timeline.  The state matrix holds row i as ``[qF, q_0 .. q_top,
     zero padding, lost]``, padded to the tallest top plus one state, and
     a term of the uniformized kernel shifts the flattened matrix.  The
     cells a flat shift fills from a neighbouring row are reset, and the
-    mass an arrival pushes past a column's top is read from its first
+    mass an arrival pushes past a row's top is read from its first
     padding state (the top flux) before that is cleared, so the padding
-    only ever contributes ``+0.0`` and each column's values are bitwise
-    those of running it alone.  ``cap_absorbs`` selects where the top
+    only ever contributes ``+0.0``.  ``cap_absorbs`` selects where the top
     flux goes: the failed state (finite capacity) or the ``lost``
     accumulator (working truncation of an unlimited-capacity station).
 
-    A column that breaks a piece check gets its first error instead of
-    stopping the pass.  Returns (q, qF, lost, errors, recorded): the (m,
-    max(tops) + 2) states, two length-m arrays, None or an
-    InvariantViolationError per column, and (q, qF) per record time.
-    Record times coinciding with an event see the post-event state.
+    Each station keeps its own timeline: step j advances every row over
+    its station's j-th piece, with that piece's length, rates and Poisson
+    weights (``uniformize`` with one rate and dt per row), and then runs
+    the station's jumps and records at the piece's end.  Stations with
+    more pieces come first internally, so the rows still running form a
+    prefix of the matrix.  Every row's values are bitwise those of
+    running it alone.
+
+    A row that breaks a piece check gets its first error instead of
+    stopping the pass.  Returns (q, qF, lost, errors, (qF_at, q_at)): the
+    (m, max(tops) + 2) states, two length-m arrays, None or an
+    InvariantViolationError per row, qF per record time and row, and with
+    ``keep_q`` the states per record time and row (else None).  Record
+    times coinciding with an event see the post-event state.
     """
-    tops = np.asarray(tops, dtype=np.intp)
-    m = len(tops)
+    m = len(starts)
+    timelines, index, station = [], {}, []
+    for prof in profiles:
+        if id(prof) not in index:
+            index[id(prof)] = len(timelines)
+            timelines.append(_pieces(prof, T, record_times))
+        station.append(index[id(prof)])
+    # internal order: stations by descending piece count (rank), each
+    # station's rows together, so the rows still running form a prefix
+    by_len = sorted(range(len(timelines)), key=lambda g: -len(timelines[g][1]))
+    pieces, ends, payloads, cuts = zip(*(timelines[g] for g in by_len))
+    rank_of = {g: r for r, g in enumerate(by_len)}
+    order = sorted(range(m), key=lambda i: rank_of[station[i]])
+    row_rank = [rank_of[station[i]] for i in order]
+    bounds = np.searchsorted(row_rank, np.arange(len(by_len) + 1)).tolist()  # rank r: bounds[r:r+2]
+    per_row = np.diff(bounds)
+    lengths = np.array([len(e) for e in ends])
+    live_stations = (lengths[:, None] > np.arange(lengths[0])).sum(axis=0).tolist()
+    # (dt, lambda_a, lambda_d) by step and row, 0 past a station's last piece
+    steps = np.zeros((len(by_len), lengths[0], 3))
+    for r, p in enumerate(pieces):
+        steps[r, : len(p)] = p
+    dt_at, la, ld = np.ascontiguousarray(np.repeat(steps, per_row, axis=0).transpose(2, 1, 0))
+    lam_at = la + ld
+    busy = lam_at > 0.0
+    pa_at = np.divide(la, lam_at, out=np.zeros(la.shape), where=busy)
+    pd_at = np.divide(ld, lam_at, out=np.zeros(ld.shape), where=busy)
+    any_pa, any_pd = pa_at.any(axis=1).tolist(), pd_at.any(axis=1).tolist()
+
+    tops = np.asarray(tops, dtype=np.intp)[order]
     width = int(tops.max()) + 4  # failed cell, states 0 .. max top + 1, lost cell
     row_at = np.arange(m) * width
-    top_at = row_at + 1 + tops  # flat index of each column's top state
+    top_at = row_at + 1 + tops  # flat index of each row's top state
     pad_at = top_at + 1  # ... and of its first padding state
     # after a term's flat shifts: the pads, the last state (it received
-    # pd * lost) and the lost cell (it received pd * the next row's qF)
-    clear_at = np.concatenate([pad_at, row_at + width - 2, row_at + width - 1])
+    # pd * lost) and the lost cell (it received pd * the next row's qF),
+    # row by row so that the running rows' cells are a prefix
+    clear_at = np.stack([pad_at, row_at + width - 2, row_at + width - 1], axis=1).ravel()
     state = np.zeros(m * width)
-    state[row_at + 1 + np.asarray(starts, dtype=np.intp)] = 1.0
-    shifted = np.empty(m * width - 1)
-    errors = [None] * m
-    recorded = [None] * len(record_times)
-    pa = pd = 0.0
+    state[row_at + 1 + np.asarray(starts, dtype=np.intp)[order]] = 1.0
     rows = state.reshape(m, width)
-    at_state = at_scratch = _Views(state, m, width)
+    shift_buf = np.empty(m * width - 1)
+    errors = [None] * m
+    qF_at = np.zeros((len(record_times), m))
+    q_at = np.zeros((len(record_times), m, width - 2)) if keep_q else None
+    terms = 0
+    worst = 0.0
+
+    def act(r, b):
+        # station rank r's jumps and records at its piece boundary b
+        lo, hi = bounds[r], bounds[r + 1]
+        for payload in payloads[r][cuts[r][b] : cuts[r][b + 1]]:
+            if payload == "arrival":
+                flux = state[top_at[lo:hi]]
+                rows[lo:hi, 2:-1] = rows[lo:hi, 1:-2]
+                rows[lo:hi, 1] = 0.0
+                state[pad_at[lo:hi]] = 0.0
+                rows[lo:hi, 0 if cap_absorbs else -1] += flux
+            elif payload == "departure":
+                flux = rows[lo:hi, 1].copy()
+                rows[lo:hi, 1:-2] = rows[lo:hi, 2:-1]
+                rows[lo:hi, -2] = 0.0
+                rows[lo:hi, 0] += flux
+            else:
+                qF_at[payload, lo:hi] = rows[lo:hi, 0]
+                if keep_q:
+                    q_at[payload, lo:hi] = rows[lo:hi, 1:-1]
 
     def kernel(cur, out):
-        # the series starts each substep at ``state`` and then alternates
-        # it with one scratch buffer, whose views are made once per piece
+        # the series starts each substep at ``live`` and then alternates it
+        # with one scratch buffer, whose views are made once per piece
         nonlocal at_scratch
-        if cur is state:
+        if cur is live:
             if at_scratch.buf is not out:
-                at_scratch = _Views(out, m, width)
-            c, o = at_state, at_scratch
+                at_scratch = _Views(out)
+            c, o = at_live, at_scratch
         else:
-            c, o = at_scratch, at_state
-        if pa:
+            c, o = at_scratch, at_live
+        if has_pa:
             np.multiply(c.pre, pa, out=o.post)
         else:
             o.post.fill(0.0)
         np.multiply(c.head, _KEEP_FAILED, out=o.head)  # qF kept, no arrival to 0
-        top_flux = out[pad_at]  # pa * q_top
-        if pd:  # also adds pd * q_0 to the failed cell
+        top_flux = o.flat[pads]  # pa * q_top
+        if has_pd:  # also adds pd * q_0 to the failed cell
             np.multiply(c.post, pd, out=shifted)
             np.add(o.pre, shifted, out=o.pre)
-        out[clear_at] = 0.0
+        o.flat[clears] = 0.0
         if cap_absorbs:
             np.add(o.fail, top_flux, out=o.fail)
         else:
             np.add(c.lost, top_flux, out=o.lost)
 
-    edges, rates = rate_grid([profile.lambda_a, profile.lambda_d])
-    lam_a, lam_d = rates.tolist()
-    jumps = [(t, "arrival") for t in profile.rho_a] + [(t, "departure") for t in profile.rho_d]
-    timeline = event_timeline(edges.tolist(), jumps, T, record_times) + [(T, BREAKPOINT, None)]
-    t = 0.0
-    for ev_t, rank, payload in timeline:
-        if ev_t > t:
-            j = np.searchsorted(edges, t, side="right") - 1
-            la, ld = lam_a[j], lam_d[j]
-            lam = la + ld
-            if lam:
-                pa = la / lam
-                pd = ld / lam
-            uniformize(state, lam, ev_t - t, kernel)
-            for i, error in check_mass(rows, _MASS_TOL, f"at t={ev_t}"):
-                if errors[i] is None:
-                    errors[i] = error
-            t = ev_t
-        if payload == "arrival":
-            flux = state[top_at]
-            rows[:, 2:-1] = rows[:, 1:-2]
-            rows[:, 1] = 0.0
-            state[pad_at] = 0.0
-            rows[:, 0 if cap_absorbs else -1] += flux
-        elif payload == "departure":
-            flux = rows[:, 1].copy()
-            rows[:, 1:-2] = rows[:, 2:-1]
-            rows[:, -2] = 0.0
-            rows[:, 0] += flux
-        elif rank == RECORD:
-            recorded[payload] = (rows[:, 1:-1].copy(), rows[:, 0].copy())
-    return rows[:, 1:-1].copy(), rows[:, 0].copy(), rows[:, -1].copy(), errors, recorded
+    for r in range(len(by_len)):
+        act(r, 0)
+    live = None
+    for j, n_live in enumerate(live_stations):
+        n_rows = bounds[n_live]
+        if live is None or len(live) != n_rows:
+            live = rows[:n_rows]
+            at_live = at_scratch = _Views(live)
+            pads, clears = pad_at[:n_rows], clear_at[: 3 * n_rows]
+            shifted = shift_buf[: n_rows * width - 1]
+        has_pa, has_pd = any_pa[j], any_pd[j]
+        if n_live == 1:  # one station: scalar factors, which sizing's short pieces need
+            pa, pd = pa_at[j, 0].item(), pd_at[j, 0].item()
+            lam, dt = lam_at[j, 0].item(), dt_at[j, 0].item()
+        else:
+            pa = np.repeat(pa_at[j, :n_rows], width)[:-1]  # by the row of the source cell
+            pd = np.repeat(pd_at[j, :n_rows], width)[1:]
+            lam, dt = lam_at[j, :n_rows], dt_at[j, :n_rows]
+        terms += uniformize(live, lam, dt, kernel)
+        failed, drift = check_mass(live, _MASS_TOL, lambda i: f"at t={ends[row_rank[i]][j].item()}")
+        worst = max(worst, drift)
+        for i, error in failed:
+            if errors[i] is None:
+                errors[i] = error
+        for r in range(n_live):
+            act(r, j + 1)
+    log.debug(
+        "station pass: %d columns of %d stations, %d steps, %d kernel terms, "
+        "worst mass drift %.3e (tolerance %.0e)",
+        m, len(by_len), len(live_stations), terms, worst, _MASS_TOL,
+    )
+    back = np.argsort(order)
+    q_at = q_at[:, back] if keep_q else None
+    return (
+        rows[back, 1:-1], rows[back, 0], rows[back, -1], [errors[i] for i in back],
+        (qF_at[:, back], q_at),
+    )
 
 
 def _validate_vcT(profile, v, c, T):
@@ -182,6 +287,37 @@ def station_failure_probability(profile, v, c, T, tail_tolerance=1e-9):
     return value
 
 
+def _in_passes(profiles, starts, tops, T, cap_absorbs, record_times=(), keep_q=False):
+    """(qF, lost, errors, qF_at, q_at) of columns run by ``_evolve_columns``.
+
+    The columns share one pass, split into several only when one would
+    hold more than ``_MAX_BATCH_CELLS`` states; a pass takes the columns
+    with the lowest tops first.  Returns two length-m arrays, a length-m
+    list, a (len(record_times), m) array and, with ``keep_q``, a length-m
+    list of each column's (len(record_times), top + 1) states (else
+    None), in column order.
+    """
+    m = len(starts)
+    qF, lost, errors = np.empty(m), np.empty(m), [None] * m
+    qF_at = np.empty((len(record_times), m))
+    q_at = [None] * m if keep_q else None
+    order = sorted(range(m), key=tops.__getitem__)
+    while order:
+        take = 1
+        while take < len(order) and (take + 1) * (tops[order[take]] + 4) <= _MAX_BATCH_CELLS:
+            take += 1
+        part, order = order[:take], order[take:]
+        _, qF[part], lost[part], part_errors, (qF_at[:, part], part_q) = _evolve_columns(
+            [profiles[i] for i in part], [starts[i] for i in part], [tops[i] for i in part],
+            T, cap_absorbs, record_times, keep_q,
+        )
+        for n, i in enumerate(part):
+            errors[i] = part_errors[n]
+            if keep_q:
+                q_at[i] = part_q[:, n, : tops[i] + 1]
+    return qF, lost, errors, qF_at, q_at
+
+
 def station_failure_probabilities(profile, vs, cs, T, tail_tolerance=1e-9):
     """``station_failure_probability`` of several (v, c) starts of one station.
 
@@ -201,17 +337,9 @@ def station_failure_probabilities(profile, vs, cs, T, tail_tolerance=1e-9):
     out = [None] * len(vs)
 
     def run(idx, tops, cap_absorbs):
-        # (i, qF, lost, error) per column, in passes of at most _MAX_BATCH_CELLS states
-        order = sorted(range(len(idx)), key=tops.__getitem__)
-        while order:
-            take = 1
-            while take < len(order) and (take + 1) * (tops[order[take]] + 4) <= _MAX_BATCH_CELLS:
-                take += 1
-            part, order = order[:take], order[take:]
-            _, qF, lost, errors, _ = _evolve_columns(
-                profile, [int(vs[idx[j]]) for j in part], [tops[j] for j in part], T, cap_absorbs
-            )
-            yield from zip((idx[j] for j in part), qF, lost, errors)
+        starts = [int(vs[i]) for i in idx]
+        qF, lost, errors, *_ = _in_passes([profile] * len(idx), starts, tops, T, cap_absorbs)
+        return zip(idx, qF, lost, errors)
 
     finite = [i for i, c in enumerate(cs) if c is not None]
     if finite:
@@ -236,28 +364,34 @@ def station_failure_probabilities(profile, vs, cs, T, tail_tolerance=1e-9):
     return out
 
 
-def _snapshots(profile, v, c, times):
-    """(q, qF) of one finite-capacity start at each time; raises its piece-check error."""
+def _finite_capacity(profiles, vs, cs, times, keep_q=False):
+    """qF of finite-capacity starts at each of ``times``, from one pass to the last.
+
+    Returns a (len(times), m) array and, with ``keep_q``, a length-m list
+    of (len(times), c + 1) stock distributions (else None); raises the
+    piece-check error of the lowest-index failing start.
+    """
     times = np.asarray(times, dtype=float)
     T = float(times.max()) if times.size else 0.0
-    _validate_vcT(profile, v, c, T)
-    *_, errors, recorded = _evolve_columns(profile, [int(v)], [int(c)], T, True, times)
-    if errors[0] is not None:
-        raise errors[0]
-    return recorded
+    for prof, v, c in zip(profiles, vs, cs, strict=True):
+        _validate_vcT(prof, v, c, T)
+    starts, tops = [int(v) for v in vs], [int(c) for c in cs]
+    _, _, errors, qF_at, q_at = _in_passes(profiles, starts, tops, T, True, times, keep_q)
+    for error in errors:
+        if error is not None:
+            raise error
+    return qF_at, q_at
 
 
 def station_failure_curve(profile, v, c, times):
     """Failure probability of one finite-capacity station at each time."""
-    return np.array([qF[0] for _, qF in _snapshots(profile, v, c, times)], dtype=float)
+    return _finite_capacity([profile], [v], [c], times)[0][:, 0]
 
 
 def station_transient(profile, v, c, times):
     """Stock distribution snapshots: (len(times) x (c+1) matrix, qF array)."""
-    rec = _snapshots(profile, v, c, times)
-    qs = np.stack([q[0, : int(c) + 1] for q, _ in rec]) if rec else np.zeros((0, int(c) + 1))
-    qfs = np.array([qF[0] for _, qF in rec], dtype=float)
-    return qs, qfs
+    qF_at, q_at = _finite_capacity([profile], [v], [c], times, keep_q=True)
+    return q_at[0], qF_at[:, 0]
 
 
 def system_failure_upper_bound(model, plan, design, T, with_delay=False):
@@ -265,14 +399,13 @@ def system_failure_upper_bound(model, plan, design, T, with_delay=False):
 
     This is an upper bound on the probability that the joint system sees
     any unserved request by T; it is reported unclamped and may exceed 1.
+    All stations run in one pass and are summed in station order.
     """
     if design.k != model.k:
         raise ValueError(f"design is for {design.k} stations, model has {model.k}")
     profiles = model_module.aggregate_station_flows(model, plan, with_delay=with_delay)
-    return sum(
-        station_failure_probability(prof, design.v[i], design.c[i], T)
-        for i, prof in enumerate(profiles)
-    )
+    qF_at, _ = _finite_capacity(profiles, design.v, design.c, [T])
+    return sum(qF_at[0])
 
 
 def system_failure_bound_curve(model, plan, design, times, with_delay=False):
@@ -283,10 +416,5 @@ def system_failure_bound_curve(model, plan, design, times, with_delay=False):
     if design.k != model.k:
         raise ValueError(f"design is for {design.k} stations, model has {model.k}")
     profiles = model_module.aggregate_station_flows(model, plan, with_delay=with_delay)
-    per_station = np.stack(
-        [
-            station_failure_curve(prof, design.v[i], design.c[i], times)
-            for i, prof in enumerate(profiles)
-        ]
-    )
+    per_station = _finite_capacity(profiles, design.v, design.c, times)[0].T.copy()
     return per_station, per_station.sum(axis=0)

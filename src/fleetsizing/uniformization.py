@@ -31,6 +31,48 @@ NEG_CLIP = -1e-12  # rounding negatives above this are clipped to 0
 BREAKPOINT, JUMP, RECORD = 0, 1, 2
 
 
+def _poisson_series(x):
+    """Poisson(x) weights up to the term where their sum reaches 1 - POISSON_TAIL, and the tail."""
+    w = math.exp(-x)
+    weights = [w]
+    wsum = w
+    n = 0
+    while wsum < 1.0 - POISSON_TAIL:
+        n += 1
+        if n > MAX_TERMS:
+            raise InvariantViolationError("uniformization series did not converge")
+        w *= x / n
+        weights.append(w)
+        wsum += w
+    return weights, 1.0 - wsum
+
+
+def _series_plan(keys, shape):
+    """(last term, weight of each term, tails) of the rows whose substep has these x.
+
+    Weights and tails are arrays of ``shape``, one entry per row.  A
+    row's weight is 0 past its own last term; ``tails`` maps a term to
+    the cut-off tail of the rows whose series ends there (0 for the
+    others).  When every row has the same x they are floats: a scalar
+    factor costs less per term than a broadcast one, which shows on
+    sizing's one-station passes of short pieces.
+    """
+    distinct = list(dict.fromkeys(keys))
+    if len(distinct) == 1:
+        weights, tail = _poisson_series(keys[0])
+        return len(weights) - 1, weights, {len(weights) - 1: tail}
+    series = [_poisson_series(x) for x in distinct]
+    n_top = max(len(w) for w, _ in series) - 1
+    table = np.zeros((2, n_top + 1, len(distinct)))  # each x's weights and tail by term
+    for g, (w, tail) in enumerate(series):
+        table[0, : len(w), g] = w
+        table[1, len(w) - 1, g] = tail
+    column = {x: g for g, x in enumerate(distinct)}
+    weights, tail_at = table[:, :, [column[x] for x in keys]].reshape((2, n_top + 1) + shape)
+    ends = {len(w) - 1 for w, tail in series if tail} | {n_top}
+    return n_top, list(weights), {n: tail_at[n] for n in ends}
+
+
 def uniformize(state, rate, dt, kernel):
     """Propagate ``state`` in place over dt hours of a chain with exit rate ``rate``.
 
@@ -38,56 +80,78 @@ def uniformize(state, rate, dt, kernel):
     one-step kernel of the uniformized chain.  Every substep's first term
     is ``kernel(state, scratch)``; later terms alternate the two arrays,
     ``scratch`` being one array of ``state``'s shape per call.
+
+    ``rate`` and ``dt`` are floats, or two arrays with one value per row
+    of ``state`` when its rows are independent chains that one kernel
+    call advances together.  Each row then runs its own substeps and
+    Poisson series: a row past its own terms gets weight 0 (an exact
+    ``+ 0.0``), a row past its own substeps runs the series of x = 0
+    (weight 1, then 0), and a row's cut-off tail is added at its own
+    last term, so every row is bitwise what a call with its own floats
+    would give.  Rows with equal rate * substep length share one series.
+    Returns the number of kernel calls.
     """
-    if dt < 0.0:
+    rates, dts = (rate.tolist(), dt.tolist()) if isinstance(rate, np.ndarray) else ([rate], [dt])
+    if min(dts) < 0.0:
         raise ValueError("cannot advance backwards in time")
-    if rate == 0.0 or dt == 0.0:
-        return
-    n_sub = max(1, math.ceil(rate * dt / MAX_RATE_STEP))
-    x = rate * (dt / n_sub)
+    subs, xs = [], []
+    for r, d in zip(rates, dts):
+        n_sub = 0 if r == 0.0 or d == 0.0 else max(1, math.ceil(r * d / MAX_RATE_STEP))
+        subs.append(n_sub)
+        xs.append(r * (d / n_sub) if n_sub else 0.0)
+    if not any(subs):
+        return 0
     scratch, acc, tmp = np.empty_like(state), np.empty_like(state), np.empty_like(state)
-    for _ in range(n_sub):
+    shape = (-1,) + (1,) * (state.ndim - 1)  # a per-row factor, broadcast along the row
+    plans = {}
+    terms = 0
+    for s in range(max(subs)):
+        keys = tuple(x if s < n_sub else 0.0 for x, n_sub in zip(xs, subs))  # x = 0: identity
+        if keys not in plans:
+            plans[keys] = _series_plan(keys, shape)
+        n_top, weights, tails = plans[keys]
+        terms += n_top
         cur, nxt = state, scratch
-        w = math.exp(-x)
-        np.multiply(cur, w, out=acc)
-        wsum = w
-        n = 0
-        while wsum < 1.0 - POISSON_TAIL:
-            n += 1
-            if n > MAX_TERMS:
-                raise InvariantViolationError("uniformization series did not converge")
+        np.multiply(cur, weights[0], out=acc)
+        for n in range(1, n_top + 1):
+            if n - 1 in tails:  # rows whose series ended at the previous term
+                np.multiply(cur, tails[n - 1], out=tmp)
+                np.add(acc, tmp, out=acc)
             kernel(cur, nxt)
-            w *= x / n
-            np.multiply(nxt, w, out=tmp)
+            np.multiply(nxt, weights[n], out=tmp)
             np.add(acc, tmp, out=acc)
-            wsum += w
             cur, nxt = nxt, cur
-        np.multiply(cur, 1.0 - wsum, out=tmp)  # the cut-off tail stays on the last term
+        np.multiply(cur, tails[n_top], out=tmp)  # the cut-off tail stays on the last term
         np.add(acc, tmp, out=state)
+    return terms
 
 
 def check_mass(states, tol, where):
     """Check that every row of ``states`` is still a probability vector.
 
     Rounding negatives down to ``NEG_CLIP`` are clipped to 0 and their
-    row renormalized, in place.  Returns (row, InvariantViolationError)
-    pairs, a row's first error first: for a larger negative, and for a
-    row whose sum drifted from 1 by ``tol`` or more.
+    row renormalized, in place.  ``where`` ends the error messages: a
+    string, or a function of the row index.  Returns the (row,
+    InvariantViolationError) pairs, a row's first error first, for a
+    larger negative and for a row whose sum drifted from 1 by ``tol`` or
+    more; and the largest drift of any row.
     """
     failed = []
+    at = where if callable(where) else lambda i: where
     if states.min() < 0.0:
         low = states.min(axis=1)
         for i in np.flatnonzero(low < 0.0):
             if low[i] <= NEG_CLIP:
-                failed.append((i, InvariantViolationError(f"negative probability {low[i]:.3e} {where}")))
+                failed.append((i, InvariantViolationError(f"negative probability {low[i]:.3e} {at(i)}")))
                 continue
             np.maximum(states[i], 0.0, out=states[i])
             states[i] /= states[i].sum()
     drift = np.abs(states.sum(axis=1) - 1.0)
-    if drift.max() >= tol:
+    worst = float(drift.max())
+    if worst >= tol:
         for i in np.flatnonzero(drift >= tol):
-            failed.append((i, InvariantViolationError(f"probability mass drifted by {drift[i]:.3e} {where}")))
-    return failed
+            failed.append((i, InvariantViolationError(f"probability mass drifted by {drift[i]:.3e} {at(i)}")))
+    return failed, worst
 
 
 def event_timeline(breakpoints, jumps, T, record_times=()):

@@ -4,6 +4,7 @@ import datetime as dt
 import json
 import logging
 import math
+import re
 
 import pytest
 
@@ -230,6 +231,35 @@ class TestDeterminism:
             outs.append((out.read_bytes(), capsys.readouterr().out))
         assert outs[0] == outs[1]
         assert any("joint solve:" in r.getMessage() for r in caplog.records)
+
+    def test_size_and_bound_outputs_are_unchanged_by_debug_logging(
+        self, pipeline, tmp_path, caplog, capsys
+    ):
+        model, plan = str(pipeline["model"]), str(pipeline["plan"])
+        outs = []
+        for level in (logging.WARNING, logging.DEBUG):
+            design = tmp_path / f"design-{level}.json"
+            curve = tmp_path / f"bound-{level}.csv"
+            with caplog.at_level(level, logger="fleetsizing"):
+                assert run(["size", "--model", model, "--plan", plan, "--z", "0.1",
+                            "--T", "24", "--out", str(design)]) == EXIT_OK
+                assert run(["bound", "--model", model, "--plan", plan, "--design",
+                            str(design), "--T", "24", "--curve", str(curve),
+                            "--points", "8"]) == EXIT_OK
+                assert run(["bound", "--model", model, "--plan", plan, "--design",
+                            str(design), "--T", "12"]) == EXIT_OK
+            outs.append((design.read_bytes(), curve.read_bytes(), capsys.readouterr().out))
+        assert outs[0] == outs[1]
+        passes = [r.getMessage() for r in caplog.records if r.name == "fleetsizing.station_bound"]
+        line = re.compile(
+            r"station pass: (\d+) columns of (\d+) stations, \d+ steps, \d+ kernel terms, "
+            r"worst mass drift (\S+) \(tolerance 1e-09\)"
+        )
+        found = [line.fullmatch(p) for p in passes]
+        assert found and all(found), passes
+        assert all(float(f.group(3)) < 1e-9 for f in found)
+        # the bound curve and the bound at T=12 each run all three stations in one pass
+        assert [f.group(1, 2) for f in found[-2:]] == [("3", "3"), ("3", "3")]
 
     def test_replay_output_is_byte_identical(self, pipeline, tmp_path):
         outs = []
@@ -487,8 +517,21 @@ def replaced(path, value):
     return edit
 
 
-def plan_doc(times):
-    return {"k": 3, "horizon_hours": 24.0, "rho": [{"o": 1, "d": 2, "times": times}]}
+def plan_doc(times, o=1, d=2, k=3):
+    return {"k": k, "horizon_hours": 24.0, "rho": [{"o": o, "d": d, "times": times}]}
+
+
+def nudged(path, by=0.5):
+    """An edit that adds ``by`` to the number at ``path``."""
+
+    def edit(doc):
+        inner = doc
+        for key in path[:-1]:
+            inner = inner[key]
+        inner[path[-1]] += by
+        return doc
+
+    return edit
 
 
 class TestMalformedDocuments:
@@ -532,6 +575,10 @@ class TestMalformedDocuments:
             pytest.param("design", replaced(["stations", 0, "v"], 1.5), id="fractional-stock"),
             pytest.param("design", replaced(["stations", 0, "c"], 10.25), id="fractional-capacity"),
             pytest.param("plan", lambda doc: plan_doc([None]), id="null-instant"),
+            pytest.param("model", nudged(["lambda", 0, "o"]), id="fractional-origin"),
+            pytest.param("model", nudged(["k"], 0.25), id="fractional-station-count"),
+            pytest.param("plan", lambda doc: plan_doc([1.0], o=1.5, d=2.9), id="fractional-pair"),
+            pytest.param("plan", lambda doc: plan_doc([1.0], k=3.5), id="fractional-plan-k"),
         ],
     )
     def test_document_with_a_wrong_value(self, pipeline, tmp_path, capsys, which, edit):
@@ -552,4 +599,23 @@ class TestMalformedDocuments:
                 "--out", str(out)]
         assert run(argv) == EXIT_INPUT
         assert "malformed sequence document" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("t", math.nan, "event times and riding times must be finite"),
+            ("eta", math.inf, "event times and riding times must be finite"),
+            ("o", 1.5, "expected a whole number, got 1.5"),
+            ("d", 2.75, "expected a whole number, got 2.75"),
+        ],
+    )
+    def test_sequence_with_a_wrong_event(self, pipeline, tmp_path, capsys, key, value, message):
+        edit = replaced(["days", 0, "events", 0, key], value)
+        days = edited_copy(pipeline["sequences"], tmp_path / "days.json", edit)
+        out = tmp_path / "r.csv"
+        argv = ["replay", "--sequences", days, "--design", str(pipeline["design"]),
+                "--out", str(out)]
+        assert run(argv) == EXIT_INPUT
+        assert message in capsys.readouterr().err
         assert not out.exists()

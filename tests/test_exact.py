@@ -274,6 +274,32 @@ class TestMoveMatrixKernel:
         for snap, ref in zip(snaps, ref_snaps, strict=True):
             assert np.array_equal(snap.p, ref.p) and snap.pF == ref.pF
 
+    def test_relocation_and_record_boundaries_rebuild_nothing(self):
+        # constant rates; relocations at 0.25 and 0.75 and a record at 0.5 cut
+        # [0, 1] into four pieces that all have the same rates
+        intensities = {
+            (1, 2): PiecewiseConstantIntensity.constant(1.0, 1.0),
+            (2, 1): PiecewiseConstantIntensity.constant(0.5, 1.0),
+        }
+        model = DemandModel(2, intensities, ((0.0, 0.0), (0.0, 0.0)), 1.0)
+        plan = RebalancingPlan(2, 1.0, {(1, 2): (0.25,), (2, 1): (0.75,)})
+        design = SystemDesign((1, 1), (2, 2))
+        built = []
+        kernel = exact._JointEngine.kernel
+
+        def counting(engine, rates):
+            built.append(rates)
+            return kernel(engine, rates)
+
+        with mock.patch.object(exact._JointEngine, "kernel", counting), \
+                mock.patch.object(exact.np, "take", wraps=np.take) as gathers:
+            snaps = joint_transient(model, plan, design, [0.5, 1.0])
+        assert built == [[1.0, 0.5]]
+        assert gathers.call_count == 1
+        _, (ref_snaps, _) = solve_both(model, plan, design, [0.5, 1.0])
+        for snap, ref in zip(snaps, ref_snaps, strict=True):
+            assert np.array_equal(snap.p, ref.p) and snap.pF == ref.pF > 0.0
+
     def test_one_matrix_per_engine_whatever_the_active_pairs(self):
         # five pieces with five different sets of active pairs
         horizon = 1.0

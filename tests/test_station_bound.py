@@ -1,6 +1,7 @@
 """Per-station transient bound: closed forms, an expm oracle, MC cross-checks."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -446,7 +447,9 @@ class TestColumnKernel:
         # unordered, some at a jump (post-jump state) or at T
         times = [*r.uniform(0.0, T, r.integers(0, 4)), *(t for t in jumps if t <= T), T]
         times = [float(t) for t in r.permutation(times)]
-        q, qF, lost, errors, recorded = _evolve_columns(prof, starts, tops, T, cap_absorbs, times)
+        q, qF, lost, errors, (qF_at, q_at) = _evolve_columns(
+            [prof] * m, starts, tops, T, cap_absorbs, times, keep_q=True
+        )
         assert errors == [None] * m
         for i, (v, top) in enumerate(zip(starts, tops)):
             q1, qF1, lost1, recorded1 = reference_evolve(prof, v, int(top), T, cap_absorbs, times)
@@ -454,19 +457,107 @@ class TestColumnKernel:
             assert lost[i] == lost1
             assert np.array_equal(q[i, : top + 1], q1)
             assert not q[i, top + 1 :].any()
-            for (q_at, qF_at), (q1_at, qF1_at) in zip(recorded, recorded1, strict=True):
-                assert qF_at[i] == qF1_at
-                assert np.array_equal(q_at[i, : top + 1], q1_at)
-                assert not q_at[i, top + 1 :].any()
+            assert len(recorded1) == len(qF_at) == len(q_at)
+            for r, (q1_at, qF1_at) in enumerate(recorded1):
+                assert qF_at[r, i] == qF1_at
+                assert np.array_equal(q_at[r, i, : top + 1], q1_at)
+                assert not q_at[r, i, top + 1 :].any()
 
     def test_piece_check_failure_is_the_one_column_error(self):
         prof = constant_profile(2.0, 1.0, 1.0, rho_a=(0.5,))
         with mock.patch.object(station_bound, "_MASS_TOL", 0.0):
-            errors = _evolve_columns(prof, [0, 1], [1, 3], 1.0, True)[3]
+            errors = _evolve_columns([prof, prof], [0, 1], [1, 3], 1.0, True)[3]
         for error, (v, c) in zip(errors, [(0, 1), (1, 3)]):
             with pytest.raises(InvariantViolationError) as one_column:
                 reference_evolve(prof, v, c, 1.0, True, mass_tol=0.0)
             assert str(error) == str(one_column.value)
+
+
+def station_profile(r, horizon):
+    """One station of a multi-station pass: own breakpoints, rates and relocations.
+
+    A station may be silent all along, may have pieces where both streams
+    are silent, and may be busy enough that a piece needs several substeps.
+    """
+    instants = lambda: tuple(sorted(np.round(r.uniform(0.05, 0.95 * horizon, r.integers(0, 4)), 6)))
+    if r.random() < 0.2:
+        silent = PiecewiseConstantIntensity.zero(horizon)
+        return StationFlowProfile(silent, silent, instants(), instants())
+
+    def rate():
+        pci = make_pci(r, horizon, max_rate=float(r.choice([3.0, 25.0, 60.0])), max_pieces=4)
+        values = [0.0 if r.random() < 0.3 else v for v in pci.values]
+        return PiecewiseConstantIntensity(pci.breakpoints, values, horizon)
+
+    return StationFlowProfile(rate(), rate(), instants(), instants())
+
+
+class TestMultiStationPass:
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_every_row_is_bitwise_its_own_station_alone(self, seed, cap_absorbs, strict):
+        r = np.random.default_rng(seed)
+        horizon = float(r.choice([1.0, 4.0]))
+        stations = [station_profile(r, horizon) for _ in range(r.integers(1, 5))]
+        jumps = sorted({t for p in stations for t in p.rho_a + p.rho_d})
+        T = float(r.choice([horizon, r.uniform(0.1, horizon), *jumps]))
+        m = int(r.integers(1, 9))
+        profiles = [stations[i] for i in r.integers(0, len(stations), m)]
+        tops = r.integers(0, 14, m)
+        starts = [int(r.integers(0, top + 1)) for top in tops]
+        # unordered; every relocation instant up to T is also a record time
+        times = [*r.uniform(0.0, T, r.integers(0, 4)), *(t for t in jumps if t <= T), T]
+        times = [float(t) for t in r.permutation(times)]
+        # a tolerance of 1e-300 fails every row whose mass is not exactly 1,
+        # while the rows of silent stations stay point masses and pass
+        tol = 1e-300 if strict else station_bound._MASS_TOL
+        with mock.patch.object(station_bound, "_MASS_TOL", tol):
+            q, qF, lost, errors, (qF_at, q_at) = _evolve_columns(
+                profiles, starts, tops, T, cap_absorbs, times, keep_q=True
+            )
+        assert qF_at.shape == (len(times), m) and q_at.shape[:2] == (len(times), m)
+        for i, (prof, v, top) in enumerate(zip(profiles, starts, tops)):
+            # a row that fails a check keeps evolving, so every row matches
+            q1, qF1, lost1, recorded1 = reference_evolve(prof, v, int(top), T, cap_absorbs, times)
+            assert qF[i] == qF1
+            assert lost[i] == lost1
+            assert np.array_equal(q[i, : top + 1], q1)
+            assert not q[i, top + 1 :].any()
+            for at, (q1_at, qF1_at) in enumerate(recorded1):
+                assert qF_at[at, i] == qF1_at
+                assert np.array_equal(q_at[at, i, : top + 1], q1_at)
+                assert not q_at[at, i, top + 1 :].any()
+            silent = not any(prof.lambda_a.values + prof.lambda_d.values)
+            if not strict or silent:
+                assert errors[i] is None
+            elif errors[i] is not None:
+                # the failure names an event time of the row's own station
+                found = re.fullmatch(r"probability mass drifted by \S+ at t=(\S+)", str(errors[i]))
+                assert found, str(errors[i])
+                own = {*prof.lambda_a.breakpoints, *prof.lambda_d.breakpoints,
+                       *prof.rho_a, *prof.rho_d, *times, T}
+                assert float(found.group(1)) in own
+
+    def test_failing_row_is_its_station_alone_and_the_others_finish(self):
+        busy = constant_profile(2.0, 1.0, 1.0, rho_a=(0.5,))
+        other = constant_profile(0.5, 3.0, 1.0, rho_d=(0.25, 0.75))
+        silent = constant_profile(0.0, 0.0, 1.0, rho_a=(0.3,))
+        profiles, starts, tops = [busy, silent, other, busy], [0, 1, 2, 1], [1, 4, 3, 3]
+        with mock.patch.object(station_bound, "_MASS_TOL", 0.0):
+            _, _, _, strict_errors, _ = _evolve_columns(profiles, starts, tops, 1.0, True)
+        with mock.patch.object(station_bound, "_MASS_TOL", 1e-300):
+            q, qF, _, errors, _ = _evolve_columns(profiles, starts, tops, 1.0, True)
+        for i, (prof, v, c) in enumerate(zip(profiles, starts, tops)):
+            with pytest.raises(InvariantViolationError) as alone:
+                reference_evolve(prof, v, c, 1.0, True, mass_tol=0.0)
+            # the same check fails at the same time of the row's own timeline
+            # (the drift it prints is summed in another order)
+            assert str(strict_errors[i]).split(" by ")[0] == str(alone.value).split(" by ")[0]
+            assert str(strict_errors[i]).split(" at ")[1] == str(alone.value).split(" at ")[1]
+        assert errors[1] is None
+        assert all(isinstance(errors[i], InvariantViolationError) for i in (0, 2, 3))
+        q1, qF1, _, _ = reference_evolve(silent, 1, 4, 1.0, True)
+        assert np.array_equal(q[1, :5], q1) and qF[1] == qF1 == 0.0
 
 
 class TestStationFailureProbabilities:

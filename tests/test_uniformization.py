@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetsizing.model import InvariantViolationError
 from fleetsizing.uniformization import check_mass, uniformize
@@ -31,29 +33,59 @@ class TestUniformize:
     def test_backwards_time_is_rejected(self):
         with pytest.raises(ValueError):
             uniformize(np.array([1.0]), 1.0, -0.1, shift_kernel)
+        with pytest.raises(ValueError):
+            uniformize(np.ones((2, 3)), np.array([1.0, 1.0]), np.array([0.5, -0.1]), shift_kernel)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_each_row_is_bitwise_its_own_call(self, seed):
+        # rows differ in rate * dt: silent rows, short pieces and pieces
+        # that need several substeps, some rows sharing one series
+        r = np.random.default_rng(seed)
+        m = int(r.integers(1, 7))
+        rates = r.choice([0.0, 0.3, 4.0, 45.0], m) * r.choice([1.0, 1.0, r.uniform(0.5, 2.0)], m)
+        dts = r.choice([0.0, 0.2, 1.0, 2.5], m)
+        start = r.dirichlet(np.ones(6), m)
+
+        def row_kernel(cur, out):
+            for i in range(len(cur)):
+                shift_kernel(cur[i], out[i])
+
+        rows = start.copy()
+        uniformize(rows, rates, dts, row_kernel)
+        for i in range(m):
+            alone = start[i].copy()
+            uniformize(alone, float(rates[i]), float(dts[i]), shift_kernel)
+            assert np.array_equal(rows[i], alone)
 
 
 class TestCheckMass:
     def test_clean_rows_pass_unchanged(self):
         states = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
-        assert check_mass(states, 1e-9, "here") == []
+        assert check_mass(states, 1e-9, "here") == ([], 0.0)
         assert states.tolist() == [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]
 
     def test_rounding_negative_is_clipped_and_renormalized(self):
         states = np.array([[0.5, -1e-14, 0.5 + 2e-14]])
-        assert check_mass(states, 1e-9, "here") == []
+        assert check_mass(states, 1e-9, "here")[0] == []
         assert states.min() == 0.0
         assert states.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_large_negative_and_drift_fail_their_row_only(self):
         states = np.array([[1.0, 0.0], [1.1, -0.1], [0.5, 0.4]])
-        failed = check_mass(states, 1e-9, "at t=1")
+        failed, worst = check_mass(states, 1e-9, "at t=1")
         assert [i for i, _ in failed] == [1, 2]
         assert all(isinstance(e, InvariantViolationError) for _, e in failed)
         assert str(failed[0][1]) == "negative probability -1.000e-01 at t=1"
         assert str(failed[1][1]) == "probability mass drifted by 1.000e-01 at t=1"
+        assert worst == pytest.approx(0.1)
+
+    def test_where_may_name_each_row(self):
+        states = np.array([[1.0, 0.0], [0.5, 0.4]])
+        (failed,), _ = check_mass(states, 1e-9, lambda i: f"in row {i}")
+        assert str(failed[1]) == "probability mass drifted by 1.000e-01 in row 1"
 
     def test_tolerance_is_the_callers(self):
         states = np.array([[0.5, 0.5 + 5e-9]])
-        assert check_mass(states.copy(), 1e-8, "") == []
-        assert len(check_mass(states.copy(), 1e-9, "")) == 1
+        assert check_mass(states.copy(), 1e-8, "")[0] == []
+        assert len(check_mass(states.copy(), 1e-9, "")[0]) == 1
