@@ -12,8 +12,10 @@ The solver's state vector is ``[p_0 .. p_{n-1}, pF]``: the slice states
 in lexicographic order, then F.  The generator has total exit rate
 sum(lambda_od) in every state, so each piece of constant rates is
 propagated by the shared uniformization core
-(``fleetsizing.uniformization``) on the same event timeline as the
-per-station bound, and mass conservation is checked to 1e-8 per piece.
+(``fleetsizing.uniformization``).  The pieces, with each pair's rate,
+and the relocations and snapshots between them come from the same
+``timeline`` as the per-station bound's, and mass conservation is
+checked to 1e-8 per piece.
 
 The move part of the one-step kernel is one sparse matrix-vector product
 (Stewart 1994, ch. 8).  Each solve builds a single CSR matrix holding
@@ -32,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .model import InvariantViolationError, RebalancingPlan, rate_grid
-from .uniformization import BREAKPOINT, JUMP, RECORD, check_mass, event_timeline, uniformize
+from .model import InvariantViolationError, check_design, checked_plan
+from .uniformization import JUMP, check_mass, timeline, uniformize
 
 log = logging.getLogger(__name__)
 
@@ -216,46 +218,40 @@ def marginal_distribution(dist, station):
 
 
 def _walk(model, plan, design, T, record_times=()):
-    if design.k != model.k:
-        raise ValueError(f"design is for {design.k} stations, model has {model.k}")
-    if plan is None:
-        plan = RebalancingPlan.empty(model.k, model.horizon)
-    if plan.k != model.k or plan.horizon != model.horizon:
-        raise ValueError("plan and model disagree on stations or horizon")
+    check_design(model, design)
+    plan = checked_plan(model, plan)
     if not 0.0 <= T <= model.horizon + 1e-9:
         raise ValueError(f"evaluation time {T} outside [0, {model.horizon}]")
     pairs = model.pairs()
     engine = _JointEngine(design, pairs)
     state = engine.initial(design.v)
-    edges, rates = rate_grid([model.intensities[pair] for pair in pairs])
     jumps = [(t, (o, d)) for t, o, d in plan.instants()]
-    timeline = event_timeline(edges.tolist(), jumps, T, record_times) + [(T, BREAKPOINT, None)]
+    pieces, ends, actions, cuts = timeline(
+        [model.intensities[pair] for pair in pairs], jumps, T, record_times
+    )
     snapshots = [None] * len(record_times)
-    t = 0.0
-    pieces = terms = 0
-    last_piece = None
-    worst_drift = 0.0
-    for ev_t, rank, payload in timeline:
-        if ev_t > t:
-            piece = rates[:, np.searchsorted(edges, t, side="right") - 1].tolist()
-            if piece != last_piece:  # after a relocation or a record the rates may be unchanged
-                rate, kernel = engine.kernel(piece)
-                last_piece = piece
-            terms += uniformize(state, rate, ev_t - t, kernel)
-            failed, drift = check_mass(state[None, :], _MASS_TOL, f"in piece [{t}, {ev_t}]")
+    terms, worst_drift, last_rates = 0, 0.0, None
+    bounds = [0.0, *ends.tolist()]
+    for b, t in enumerate(bounds):
+        if b:  # piece b - 1 ends here
+            dt, *rates = pieces[b - 1].tolist()
+            if rates != last_rates:  # after a relocation or a record the rates may be unchanged
+                rate, kernel = engine.kernel(rates)
+                last_rates = rates
+            terms += uniformize(state, rate, dt, kernel)
+            failed, drift = check_mass(state[None, :], _MASS_TOL, f"in piece [{bounds[b - 1]}, {t}]")
             if failed:
                 raise failed[0][1]
-            pieces += 1
             worst_drift = max(worst_drift, drift)
-            t = ev_t
-        if rank == JUMP:
-            state = engine.rebalance(state, *payload)
-        elif rank == RECORD:
-            snapshots[payload] = JointDistribution(state[:-1].copy(), state[-1], ev_t, engine)
+        for kind, payload in actions[cuts[b] : cuts[b + 1]]:
+            if kind == JUMP:
+                state = engine.rebalance(state, *payload)
+            else:
+                snapshots[payload] = JointDistribution(state[:-1].copy(), state[-1], t, engine)
     log.debug(
         "joint solve: %d slice states, %d matrix entries, %d pieces, %d kernel terms, "
         "worst mass drift %.3e (tolerance %.0e)",
-        engine.n, engine._moves.nnz, pieces, terms, worst_drift, _MASS_TOL,
+        engine.n, engine._moves.nnz, len(pieces), terms, worst_drift, _MASS_TOL,
     )
     return JointDistribution(state[:-1], state[-1], T, engine), snapshots
 

@@ -248,6 +248,10 @@ class DaySequence:
         object.__setattr__(self, "events", tuple(self.events))
         if not all(math.isfinite(e.t) and math.isfinite(e.eta) for e in self.events):
             raise ValueError("event times and riding times must be finite")
+        if any(e.eta < 0.0 for e in self.events):
+            raise ValueError("riding times must be non-negative")
+        if any(not 0.0 <= e.t <= self.horizon for e in self.events):
+            raise ValueError(f"event times must lie within [0, {self.horizon}] hours")
         if any(
             a.t > b.t for a, b in zip(self.events, self.events[1:])
         ):

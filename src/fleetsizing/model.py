@@ -314,6 +314,23 @@ class StationFlowProfile:
         return self.lambda_a.horizon_end
 
 
+def checked_plan(model, plan):
+    """``plan`` (the empty plan for None), checked to share the model's stations and horizon."""
+    if plan is None:
+        return RebalancingPlan.empty(model.k, model.horizon)
+    if plan.k != model.k:
+        raise ValueError(f"plan is for {plan.k} stations, model has {model.k}")
+    if plan.horizon != model.horizon:
+        raise ValueError(f"inconsistent horizons: model {model.horizon}, plan {plan.horizon}")
+    return plan
+
+
+def check_design(model, design):
+    """Reject a design for a different number of stations than the model's."""
+    if design.k != model.k:
+        raise ValueError(f"design is for {design.k} stations, model has {model.k}")
+
+
 def _delayed_sum(items, horizon):
     """The pointwise sum of ``(intensity, delay)`` items, rates added in item order.
 
@@ -347,14 +364,7 @@ def aggregate_station_flows(model, plan, *, with_delay=False):
     are discarded.  Each station's intensities are shifted and summed as
     one set of breakpoint arrays; only the k profiles' intensities are built.
     """
-    if plan is None:
-        plan = RebalancingPlan.empty(model.k, model.horizon)
-    if plan.k != model.k:
-        raise ValueError(f"plan is for {plan.k} stations, model has {model.k}")
-    if plan.horizon != model.horizon:
-        raise ValueError(
-            f"inconsistent horizons: model {model.horizon}, plan {plan.horizon}"
-        )
+    plan = checked_plan(model, plan)
     k, horizon = model.k, model.horizon
     # without delay every shift is by 0.0: an item keeps its pieces and
     # ``t + 0.0 == t``, so both modes share one path

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RebalancingPlan, rate_grid
+from .model import check_design, checked_plan, rate_grid
 
 _WORKERS_ENV = "FLEETSIZING_WORKERS"
 
@@ -111,11 +111,7 @@ def compile_tables(model):
 
 
 def _plan_arrays(model, plan):
-    if plan is None:
-        plan = RebalancingPlan.empty(model.k, model.horizon)
-    if plan.k != model.k or plan.horizon != model.horizon:
-        raise ValueError("plan and model disagree on stations or horizon")
-    inst = plan.instants()
+    inst = checked_plan(model, plan).instants()
     t = np.asarray([e[0] for e in inst], dtype=float)
     o = np.asarray([e[1] for e in inst], dtype=np.int64)
     d = np.asarray([e[2] for e in inst], dtype=np.int64)
@@ -245,8 +241,7 @@ def _simulate_prepared(tables, plan_arrays, v, c, T, seed, with_delay, sample_ti
 
 def simulate_run(model, plan, design, T, seed, with_delay=False, sample_times=None):
     """Sample one trajectory; see the module docstring for the RNG contract."""
-    if design.k != model.k:
-        raise ValueError(f"design is for {design.k} stations, model has {model.k}")
+    check_design(model, design)
     if not 0.0 <= T <= model.horizon + 1e-9:
         raise ValueError(f"simulation end {T} outside [0, {model.horizon}]")
     tables = compile_tables(model)
@@ -289,8 +284,7 @@ def _run_batch(args):
 def _collect(model, plan, design, T, n_runs, seed, with_delay, sample_times, station):
     if n_runs < 1:
         raise ValueError("need at least one run")
-    if design.k != model.k:
-        raise ValueError(f"design is for {design.k} stations, model has {model.k}")
+    check_design(model, design)
     if not 0.0 <= T <= model.horizon + 1e-9:
         raise ValueError(f"simulation end {T} outside [0, {model.horizon}]")
     tables = compile_tables(model)

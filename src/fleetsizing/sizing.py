@@ -31,6 +31,7 @@ from .model import (
     bin_integrals,
     parsing,
     read_json,
+    whole_number,
     write_json,
 )
 # station_failure_probability is also read from this module by perfbench's tracer
@@ -285,7 +286,7 @@ def design_from_json(doc):
         stations = doc["stations"]
         if not stations:
             raise ValueError("design document lists no stations")
-        by_id = {int(s["id"]): (s["v"], s["c"]) for s in stations}
+        by_id = {whole_number(s["id"]): (s["v"], s["c"]) for s in stations}
         k = len(by_id)
         if k != len(stations):
             raise ValueError("design document lists a station id more than once")

@@ -17,8 +17,9 @@ after every piece.
 
 ``_evolve_columns`` is the only evolution.  It carries columns -- each a
 station with one start (initial stock and top state) -- as the rows of
-one matrix.  Each station keeps its own event timeline, and step j
-advances every row over its own station's j-th piece, so one call of
+one matrix.  Each station keeps its own ``uniformization.timeline`` of
+its arrival and departure rates and relocations, and step j advances
+every row over its own station's j-th piece, so one call of
 the column kernel per Poisson term serves every station of the pass,
 and every column is bitwise what it would be alone.  The system bound
 and curve run all k stations in one pass (split only when it would hold
@@ -35,8 +36,8 @@ import math
 import numpy as np
 
 from . import model as model_module  # read at call time, where a tracer may wrap it
-from .model import InvariantViolationError, bin_integrals, rate_grid
-from .uniformization import BREAKPOINT, check_mass, event_timeline, uniformize
+from .model import InvariantViolationError, bin_integrals, check_design
+from .uniformization import RECORD, check_mass, timeline, uniformize
 
 log = logging.getLogger(__name__)
 
@@ -65,33 +66,9 @@ _KEEP_FAILED = np.array([1.0, 0.0])
 
 
 def _pieces(profile, T, record_times):
-    """One station's timeline to T as pieces of constant rates.
-
-    Returns (pieces, ends, payloads, cuts): a (pieces, 3) array of each
-    piece's (dt, lambda_a, lambda_d); the times at which they end; the
-    timeline's jumps ("arrival", "departure") and record indices in
-    order; and where that list is cut at each piece boundary, so that
-    ``payloads[cuts[b]:cuts[b + 1]]`` run at boundary b: b = 0 at t=0 and
-    b = j + 1 after piece j.
-    """
-    edges, rates = rate_grid([profile.lambda_a, profile.lambda_d])
+    """One station's ``timeline`` to T: pieces of (dt, lambda_a, lambda_d), and its jumps."""
     jumps = [(t, "arrival") for t in profile.rho_a] + [(t, "departure") for t in profile.rho_d]
-    timeline = event_timeline(edges.tolist(), jumps, T, record_times) + [(T, BREAKPOINT, None)]
-    starts, ends, payloads, cuts = [], [], [], [0]
-    t = 0.0
-    for ev_t, rank, payload in timeline:
-        if ev_t > t:
-            starts.append(t)
-            ends.append(ev_t)
-            cuts.append(len(payloads))
-            t = ev_t
-        if rank != BREAKPOINT:
-            payloads.append(payload)
-    cuts.append(len(payloads))
-    pieces = np.empty((len(starts), 3))
-    pieces[:, 0] = np.subtract(ends, starts)
-    pieces[:, 1:] = rates[:, np.searchsorted(edges, starts, side="right") - 1].T
-    return pieces, np.array(ends), payloads, cuts
+    return timeline([profile.lambda_a, profile.lambda_d], jumps, T, record_times)
 
 
 def _evolve_columns(profiles, starts, tops, T, cap_absorbs, record_times=(), keep_q=False):
@@ -134,7 +111,7 @@ def _evolve_columns(profiles, starts, tops, T, cap_absorbs, record_times=(), kee
     # internal order: stations by descending piece count (rank), each
     # station's rows together, so the rows still running form a prefix
     by_len = sorted(range(len(timelines)), key=lambda g: -len(timelines[g][1]))
-    pieces, ends, payloads, cuts = zip(*(timelines[g] for g in by_len))
+    pieces, ends, actions, cuts = zip(*(timelines[g] for g in by_len))
     rank_of = {g: r for r, g in enumerate(by_len)}
     order = sorted(range(m), key=lambda i: rank_of[station[i]])
     row_rank = [rank_of[station[i]] for i in order]
@@ -175,22 +152,22 @@ def _evolve_columns(profiles, starts, tops, T, cap_absorbs, record_times=(), kee
     def act(r, b):
         # station rank r's jumps and records at its piece boundary b
         lo, hi = bounds[r], bounds[r + 1]
-        for payload in payloads[r][cuts[r][b] : cuts[r][b + 1]]:
-            if payload == "arrival":
+        for kind, payload in actions[r][cuts[r][b] : cuts[r][b + 1]]:
+            if kind == RECORD:
+                qF_at[payload, lo:hi] = rows[lo:hi, 0]
+                if keep_q:
+                    q_at[payload, lo:hi] = rows[lo:hi, 1:-1]
+            elif payload == "arrival":
                 flux = state[top_at[lo:hi]]
                 rows[lo:hi, 2:-1] = rows[lo:hi, 1:-2]
                 rows[lo:hi, 1] = 0.0
                 state[pad_at[lo:hi]] = 0.0
                 rows[lo:hi, 0 if cap_absorbs else -1] += flux
-            elif payload == "departure":
+            else:
                 flux = rows[lo:hi, 1].copy()
                 rows[lo:hi, 1:-2] = rows[lo:hi, 2:-1]
                 rows[lo:hi, -2] = 0.0
                 rows[lo:hi, 0] += flux
-            else:
-                qF_at[payload, lo:hi] = rows[lo:hi, 0]
-                if keep_q:
-                    q_at[payload, lo:hi] = rows[lo:hi, 1:-1]
 
     def kernel(cur, out):
         # the series starts each substep at ``live`` and then alternates it
@@ -401,8 +378,7 @@ def system_failure_upper_bound(model, plan, design, T, with_delay=False):
     any unserved request by T; it is reported unclamped and may exceed 1.
     All stations run in one pass and are summed in station order.
     """
-    if design.k != model.k:
-        raise ValueError(f"design is for {design.k} stations, model has {model.k}")
+    check_design(model, design)
     profiles = model_module.aggregate_station_flows(model, plan, with_delay=with_delay)
     qF_at, _ = _finite_capacity(profiles, design.v, design.c, [T])
     return sum(qF_at[0])
@@ -413,8 +389,7 @@ def system_failure_bound_curve(model, plan, design, times, with_delay=False):
 
     Returns (per_station, total) with shapes (k, len(times)) and (len(times),).
     """
-    if design.k != model.k:
-        raise ValueError(f"design is for {design.k} stations, model has {model.k}")
+    check_design(model, design)
     profiles = model_module.aggregate_station_flows(model, plan, with_delay=with_delay)
     per_station = _finite_capacity(profiles, design.v, design.c, times)[0].T.copy()
     return per_station, per_station.sum(axis=0)

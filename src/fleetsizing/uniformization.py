@@ -12,23 +12,24 @@ cut off is re-assigned to the highest computed power, so probability
 mass is conserved to floating-point rounding; ``check_mass`` enforces
 that contract after every piece.
 
-``event_timeline`` orders what interrupts the smooth evolution: rate
-breakpoints, instantaneous jumps (relocations) and the times at which
-the caller records a snapshot.
+``timeline`` cuts [0, T] into the pieces both solvers walk: pieces of
+constant rates, ended by the rate breakpoints, the instantaneous jumps
+(relocations) and the times at which the caller records a snapshot,
+with the jumps and records to run at each piece boundary.
 """
 
 import math
 
 import numpy as np
 
-from .model import InvariantViolationError
+from .model import InvariantViolationError, rate_grid
 
 POISSON_TAIL = 1e-13  # Poisson weight left to fold back into the last term
 MAX_RATE_STEP = 30.0  # substep cap on rate * dt
 MAX_TERMS = 100_000
 NEG_CLIP = -1e-12  # rounding negatives above this are clipped to 0
 
-BREAKPOINT, JUMP, RECORD = 0, 1, 2
+JUMP, RECORD = 0, 1  # the kinds of ``timeline`` actions
 
 
 def _poisson_series(x):
@@ -154,21 +155,36 @@ def check_mass(states, tol, where):
     return failed, worst
 
 
-def event_timeline(breakpoints, jumps, T, record_times=()):
-    """Everything that interrupts the evolution up to T, in processing order.
+def timeline(items, jumps, T, record_times=()):
+    """The pieces of constant rates of some intensities up to T, and what runs between them.
 
-    Returns (t, rank, payload) triples: ``(t, BREAKPOINT, None)`` for each
-    interior rate breakpoint, ``(t, JUMP, payload)`` for each ``(t,
-    payload)`` in ``jumps`` and ``(t, RECORD, index)`` for each record
-    time.  Events at one instant run breakpoints first, then jumps, then
-    records, so a record sees the post-jump state; the sort is stable, so
-    jumps at one instant keep their order in ``jumps``.
+    Pieces end at every interior rate breakpoint, jump time and record
+    time up to T, and at T.  Returns (pieces, ends, actions, cuts): a
+    (pieces, 1 + items) array of each piece's dt and the items' rates,
+    read through ``rate_grid`` so each is bitwise ``value_at`` of the
+    piece's start; each piece's end time; the ``(JUMP, payload)`` of each
+    ``(t, payload)`` in ``jumps`` up to T and the ``(RECORD, index)`` of
+    each record time, in the order they run; and the cuts of that list,
+    so that ``actions[cuts[b]:cuts[b + 1]]`` run at boundary b: b = 0 at
+    t=0 and b = j + 1 at the end of piece j.  At one instant jumps run
+    before records, so a record sees the post-jump state, and jumps keep
+    their order in ``jumps``.
     """
-    events = [(t, BREAKPOINT, None) for t in breakpoints if 0.0 < t <= T]
-    events += [(t, JUMP, payload) for t, payload in jumps if t <= T]
-    for idx, t in enumerate(record_times):
+    for t in record_times:
         if t < 0.0 or t > T + 1e-9:
             raise ValueError("record times must lie within [0, T]")
-        events.append((min(float(t), T), RECORD, idx))
-    events.sort(key=lambda e: e[:2])
-    return events
+    jumps = [(t, payload) for t, payload in jumps if t <= T]
+    at = np.array([t for t, _ in jumps] + [min(float(t), T) for t in record_times], dtype=float)
+    # a stable sort by time keeps jumps ahead of records and each in input order
+    order = np.argsort(at, kind="stable")
+    actions = [(JUMP, payload) for _, payload in jumps] + [(RECORD, i) for i in range(len(record_times))]
+    actions, at = [actions[i] for i in order], at[order]
+    edges, rates = rate_grid(items)
+    ends = np.unique(np.concatenate([edges, at, [T]]))
+    ends = ends[(ends > 0.0) & (ends <= T)]
+    starts = np.concatenate([[0.0], ends])[:-1]
+    pieces = np.empty((len(ends), 1 + len(rates)))
+    pieces[:, 0] = ends - starts
+    pieces[:, 1:] = rates[:, np.searchsorted(edges, starts, side="right") - 1].T
+    cuts = [0, *np.searchsorted(at, ends).tolist(), len(actions)]
+    return pieces, ends, actions, cuts

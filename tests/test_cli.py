@@ -574,6 +574,7 @@ class TestMalformedDocuments:
             pytest.param("design", replaced(["stations", 0, "c"], None), id="null-capacity"),
             pytest.param("design", replaced(["stations", 0, "v"], 1.5), id="fractional-stock"),
             pytest.param("design", replaced(["stations", 0, "c"], 10.25), id="fractional-capacity"),
+            pytest.param("design", replaced(["stations", 0, "id"], 1.7), id="fractional-id"),
             pytest.param("plan", lambda doc: plan_doc([None]), id="null-instant"),
             pytest.param("model", nudged(["lambda", 0, "o"]), id="fractional-origin"),
             pytest.param("model", nudged(["k"], 0.25), id="fractional-station-count"),
@@ -608,6 +609,9 @@ class TestMalformedDocuments:
             ("eta", math.inf, "event times and riding times must be finite"),
             ("o", 1.5, "expected a whole number, got 1.5"),
             ("d", 2.75, "expected a whole number, got 2.75"),
+            ("eta", -3.0, "riding times must be non-negative"),
+            ("t", -0.5, "event times must lie within [0, 24.0] hours"),
+            ("t", 30.0, "event times must lie within [0, 24.0] hours"),
         ],
     )
     def test_sequence_with_a_wrong_event(self, pipeline, tmp_path, capsys, key, value, message):

@@ -27,7 +27,8 @@ from fleetsizing.model import (
     save_model,
     save_plan,
 )
-from fleetsizing.uniformization import BREAKPOINT, JUMP, RECORD, event_timeline
+from fleetsizing.station_bound import _pieces
+from fleetsizing.uniformization import JUMP, RECORD
 
 from conftest import make_pci, random_small_instance, reference_integral, reference_shifted
 
@@ -384,34 +385,27 @@ class TestAggregateStationFlows:
         assert prof.rho_a == ()
 
 
-def station_timeline(prof, T=None, record_times=()):
-    """The event timeline of one station, as the station solver builds it."""
-    edges, _ = rate_grid([prof.lambda_a, prof.lambda_d])
-    jumps = [(t, "arrival") for t in prof.rho_a] + [(t, "departure") for t in prof.rho_d]
-    return event_timeline(edges.tolist(), jumps, prof.horizon if T is None else T, record_times)
-
-
 class TestMergedEventTimeline:
     def test_orders_breakpoints_then_arrivals_then_departures(self):
         prof_lambda = PiecewiseConstantIntensity((0.0, 8.0, 17.0), (1.0, 2.0, 1.0), 24.0)
         prof = StationFlowProfile(
             prof_lambda, PiecewiseConstantIntensity.zero(24.0), (9.0,), (12.0,)
         )
-        assert station_timeline(prof) == [
-            (8.0, BREAKPOINT, None),
-            (9.0, JUMP, "arrival"),
-            (12.0, JUMP, "departure"),
-            (17.0, BREAKPOINT, None),
+        pieces, ends, actions, cuts = _pieces(prof, 24.0, ())
+        assert ends.tolist() == [8.0, 9.0, 12.0, 17.0, 24.0]
+        assert pieces.tolist() == [
+            [8.0, 1.0, 0.0], [1.0, 2.0, 0.0], [3.0, 2.0, 0.0], [5.0, 2.0, 0.0], [7.0, 1.0, 0.0]
         ]
+        assert actions == [(JUMP, "arrival"), (JUMP, "departure")]
+        assert cuts == [0, 0, 0, 1, 2, 2, 2]
         # events past T are dropped; a record at an event's instant comes last
-        assert station_timeline(prof, T=9.0, record_times=[9.0, 2.0]) == [
-            (2.0, RECORD, 1),
-            (8.0, BREAKPOINT, None),
-            (9.0, JUMP, "arrival"),
-            (9.0, RECORD, 0),
-        ]
+        pieces, ends, actions, cuts = _pieces(prof, 9.0, [9.0, 2.0])
+        assert ends.tolist() == [2.0, 8.0, 9.0]
+        assert pieces.tolist() == [[2.0, 1.0, 0.0], [6.0, 1.0, 0.0], [1.0, 2.0, 0.0]]
+        assert actions == [(RECORD, 1), (JUMP, "arrival"), (RECORD, 0)]
+        assert cuts == [0, 0, 1, 1, 3]
         with pytest.raises(ValueError, match="record times"):
-            station_timeline(prof, T=9.0, record_times=[9.5])
+            _pieces(prof, 9.0, [9.5])
 
     def test_constant_intensity_empty_plan_has_no_events(self):
         prof = StationFlowProfile(
@@ -420,7 +414,8 @@ class TestMergedEventTimeline:
             (),
             (),
         )
-        assert station_timeline(prof) == []
+        pieces, ends, actions, cuts = _pieces(prof, 24.0, ())
+        assert (pieces.tolist(), ends.tolist(), actions, cuts) == ([[24.0, 1.0, 2.0]], [24.0], [], [0, 0, 0])
 
     def test_simultaneous_arrival_precedes_departure(self):
         prof = StationFlowProfile(
@@ -429,17 +424,20 @@ class TestMergedEventTimeline:
             (5.0,),
             (5.0,),
         )
-        assert station_timeline(prof) == [
-            (5.0, BREAKPOINT, None),
-            (5.0, JUMP, "arrival"),
-            (5.0, JUMP, "departure"),
-        ]
+        pieces, ends, actions, cuts = _pieces(prof, 24.0, ())
+        assert pieces.tolist() == [[5.0, 0.0, 0.0], [19.0, 1.0, 0.0]]
+        assert actions == [(JUMP, "arrival"), (JUMP, "departure")]
+        assert cuts == [0, 0, 2, 2]
 
     def test_merge_is_idempotent(self, rng):
         model, plan, _ = random_small_instance(rng)
         prof = aggregate_station_flows(model, plan)[0]
-        events = station_timeline(prof, record_times=[0.5, 1.0])
-        assert sorted(events, key=lambda e: e[:2]) == events
+        pieces, ends, actions, cuts = _pieces(prof, prof.horizon, [0.5, 1.0])
+        assert np.all(np.diff(ends) > 0.0) and ends[-1] == prof.horizon
+        assert cuts == sorted(cuts)
+        assert [payload for kind, payload in actions if kind == RECORD] == [0, 1]
+        # each piece ends where the next one starts
+        assert np.allclose(np.cumsum(pieces[:, 0]), ends)
 
 
 class TestWireFormat:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetsizing.model import InvariantViolationError
-from fleetsizing.uniformization import check_mass, uniformize
+from fleetsizing.uniformization import JUMP, RECORD, check_mass, timeline, uniformize
+
+from conftest import make_pci
 
 
 def shift_kernel(cur, out):
@@ -89,3 +91,48 @@ class TestCheckMass:
         states = np.array([[0.5, 0.5 + 5e-9]])
         assert check_mass(states.copy(), 1e-8, "")[0] == []
         assert len(check_mass(states.copy(), 1e-9, "")[0]) == 1
+
+
+class TestTimeline:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_pieces_rates_and_actions(self, seed):
+        # jump and record times are drawn partly from the breakpoints and
+        # from each other, so ties of every kind occur
+        r = np.random.default_rng(seed)
+        horizon = 4.0
+        items = [make_pci(r, horizon, max_pieces=4) for _ in range(int(r.integers(0, 4)))]
+        pool = [b for it in items for b in it.breakpoints] + np.round(r.uniform(0, horizon, 4), 1).tolist()
+        T = float(r.choice([horizon, r.choice(pool), round(float(r.uniform(0, horizon)), 1)]))
+        jumps = [(float(r.choice(pool)), n) for n in range(int(r.integers(0, 6)))]
+        pool += [t for t, _ in jumps]
+        records = [min(float(r.choice(pool + [T])), T) for _ in range(int(r.integers(0, 5)))]
+        pieces, ends, actions, cuts = timeline(items, jumps, T, records)
+
+        starts = np.concatenate([[0.0], ends])[:-1]
+        assert np.all(np.diff(ends) > 0.0)
+        assert ends.size == 0 if T == 0.0 else ends[-1] == T
+        expected_ends = {b for it in items for b in it.breakpoints} | {t for t, _ in jumps}
+        expected_ends = {t for t in expected_ends | set(records) | {T} if 0.0 < t <= T}
+        assert set(ends.tolist()) == expected_ends
+        assert np.array_equal(pieces[:, 0], ends - starts)
+        for j, start in enumerate(starts.tolist()):
+            assert pieces[j, 1:].tolist() == [it.value_at(start) for it in items]
+
+        # each boundary runs the actions at its time, jumps before records,
+        # each kind in input order
+        assert cuts[0] == 0 and cuts[-1] == len(actions) and len(cuts) == len(ends) + 2
+        at = {(JUMP, n): t for t, n in jumps} | {(RECORD, i): t for i, t in enumerate(records)}
+        bounds = [0.0, *ends.tolist()]
+        for b, t in enumerate(bounds):
+            assert all(at[a] == t for a in actions[cuts[b] : cuts[b + 1]])
+        due = [a for a in at if at[a] <= T]
+        assert actions == sorted(due, key=lambda a: (at[a], a))
+
+    def test_record_times_must_lie_within_the_horizon(self):
+        with pytest.raises(ValueError, match="record times"):
+            timeline([], [], 1.0, [1.5])
+        with pytest.raises(ValueError, match="record times"):
+            timeline([], [], 1.0, [-0.1])
+        # within rounding of T a record is taken at T
+        assert timeline([], [], 1.0, [1.0 + 1e-12])[2:] == ([(RECORD, 0)], [0, 0, 1])
