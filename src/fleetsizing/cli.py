@@ -40,12 +40,6 @@ def _write_csv(path, header, rows):
         fh.write("\n".join(lines) + "\n")
 
 
-def _load_plan_or_empty(args, model):
-    if getattr(args, "plan", None):
-        return load_plan(args.plan)
-    return RebalancingPlan.empty(model.k, model.horizon)
-
-
 def _sample_times(T, points):
     if points < 1:
         raise ValueError(f"--points must be at least 1, got {points}")
@@ -89,7 +83,7 @@ def cmd_plan(args):
 
 def cmd_size(args):
     model = load_model(args.model)
-    plan = _load_plan_or_empty(args, model)
+    plan = load_plan(args.plan) if args.plan else None
     request = sizing.SizingRequest(args.z, args.T)
     result = sizing.size_system(model, plan, request, with_delay=args.with_delay)
     doc = sizing.result_to_json(result, args.z, args.T)
@@ -105,7 +99,7 @@ def cmd_bound(args):
     if args.z is not None and not 0.0 < args.z < 1.0:
         raise ValueError("budget z must lie in (0, 1)")
     model = load_model(args.model)
-    plan = _load_plan_or_empty(args, model)
+    plan = load_plan(args.plan) if args.plan else None
     design = sizing.load_design(args.design)
     if args.curve:
         times = _sample_times(args.T, args.points)
@@ -131,7 +125,7 @@ def cmd_simulate(args):
             "--with-delay applies to --mc only; the exact solver neglects travel times"
         )
     model = load_model(args.model)
-    plan = _load_plan_or_empty(args, model)
+    plan = load_plan(args.plan) if args.plan else None
     design = sizing.load_design(args.design)
     times = _sample_times(args.T, args.points)
     if args.exact:

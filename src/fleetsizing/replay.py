@@ -41,11 +41,16 @@ def replay_day(seq, plan, design, eta=None, overflow=True, trace=None):
     overflow mode a vehicle arriving at a full station docks anyway and
     the violation is counted; with overflow=False it is discarded
     instead.  trace, when a list, receives
-    (t, kind, station, stocks_sum, in_transit) after every event.
+    (t, kind, station, stocks_sum, in_transit) after every event.  The
+    plan must span the same horizon as the day.
     """
     k = design.k
     if plan.k != k:
         raise ValueError(f"plan is for {plan.k} stations, design for {k}")
+    if plan.horizon != seq.horizon:
+        raise ValueError(
+            f"plan covers {plan.horizon:g} h, day {seq.date} covers {seq.horizon:g} h"
+        )
     stocks = list(design.v)
     in_transit = 0
     availability = 0

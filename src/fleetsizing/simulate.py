@@ -11,9 +11,11 @@ in this fixed order: (1) one Poisson candidate count per pair, pairs
 sorted by (o, d); (2) all candidate times in one uniform block, laid out
 pair-by-pair in the same order; (3) one uniform thinning mark per
 candidate, aligned with the times.  Runs are therefore independent of
-scheduling and may be evaluated in parallel (set FLEETSIZING_WORKERS)
-without changing any result.  ``sample_requests`` is that sampler, and
-synthetic days (``synth.sample_day_sequences``) draw with it too.
+scheduling: one driver serves ``simulate_run`` and both estimators, and
+fans the runs out over FLEETSIZING_WORKERS processes, never more than
+there are runs (so one run starts no pool), without changing any result.
+``sample_requests`` is that sampler, and synthetic days
+(``synth.sample_day_sequences``) draw with it too.
 
 Within a run, events are replayed in time order; events at the same
 instant go by (origin, destination), and with travel delays arrivals go
@@ -36,6 +38,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -241,17 +244,10 @@ def _simulate_prepared(tables, plan_arrays, v, c, T, seed, with_delay, sample_ti
 
 def simulate_run(model, plan, design, T, seed, with_delay=False, sample_times=None):
     """Sample one trajectory; see the module docstring for the RNG contract."""
-    check_design(model, design)
-    if not 0.0 <= T <= model.horizon + 1e-9:
-        raise ValueError(f"simulation end {T} outside [0, {model.horizon}]")
-    tables = compile_tables(model)
-    plan_arrays = _plan_arrays(model, plan)
-    v = np.asarray(design.v, dtype=np.int32)
-    c = np.asarray(design.c, dtype=np.int32)
     if sample_times is not None:
         sample_times = np.asarray(sample_times, dtype=float)
-    failed_at, occ, valid = _simulate_prepared(
-        tables, plan_arrays, v, c, T, seed, with_delay, sample_times, np.arange(model.k)
+    ((failed_at, occ, valid),) = _collect(
+        model, plan, design, T, [seed], with_delay, sample_times, range(model.k)
     )
     return SimulationRun(seed, failed_at, sample_times, occ, valid)
 
@@ -263,51 +259,34 @@ def _worker_count():
     return int(raw)
 
 
-def _run_batch(args):
-    tables, plan_arrays, v, c, T, seeds, with_delay, sample_times, station0 = args
-    failed = np.full(len(seeds), np.inf)
-    occs = []
-    stations = np.array([station0])
-    for j, s in enumerate(seeds):
-        failed_at, occ, valid = _simulate_prepared(
-            tables, plan_arrays, v, c, T, int(s), with_delay, sample_times, stations
-        )
-        if failed_at is not None:
-            failed[j] = failed_at
-        if sample_times is not None:
-            col = occ[:, 0]
-            col[~valid] = -1  # sentinel: run already failed at this time
-            occs.append(col)
-    return failed, occs
+def _run_batch(seeds, **prepared):
+    return [_simulate_prepared(seed=int(s), **prepared) for s in seeds]
 
 
-def _collect(model, plan, design, T, n_runs, seed, with_delay, sample_times, station):
-    if n_runs < 1:
+def _collect(model, plan, design, T, seeds, with_delay, sample_times=None, stations=()):
+    """Each seed's ``(failed_at, occupancy of the 0-based stations, valid)``, in seed order."""
+    if len(seeds) < 1:
         raise ValueError("need at least one run")
     check_design(model, design)
     if not 0.0 <= T <= model.horizon + 1e-9:
         raise ValueError(f"simulation end {T} outside [0, {model.horizon}]")
-    tables = compile_tables(model)
-    plan_arrays = _plan_arrays(model, plan)
-    v = np.asarray(design.v, dtype=np.int32)
-    c = np.asarray(design.c, dtype=np.int32)
-    seeds = np.arange(seed, seed + n_runs)
-    station0 = 0 if station is None else station - 1
-    workers = _worker_count()
+    run_batch = partial(
+        _run_batch,
+        tables=compile_tables(model),
+        plan_arrays=_plan_arrays(model, plan),
+        v=np.asarray(design.v, dtype=np.int32),
+        c=np.asarray(design.c, dtype=np.int32),
+        T=T,
+        with_delay=with_delay,
+        sample_times=sample_times,
+        stations=np.asarray(stations, dtype=np.int64),
+    )
+    workers = min(_worker_count(), len(seeds))
     if workers == 1:
-        batches = [_run_batch((tables, plan_arrays, v, c, T, seeds, with_delay, sample_times, station0))]
-    else:
-        chunks = np.array_split(seeds, workers * 4)
-        args = [
-            (tables, plan_arrays, v, c, T, chunk, with_delay, sample_times, station0)
-            for chunk in chunks
-            if len(chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_batch, args))
-    failed = np.concatenate([b[0] for b in batches])
-    occ_cols = [col for b in batches for col in b[1]]
-    return failed, occ_cols
+        return run_batch(seeds)
+    chunks = [chunk for chunk in np.array_split(seeds, workers * 4) if len(chunk)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [run for batch in pool.map(run_batch, chunks) for run in batch]
 
 
 def estimate_failure_curve(
@@ -319,8 +298,8 @@ def estimate_failure_curve(
     runs whose first unserved request happened at or before t.
     """
     sample_times = np.asarray(sample_times, dtype=float)
-    failed, _ = _collect(model, plan, design, T, n_runs, seed, with_delay, None, None)
-    failed_sorted = np.sort(failed)
+    runs = _collect(model, plan, design, T, np.arange(seed, seed + n_runs), with_delay)
+    failed_sorted = np.sort([np.inf if f is None else f for f, _, _ in runs])
     out = []
     for t in sample_times:
         hits = int(np.searchsorted(failed_sorted, t, side="right"))
@@ -340,15 +319,14 @@ def estimate_marginals(
     sample_times = np.asarray(sample_times, dtype=float)
     if not 1 <= station <= model.k:
         raise ValueError(f"station label {station} outside 1..{model.k}")
-    _, occ_cols = _collect(
-        model, plan, design, T, n_runs, seed, with_delay, sample_times, station
+    runs = _collect(
+        model, plan, design, T, np.arange(seed, seed + n_runs), with_delay,
+        sample_times, [station - 1],
     )
-    c_i = design.c[station - 1]
-    counts = np.zeros((len(sample_times), c_i + 1), dtype=np.int64)
+    counts = np.zeros((len(sample_times), design.c[station - 1] + 1), dtype=np.int64)
     t_idx = np.arange(len(sample_times))
-    for col in occ_cols:
-        ok = (col >= 0) & (col <= c_i)
-        np.add.at(counts, (t_idx[ok], col[ok]), 1)
+    for _, occ, valid in runs:
+        np.add.at(counts, (t_idx[valid], occ[valid, 0]), 1)
     mean = counts / n_runs
     stderr = np.sqrt(mean * (1.0 - mean) / n_runs)
     return MarginalEstimate(sample_times, mean, stderr, n_runs)

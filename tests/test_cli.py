@@ -15,6 +15,7 @@ from fleetsizing.cli import (
     EXIT_OK,
     run,
 )
+from fleetsizing.ingest import DaySequence, RentalEvent, save_sequences
 from fleetsizing.model import InvariantViolationError, SystemDesign, save_model
 from fleetsizing.sizing import SizingInfeasibleError, design_to_json
 from fleetsizing.synth import uniform_demand_model
@@ -366,6 +367,31 @@ class TestExitCodes:
         )
         assert code == EXIT_INPUT
         assert f"sequences have 3 stations, design has {k}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["replay", "sweep"])
+    def test_plan_must_span_the_day(self, tmp_path, capsys, command):
+        # a 72 h plan against 24 h days: its relocations at t=30, 40 and 50 h
+        # fall after the day has ended
+        days = tmp_path / "days.json"
+        save_sequences([DaySequence("2016-05-02", (RentalEvent(1.0, 1, 2, 0.0),))], 2, days)
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps(design_to_json(SystemDesign((1, 1), (2, 2)))))
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            {"k": 2, "horizon_hours": 72.0, "rho": [{"o": 2, "d": 1, "times": [30.0, 40.0, 50.0]}]}
+        ))
+        model = tmp_path / "model.json"
+        save_model(uniform_demand_model(2, 0.5, 72.0), model)
+        out = tmp_path / "out.csv"
+        argv = {
+            "replay": ["replay", "--sequences", str(days), "--design", str(design),
+                       "--plan", str(plan)],
+            "sweep": ["sweep", "--model", str(model), "--sequences", str(days),
+                      "--plan", str(plan), "--z-grid", "0.5", "--capacity-grid", "4"],
+        }[command]
+        assert run([*argv, "--out", str(out)]) == EXIT_INPUT
+        assert "plan covers 72 h, day 2016-05-02 covers 24 h" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_json_model(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -146,6 +146,12 @@ class TestReplayDay:
         with pytest.raises(ValueError):
             replay_day(day(()), no_plan(3), design)
 
+    def test_plan_and_day_horizons_must_agree(self):
+        design = SystemDesign((1, 1), (2, 2))
+        plan = RebalancingPlan(2, 72.0, {(2, 1): (30.0,)})
+        with pytest.raises(ValueError, match="plan covers 72 h, day 2016-05-02 covers 24 h"):
+            replay_day(day([RentalEvent(1.0, 1, 2, 0.0)]), plan, design)
+
 
 class TestFailureRate:
     def outcome(self, failed, i):

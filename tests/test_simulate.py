@@ -1,5 +1,7 @@
 """Monte Carlo estimator: reproducibility contract, thinning, statistical checks."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -340,6 +342,17 @@ class TestProcessPool:
         assert np.array_equal(pool_marg.stderr, serial_marg.stderr)
         # the runs must see failures and stocks for the comparison to mean anything
         assert 0.0 < serial_curve[-1][1].mean < 1.0
+
+    def test_one_run_starts_no_pool(self, rng, monkeypatch):
+        model, plan, design = random_small_instance(rng)
+        times = np.linspace(0.1, model.horizon, 7)
+        serial = simulate_run(model, plan, design, model.horizon, 3, sample_times=times)
+        monkeypatch.setenv("FLEETSIZING_WORKERS", "2")
+        with mock.patch("fleetsizing.simulate.ProcessPoolExecutor") as pool:
+            run = simulate_run(model, plan, design, model.horizon, 3, sample_times=times)
+        pool.assert_not_called()
+        assert run.failed_at == serial.failed_at
+        assert np.array_equal(run.occupancy, serial.occupancy)
 
 
 class TestThinning:
