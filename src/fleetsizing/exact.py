@@ -26,13 +26,16 @@ Every pair's move is injective, so row j's sum adds the same products in
 the same order as one scatter per pair into a zeroed vector would; the
 entries are never sorted or merged, and the inactive pairs' ``+ 0.0``
 terms are exact because every probability is non-negative.
+
+SciPy is imported on first use, when the first matrix is built, so
+importing this module (and any command but ``simulate --exact``) loads
+no SciPy.
 """
 
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .model import InvariantViolationError, check_design, checked_plan
 from .uniformization import JUMP, check_mass, timeline, uniformize
@@ -42,6 +45,13 @@ log = logging.getLogger(__name__)
 STATE_SPACE_CAP = 2_000_000
 
 _MASS_TOL = 1e-8
+
+
+def csr_matrix(*args, **kwargs):
+    """``scipy.sparse.csr_matrix``, imported on first use."""
+    from scipy.sparse import csr_matrix
+
+    return csr_matrix(*args, **kwargs)
 
 
 class StateSpaceTooLargeError(ValueError):

@@ -10,15 +10,17 @@ stations must receive it, which is a balanced transportation problem
 solved per bin with travel times as costs.  The fractional flows are
 then discretized into individual relocation instants, carrying rounding
 residue forward per pair so long-run totals are preserved.
+
+SciPy is imported on first use, by the transport solve, so importing
+this module (and any command that does not plan) loads no SciPy.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, sparse
 
-from .model import RebalancingPlan, bin_integrals
+from .model import InvariantViolationError, RebalancingPlan, bin_integrals
 
 _BALANCE_ATOL = 1e-9
 _FLOW_EPS = 1e-9
@@ -81,6 +83,8 @@ def compute_imbalance(model, bin_edges):
 
 def _solve_transport(supply_idx, supply, demand_idx, demand, cost):
     """Min-cost balanced transportation; returns flow matrix (n_s, n_d)."""
+    from scipy import optimize, sparse  # linprog is read at call time, where a tracer may wrap it
+
     n_s, n_d = len(supply_idx), len(demand_idx)
     c = cost.ravel()
     rows = []
@@ -97,7 +101,7 @@ def _solve_transport(supply_idx, supply, demand_idx, demand, cost):
     b_eq = np.concatenate([supply, demand])
     res = optimize.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
-        raise RuntimeError(f"transportation solve failed: {res.message}")
+        raise InvariantViolationError(f"transportation solve failed: {res.message}")
     return res.x.reshape(n_s, n_d)
 
 

@@ -1,7 +1,11 @@
 """Shared helpers: random small instances and independent brute-force oracles."""
 
 import itertools
+import os
+import subprocess
+import sys
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,18 @@ from fleetsizing.model import (
     StationFlowProfile,
     SystemDesign,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def fresh_python(*args, cwd):
+    """Run a new interpreter that imports the package from this checkout's ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    ))
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=120
+    )
 
 
 def make_pci(rng, horizon, max_rate=2.0, max_pieces=3):

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -430,6 +431,21 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_INVARIANT
+
+    def test_failed_transport_solve_maps_to_3(self, pipeline, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def unsolved(*args, **kwargs):
+            calls.append(args)
+            return SimpleNamespace(success=False, message="numerical difficulties")
+
+        monkeypatch.setattr("scipy.optimize.linprog", unsolved)
+        out = tmp_path / "p.json"
+        code = run(["plan", "--model", str(pipeline["model"]), "--out", str(out)])
+        assert calls
+        assert code == EXIT_INVARIANT
+        assert "invariant violation" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("width", ["0", "-1", "nan", "inf"])
     def test_plan_rejects_a_bin_width_that_is_not_positive(

@@ -1,13 +1,8 @@
 """Smoke runs of the experiment scripts at tiny sizes."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, fresh_python
 
 
 @pytest.mark.parametrize(
@@ -27,12 +22,6 @@ ROOT = Path(__file__).resolve().parents[1]
 )
 def test_script_runs_and_writes_its_table(tmp_path, script, args, header):
     out = tmp_path / "out.csv"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    ))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args, "--out", str(out)],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
-    )
+    proc = fresh_python(str(ROOT / "scripts" / script), *args, "--out", str(out), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().splitlines()[0] == header

@@ -262,14 +262,15 @@ class TestEstimateFailureCurve:
         ratio = e2.stderr / e1.stderr
         assert ratio == pytest.approx(1.0 / np.sqrt(2.0), rel=0.1)
 
-    def test_estimate_dominated_by_station_bound(self, rng):
+    @pytest.mark.parametrize("with_delay", [False, True])
+    def test_estimate_dominated_by_station_bound(self, rng, with_delay):
         for _ in range(5):
             model, plan, design = random_small_instance(rng)
             times = np.linspace(0.2, model.horizon, 6)
             curve = estimate_failure_curve(
-                model, plan, design, model.horizon, 4000, times, seed=8
+                model, plan, design, model.horizon, 4000, times, with_delay=with_delay, seed=8
             )
-            _, total = system_failure_bound_curve(model, plan, design, times)
+            _, total = system_failure_bound_curve(model, plan, design, times, with_delay)
             for (t, est), bound in zip(curve, total):
                 assert est.mean <= bound + 3.0 * max(est.stderr, 1e-4)
 
