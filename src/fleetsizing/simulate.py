@@ -3,7 +3,10 @@
 Request streams are sampled per origin-destination pair by thinning: a
 homogeneous candidate stream at the pair's maximum rate is generated
 over [0, T] (Poisson count, then i.i.d. uniform times), and each
-candidate is kept with probability rate(t)/max_rate.
+candidate is kept with probability rate(t)/max_rate.  When the model's
+rate grid has a single bin (every pair's rate is constant), each
+candidate's rate is read from that bin without a grid search; the
+values are those of the search, which would find the same bin.
 
 Reproducibility contract: run i of an estimate seeded with ``seed`` uses
 the stream ``numpy.random.default_rng(seed + i)``, and each run draws,
@@ -25,17 +28,23 @@ example, relocations at a shared instant), so the order is the same
 either way.  Until the first unserved request the trajectory coincides
 with unconstrained stock bookkeeping (every earlier event succeeded), so
 the run is vectorized as one segmented scan: each event becomes one
-entry per station it touches (-1 at the origin, +1 at the destination,
-or a single entry with travel delays), the entries are stably sorted by
-station, and a prefix sum restarted at each station's segment gives the
-stock before every entry.  The earliest entry that takes from an empty
-station or adds to a full one is where the run enters the failed state.
-Cost per run is O(n log n) in the n events, independent of the station
-count; stocks at sample times are read from the same sorted entries.
+entry per station it touches (an int8 step, -1 at the origin and +1 at
+the destination, or a single entry with travel delays), the entries are
+stably sorted by a station key of the narrowest unsigned type (a radix
+sort), and an int32 prefix sum, read relative to each station segment's
+start, gives the stock after every entry.  A station first refuses at
+its first entry whose stock after it leaves [0, c]: a removal from 0
+leaves it below, an addition at c above.  The earliest such entry over
+all stations is where the run enters the failed state.  Cost per run is
+O(n log n) in the n events, independent of the station count; stocks
+at sample times are read from the same sorted entries, and a run that
+reports only its failure time builds no keys for them.
 """
 
+import logging
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -43,6 +52,8 @@ from functools import partial
 import numpy as np
 
 from .model import check_design, checked_plan, rate_grid
+
+log = logging.getLogger(__name__)
 
 _WORKERS_ENV = "FLEETSIZING_WORKERS"
 
@@ -122,21 +133,28 @@ def _plan_arrays(model, plan):
     return t, o, d, eta
 
 
-def sample_requests(tables, T, rng):
-    """Thinned request events over [0, T]: (times, origins, dests, etas), unsorted."""
-    n_pairs = len(tables.max_rate)
-    if n_pairs == 0:
-        z = np.zeros(0)
-        return z, z.astype(np.int64), z.astype(np.int64), z
+def _sample_pairs(tables, T, rng):
+    """Thinned request times over [0, T] and the index of each one's pair, unsorted."""
     counts = rng.poisson(tables.max_rate * T)
     total = int(counts.sum())
     times = rng.uniform(0.0, T, total)
     marks = rng.uniform(0.0, 1.0, total)
-    pair_idx = np.repeat(np.arange(n_pairs), counts)
-    bins = np.searchsorted(tables.grid, times, side="right") - 1
-    keep = marks * tables.max_rate[pair_idx] < tables.rates[pair_idx, bins]
-    times = times[keep]
-    pair_idx = pair_idx[keep]
+    pair_idx = np.repeat(np.arange(len(counts)), counts)
+    if tables.rates.shape[1] == 1:
+        # every candidate lies in the only bin of the grid
+        rate = tables.rates[:, 0].take(pair_idx)
+    else:
+        bins = np.searchsorted(tables.grid, times, side="right") - 1
+        rate = tables.rates[pair_idx, bins]
+    keep = marks * tables.max_rate[pair_idx] < rate
+    if keep.all():
+        return times, pair_idx
+    return times[keep], pair_idx[keep]
+
+
+def sample_requests(tables, T, rng):
+    """Thinned request events over [0, T]: (times, origins, dests, etas), unsorted."""
+    times, pair_idx = _sample_pairs(tables, T, rng)
     return (
         times,
         tables.pair_o[pair_idx],
@@ -145,108 +163,84 @@ def sample_requests(tables, T, rng):
     )
 
 
-def _time_order(t, *tiebreaks):
-    """Time order of events, ties broken by ``np.lexsort((*tiebreaks, t))``.
+def _run(seed, tables, keys, plan, v, c, T, with_delay, sample_times, stations):
+    """One run: ``(failed_at, occupancy, valid, events)``.
 
-    Distinct times have one order, which any sort finds; the plain argsort
-    is the fastest.  Only when sorted times tie (relocations at a shared
-    instant, say) does the lexsort run.  Returns the permutation and the
-    sorted times.
+    ``keys`` holds each pair's 0-based origin and destination station keys,
+    ``plan`` the (t, o, d, eta) of the relocations that start by T, with the
+    same keys; ``sample_times`` None reports only ``failed_at``.
     """
+    t, pair_idx = _sample_pairs(tables, T, np.random.default_rng(seed))
+    plan_t, plan_o, plan_d, plan_eta = plan
+    t = np.concatenate([t, plan_t])
+    o = np.concatenate([keys[0].take(pair_idx), plan_o])
+    d = np.concatenate([keys[1].take(pair_idx), plan_d])
+    events = len(t)
+    if with_delay:
+        arrive = t + np.concatenate([tables.pair_eta.take(pair_idx), plan_eta])
+        landed = arrive <= T
+        t = np.concatenate([t, arrive[landed]])
+        st = np.concatenate([o, d[landed]])
+        step = np.ones(len(t), dtype=np.int8)
+        step[:events] = -1
+        # ties: arrivals (step +1) before departures, then by station
+        tiebreaks = (st, -step)
+        per_event = 1
+    else:
+        tiebreaks = (d, o)
+        per_event = 2
     order = np.argsort(t)
-    t_s = t[order]
+    t_s = t.take(order)
     if (t_s[1:] == t_s[:-1]).any():
         order = np.lexsort((*tiebreaks, t))
-        t_s = t[order]
-    return order, t_s
-
-
-def _segmented_scan(st, up, v, c):
-    """Per-station stock bookkeeping over entries that each move one vehicle.
-
-    ``st`` holds the 0-based station of each entry and ``up`` is 1 where the
-    entry adds a vehicle and 0 where it removes one, entries in event order.
-    A stable sort by station makes each station's entries one segment, still
-    in event order.  Returns ``(perm, st_sorted, prefix, base, refused)``:
-    sorted entry ``i`` is entry ``perm[i]``; ``prefix[i]`` is the signed sum
-    of the sorted entries before ``i``, so the stock before it is
-    ``base[st_sorted[i]] + prefix[i]``; ``refused[i]`` marks a removal from
-    stock 0 or an addition at stock c.
-    """
-    k = len(v)
-    perm = np.argsort(st, kind="stable")
-    st_sorted = st[perm]
-    up_sorted = up[perm]
-    seg_start = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(st, minlength=k), out=seg_start[1:])
-    prefix = np.zeros(len(st) + 1, dtype=np.int64)
-    np.cumsum(2 * up_sorted - 1, out=prefix[1:])
-    base = v - prefix[seg_start[:-1]]
-    # the prefix at which an entry is refused: -base for a removal (stock 0),
-    # c - base for an addition (stock c); removals first, then additions
-    refusing_prefix = np.concatenate([-base, c - base])
-    refused = prefix[:-1] == refusing_prefix[st_sorted + k * up_sorted]
-    return perm, st_sorted, prefix, base, refused
-
-
-def _simulate_prepared(tables, plan_arrays, v, c, T, seed, with_delay, sample_times, stations):
-    rng = np.random.default_rng(seed)
-    t_req, o_req, d_req, eta_req = sample_requests(tables, T, rng)
-    t_pl, o_pl, d_pl, eta_pl = plan_arrays
-    keep = t_pl <= T
-    t_all = np.concatenate([t_req, t_pl[keep]])
-    o_all = np.concatenate([o_req, o_pl[keep]])
-    d_all = np.concatenate([d_req, d_pl[keep]])
-    eta_all = np.concatenate([eta_req, eta_pl[keep]])
-    # a narrow station key lets the stable argsort run as a radix sort
-    key = np.int16 if len(v) <= np.iinfo(np.int16).max else np.int64
-
-    if not with_delay:
-        order, t_s = _time_order(t_all, d_all, o_all)
-        # entries [o0, d0, o1, d1, ...]: each event removes at o, adds at d
-        per_event = 2
-        st = np.empty(2 * len(t_s), dtype=key)
-        st[0::2] = o_all[order] - 1
-        st[1::2] = d_all[order] - 1
-        up = np.arange(len(st)) & 1
+        t_s = t.take(order)
+    if with_delay:
+        st = st.take(order)
+        step = step.take(order)
     else:
-        per_event = 1
-        arr_keep = t_all + eta_all <= T
-        t_ev = np.concatenate([t_all, (t_all + eta_all)[arr_keep]])
-        st_ev = np.concatenate([o_all, d_all[arr_keep]]) - 1
-        # kind rank: arrivals (1) before departures (2) at equal times
-        kind = np.concatenate(
-            [np.full(len(t_all), 2, np.int8), np.ones(int(arr_keep.sum()), np.int8)]
-        )
-        order, t_s = _time_order(t_ev, st_ev, kind)
-        st = st_ev[order].astype(key)
-        up = (kind[order] == 1).astype(np.int64)
-    perm, st_sorted, prefix, base, refused = _segmented_scan(st, up, v, c)
-    hits = perm[refused]
-    failed_at = float(t_s[hits.min() // per_event]) if hits.size else None
+        # entries [o0, d0, o1, d1, ...]: each event removes at o, adds at d
+        st = np.empty(2 * events, dtype=o.dtype)
+        st[0::2] = o.take(order)
+        st[1::2] = d.take(order)
+        step = np.empty(2 * events, dtype=np.int8)
+        step[0::2] = -1
+        step[1::2] = 1
+
+    # a stable sort by station makes each station's entries one segment in
+    # event order
+    perm = np.argsort(st, kind="stable")
+    counts = np.bincount(st, minlength=len(v))
+    prefix = np.zeros(len(st) + 1, dtype=np.int32)
+    np.cumsum(step.take(perm), dtype=np.int32, out=prefix[1:])
+    base = v - prefix[np.cumsum(counts) - counts]
+    # a station's first entry that takes its stock out of [0, c] is the first
+    # one it refuses; a negative stock reads as a large unsigned number
+    after = prefix[1:] + np.repeat(base, counts)
+    refused = after.view(np.uint32) > np.repeat(c, counts).view(np.uint32)
+    failed_at = float(t_s[perm[refused].min() // per_event]) if refused.any() else None
 
     if sample_times is None:
-        return failed_at, None, None
+        return failed_at, None, None, events
     # stock after the first ``pos`` events: each station's sorted entries
     # carry increasing keys (station, event), so a search counts those < pos
     stride = len(t_s) + 1
-    entry_key = st_sorted.astype(np.int64) * stride + perm // per_event
+    key = np.repeat(np.arange(len(v), dtype=np.int64) * stride, counts) + perm // per_event
     pos = np.searchsorted(t_s, sample_times, side="right")
-    idx = np.searchsorted(entry_key, stations * stride + pos[:, np.newaxis])
-    occ = base[stations] + prefix[idx]
+    idx = np.searchsorted(key, stations * stride + pos[:, np.newaxis])
+    occ = base[stations].astype(np.int64) + prefix[idx]
     valid = (
         np.ones(len(sample_times), dtype=bool)
         if failed_at is None
         else sample_times < failed_at
     )
-    return failed_at, occ, valid
+    return failed_at, occ, valid, events
 
 
 def simulate_run(model, plan, design, T, seed, with_delay=False, sample_times=None):
     """Sample one trajectory; see the module docstring for the RNG contract."""
     if sample_times is not None:
         sample_times = np.asarray(sample_times, dtype=float)
-    ((failed_at, occ, valid),) = _collect(
+    ((failed_at, occ, valid, _),) = _collect(
         model, plan, design, T, [seed], with_delay, sample_times, range(model.k)
     )
     return SimulationRun(seed, failed_at, sample_times, occ, valid)
@@ -260,20 +254,37 @@ def _worker_count():
 
 
 def _run_batch(seeds, **prepared):
-    return [_simulate_prepared(seed=int(s), **prepared) for s in seeds]
+    return [_run(int(seed), **prepared) for seed in seeds]
 
 
 def _collect(model, plan, design, T, seeds, with_delay, sample_times=None, stations=()):
-    """Each seed's ``(failed_at, occupancy of the 0-based stations, valid)``, in seed order."""
+    """Each seed's ``(failed_at, occupancy, valid, events)``, in seed order.
+
+    ``occupancy`` holds the stocks of the 0-based ``stations`` at the sample
+    times, and ``events`` counts the run's requests and relocations.
+    """
     if len(seeds) < 1:
         raise ValueError("need at least one run")
     check_design(model, design)
     if not 0.0 <= T <= model.horizon + 1e-9:
         raise ValueError(f"simulation end {T} outside [0, {model.horizon}]")
+    start = time.perf_counter()
+    tables = compile_tables(model)
+    plan_t, plan_o, plan_d, plan_eta = _plan_arrays(model, plan)
+    due = plan_t <= T
+    # the narrowest station key: the stable sort by station then runs as a
+    # radix sort, in one pass over the entries up to 256 stations
+    key_type = np.min_scalar_type(model.k - 1)
     run_batch = partial(
         _run_batch,
-        tables=compile_tables(model),
-        plan_arrays=_plan_arrays(model, plan),
+        tables=tables,
+        keys=((tables.pair_o - 1).astype(key_type), (tables.pair_d - 1).astype(key_type)),
+        plan=(
+            plan_t[due],
+            (plan_o[due] - 1).astype(key_type),
+            (plan_d[due] - 1).astype(key_type),
+            plan_eta[due],
+        ),
         v=np.asarray(design.v, dtype=np.int32),
         c=np.asarray(design.c, dtype=np.int32),
         T=T,
@@ -283,10 +294,16 @@ def _collect(model, plan, design, T, seeds, with_delay, sample_times=None, stati
     )
     workers = min(_worker_count(), len(seeds))
     if workers == 1:
-        return run_batch(seeds)
-    chunks = [chunk for chunk in np.array_split(seeds, workers * 4) if len(chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [run for batch in pool.map(run_batch, chunks) for run in batch]
+        runs = run_batch(seeds)
+    else:
+        chunks = [chunk for chunk in np.array_split(seeds, workers * 4) if len(chunk)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = [run for batch in pool.map(run_batch, chunks) for run in batch]
+    log.debug(
+        "monte carlo: %d runs, %d workers, %d events, %.3f s",
+        len(runs), workers, sum(run[3] for run in runs), time.perf_counter() - start,
+    )
+    return runs
 
 
 def estimate_failure_curve(
@@ -299,7 +316,7 @@ def estimate_failure_curve(
     """
     sample_times = np.asarray(sample_times, dtype=float)
     runs = _collect(model, plan, design, T, np.arange(seed, seed + n_runs), with_delay)
-    failed_sorted = np.sort([np.inf if f is None else f for f, _, _ in runs])
+    failed_sorted = np.sort([np.inf if f is None else f for f, *_ in runs])
     out = []
     for t in sample_times:
         hits = int(np.searchsorted(failed_sorted, t, side="right"))
@@ -325,7 +342,7 @@ def estimate_marginals(
     )
     counts = np.zeros((len(sample_times), design.c[station - 1] + 1), dtype=np.int64)
     t_idx = np.arange(len(sample_times))
-    for _, occ, valid in runs:
+    for _, occ, valid, _ in runs:
         np.add.at(counts, (t_idx[valid], occ[valid, 0]), 1)
     mean = counts / n_runs
     stderr = np.sqrt(mean * (1.0 - mean) / n_runs)

@@ -234,6 +234,28 @@ class TestDeterminism:
         assert outs[0] == outs[1]
         assert any("joint solve:" in r.getMessage() for r in caplog.records)
 
+    def test_mc_output_is_unchanged_by_debug_logging(
+        self, pipeline, tmp_path, caplog, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("FLEETSIZING_WORKERS", "1")
+        small = tmp_path / "small.json"
+        small.write_text(json.dumps(design_to_json(SystemDesign((1, 1, 1), (3, 3, 3)))))
+        outs = []
+        for level in (logging.WARNING, logging.DEBUG):
+            out = tmp_path / f"mc-{level}.csv"
+            with caplog.at_level(level, logger="fleetsizing"):
+                code = run(["simulate", "--mc", "--model", str(pipeline["model"]),
+                            "--design", str(small), "--plan", str(pipeline["plan"]),
+                            "--T", "24", "--runs", "200", "--seed", "7", "--points", "12",
+                            "--with-delay", "--out", str(out)])
+            assert code == EXIT_OK
+            outs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outs[0] == outs[1]
+        lines = [r.getMessage() for r in caplog.records if r.name == "fleetsizing.simulate"]
+        (line,) = lines
+        found = re.fullmatch(r"monte carlo: 200 runs, 1 workers, (\d+) events, \S+ s", line)
+        assert found and int(found.group(1)) > 0, line
+
     def test_size_and_bound_outputs_are_unchanged_by_debug_logging(
         self, pipeline, tmp_path, caplog, capsys
     ):

@@ -149,6 +149,31 @@ def small_systems(draw, horizon=2.0):
     return model, plan, SystemDesign(tuple(v), tuple(c))
 
 
+def busy_network(k=16, horizon=6.0):
+    """Stations 2..k trade at 0.5-3.5 per hour per pair, station 1 sees no traffic.
+
+    Rates change at 2.5 h, travel times are 0, 0.2 or 0.6 h, and relocations
+    among stations 2..k share the ``SHARED_INSTANTS``.
+    """
+    rng = np.random.default_rng(11)
+    intensities = {
+        (o, d): PiecewiseConstantIntensity((0.0, 2.5), tuple(rng.uniform(0.5, 3.5, 2)), horizon)
+        for o in range(2, k + 1)
+        for d in range(2, k + 1)
+        if o != d
+    }
+    eta = tuple(
+        tuple(0.0 if o == d else float(rng.choice([0.0, 0.2, 0.6])) for d in range(k))
+        for o in range(k)
+    )
+    rho = {}
+    for _ in range(30):
+        o, d = (int(x) for x in rng.choice(np.arange(2, k + 1), 2, replace=False))
+        t = float(rng.choice(SHARED_INSTANTS)) if rng.random() < 0.5 else rng.uniform(0, horizon)
+        rho[(o, d)] = tuple(sorted(set(rho.get((o, d), ())) | {round(t, 6)}))
+    return DemandModel(k, intensities, eta, horizon), RebalancingPlan(k, horizon, rho)
+
+
 def two_station_model(lam_12=1.0, lam_21=0.0, horizon=1.0):
     intensities = {}
     if lam_12:
@@ -385,6 +410,29 @@ class TestThinning:
             expected = reference_integral(pci, a, t1) * n_rep
             assert abs(counts[b] - expected) <= 4.0 * np.sqrt(expected)
 
+    def test_one_bin_grid_reads_like_the_grid_lookup(self):
+        # a redundant breakpoint splits the same rates into two bins, so the
+        # sampler takes the grid lookup instead of the one-bin shortcut
+        T = 2.0
+        rates = {(1, 2): 1.5, (2, 3): 0.4, (3, 1): 2.25, (1, 3): 7.0}
+        eta = ((0.0, 0.1, 0.2), (0.1, 0.0, 0.3), (0.2, 0.3, 0.0))
+        flat = DemandModel(
+            3, {p: PiecewiseConstantIntensity.constant(r, T) for p, r in rates.items()}, eta, T
+        )
+        split = DemandModel(
+            3, {p: PiecewiseConstantIntensity((0.0, 0.7), (r, r), T) for p, r in rates.items()},
+            eta, T,
+        )
+        one_bin, two_bins = compile_tables(flat), compile_tables(split)
+        assert one_bin.rates.shape[1] == 1 and two_bins.rates.shape[1] == 2
+        for seed in range(20):
+            for t_end in (T, 1.3):
+                a = sample_requests(one_bin, t_end, np.random.default_rng(seed))
+                b = sample_requests(two_bins, t_end, np.random.default_rng(seed))
+                assert len(a[0]) > 0
+                for x, y in zip(a, b):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
     def test_thinning_never_emits_events_where_rate_is_zero(self):
         pci = PiecewiseConstantIntensity((0.0, 5.0), (0.0, 3.0), 10.0)
         m = DemandModel(2, {(1, 2): pci}, ((0.0, 0.0), (0.0, 0.0)), 10.0)
@@ -436,6 +484,53 @@ class TestSegmentedScanMatchesDenseReference:
             for row in np.flatnonzero(valid):
                 counts[row, occ[row, station - 1]] += 1
         assert np.array_equal(est.mean, counts / n)
+
+    def test_busy_network_matches(self):
+        # hundreds of entries per station segment, relocations at shared
+        # instants, and in each design a station with no parking and no
+        # traffic; the first design also starts station 2 full
+        model, plan = busy_network()
+        k = model.k
+        times = np.union1d(np.linspace(0.0, model.horizon, 13), SHARED_INSTANTS)
+        designs = [
+            SystemDesign((0, 40) + (60,) * (k - 2), (0, 40) + (120,) * (k - 2)),
+            SystemDesign((0,) + (60,) * (k - 1), (0,) + (120,) * (k - 1)),
+            SystemDesign((0,) + (15,) * (k - 1), (0,) + (30,) * (k - 1)),
+        ]
+        n = 4
+        failures = []
+        for design in designs:
+            for with_delay in (False, True):
+                refs = [
+                    dense_simulate(model, plan, design, model.horizon, 40 + i, with_delay, times)
+                    for i in range(n)
+                ]
+                for i, ref in enumerate(refs):
+                    run = simulate_run(
+                        model, plan, design, model.horizon, 40 + i, with_delay, times
+                    )
+                    assert run.failed_at == ref[0]
+                    assert np.array_equal(run.occupancy, ref[1])
+                    assert np.array_equal(run.occupancy_valid, ref[2])
+                    failures.append(ref[0])
+                curve = estimate_failure_curve(
+                    model, plan, design, model.horizon, n, times, with_delay=with_delay, seed=40
+                )
+                for t, est in curve:
+                    assert est.mean == sum(f is not None and f <= t for f, _, _ in refs) / n
+                # T = 0: no request and no relocation is due, so the run has no events
+                ref = dense_simulate(model, plan, design, 0.0, 40, with_delay, [0.0])
+                run = simulate_run(model, plan, design, 0.0, 40, with_delay, [0.0])
+                assert ref[0] is None and run.failed_at is None
+                assert np.array_equal(run.occupancy, ref[1])
+                assert np.array_equal(run.occupancy, [design.v])
+        # the comparison must see runs that fail early, late and never
+        failed = [f for f in failures if f is not None]
+        assert None in failures and min(failed) < 1.0 and max(failed) > 3.0
+        tables = compile_tables(model)
+        _, o, d, _ = sample_requests(tables, model.horizon, np.random.default_rng(40))
+        entries = np.bincount(np.concatenate([o, d]) - 1, minlength=k)
+        assert entries[0] == 0 and entries[1:].min() >= 200
 
     def test_tied_relocations_keep_lexicographic_order(self):
         # relocations 2->1 and 1->2 share instants; demand adds requests
