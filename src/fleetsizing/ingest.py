@@ -23,7 +23,8 @@ from statistics import median
 
 from .model import (
     DemandModel,
-    PiecewiseConstantIntensity,
+    _intensity_batch,
+    number,
     parsing,
     read_json,
     whole_number,
@@ -202,10 +203,10 @@ def estimate_demand(trips, station_ids=None, bin_hours=1.0, days="working", mont
 
     n_days = len(dates)
     breakpoints = tuple(b * bin_hours for b in range(n_bins))
-    intensities = {}
-    for key, per_bin in counts.items():
-        values = tuple(c / (n_days * bin_hours) for c in per_bin)
-        intensities[key] = PiecewiseConstantIntensity(breakpoints, values, DAY_HOURS)
+    values = [tuple(c / (n_days * bin_hours) for c in per_bin) for per_bin in counts.values()]
+    intensities = dict(
+        zip(counts, _intensity_batch([breakpoints] * len(values), values, DAY_HOURS))
+    )
 
     global_eta = median(t for ts in durations.values() for t in ts)
     eta = [[0.0] * k for _ in range(k)]
@@ -311,12 +312,12 @@ class DaySequences(list):
 def sequences_from_json(doc):
     with parsing("sequence"):
         k = whole_number(doc["k"])
-        horizon = float(doc["horizon_hours"])
+        horizon = number(doc["horizon_hours"])
         sequences = []
         for day in doc["days"]:
             events = tuple(
                 RentalEvent(
-                    float(e["t"]), whole_number(e["o"]), whole_number(e["d"]), float(e["eta"])
+                    number(e["t"]), whole_number(e["o"]), whole_number(e["d"]), number(e["eta"])
                 )
                 for e in day["events"]
             )

@@ -6,13 +6,18 @@ every file format; internal arrays are 0-based.
 """
 
 import json
+import logging
 import math
+import os
+import time
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 _TIME_EPS = 1e-9
 
@@ -68,6 +73,82 @@ class PiecewiseConstantIntensity:
         if t < -_TIME_EPS or t > self.horizon_end + _TIME_EPS:
             raise ValueError(f"time {t} outside intensity domain [0, {self.horizon_end}]")
         return self.values[bisect_right(self.breakpoints, min(max(t, 0.0), self.horizon_end)) - 1]
+
+
+_PIECE_CHECKS = (
+    "need exactly one value per interval",
+    "first breakpoint must be 0",
+    "breakpoints must be finite and strictly increasing",
+    "horizon_end must exceed the last breakpoint",
+    "rates must be finite and non-negative",
+)
+
+
+def _number_lists(lists):
+    """``lists`` of real numbers as tuples of floats.
+
+    A number is an int or a float; anything else (a bool, a string, None)
+    is ``number``'s TypeError.
+    """
+    if set(map(type, chain.from_iterable(lists))) <= {float}:
+        return list(map(tuple, lists))  # float() would keep each number as it is
+    return [tuple(map(number, xs)) for xs in lists]
+
+
+def _concatenated(tuples, ends):
+    """The numbers of ``tuples`` as one array; ``ends`` are the tuples' cumulative lengths."""
+    return np.fromiter(chain.from_iterable(tuples), float, ends[-1] if ends.size else 0)
+
+
+def _owners(ends, wrong):
+    """The item of each true entry of ``wrong``, for items that end at ``ends``."""
+    return np.searchsorted(ends, np.flatnonzero(wrong), "right")
+
+
+def _intensity_batch(breakpoints, values, horizon_end):
+    """``PiecewiseConstantIntensity(b, v, horizon_end)`` for each b, v of the two lists.
+
+    The items' numbers are read once (see ``_number_lists``) and checked
+    as concatenated arrays; the instances are then built without checking
+    them again.  Given numbers, it accepts exactly what the constructor
+    accepts and, when some item is invalid, raises the constructor's
+    message for the first such item.  Unlike the constructor, it rejects
+    a bool or a string where a number belongs.
+    """
+    bps = _number_lists(breakpoints)
+    vals = _number_lists(values)
+    horizon_end = float(horizon_end)
+    nb = np.fromiter(map(len, bps), np.intp, len(bps))
+    nv = np.fromiter(map(len, vals), np.intp, len(vals))
+    b_ends, v_ends = np.cumsum(nb), np.cumsum(nv)
+    # one row per check of __post_init__, in its order; an item that fails
+    # the first check fails it whatever the other rows say of it
+    bad = np.zeros((len(_PIECE_CHECKS), len(bps)), dtype=bool)
+    bad[0] = (nb == 0) | (nb != nv)
+    has = nb > 0
+    first = (b_ends - nb)[has]
+    b = _concatenated(bps, b_ends)
+    bad[1, has] = b[first] != 0.0
+    rising = np.ones(b.size, dtype=bool)
+    rising[1:] = b[1:] > b[:-1]
+    rising[first] = True  # an item's first breakpoint follows no other
+    bad[2, _owners(b_ends, ~(np.isfinite(b) & rising))] = True
+    bad[3, has] = ~(math.isfinite(horizon_end) & (horizon_end > b[b_ends[has] - 1]))
+    del b, rising  # a city model's rates make a second array as large: keep one at a time
+    v = _concatenated(vals, v_ends)
+    bad[4, _owners(v_ends, ~(np.isfinite(v) & (v >= 0.0)))] = True
+    failed = bad.any(axis=0)
+    if failed.any():
+        raise ValueError(_PIECE_CHECKS[bad[:, failed.argmax()].argmax()])
+    out = []
+    for bp, vs in zip(bps, vals):
+        pci = object.__new__(PiecewiseConstantIntensity)
+        object.__setattr__(pci, "breakpoints", bp)
+        object.__setattr__(pci, "values", vs)
+        object.__setattr__(pci, "horizon_end", horizon_end)
+        out.append(pci)
+    return out
+
 
 def _pieces(items):
     """The items' breakpoints and rates, concatenated, and each item's piece count."""
@@ -186,12 +267,16 @@ class DemandModel:
         eta = tuple(_float_tuple(row) for row in self.eta)
         if len(eta) != self.k or any(len(row) != self.k for row in eta):
             raise ValueError("eta must be a k x k matrix of hours")
-        for i, row in enumerate(eta):
-            for j, e in enumerate(row):
-                if not math.isfinite(e) or e < 0.0:
-                    raise ValueError("travel times must be finite and non-negative")
-                if i == j and e != 0.0:
-                    raise ValueError("diagonal travel times must be zero")
+        # the first entry in row-major order that fails a check names it
+        hours = np.array(eta)
+        negative = ~(np.isfinite(hours) & (hours >= 0.0))
+        bad = negative | (np.eye(self.k, dtype=bool) & (hours != 0.0))
+        if bad.any():
+            raise ValueError(
+                "travel times must be finite and non-negative"
+                if negative.flat[bad.argmax()]
+                else "diagonal travel times must be zero"
+            )
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "_zero", PiecewiseConstantIntensity.zero(self.horizon))
 
@@ -258,7 +343,8 @@ class SystemDesign:
     def __post_init__(self):
         v = tuple(int(x) for x in self.v)
         c = tuple(int(x) for x in self.c)
-        if v != tuple(self.v) or c != tuple(self.c):
+        booleans = any(isinstance(x, bool) for x in chain(self.v, self.c))
+        if v != tuple(self.v) or c != tuple(self.c) or booleans:
             raise ValueError("stock and capacity must be whole numbers")
         if len(v) != len(c) or not v:
             raise ValueError("v and c must be non-empty and the same length")
@@ -391,7 +477,15 @@ def aggregate_station_flows(model, plan, *, with_delay=False):
 #    "eta": [[hours]],
 #    "rho": [{"o": int, "d": int, "times": [...]}, ...]}
 # A model file uses k/horizon_hours/lambda/eta, a plan file k/horizon_hours/rho;
-# unknown keys are ignored so both can live in one file.
+# unknown keys are ignored so both can live in one file.  A number is a JSON
+# int or float: a bool, a string or null where one belongs is an input error.
+#
+# Reading checks a model's pieces as concatenated arrays (``_intensity_batch``).
+# Every file is written by ``write_json``, whose bytes are those of
+# ``json.dump(doc, fh, indent=2, sort_keys=True)`` plus a newline, all ASCII.
+# ``indent`` would turn off ``json``'s C encoder, so the writer C-encodes the
+# document compactly in slices of about ``_SLICE_SCALARS`` scalars and
+# re-indents each slice's text in one NumPy pass (``_reindent``).
 
 
 @contextmanager
@@ -406,12 +500,26 @@ def parsing(what):
 def whole_number(value):
     """A station label or count read from a document: ``value`` as an int.
 
-    A non-integral number is a ValueError rather than being truncated.
+    A non-integral number or a bool is a ValueError rather than being
+    truncated or read as 0 or 1.
     """
     out = int(value)
-    if out != value:
+    if out != value or isinstance(value, bool):
         raise ValueError(f"expected a whole number, got {value!r}")
     return out
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def number(value):
+    """A real number read from a document: ``value`` as a float.
+
+    Anything but an int or a float (a bool, a string, None) is a TypeError.
+    """
+    if type(value) not in _NUMBER_TYPES:
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def model_to_json(model):
@@ -434,16 +542,22 @@ def model_to_json(model):
 def model_from_json(doc):
     with parsing("demand model"):
         k = whole_number(doc["k"])
-        horizon = float(doc["horizon_hours"])
-        intensities = {}
-        for entry in doc["lambda"]:
-            key = (whole_number(entry["o"]), whole_number(entry["d"]))
-            if key in intensities:
-                raise ValueError(f"duplicate intensity entry for pair {key}")
-            intensities[key] = PiecewiseConstantIntensity(
-                tuple(entry["breakpoints"]), tuple(entry["values"]), horizon
-            )
-        return DemandModel(k, intensities, tuple(tuple(row) for row in doc["eta"]), horizon)
+        horizon = number(doc["horizon_hours"])
+        entries = doc["lambda"]
+        keys = [(whole_number(e["o"]), whole_number(e["d"])) for e in entries]
+        intensities = dict.fromkeys(keys)
+        if len(intensities) < len(keys):
+            seen = set()
+            for key in keys:
+                if key in seen:
+                    raise ValueError(f"duplicate intensity entry for pair {key}")
+                seen.add(key)
+        batch = _intensity_batch(
+            [e["breakpoints"] for e in entries], [e["values"] for e in entries], horizon
+        )
+        intensities.update(zip(keys, batch))
+        eta = tuple(_number_lists(doc["eta"]))
+        return DemandModel(k, intensities, eta, horizon)
 
 
 def plan_to_json(plan):
@@ -460,27 +574,128 @@ def plan_to_json(plan):
 def plan_from_json(doc):
     with parsing("relocation plan"):
         k = whole_number(doc["k"])
-        horizon = float(doc["horizon_hours"])
+        horizon = number(doc["horizon_hours"])
         rho = {}
         for entry in doc["rho"]:
             key = (whole_number(entry["o"]), whole_number(entry["d"]))
             if key in rho:
                 raise ValueError(f"duplicate plan entry for pair {key}")
-            rho[key] = tuple(entry["times"])
-        return RebalancingPlan(k, horizon, rho)
+            rho[key] = entry["times"]
+        return RebalancingPlan(k, horizon, dict(zip(rho, _number_lists(list(rho.values())))))
 
 
 def read_json(path):
     """The JSON document in ``path``."""
+    t0 = time.perf_counter()
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+        size = os.fstat(fh.fileno()).st_size
+    log.debug("read %s: %d bytes, %.3f s", path, size, time.perf_counter() - t0)
+    return doc
+
+
+# compact C encoding with the indented encoder's separators and key order
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ": ")).encode
+# bytes that open a container (1), close one (2) or separate items (3)
+_STRUCTURAL = np.zeros(256, dtype=np.int8)
+_STRUCTURAL[list(b"[{")] = 1
+_STRUCTURAL[list(b"]}")] = 2
+_STRUCTURAL[list(b",")] = 3
+_SLICE_SCALARS = 2048
+
+
+def _reindent(text, depth):
+    """Compact ASCII JSON ``text`` as ``json.dumps(indent=2)`` writes it ``depth`` levels in.
+
+    The structural bytes are the brackets and commas outside strings; a
+    newline and indent go after each opening bracket and comma and before
+    each closing bracket, except inside an empty ``[]`` or ``{}``.
+    """
+    raw = text.encode("ascii")
+    a = np.frombuffer(raw, dtype=np.uint8)
+    code = _STRUCTURAL[a]
+    at = np.flatnonzero(code)
+    quotes = np.flatnonzero(a == ord('"'))
+    if b"\\" in raw:
+        # a quote is escaped when an odd run of backslashes comes before it:
+        # with each escaped backslash pair blanked out, when any backslash does
+        blank = np.frombuffer(raw.replace(b"\\\\", b"  "), dtype=np.uint8)
+        quotes = quotes[blank[quotes - 1] != ord("\\")]
+    at = at[np.searchsorted(quotes, at) % 2 == 0]  # an even number of quotes before
+    code = code[at]
+    level = depth + np.cumsum((code == 1).astype(np.intp) - (code == 2))
+    empty = (code[:-1] == 1) & (code[1:] == 2) & (at[1:] == at[:-1] + 1)
+    keep = np.ones(at.size, dtype=bool)
+    keep[:-1] &= ~empty
+    keep[1:] &= ~empty
+    gaps = at[keep] + (code[keep] != 2)  # after an opening bracket or comma, before a closing one
+    widths = 1 + 2 * level[keep]
+    # each byte's place in the output is its index plus the widths inserted
+    # at or before it; int32 keeps this one array per byte small
+    total = a.size + int(widths.sum())
+    place = np.ones(a.size, dtype=np.int32 if total < 2**31 else np.intp)
+    place[gaps] += widths
+    np.cumsum(place, out=place)
+    place -= 1
+    out = np.full(total, ord(" "), dtype=np.uint8)
+    out[place] = a
+    out[place[gaps] - widths] = ord("\n")
+    return out
+
+
+def _scalars(value):
+    """About how many scalars ``value`` holds, judging each list by its first item."""
+    if isinstance(value, dict):
+        return 1 + sum(map(_scalars, value.values()))
+    if isinstance(value, list) and value:
+        return 1 + len(value) * _scalars(value[0])
+    return 1
+
+
+def _write_value(value, depth, write):
+    """Write ``value`` ``depth`` levels in, C-encoding it in slices of about ``_SLICE_SCALARS``.
+
+    A large dict is written key by key; a large list in groups of items,
+    or item by item when each item is large itself.  How a value is sliced
+    changes speed and memory but never the bytes.
+    """
+    large = _scalars(value) > _SLICE_SCALARS
+    inner = b"\n" + b"  " * (depth + 1)
+    if large and isinstance(value, dict) and all(type(key) is str for key in value):
+        write(b"{")
+        for i, (key, item) in enumerate(sorted(value.items())):
+            write(b"," * (i > 0) + inner + _ENCODE(key).encode("ascii") + b": ")
+            _write_value(item, depth + 1, write)
+        write(b"\n" + b"  " * depth + b"}")
+    elif large and isinstance(value, list):
+        step = _SLICE_SCALARS // _scalars(value[0])
+        write(b"[")
+        if step <= 1:
+            for i, item in enumerate(value):
+                write(b"," * (i > 0) + inner)
+                _write_value(item, depth + 1, write)
+        else:
+            for i in range(0, len(value), step):
+                # the group's own brackets go: "[" before it, "\n", indent and "]" after
+                text = _reindent(_ENCODE(value[i : i + step]), depth)
+                write(b"," * (i > 0))
+                write(text[1 : text.size - 2 - 2 * depth])
+        write(b"\n" + b"  " * depth + b"]")
+    else:
+        write(_reindent(_ENCODE(value), depth))
 
 
 def write_json(doc, path):
-    """Write ``doc`` the way every file of the package is written: sorted, indented."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``doc`` as every file of the package is written: sorted, indented, ASCII.
+
+    The bytes are ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline.
+    """
+    t0 = time.perf_counter()
+    with open(path, "wb") as fh:
+        _write_value(doc, 0, fh.write)
+        fh.write(b"\n")
+        size = fh.tell()
+    log.debug("wrote %s: %d bytes, %.3f s", path, size, time.perf_counter() - t0)
 
 
 def load_model(path):

@@ -16,6 +16,7 @@ from fleetsizing.cli import (
     EXIT_OK,
     run,
 )
+from fleetsizing import model as model_module
 from fleetsizing.ingest import DaySequence, RentalEvent, save_sequences
 from fleetsizing.model import InvariantViolationError, SystemDesign, save_model
 from fleetsizing.sizing import SizingInfeasibleError, design_to_json
@@ -88,6 +89,24 @@ class TestPipeline:
         days = json.loads(pipeline["sequences"].read_text())
         assert len(days["days"]) == 10
         assert days["station_ids"] == [101, 202, 303]
+
+    def test_files_are_written_as_json_dump_writes_them(self, pipeline, tmp_path, monkeypatch):
+        files = {name: pipeline[name] for name in ("model", "sequences", "plan", "design")}
+        for path in files.values():
+            doc = json.loads(path.read_text())
+            expected = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+            assert path.read_bytes() == expected, path.name
+        # slices of two scalars cut every container, and change no byte
+        monkeypatch.setattr(model_module, "_SLICE_SCALARS", 2)
+        again = {name: tmp_path / path.name for name, path in files.items()}
+        assert run(["ingest", "--trips", str(pipeline["trips"]),
+                    "--model-out", str(again["model"]),
+                    "--sequences-out", str(again["sequences"])]) == EXIT_OK
+        assert run(["plan", "--model", str(again["model"]), "--out", str(again["plan"])]) == EXIT_OK
+        assert run(["size", "--model", str(again["model"]), "--plan", str(again["plan"]),
+                    "--z", "0.1", "--T", "24", "--out", str(again["design"])]) == EXIT_OK
+        for name, path in files.items():
+            assert again[name].read_bytes() == path.read_bytes(), name
 
     def test_size_output(self, pipeline):
         doc = json.loads(pipeline["design"].read_text())
@@ -255,6 +274,31 @@ class TestDeterminism:
         (line,) = lines
         found = re.fullmatch(r"monte carlo: 200 runs, 1 workers, (\d+) events, \S+ s", line)
         assert found and int(found.group(1)) > 0, line
+
+    def test_ingest_output_is_unchanged_by_debug_logging(self, pipeline, tmp_path, caplog, capsys):
+        outs = []
+        for level in (logging.WARNING, logging.DEBUG):
+            model, days = tmp_path / f"model-{level}.json", tmp_path / f"days-{level}.json"
+            with caplog.at_level(level, logger="fleetsizing"):
+                assert run(["ingest", "--trips", str(pipeline["trips"]), "--model-out",
+                            str(model), "--sequences-out", str(days)]) == EXIT_OK
+                assert run(["plan", "--model", str(model),
+                            "--out", str(tmp_path / f"plan-{level}.json")]) == EXIT_OK
+            outs.append((model.read_bytes(), days.read_bytes(), capsys.readouterr().out))
+        assert outs[0] == outs[1]
+        assert outs[0][:2] == (pipeline["model"].read_bytes(), pipeline["sequences"].read_bytes())
+        lines = [r.getMessage() for r in caplog.records if r.name == "fleetsizing.model"]
+        found = [re.fullmatch(r"(wrote|read) (.+): (\d+) bytes, \d+\.\d{3} s", m) for m in lines]
+        assert found and all(found), lines
+        # one line per file: ingest writes two, plan reads one and writes one
+        logged = [(f.group(1), f.group(2), int(f.group(3))) for f in found]
+        model, days, plan = (tmp_path / f"{n}-{logging.DEBUG}.json" for n in ("model", "days", "plan"))
+        assert logged == [
+            ("wrote", str(model), model.stat().st_size),
+            ("wrote", str(days), days.stat().st_size),
+            ("read", str(model), model.stat().st_size),
+            ("wrote", str(plan), plan.stat().st_size),
+        ]
 
     def test_size_and_bound_outputs_are_unchanged_by_debug_logging(
         self, pipeline, tmp_path, caplog, capsys
@@ -568,6 +612,16 @@ def with_breakpoints(bps):
     return edit
 
 
+def with_entry(**fields):
+    """An edit that updates the model's first intensity entry."""
+
+    def edit(doc):
+        doc["lambda"][0].update(fields)
+        return doc
+
+    return edit
+
+
 def replaced(path, value):
     """An edit that sets the entry at ``path`` (keys and indices) to ``value``."""
 
@@ -644,6 +698,14 @@ class TestMalformedDocuments:
             pytest.param("model", nudged(["k"], 0.25), id="fractional-station-count"),
             pytest.param("plan", lambda doc: plan_doc([1.0], o=1.5, d=2.9), id="fractional-pair"),
             pytest.param("plan", lambda doc: plan_doc([1.0], k=3.5), id="fractional-plan-k"),
+            # a bool is not a number, though Python reads True as 1 and False as 0
+            pytest.param("model", replaced(["lambda", 0, "o"], True), id="boolean-origin"),
+            pytest.param("model", with_breakpoints([False]), id="boolean-breakpoint"),
+            pytest.param("model", replaced(["lambda", 0, "values", 0], True), id="boolean-rate"),
+            pytest.param("model", replaced(["eta", 0, 1], True), id="boolean-eta"),
+            pytest.param("design", replaced(["stations", 0, "v"], True), id="boolean-stock"),
+            pytest.param("design", replaced(["stations", 0, "id"], True), id="boolean-id"),
+            pytest.param("plan", lambda doc: plan_doc([True]), id="boolean-instant"),
         ],
     )
     def test_document_with_a_wrong_value(self, pipeline, tmp_path, capsys, which, edit):
@@ -676,6 +738,9 @@ class TestMalformedDocuments:
             ("eta", -3.0, "riding times must be non-negative"),
             ("t", -0.5, "event times must lie within [0, 24.0] hours"),
             ("t", 30.0, "event times must lie within [0, 24.0] hours"),
+            ("t", True, "expected a number, got True"),
+            ("eta", False, "expected a number, got False"),
+            ("o", True, "expected a whole number, got True"),
         ],
     )
     def test_sequence_with_a_wrong_event(self, pipeline, tmp_path, capsys, key, value, message):
@@ -685,5 +750,37 @@ class TestMalformedDocuments:
         argv = ["replay", "--sequences", days, "--design", str(pipeline["design"]),
                 "--out", str(out)]
         assert run(argv) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(with_breakpoints([0.5, 2.0]), "first breakpoint must be 0",
+                         id="first-breakpoint"),
+            pytest.param(with_breakpoints([0.0, 5.0, 3.0]),
+                         "breakpoints must be finite and strictly increasing", id="decreasing"),
+            pytest.param(with_breakpoints([0.0, 24.0]),
+                         "horizon_end must exceed the last breakpoint", id="at-the-horizon"),
+            pytest.param(with_breakpoints([0.0, 30.0]),
+                         "horizon_end must exceed the last breakpoint", id="past-the-horizon"),
+            pytest.param(replaced(["lambda", 0, "values", 0], -1.0),
+                         "rates must be finite and non-negative", id="negative-rate"),
+            pytest.param(with_entry(breakpoints=[0.0, 1.0], values=[1.0]),
+                         "need exactly one value per interval", id="length-mismatch"),
+            pytest.param(with_entry(breakpoints=[], values=[]),
+                         "need exactly one value per interval", id="empty-breakpoints"),
+            pytest.param(lambda doc: {**doc, "lambda": doc["lambda"] + doc["lambda"][:1]},
+                         "duplicate intensity entry for pair (1, 2)", id="duplicate-pair"),
+            pytest.param(lambda doc: {**doc, "eta": [row[:2] for row in doc["eta"]]},
+                         "eta must be a k x k matrix of hours", id="non-square-eta"),
+            pytest.param(replaced(["eta", 1, 1], 0.25), "diagonal travel times must be zero",
+                         id="nonzero-diagonal"),
+        ],
+    )
+    def test_model_with_invalid_pieces(self, pipeline, tmp_path, capsys, edit, message):
+        model = edited_copy(pipeline["model"], tmp_path / "m.json", edit)
+        out = tmp_path / "p.json"
+        assert run(["plan", "--model", model, "--out", str(out)]) == EXIT_INPUT
         assert message in capsys.readouterr().err
         assert not out.exists()

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleetsizing import model as model_module
+from fleetsizing.ingest import sequences_from_json
 from fleetsizing.model import (
     DemandModel,
     PiecewiseConstantIntensity,
@@ -26,7 +28,9 @@ from fleetsizing.model import (
     rate_grid,
     save_model,
     save_plan,
+    write_json,
 )
+from fleetsizing.sizing import design_from_json
 from fleetsizing.station_bound import _pieces
 from fleetsizing.uniformization import JUMP, RECORD
 
@@ -272,6 +276,30 @@ class TestDemandModel:
         with pytest.raises(ValueError):
             DemandModel(2, {(1, 2): pci}, ((0.0, 0.0), (0.0, 0.0)), 24.0)
 
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.lists(
+                st.lists(st.sampled_from([0.0, -0.0, 0.5, 3.0, -1.0, math.nan, math.inf]),
+                         min_size=k, max_size=k),
+                min_size=k, max_size=k,
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_eta_checks_match_the_scalar_scan(self, eta):
+        expected = None
+        for i, row in enumerate(eta):  # the checks entry by entry, in row-major order
+            for j, e in enumerate(row):
+                if expected is None and (not math.isfinite(e) or e < 0.0):
+                    expected = "travel times must be finite and non-negative"
+                elif expected is None and i == j and e != 0.0:
+                    expected = "diagonal travel times must be zero"
+        if expected is None:
+            assert DemandModel(len(eta), {}, eta, 24.0).eta == tuple(map(tuple, eta))
+        else:
+            with pytest.raises(ValueError, match=f"^{expected}$"):
+                DemandModel(len(eta), {}, eta, 24.0)
+
 
 class TestSystemDesign:
     def test_stock_cannot_exceed_capacity(self):
@@ -476,3 +504,177 @@ class TestWireFormat:
     def test_missing_key_is_a_value_error(self):
         with pytest.raises((ValueError, KeyError)):
             model_from_json({"k": 2})
+
+    # each document is valid but for one bool where a number belongs, which
+    # reads as 0 or 1 if it is taken for a number
+    @pytest.mark.parametrize(
+        "read, doc",
+        [
+            pytest.param(model_from_json, {"k": True, "horizon_hours": 24.0, "lambda": [],
+                                           "eta": [[0.0]]}, id="model-k"),
+            pytest.param(model_from_json, {"k": 1, "horizon_hours": True, "lambda": [],
+                                           "eta": [[0.0]]}, id="model-horizon"),
+            pytest.param(model_from_json, {"k": 2, "horizon_hours": 24.0, "eta": [[0, 1], [1, 0]],
+                                           "lambda": [{"o": True, "d": 2, "breakpoints": [0.0],
+                                                       "values": [1.0]}]}, id="model-origin"),
+            pytest.param(model_from_json, {"k": 2, "horizon_hours": 24.0, "eta": [[0, 1], [1, 0]],
+                                           "lambda": [{"o": 1, "d": 2, "breakpoints": [False],
+                                                       "values": [1.0]}]}, id="model-breakpoint"),
+            pytest.param(model_from_json, {"k": 2, "horizon_hours": 24.0, "eta": [[0, 1], [1, 0]],
+                                           "lambda": [{"o": 1, "d": 2, "breakpoints": [0],
+                                                       "values": [True]}]}, id="model-rate"),
+            pytest.param(model_from_json, {"k": 2, "horizon_hours": 24.0, "lambda": [],
+                                           "eta": [[0, True], [1, 0]]}, id="model-eta"),
+            pytest.param(plan_from_json, {"k": 2, "horizon_hours": 24.0,
+                                          "rho": [{"o": 1, "d": 2, "times": [True]}]},
+                         id="plan-instant"),
+            pytest.param(plan_from_json, {"k": 2, "horizon_hours": 24.0,
+                                          "rho": [{"o": 2, "d": True, "times": [2.0]}]},
+                         id="plan-destination"),
+            pytest.param(design_from_json, {"stations": [{"id": 1, "v": True, "c": 2}]},
+                         id="design-stock"),
+            pytest.param(design_from_json, {"stations": [{"id": True, "v": 1, "c": 2}]},
+                         id="design-id"),
+            pytest.param(sequences_from_json, {"k": 2, "horizon_hours": 24.0, "days": [
+                {"date": "2016-05-02", "events": [{"t": True, "o": 1, "d": 2, "eta": 0.5}]}]},
+                         id="sequence-time"),
+            pytest.param(sequences_from_json, {"k": 2, "horizon_hours": 24.0, "days": [
+                {"date": "2016-05-02", "events": [{"t": 1.0, "o": 1, "d": 2, "eta": False}]}]},
+                         id="sequence-riding-time"),
+        ],
+    )
+    def test_booleans_are_not_numbers(self, read, doc):
+        with pytest.raises(ValueError, match="True|False|whole numbers"):
+            read(doc)
+        # the same document with 1 or 0 in place of the bool is read
+        read(json.loads(json.dumps(doc).replace("true", "1").replace("false", "0")))
+
+    @pytest.mark.parametrize("value", ["24", None, [24.0]])
+    def test_a_horizon_must_be_a_number(self, value):
+        with pytest.raises(ValueError, match="expected a number"):
+            model_from_json({"k": 1, "horizon_hours": value, "lambda": [], "eta": [[0.0]]})
+
+
+# --- the batch builder against the checked constructor ------------------------
+
+
+def first_error(build):
+    """``build()``, or the message of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def piece_lists(draw, horizon):
+    """One item's (breakpoints, values): valid, or broken in up to two of the constructor's ways."""
+    n = draw(st.integers(1, 4))
+    inside = st.floats(0.0, horizon, exclude_min=True, exclude_max=True)
+    bps = [0.0, *sorted(draw(st.lists(inside, min_size=n - 1, max_size=n - 1, unique=True)))]
+    values = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n))
+    faults = draw(st.lists(st.sampled_from(
+        ["empty", "length", "first", "order", "breakpoint", "horizon", "rate"]
+    ), max_size=2))
+    for fault in faults:
+        if fault == "length":
+            values.append(1.0)
+        elif fault == "first":
+            bps[0] = draw(st.sampled_from([0.5, -1.0, math.nan]))
+        elif fault == "order" and len(bps) > 1:
+            bps[-1] = bps[draw(st.integers(0, len(bps) - 2))]
+        elif fault == "breakpoint":
+            bps.append(draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+            values.append(1.0)
+        elif fault == "horizon":
+            bps.append(draw(st.sampled_from([horizon, horizon + 1.0])))
+            values.append(1.0)
+        elif fault == "rate":
+            values[draw(st.integers(0, len(values) - 1))] = draw(
+                st.sampled_from([-0.5, math.nan, math.inf])
+            )
+    if "empty" in faults:
+        bps, values = [], []
+    whole = draw(st.booleans())  # a document may give whole numbers as ints
+    return ([int(b) if whole and float(b).is_integer() else b for b in bps], values)
+
+
+class TestIntensityBatch:
+    @given(
+        st.sampled_from([24.0, 0.15, math.nan, math.inf]).flatmap(
+            lambda h: st.tuples(st.just(h), st.lists(piece_lists(h if math.isfinite(h) else 24.0),
+                                                     max_size=5))
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_and_rejects_what_the_constructor_does(self, case):
+        horizon, items = case
+        expected = first_error(
+            lambda: [PiecewiseConstantIntensity(b, v, horizon) for b, v in items]
+        )
+        got = first_error(
+            lambda: model_module._intensity_batch([b for b, _ in items], [v for _, v in items],
+                                                  horizon)
+        )
+        assert got == expected
+        if not isinstance(expected, str):
+            for pci in got:
+                assert all(type(x) is float for x in pci.breakpoints + pci.values)
+                assert type(pci.horizon_end) is float
+
+
+# --- the writer against json.dump(indent=2) -----------------------------------
+
+# structural bytes, quotes and backslash runs, control and non-ASCII characters
+TRICKY_TEXT = st.text(
+    st.sampled_from(list('[]{},:"\\ a') + ["\n", "\x00", "\x1f", "\u00e9", "\u2603", "\U0001f600"]),
+    max_size=10,
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**80), 2**80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    TRICKY_TEXT,
+)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=12),
+        st.dictionaries(TRICKY_TEXT, inner, max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
+def reference_bytes(doc):
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+class TestWriteJson:
+    @given(DOCUMENTS)
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_are_those_of_json_dump(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "writer.json"
+        # slices of 1 and 3 scalars make every container large enough to be cut
+        for size in (1, 3, model_module._SLICE_SCALARS):
+            with mock.patch.object(model_module, "_SLICE_SCALARS", size):
+                write_json(doc, path)
+            assert path.read_bytes() == reference_bytes(doc)
+
+    def test_long_lists_are_written_in_slices(self, tmp_path):
+        doc = {
+            "records": [{"o": i, "d": i % 7, "times": [i / 3, math.inf, -0.0], "x": {}}
+                        for i in range(5000)],
+            "days": [{"date": f"d{j}", "events": [{"t": t / 7, "s": "a\\\"]"} for t in range(3000)]}
+                     for j in range(3)],
+            "grid": [[float(i * j) for j in range(200)] for i in range(60)],
+            "empty": [[], {}, [[]]],
+        }
+        path = tmp_path / "long.json"
+        with mock.patch.object(model_module, "_reindent", wraps=model_module._reindent) as spy:
+            write_json(doc, path)
+        assert path.read_bytes() == reference_bytes(doc)
+        # far more C-encoded slices than top-level values, each of bounded size
+        assert spy.call_count > 20
+        assert max(len(c.args[0]) for c in spy.call_args_list) < 400_000
