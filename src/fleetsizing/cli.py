@@ -52,17 +52,11 @@ def _sample_times(T, points):
 def cmd_ingest(args):
     parsed = ingest.parse_trips(args.trips)
     station_ids = ingest.station_set_from_trips(parsed.records)
-    model = ingest.estimate_demand(
-        parsed.records,
-        station_ids,
-        bin_hours=args.bin_hours,
-        days=args.days,
-        month=args.month,
-    )
-    save_model(model, args.model_out)
     sequences = ingest.extract_day_sequences(
         parsed.records, station_ids, days=args.days, month=args.month
     )
+    model = ingest.estimate_demand(sequences, bin_hours=args.bin_hours)
+    save_model(model, args.model_out)
     ingest.save_sequences(sequences, model.k, args.sequences_out, station_ids)
     print(
         f"ingested {len(parsed.records)} trips ({parsed.n_rejected} rejected), "

@@ -6,12 +6,13 @@ timestamps are ISO-8601 local time).  Station ids in the file are
 arbitrary; they are relabelled to dense 1..k in the order of sorted raw
 ids, and the mapping is carried alongside every artifact that needs it.
 
-Demand is averaged into a single typical-day profile: the rate for a
-pair in an hour bin is the trip count in that bin across all filtered
-days divided by (number of days x bin width).  Travel times are per-pair
-medians with a global-median fallback for unseen pairs.  Round trips
-(start station == end station) move no stock and are dropped everywhere,
-with a count reported.
+Trips are filtered (day kind, month), labelled and clocked once, into
+per-day rental sequences.  Demand is their average, a single typical-day
+profile: the rate for a pair in an hour bin is the rental count in that
+bin across all days divided by (number of days x bin width).  Travel
+times are per-pair medians with a global-median fallback for unseen
+pairs.  Round trips (start station == end station) move no stock and are
+dropped, with a count reported.
 """
 
 import csv
@@ -70,9 +71,10 @@ def _parse_row(row, lookup):
         end = datetime.fromisoformat(row[lookup["end_time"]])
         o = int(row[lookup["start_station_id"]])
         d = int(row[lookup["end_station_id"]])
-    except (ValueError, IndexError):
+        backwards = end < start  # a TypeError when one timestamp alone has a UTC offset
+    except (ValueError, IndexError, TypeError):
         return None, "malformed"
-    if end < start:
+    if backwards:
         return None, "ends_before_start"
     return TripRecord(start, end, o, d), None
 
@@ -161,53 +163,47 @@ def _filter_trips(trips, days, month):
         kept.append(trip)
     if n_round:
         log.info("dropped %d round trips (same start and end station)", n_round)
-    return kept, n_round
+    return kept
 
 
-def estimate_demand(trips, station_ids=None, bin_hours=1.0, days="working", month=None):
-    """Average filtered trips into a typical-day DemandModel.
+def estimate_demand(sequences, bin_hours=1.0):
+    """Average recorded days into a typical-day DemandModel.
 
-    station_ids fixes the raw-id -> label mapping (sorted raw ids when
-    omitted).  The rate of pair (o, d) in bin b is the number of o->d
-    trips starting in that bin across all filtered days, divided by the
-    exposure n_days * bin_hours, so integrating the model over the day
-    and multiplying by n_days recovers the trip counts exactly.
+    ``sequences`` is a DaySequences (``extract_day_sequences``,
+    ``load_sequences``), whose ``k`` fixes the station count.  The rate of
+    pair (o, d) in bin b is the number of o->d rentals starting in that bin
+    across all days, divided by the exposure len(sequences) * bin_hours, so
+    integrating the model over the day and multiplying by the day count
+    recovers the rental counts exactly.
     """
+    if any(seq.horizon != DAY_HOURS for seq in sequences):
+        raise ValueError(f"demand is estimated from {DAY_HOURS:g} h days")
     # count whole bins rather than take a float modulo: 24 % 0.1 == 0.0999...
     n_bins = round(DAY_HOURS / bin_hours) if bin_hours > 0.0 else 0
     if n_bins < 1 or abs(n_bins * bin_hours - DAY_HOURS) > 1e-9:
         raise ValueError("bin_hours must evenly divide 24")
-    kept, _ = _filter_trips(trips, days, month)
-    if not kept:
+    n_trips = sum(len(seq.events) for seq in sequences)
+    if not n_trips:
         raise ValueError("no trips left after filtering; cannot estimate demand")
-    if station_ids is None:
-        station_ids = station_set_from_trips(kept)
-    label = {raw: i + 1 for i, raw in enumerate(station_ids)}
-    k = len(station_ids)
 
-    dates = set()
     counts = {}
     durations = {}
-    for trip in kept:
-        dates.add(trip.start_time.date())
-        o = label[trip.start_station]
-        d = label[trip.end_station]
-        started = trip.start_time
-        hour = started.hour + started.minute / 60.0 + started.second / 3600.0
-        b = min(int(hour / bin_hours), n_bins - 1)
-        key = (o, d)
-        if key not in counts:
-            counts[key] = [0] * n_bins
-        counts[key][b] += 1
-        durations.setdefault(key, []).append(trip.duration_hours)
+    for seq in sequences:
+        for e in seq.events:
+            key = (e.o, e.d)
+            if key not in counts:
+                counts[key] = [0] * n_bins
+            counts[key][min(int(e.t / bin_hours), n_bins - 1)] += 1
+            durations.setdefault(key, []).append(e.eta)
 
-    n_days = len(dates)
+    n_days = len(sequences)
     breakpoints = tuple(b * bin_hours for b in range(n_bins))
     values = [tuple(c / (n_days * bin_hours) for c in per_bin) for per_bin in counts.values()]
     intensities = dict(
         zip(counts, _intensity_batch([breakpoints] * len(values), values, DAY_HOURS))
     )
 
+    k = sequences.k
     global_eta = median(t for ts in durations.values() for t in ts)
     eta = [[0.0] * k for _ in range(k)]
     for o in range(1, k + 1):
@@ -217,12 +213,7 @@ def estimate_demand(trips, station_ids=None, bin_hours=1.0, days="working", mont
             ts = durations.get((o, d))
             eta[o - 1][d - 1] = median(ts) if ts else global_eta
 
-    log.info(
-        "estimated demand for k=%d stations from %d trips over %d days",
-        k,
-        len(kept),
-        n_days,
-    )
+    log.info("estimated demand for k=%d stations from %d trips over %d days", k, n_trips, n_days)
     return DemandModel(k, intensities, tuple(tuple(row) for row in eta), DAY_HOURS)
 
 
@@ -260,8 +251,12 @@ class DaySequence:
 
 
 def extract_day_sequences(trips, station_ids=None, days="working", month=None):
-    """One DaySequence per filtered calendar day, events in start-time order."""
-    kept, _ = _filter_trips(trips, days, month)
+    """One DaySequence per filtered calendar day, events in start-time order.
+
+    station_ids fixes the raw-id -> label mapping and the station count k
+    (sorted raw ids of the kept trips when omitted).
+    """
+    kept = _filter_trips(trips, days, month)
     if station_ids is None:
         station_ids = station_set_from_trips(kept)
     label = {raw: i + 1 for i, raw in enumerate(station_ids)}
@@ -279,7 +274,7 @@ def extract_day_sequences(trips, station_ids=None, days="working", month=None):
     for date in sorted(by_date):
         events = sorted(by_date[date], key=lambda e: e.t)
         sequences.append(DaySequence(date.isoformat(), tuple(events)))
-    return sequences
+    return DaySequences(sequences, len(station_ids))
 
 
 def sequences_to_json(sequences, k, station_ids=None):
@@ -321,7 +316,10 @@ def sequences_from_json(doc):
                 )
                 for e in day["events"]
             )
-            sequences.append(DaySequence(day["date"], events, horizon))
+            date = day["date"]
+            if type(date) is not str:
+                raise TypeError(f"expected a date string, got {date!r}")
+            sequences.append(DaySequence(date, events, horizon))
         return DaySequences(sequences, k)
 
 

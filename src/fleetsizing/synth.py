@@ -12,7 +12,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .ingest import DAY_HOURS, DaySequence, RentalEvent
+from .ingest import DAY_HOURS, DaySequence, DaySequences, RentalEvent
 from .model import DemandModel, PiecewiseConstantIntensity
 from .simulate import compile_tables, sample_requests
 
@@ -106,4 +106,4 @@ def sample_day_sequences(model, n_days, seed=0, start=date(2016, 5, 2)):
         )
         sequences.append(DaySequence(day.isoformat(), events, model.horizon))
         day = _next_weekday(day)
-    return sequences
+    return DaySequences(sequences, model.k)

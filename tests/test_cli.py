@@ -17,7 +17,13 @@ from fleetsizing.cli import (
     run,
 )
 from fleetsizing import model as model_module
-from fleetsizing.ingest import DaySequence, RentalEvent, save_sequences
+from fleetsizing.ingest import (
+    DaySequence,
+    RentalEvent,
+    estimate_demand,
+    load_sequences,
+    save_sequences,
+)
 from fleetsizing.model import InvariantViolationError, SystemDesign, save_model
 from fleetsizing.sizing import SizingInfeasibleError, design_to_json
 from fleetsizing.synth import uniform_demand_model
@@ -209,6 +215,24 @@ class TestPipeline:
         assert "baseline-rebal-C4" in labels
         assert "proposed-norebal-z0.5" in labels
         assert "proposed-rebal-z0.1" in labels
+
+    @pytest.mark.parametrize("flags", [[], ["--bin-hours", "0.5", "--days", "all"]])
+    def test_model_is_the_average_of_the_written_days(self, tmp_path, caplog, flags):
+        trips = write_demo_trips(tmp_path / "trips.csv")
+        with trips.open("a", encoding="utf-8") as fh:
+            fh.write("2016-05-03T10:00:00,2016-05-03T10:20:00,202,202\n")  # round trip
+            fh.write("2016-05-07T12:00:00,2016-05-07T12:30:00,303,202\n")  # Saturday
+        model, days = tmp_path / "model.json", tmp_path / "days.json"
+        with caplog.at_level(logging.INFO, logger="fleetsizing"):
+            assert run(["ingest", "--trips", str(trips), "--model-out", str(model),
+                        "--sequences-out", str(days), *flags]) == EXIT_OK
+        # the round-trip count is logged once per ingest
+        dropped = [r.getMessage() for r in caplog.records if "round trips" in r.getMessage()]
+        assert dropped == ["dropped 1 round trips (same start and end station)"]
+        bin_hours = float(flags[1]) if flags else 1.0
+        again = tmp_path / "again.json"
+        save_model(estimate_demand(load_sequences(days), bin_hours=bin_hours), again)
+        assert again.read_bytes() == model.read_bytes()
 
 
 class TestDeterminism:
@@ -720,6 +744,17 @@ class TestMalformedDocuments:
 
     def test_sequence_with_a_null_time(self, pipeline, tmp_path, capsys):
         edit = replaced(["days", 0, "events", 0, "t"], None)
+        days = edited_copy(pipeline["sequences"], tmp_path / "days.json", edit)
+        out = tmp_path / "r.csv"
+        argv = ["replay", "--sequences", days, "--design", str(pipeline["design"]),
+                "--out", str(out)]
+        assert run(argv) == EXIT_INPUT
+        assert "malformed sequence document" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("date", [None, 7.5])
+    def test_sequence_with_a_date_that_is_not_a_string(self, pipeline, tmp_path, capsys, date):
+        edit = replaced(["days", 0, "date"], date)
         days = edited_copy(pipeline["sequences"], tmp_path / "days.json", edit)
         out = tmp_path / "r.csv"
         argv = ["replay", "--sequences", days, "--design", str(pipeline["design"]),

@@ -15,6 +15,11 @@ from fleetsizing.ingest import (
     save_sequences,
     station_set_from_trips,
 )
+from fleetsizing.synth import (
+    sample_day_sequences,
+    synthetic_imbalanced_model,
+    uniform_demand_model,
+)
 
 from conftest import reference_integral
 
@@ -74,16 +79,24 @@ class TestParseTrips:
                 "not-a-date,2016-05-02T08:30:00,22,36",
                 "2016-05-02T08:15:00,2016-05-02T08:30:00,twenty,36",
                 "2016-05-02T08:15:00,2016-05-02T08:30:00,22,99",
+                "2016-05-02T08:15:00+02:00,2016-05-02T08:30:00,22,36",  # one offset
             ],
         )
         result = parse_trips(path, station_set={22, 36})
         assert len(result.records) == 1
         assert result.rejected == {
             "ends_before_start": 1,
-            "malformed": 2,
+            "malformed": 3,
             "unknown_station": 1,
         }
-        assert result.n_rejected == 4
+        assert result.n_rejected == 5
+
+    def test_offsets_on_both_timestamps_are_kept(self, tmp_path):
+        path = write_trips(
+            tmp_path / "t.csv", ["2016-05-02T08:15:00+02:00,2016-05-02T07:30:00+01:00,22,36"]
+        )
+        (trip,) = parse_trips(path).records
+        assert trip.duration_hours == pytest.approx(0.25)
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = write_trips(
@@ -129,7 +142,7 @@ class TestEstimateDemand:
                 "2016-05-02T08:45:00,2016-05-02T09:15:00,22,36",
             ],
         )
-        model = estimate_demand(parse_trips(path).records)
+        model = estimate_demand(extract_day_sequences(parse_trips(path).records))
         lam = model.intensities[(1, 2)]
         assert lam.value_at(8.5) == pytest.approx(2.0)
         assert lam.value_at(9.5) == 0.0
@@ -137,14 +150,14 @@ class TestEstimateDemand:
 
     def test_rates_average_over_observed_days(self, tmp_path):
         model = estimate_demand(
-            parse_trips(month_of_commutes(tmp_path / "t.csv")).records
+            extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")).records)
         )
         # 44 trips in bin [8, 9) over 22 working days
         assert model.intensities[(1, 2)].value_at(8.25) == pytest.approx(2.0)
 
     def test_exposure_identity(self, tmp_path):
         model = estimate_demand(
-            parse_trips(month_of_commutes(tmp_path / "t.csv")).records
+            extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")).records)
         )
         n_days = 22
         total = sum(
@@ -155,7 +168,7 @@ class TestEstimateDemand:
 
     def test_riding_times_are_pair_medians(self, tmp_path):
         model = estimate_demand(
-            parse_trips(month_of_commutes(tmp_path / "t.csv")).records
+            extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")).records)
         )
         # durations alternate 0.25 and 0.5 hours
         assert model.eta[0][1] == pytest.approx(0.375)
@@ -171,9 +184,9 @@ class TestEstimateDemand:
             ],
         )
         records = parse_trips(path).records
-        model = estimate_demand(records)
+        model = estimate_demand(extract_day_sequences(records))
         assert (2, 1) not in model.intensities
-        everything = estimate_demand(records, days="all")
+        everything = estimate_demand(extract_day_sequences(records, days="all"))
         assert (2, 1) in everything.intensities
 
     def test_month_filter(self, tmp_path):
@@ -184,7 +197,7 @@ class TestEstimateDemand:
                 "2016-05-02T08:15:00,2016-05-02T08:30:00,22,36",
             ],
         )
-        model = estimate_demand(parse_trips(path).records, month="2016-05")
+        model = estimate_demand(extract_day_sequences(parse_trips(path).records, month="2016-05"))
         assert reference_integral(model.intensities[(1, 2)], 0.0, 24.0) == pytest.approx(1.0)
 
     def test_round_trips_are_dropped(self, tmp_path):
@@ -195,13 +208,13 @@ class TestEstimateDemand:
                 "2016-05-02T09:15:00,2016-05-02T09:30:00,22,22",
             ],
         )
-        model = estimate_demand(parse_trips(path).records)
+        model = estimate_demand(extract_day_sequences(parse_trips(path).records))
         assert set(model.intensities) == {(1, 2)}
 
     def test_row_order_does_not_matter(self, tmp_path):
         records = parse_trips(month_of_commutes(tmp_path / "t.csv")).records
-        forward = estimate_demand(records)
-        backward = estimate_demand(list(reversed(records)))
+        forward = estimate_demand(extract_day_sequences(records))
+        backward = estimate_demand(extract_day_sequences(list(reversed(records))))
         assert forward.intensities.keys() == backward.intensities.keys()
         for key, lam in forward.intensities.items():
             other = backward.intensities[key]
@@ -210,19 +223,19 @@ class TestEstimateDemand:
         assert forward.eta == backward.eta
 
     def test_bin_width_must_divide_the_day(self, tmp_path):
-        records = parse_trips(month_of_commutes(tmp_path / "t.csv")).records
-        estimate_demand(records, bin_hours=2.0)  # fine
+        days = extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")).records)
+        estimate_demand(days, bin_hours=2.0)  # fine
         with pytest.raises(ValueError):
-            estimate_demand(records, bin_hours=7.0)
+            estimate_demand(days, bin_hours=7.0)
         with pytest.raises(ValueError):
-            estimate_demand(records, bin_hours=0.0)
+            estimate_demand(days, bin_hours=0.0)
         with pytest.raises(ValueError):
-            estimate_demand(records, bin_hours=48.0)
+            estimate_demand(days, bin_hours=48.0)
 
     @pytest.mark.parametrize("bin_hours", [0.1, 0.2, 0.25, 0.5, 1.5])
     def test_decimal_bin_widths_that_divide_the_day(self, tmp_path, bin_hours):
-        records = parse_trips(month_of_commutes(tmp_path / "t.csv")).records
-        model = estimate_demand(records, bin_hours=bin_hours)
+        days = extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")).records)
+        model = estimate_demand(days, bin_hours=bin_hours)
         n_bins = round(24 / bin_hours)
         for lam in model.intensities.values():
             assert len(lam.breakpoints) == n_bins
@@ -236,16 +249,34 @@ class TestEstimateDemand:
             ["2016-05-07T08:15:00,2016-05-07T08:30:00,22,36"],  # Saturday
         )
         with pytest.raises(ValueError, match="no trips"):
-            estimate_demand(parse_trips(path).records)
+            estimate_demand(extract_day_sequences(parse_trips(path).records))
 
     def test_explicit_station_ids_fix_labels(self, tmp_path):
         path = write_trips(
             tmp_path / "t.csv", ["2016-05-02T08:15:00,2016-05-02T08:30:00,36,22"]
         )
         records = parse_trips(path).records
-        model = estimate_demand(records, station_ids=(7, 22, 36))
+        model = estimate_demand(extract_day_sequences(records, station_ids=(7, 22, 36)))
         assert model.k == 3
         assert set(model.intensities) == {(3, 2)}
+
+
+    def test_days_sampled_from_a_model(self):
+        model = synthetic_imbalanced_model(4, seed=3)
+        days = sample_day_sequences(model, 5, seed=2)
+        estimate = estimate_demand(days, bin_hours=3.0)
+        assert estimate.k == 4
+        total = sum(
+            reference_integral(lam, 0.0, 24.0) * len(days)
+            for lam in estimate.intensities.values()
+        )
+        assert total == pytest.approx(sum(len(day.events) for day in days))
+        assert estimate.eta == model.eta
+
+    def test_days_must_last_24_hours(self):
+        days = sample_day_sequences(uniform_demand_model(2, 0.5, 72.0), 2)
+        with pytest.raises(ValueError, match="24 h days"):
+            estimate_demand(days)
 
 
 class TestDaySequences:
@@ -253,7 +284,7 @@ class TestDaySequences:
         sequences = extract_day_sequences(
             parse_trips(month_of_commutes(tmp_path / "t.csv")).records
         )
-        assert len(sequences) == 22
+        assert (len(sequences), sequences.k) == (22, 2)
         assert sequences[0].date == "2016-05-02"
         assert all(len(seq.events) == 2 for seq in sequences)
         first = sequences[0].events[0]

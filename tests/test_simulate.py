@@ -299,6 +299,32 @@ class TestEstimateFailureCurve:
             for (t, est), bound in zip(curve, total):
                 assert est.mean <= bound + 3.0 * max(est.stderr, 1e-4)
 
+    def test_delayed_bound_dominates_simulation_with_relocations(self):
+        # until the first failure every departure succeeds, so each station sees
+        # the delayed arrival streams the bound uses; rides take 15-90 minutes
+        lam = {
+            (1, 2): PiecewiseConstantIntensity((0.0, 1.5), (1.2, 0.4), 4.0),
+            (2, 3): PiecewiseConstantIntensity((0.0, 2.0), (0.3, 0.9), 4.0),
+            (3, 1): PiecewiseConstantIntensity((0.0,), (0.7,), 4.0),
+            (2, 1): PiecewiseConstantIntensity((0.0, 1.0, 3.0), (0.2, 0.8, 0.3), 4.0),
+            (1, 3): PiecewiseConstantIntensity((0.0,), (0.3,), 4.0),
+        }
+        eta = ((0.0, 0.75, 1.25), (0.5, 0.0, 1.0), (1.5, 0.25, 0.0))
+        model = DemandModel(3, lam, eta, 4.0)
+        plan = RebalancingPlan(3, 4.0, {(3, 1): (1.0, 2.5), (1, 2): (2.0,), (2, 3): (3.2,)})
+        design = SystemDesign((4, 4, 3), (8, 8, 8))
+        times = np.linspace(0.5, 3.5, 7)
+        curve = estimate_failure_curve(
+            model, plan, design, 3.5, 4000, times, with_delay=True, seed=11
+        )
+        _, delayed = system_failure_bound_curve(model, plan, design, times, with_delay=True)
+        _, undelayed = system_failure_bound_curve(model, plan, design, times, with_delay=False)
+        floor = np.array([est.mean - 3.0 * est.stderr for _, est in curve])
+        assert np.all(delayed >= floor)
+        assert np.all(delayed < 1.0)
+        # the check has teeth: the bound that ignores riding times falls below
+        assert np.any(undelayed < floor)
+
 
 class TestEstimateMarginals:
     def test_zero_demand_point_mass(self):
