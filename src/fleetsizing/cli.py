@@ -16,6 +16,7 @@ from . import exact, ingest, rebalance, replay, simulate, sizing, station_bound
 from .model import (
     InvariantViolationError,
     RebalancingPlan,
+    load_eta,
     load_model,
     load_plan,
     save_model,
@@ -155,7 +156,7 @@ def cmd_replay(args):
         raise ValueError(f"sequences have {sequences.k} stations, design has {design.k}")
     eta = None
     if args.eta_from_model:
-        eta = load_model(args.eta_from_model).eta
+        eta = load_eta(args.eta_from_model)
         if len(eta) != design.k:
             raise ValueError(
                 f"--eta-from-model model has {len(eta)} stations, design has {design.k}"

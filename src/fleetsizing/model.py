@@ -233,6 +233,34 @@ def _check_station(label, k, what="station"):
     return label
 
 
+def _checked_size(k, horizon):
+    """A model's station count and horizon checked; returns the horizon as a float."""
+    if k < 1:
+        raise ValueError("need at least one station")
+    horizon = float(horizon)
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be a positive finite number of hours")
+    return horizon
+
+
+def _checked_eta(k, eta):
+    """A model's travel times checked, as a k x k tuple of float tuples."""
+    eta = tuple(_float_tuple(row) for row in eta)
+    if len(eta) != k or any(len(row) != k for row in eta):
+        raise ValueError("eta must be a k x k matrix of hours")
+    # the first entry in row-major order that fails a check names it
+    hours = np.array(eta)
+    negative = ~(np.isfinite(hours) & (hours >= 0.0))
+    bad = negative | (np.eye(k, dtype=bool) & (hours != 0.0))
+    if bad.any():
+        raise ValueError(
+            "travel times must be finite and non-negative"
+            if negative.flat[bad.argmax()]
+            else "diagonal travel times must be zero"
+        )
+    return eta
+
+
 @dataclass(frozen=True, eq=False)
 class DemandModel:
     """Time-varying demand between k stations.
@@ -248,11 +276,7 @@ class DemandModel:
     horizon: float
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("need at least one station")
-        object.__setattr__(self, "horizon", float(self.horizon))
-        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
-            raise ValueError("horizon must be a positive finite number of hours")
+        object.__setattr__(self, "horizon", _checked_size(self.k, self.horizon))
         cleaned = {}
         for (o, d), pci in dict(self.intensities).items():
             _check_station(o, self.k, "origin")
@@ -264,20 +288,7 @@ class DemandModel:
             if any(pci.values):  # an all-zero pair has no demand, like an absent one
                 cleaned[(o, d)] = pci
         object.__setattr__(self, "intensities", cleaned)
-        eta = tuple(_float_tuple(row) for row in self.eta)
-        if len(eta) != self.k or any(len(row) != self.k for row in eta):
-            raise ValueError("eta must be a k x k matrix of hours")
-        # the first entry in row-major order that fails a check names it
-        hours = np.array(eta)
-        negative = ~(np.isfinite(hours) & (hours >= 0.0))
-        bad = negative | (np.eye(self.k, dtype=bool) & (hours != 0.0))
-        if bad.any():
-            raise ValueError(
-                "travel times must be finite and non-negative"
-                if negative.flat[bad.argmax()]
-                else "diagonal travel times must be zero"
-            )
-        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta", _checked_eta(self.k, self.eta))
         object.__setattr__(self, "_zero", PiecewiseConstantIntensity.zero(self.horizon))
 
     def rate(self, o, d):
@@ -560,6 +571,20 @@ def model_from_json(doc):
         return DemandModel(k, intensities, eta, horizon)
 
 
+def eta_from_json(doc):
+    """A demand model document's travel times, checked as ``DemandModel`` checks them.
+
+    Reads ``k``, ``horizon_hours`` and ``eta`` only; the intensities in
+    ``lambda`` are neither built nor checked.
+    """
+    with parsing("demand model"):
+        k = whole_number(doc["k"])
+        horizon = number(doc["horizon_hours"])
+        eta = _number_lists(doc["eta"])
+    _checked_size(k, horizon)
+    return _checked_eta(k, eta)
+
+
 def plan_to_json(plan):
     return {
         "k": plan.k,
@@ -700,6 +725,10 @@ def write_json(doc, path):
 
 def load_model(path):
     return model_from_json(read_json(path))
+
+
+def load_eta(path):
+    return eta_from_json(read_json(path))
 
 
 def save_model(model, path):

@@ -17,12 +17,31 @@ timeline evaluates every candidate it may read in its next few steps
 bitwise the one-candidate evaluation, so the reads, decisions, sizes and
 errors are those of evaluating one candidate at a time; the capacity
 search hands its last read back as the station's failure probability.
+
+The stock stage writes no probability, only the stock, so it screens
+first and confirms on the forward path only where it must.  One backward
+sweep (``station_bound.availability_failure_sweep``) gives every start's
+availability failure, and the same search runs on those values, each
+read accepted only if it is certain to decide as the forward value
+would.  For a start x the forward value lies in [fail(x) - tail,
+fail(x) + lost(x)], widened by a rounding allowance: two truncation tops
+N < N' give 0 <= qF(N') - qF(N) <= lost(N), and the forward value's own
+top lets less than ``tail`` escape.  A read is certain if that interval
+lies on one side of the budget and, as the top of a growing bracket,
+cannot rise by more than the slack over any value the search may have
+read below it.  A read beyond the sweep's reach (past its top, or with
+``lost`` at or above ``tail``) re-runs the sweep on a top twice as high.
+Any other uncertain read, a sweep that breaks its checks and a search
+that raises anything send the station through the forward search, so
+sizes, errors and their messages are always the forward search's.
 """
 
 import logging
 import math
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import (
     InvariantViolationError,
@@ -35,7 +54,11 @@ from .model import (
     write_json,
 )
 # station_failure_probability is also read from this module by perfbench's tracer
-from .station_bound import station_failure_probabilities, station_failure_probability  # noqa: F401
+from .station_bound import (  # noqa: F401
+    availability_failure_sweep,
+    station_failure_probabilities,
+    station_failure_probability,
+)
 
 log = logging.getLogger(__name__)
 
@@ -181,9 +204,49 @@ def _minimal_feasible(evaluate, lo, hi, cap, budget, slack, what):
         return hi, f_hi
     finally:
         log.debug(
-            "%s: %d forward passes, %d columns evaluated, %d candidates read",
+            "%s: %d evaluation passes, %d candidates evaluated, %d candidates read",
             what, passes, columns, reads,
         )
+
+
+class _OutOfReach(Exception):
+    """A stock read past the backward sweep's top, or whose top lets ``tail`` escape."""
+
+
+class _Uncertain(Exception):
+    """A screened stock read the forward value might decide otherwise."""
+
+
+def _screened(fail, lost, budget, tail, slack):
+    """The stock search's evaluator on one backward sweep's (fail, lost).
+
+    Returns ``fail[n]`` where it is certain to decide every comparison
+    the search may make with it as the forward value would, and an
+    ``_Uncertain`` or ``_OutOfReach`` in its place otherwise.  The
+    forward value of start n lies in [lower(n), upper(n)] (see the module
+    docstring), so a read is certain if that interval lies on one side of
+    the budget and if upper(n) exceeds no lower(m) + slack of a start
+    m < n whose forward value may exceed the budget: the search compares
+    a bracket's new top with its previous one only when that one exceeded
+    the budget.
+    """
+    allow = 1e-9 * budget + 1e-12 * fail  # rounding, both ways
+    lower, upper = fail - tail - allow, fail + lost + allow
+    # the least value a start below n may be read with while above the budget
+    below = np.minimum.accumulate(np.where(upper > budget, lower, np.inf))
+    below = np.concatenate(([np.inf], below[:-1]))
+    certain = ((upper <= budget) | (lower > budget)) & (upper <= below + slack)
+    reached = lost < tail
+
+    def evaluate(ns):
+        return [
+            _OutOfReach() if n >= len(fail) or not reached[n]
+            else fail[n].item() if certain[n]
+            else _Uncertain(f"screened value {fail[n]:.6e} of start {n} is not certain")
+            for n in ns
+        ]
+
+    return evaluate
 
 
 def size_station_stock(profile, T, budget, search_cap=DEFAULT_SEARCH_CAP):
@@ -191,18 +254,47 @@ def size_station_stock(profile, T, budget, search_cap=DEFAULT_SEARCH_CAP):
 
     Evaluated with unlimited parking; the working-truncation tail is held
     three orders of magnitude below the budget so it cannot tip the
-    comparison.
+    comparison.  The search first runs on one backward sweep, whose top
+    covers twice the search's first bracket and doubles while a read
+    lies beyond its reach; a read it cannot certify, or any error, sends
+    the station through the forward search instead (see the module
+    docstring).  Either way the stock is the forward search's.  At DEBUG
+    one ``stock sizing:`` line reports the sweeps, their top, kernel
+    terms and whether the forward search ran; the forward search then
+    logs its own line.
     """
     if not 0.0 < budget < 1.0:
         raise ValueError("budget must lie in (0, 1)")
     tail = 1e-3 * budget
+    start = max(1, math.ceil(bin_integrals([profile.lambda_d], (0.0, T))[0, 0]))
+    reach, sweeps, terms, top, fallback = 2 * start, 0, 0, None, None
+    while True:
+        try:
+            fail, lost, n_terms = availability_failure_sweep(profile, reach, T)
+            sweeps, terms, top = sweeps + 1, terms + n_terms, len(fail) - 1
+            v, _ = _minimal_feasible(
+                _screened(fail, lost, budget, tail, 2.0 * tail),
+                0, start, search_cap, budget, 2.0 * tail, "stock screen",
+            )
+            break
+        except _OutOfReach:
+            reach *= 2
+        except Exception as exc:  # the forward search decides, and raises its own errors
+            fallback = f"{type(exc).__name__}: {exc}"
+            break
+    log.debug(
+        "stock sizing: %d backward sweeps to top %s, %d kernel terms; %s",
+        sweeps, top, terms,
+        f"forward fallback ({fallback})" if fallback else "every read certain, no forward pass",
+    )
+    if fallback is None:
+        return v
 
     def f(vs):
         return station_failure_probabilities(
             profile, vs, [None] * len(vs), T, tail_tolerance=tail
         )
 
-    start = max(1, math.ceil(bin_integrals([profile.lambda_d], (0.0, T))[0, 0]))
     v, _ = _minimal_feasible(f, 0, start, search_cap, budget, 2.0 * tail, "stock sizing")
     return v
 

@@ -28,6 +28,15 @@ runs several starts of one station, which sizing uses to evaluate a
 search's next candidates at once; a station's curve or transient runs
 one column.  At DEBUG each pass logs its columns, stations, steps,
 kernel terms and worst mass drift.
+
+``availability_failure_sweep`` runs the same timeline and series
+backwards (the Kolmogorov backward equation): one reverse pass of the
+transposed kernel gives, with unlimited parking, the probability of
+having failed by T from every start stock at once, and the probability
+of having escaped through the working truncation's top.  Its numbers
+agree with the forward columns to rounding and within the truncation
+margin, not bitwise, so sizing only screens its stock search with them
+and never writes them (see ``sizing``).
 """
 
 import logging
@@ -37,7 +46,7 @@ import numpy as np
 
 from . import model as model_module  # read at call time, where a tracer may wrap it
 from .model import InvariantViolationError, bin_integrals, check_design
-from .uniformization import RECORD, check_mass, timeline, uniformize
+from .uniformization import NEG_CLIP, RECORD, check_mass, timeline, uniformize
 
 log = logging.getLogger(__name__)
 
@@ -63,6 +72,7 @@ class _Views:
 
 
 _KEEP_FAILED = np.array([1.0, 0.0])
+_SWEEP_EDGES = np.eye(2)  # (fail, lost) at the failed boundary and at the escape boundary
 
 
 def _pieces(profile, T, record_times):
@@ -249,6 +259,11 @@ def _unbounded_start(arrivals, v):
     return int(v + math.ceil(arrivals + 10.0 * math.sqrt(v + arrivals))) + 1
 
 
+def _arrivals(profile, T):
+    """Expected arrivals by T plus the relocations that arrive by T."""
+    return bin_integrals([profile.lambda_a], (0.0, T))[0, 0] + sum(t <= T for t in profile.rho_a)
+
+
 def station_failure_probability(profile, v, c, T, tail_tolerance=1e-9):
     """Probability that the station has failed by T.
 
@@ -322,7 +337,7 @@ def station_failure_probabilities(profile, vs, cs, T, tail_tolerance=1e-9):
     if finite:
         for i, qF, _, error in run(finite, [int(cs[i]) for i in finite], True):
             out[i] = qF if error is None else error
-    arrivals = bin_integrals([profile.lambda_a], (0.0, T))[0, 0] + sum(t <= T for t in profile.rho_a)
+    arrivals = _arrivals(profile, T)
     pending = {i: _unbounded_start(arrivals, int(vs[i])) for i, c in enumerate(cs) if c is None}
     if pending and tail_tolerance <= 0.0:
         raise ValueError("tail_tolerance must be positive")
@@ -339,6 +354,66 @@ def station_failure_probabilities(profile, vs, cs, T, tail_tolerance=1e-9):
             else:
                 pending[i] = 2 * c_w
     return out
+
+
+def availability_failure_sweep(profile, reach, T):
+    """P(failed by T) and P(escaped by T) from every start stock, with unlimited parking.
+
+    One backward sweep of the station's timeline: the states 0 .. top,
+    where top is the forward path's first working truncation for a start
+    of ``reach`` (``_unbounded_start``), carry two vectors from T down to
+    0.  ``fail`` is 1 at the failed boundary below 0 and 0 at the escape
+    boundary above the top; ``lost`` is the other way round.  A piece
+    applies the transposed uniformized kernel, u(x) <- pa u(x + 1) +
+    pd u(x - 1), through the same ``uniformize`` series as the forward
+    pass, and the relocations at a piece boundary run as reversed shifts
+    in reverse order.  Entry x of ``fail`` is then the forward
+    ``station_failure_probability(profile, x, None, T)`` evaluated on this
+    top, to rounding, and entry x of ``lost`` the mass that evaluation
+    lets escape through the top.
+
+    Returns (fail, lost, terms): two arrays over the starts 0 .. top and
+    the number of kernel terms.  Raises InvariantViolationError when the
+    top would hold more states than a forward pass may, or when an entry
+    leaves [NEG_CLIP, 1 + 1e-9] or some start's fail + lost exceeds
+    1 + 1e-9.
+    """
+    _validate_vcT(profile, reach, None, T)
+    top = _unbounded_start(_arrivals(profile, T), reach)
+    if 2 * (top + 3) > _MAX_BATCH_CELLS:
+        raise InvariantViolationError(_TRUNCATION_GREW)
+    pieces, _, actions, cuts = _pieces(profile, T, ())
+    edges = top + 2  # the row stride of u[::edges]: the failed and escape boundaries
+    u = np.zeros((top + 3, 2))  # rows: failed boundary, states 0 .. top, escape boundary
+    u[::edges] = _SWEEP_EDGES
+    inner = np.empty((top + 1, 2))
+
+    def kernel(cur, out):  # with the piece's pa and pd
+        states = out[1:-1]
+        np.multiply(cur[2:], pa, out=states)
+        np.multiply(cur[:-2], pd, out=inner)
+        np.add(states, inner, out=states)
+        out[::edges] = _SWEEP_EDGES
+
+    def act(b):
+        # the transposes of boundary b's relocations, last one first
+        for _, payload in reversed(actions[cuts[b] : cuts[b + 1]]):
+            u[1:-1] = u[2:] if payload == "arrival" else u[:-2]
+
+    terms = 0
+    act(len(pieces))
+    for j in range(len(pieces) - 1, -1, -1):
+        dt, la, ld = pieces[j].tolist()
+        lam = la + ld
+        if lam > 0.0:
+            pa, pd = la / lam, ld / lam
+            terms += uniformize(u, lam, dt, kernel)
+        act(j)
+    fail, lost = u[1:-1].T.copy()
+    in_range = u.min() >= NEG_CLIP and u.max() <= 1.0 + _MASS_TOL
+    if not (in_range and (fail + lost).max() <= 1.0 + _MASS_TOL):
+        raise InvariantViolationError(f"backward sweep left the probability range at top {top}")
+    return fail, lost, terms
 
 
 def _finite_capacity(profiles, vs, cs, times, keep_q=False):

@@ -819,3 +819,53 @@ class TestMalformedDocuments:
         assert run(["plan", "--model", model, "--out", str(out)]) == EXIT_INPUT
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestReplayEtaFromModel:
+    """``replay --eta-from-model`` reads the model's travel times and nothing else."""
+
+    def replay(self, pipeline, tmp_path, model):
+        out = tmp_path / "r.csv"
+        code = run(["replay", "--sequences", str(pipeline["sequences"]),
+                    "--design", str(pipeline["design"]), "--plan", str(pipeline["plan"]),
+                    "--eta-from-model", model, "--out", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(replaced(["eta", 0, 1], None), "malformed demand model", id="null-eta"),
+            pytest.param(replaced(["eta", 0, 1], True), "malformed demand model", id="boolean-eta"),
+            pytest.param(replaced(["eta", 0, 1], -0.5), "travel times must be finite and non-negative",
+                         id="negative-eta"),
+            pytest.param(replaced(["eta", 1, 1], 0.25), "diagonal travel times must be zero",
+                         id="nonzero-diagonal"),
+            pytest.param(lambda doc: {**doc, "eta": [row[:2] for row in doc["eta"]]},
+                         "eta must be a k x k matrix of hours", id="non-square-eta"),
+            pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "eta"},
+                         "malformed demand model", id="missing-eta"),
+            pytest.param(nudged(["k"], 0.25), "expected a whole number", id="fractional-station-count"),
+            pytest.param(replaced(["horizon_hours"], 0.0), "horizon must be a positive finite",
+                         id="zero-horizon"),
+        ],
+    )
+    def test_a_bad_eta_exits_1_with_the_model_message(self, pipeline, tmp_path, capsys, edit, message):
+        model = edited_copy(pipeline["model"], tmp_path / "m.json", edit)
+        code, out = self.replay(pipeline, tmp_path, model)
+        assert code == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_the_intensities_are_not_read(self, pipeline, tmp_path):
+        code, out = self.replay(pipeline, tmp_path, str(pipeline["model"]))
+        assert code == EXIT_OK
+        expected = out.read_bytes()
+        broken = edited_copy(pipeline["model"], tmp_path / "m.json",
+                             replaced(["lambda", 0, "values", 0], -1.0))
+        code, out = self.replay(pipeline, tmp_path, broken)
+        assert code == EXIT_OK
+        assert out.read_bytes() == expected
+
+    def test_eta_is_the_models_own(self, pipeline):
+        doc = json.loads(pipeline["model"].read_text())
+        assert model_module.eta_from_json(doc) == model_module.model_from_json(doc).eta

@@ -4,12 +4,14 @@ import logging
 import math
 import re
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleetsizing import sizing, station_bound
 from fleetsizing.model import (
     DemandModel,
     InvariantViolationError,
@@ -325,6 +327,20 @@ def reference_minimal_feasible(f, lo, hi, cap, budget, slack, what):
     return hi
 
 
+def reference_stock(profile, T, budget):
+    """The stock stage as the one-candidate forward search."""
+    tail = 1e-3 * budget
+    return reference_minimal_feasible(
+        lambda v: station_failure_probability(profile, v, None, T, tail_tolerance=tail),
+        0,
+        max(1, math.ceil(reference_integral(profile.lambda_d, 0.0, T))),
+        1_000_000,
+        budget,
+        2.0 * tail,
+        "stock sizing",
+    )
+
+
 class NoValue(RuntimeError):
     """f is undefined at this candidate."""
 
@@ -472,25 +488,16 @@ class TestPrefetchingSearch:
 
 
 class TestBatchedSizingMatchesOneCandidateSearch:
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.01, 0.05, 0.2]))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.01, 0.05, 0.2]), st.booleans())
     @settings(max_examples=12, deadline=None)
-    def test_designs_and_failures_are_bitwise_equal(self, seed, z):
+    def test_designs_and_failures_are_bitwise_equal(self, seed, z, with_delay):
         model, plan, _ = random_small_instance(np.random.default_rng(seed))
         T = model.horizon
-        res = size_system(model, plan, SizingRequest(z, T))
+        res = size_system(model, plan, SizingRequest(z, T), with_delay=with_delay)
         for i in range(model.k):
-            profile = aggregate_station_flows(model, plan)[i]
+            profile = aggregate_station_flows(model, plan, with_delay=with_delay)[i]
             z_i = z / model.k
-            tail = 1e-3 * 0.5 * z_i
-            v = reference_minimal_feasible(
-                lambda v: station_failure_probability(profile, v, None, T, tail_tolerance=tail),
-                0,
-                max(1, math.ceil(reference_integral(profile.lambda_d, 0.0, T))),
-                1_000_000,
-                0.5 * z_i,
-                2.0 * tail,
-                "stock sizing",
-            )
+            v = reference_stock(profile, T, 0.5 * z_i)
             extra = reference_minimal_feasible(
                 lambda e: station_failure_probability(profile, v, v + e, T),
                 0,
@@ -518,3 +525,165 @@ class TestBatchedSizingMatchesOneCandidateSearch:
         assert sum("station" in m and "v=" in m for m in messages) == 2
         assert sum(m.startswith("stock sizing:") for m in messages) == 2
         assert sum(m.startswith("capacity sizing:") for m in messages) == 2
+
+
+# --- the stock stage: screened by one backward sweep, else the forward search --
+
+
+def stock_lines(messages):
+    return [m for m in messages if m.startswith("stock sizing:")]
+
+
+def tabled_station(fail, lost, forward):
+    """Patches that make the sweep return (fail, lost) and the forward search read ``forward``."""
+
+    def sweep(profile, reach, T):
+        return np.array(fail), np.array(lost), 0
+
+    def probabilities(profile, vs, cs, T, tail_tolerance):
+        return [forward[v] for v in vs]
+
+    return (mock.patch.object(sizing, "availability_failure_sweep", sweep),
+            mock.patch.object(sizing, "station_failure_probabilities", probabilities))
+
+
+# no random arrivals, so nothing escapes any truncation and each forward
+# value is the same whatever the tail tolerance
+DEPARTURES = constant_profile(0.0, 1.5, 2.0, rho_a=(0.5,), rho_d=(1.0, 1.5))
+
+
+class TestScreenedStockStage:
+    def test_a_certain_station_runs_no_forward_pass(self):
+        with sizing_log() as messages:
+            assert size_station_stock(constant_profile(0.0, 1.0, 1.0), 1.0, 0.005) == 4
+        (line,) = stock_lines(messages)
+        assert re.fullmatch(
+            r"stock sizing: 1 backward sweeps to top 18, \d+ kernel terms; "
+            r"every read certain, no forward pass",
+            line,
+        )
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_budget_equal_to_a_forward_value_takes_the_forward_path(self, offset):
+        v = reference_stock(DEPARTURES, 2.0, 0.002)
+        budget = station_failure_probability(DEPARTURES, v + offset, None, 2.0)
+        with sizing_log() as messages:
+            got = size_station_stock(DEPARTURES, 2.0, budget)
+        assert got == reference_stock(DEPARTURES, 2.0, budget)
+        first, forward = stock_lines(messages)
+        assert "forward fallback (_Uncertain: screened value" in first
+        assert "evaluation passes" in forward
+
+    @given(st.integers(0, 2**32 - 1), st.integers(-1, 0))
+    @settings(max_examples=10, deadline=None)
+    def test_budget_at_a_forward_value_of_a_random_station(self, seed, offset):
+        model, plan, _ = random_small_instance(np.random.default_rng(seed))
+        profile = aggregate_station_flows(model, plan, with_delay=True)[0]
+        T = model.horizon
+        v = reference_stock(profile, T, 0.005)
+        if v + offset < 0:
+            return
+        # the budget's own tail tolerance, so the budget is the forward value
+        # the search will read
+        budget = 0.005
+        for _ in range(4):
+            budget = station_failure_probability(
+                profile, v + offset, None, T, tail_tolerance=1e-3 * budget
+            )
+            if not 0.0 < budget < 1.0:
+                return
+        assert size_station_stock(profile, T, budget) == reference_stock(profile, T, budget)
+
+    def test_a_broken_sweep_check_takes_the_forward_path(self):
+        profile = constant_profile(0.4, 1.0, 1.0, rho_d=(0.5,))
+        with mock.patch.object(station_bound, "NEG_CLIP", 2.0), sizing_log() as messages:
+            got = size_station_stock(profile, 1.0, 0.005)
+        assert got == reference_stock(profile, 1.0, 0.005)
+        assert "forward fallback (InvariantViolationError: backward sweep left" in stock_lines(messages)[0]
+
+    def test_reads_beyond_the_top_re_run_the_sweep_higher(self):
+        profile = constant_profile(0.0, 1.0, 1.0)
+        with mock.patch.object(station_bound, "_unbounded_start", lambda arrivals, v: v + 1), \
+                sizing_log() as messages:
+            assert size_station_stock(profile, 1.0, 0.005) == 4
+        (line,) = stock_lines(messages)
+        assert line.startswith("stock sizing: 2 backward sweeps to top 5,")
+        assert line.endswith("no forward pass")
+
+    def test_reads_whose_top_lets_tail_escape_re_run_the_sweep_higher(self):
+        # arrivals push start 1 past a top of 3 far more often than the tail
+        profile = constant_profile(3.0, 1.0, 1.0)
+        with mock.patch.object(station_bound, "_unbounded_start", lambda arrivals, v: v + 1), \
+                sizing_log() as messages:
+            got = size_station_stock(profile, 1.0, 0.005)
+        assert got == reference_stock(profile, 1.0, 0.005)
+        (line,) = stock_lines(messages)
+        assert not line.startswith("stock sizing: 1 backward sweeps")
+        assert line.endswith("no forward pass")
+
+    def test_errors_come_from_the_forward_search(self):
+        profile = constant_profile(0.0, 40.0, 1.0)
+        with pytest.raises(SizingInfeasibleError, match=r"^stock sizing: .* at search cap 3$"):
+            size_station_stock(profile, 1.0, 1e-6, search_cap=3)
+        with pytest.raises(ValueError, match="search cap must be at least 1"):
+            size_station_stock(profile, 1.0, 1e-6, search_cap=0)
+        with pytest.raises(ValueError, match="outside intensity domain"):
+            size_station_stock(profile, 1.5, 1e-3)
+
+    def test_a_monotonicity_violation_raises_the_forward_message(self):
+        # a station whose values rise with the stock, on both paths
+        rising = [0.5 + 0.01 * n for n in range(40)]
+        sweep, probabilities = tabled_station(rising, [0.0] * 40, rising)
+        with sweep, probabilities:
+            with pytest.raises(InvariantViolationError, match=r"^stock sizing: failure probability rose"):
+                size_station_stock(constant_profile(0.0, 2.0, 1.0), 1.0, 0.01)
+
+
+BUDGET, TAIL = 0.01, 1e-5  # the stock stage's tail is 1e-3 of its budget
+FALLING = [min(1.0, 0.02 * 0.8 ** (n - 3)) for n in range(40)]  # crosses BUDGET between 6 and 7
+FLAT = [0.5] * 16 + FALLING[16:]
+
+
+def nudged_at(values, n, to):
+    out = list(values)
+    out[n] = to
+    return out
+
+
+class TestScreenedReadsAreCertifiedAgainstTheForwardValue:
+    """The sweep's (fail, lost) bound each forward value to [fail - tail, fail + lost].
+
+    In each case the forward values stay inside those bounds but decide one
+    read differently from the screened value, so the stage must notice
+    the read is uncertain and return the forward search's stock.
+    """
+
+    @pytest.mark.parametrize(
+        "fail, lost, forward",
+        [
+            # escape through the sweep's top may lift start 7 over the budget
+            pytest.param(nudged_at(FALLING, 7, BUDGET - TAIL / 2), nudged_at([0.0] * 40, 7, 0.9 * TAIL),
+                         nudged_at(FALLING, 7, BUDGET + TAIL / 4), id="lost"),
+            # a taller forward top may leave start 6 under the budget
+            pytest.param(nudged_at(FALLING, 6, BUDGET + TAIL / 2), [0.0] * 40,
+                         nudged_at(FALLING, 6, BUDGET - TAIL / 4), id="tail"),
+            # the second bracket top (16) may rise over the first (8) by
+            # more than the slack (2 tail): the first may be read a tail lower
+            pytest.param(nudged_at(FLAT, 16, 0.5 + 2 * TAIL - 1e-7), [0.0] * 40,
+                         nudged_at(nudged_at(FLAT, 16, 0.5 + 2 * TAIL - 1e-7), 8, 0.5 - 0.9 * TAIL),
+                         id="slack"),
+        ],
+    )
+    def test_an_uncertain_read_takes_the_forward_path(self, fail, lost, forward):
+        profile = constant_profile(0.0, 8.0, 1.0)  # the search's first bracket is [0, 8]
+        sweep, probabilities = tabled_station(fail, lost, forward)
+        expected = outcome(lambda: reference_minimal_feasible(
+            forward.__getitem__, 0, 8, 1_000_000, BUDGET, 2.0 * TAIL, "stock sizing"))
+        with sweep, probabilities, sizing_log() as messages:
+            got = outcome(lambda: size_station_stock(profile, 1.0, BUDGET))
+        assert got == expected
+        assert "forward fallback (_Uncertain" in stock_lines(messages)[0]
+        # the screened values alone would have decided otherwise
+        screened = outcome(lambda: reference_minimal_feasible(
+            fail.__getitem__, 0, 8, 1_000_000, BUDGET, 2.0 * TAIL, "stock sizing"))
+        assert screened != expected

@@ -20,6 +20,7 @@ from fleetsizing.model import (
 )
 from fleetsizing.station_bound import (
     _evolve_columns,
+    availability_failure_sweep,
     station_failure_curve,
     station_failure_probabilities,
     station_failure_probability,
@@ -601,3 +602,86 @@ class TestStationFailureProbabilities:
             station_failure_probabilities(prof, [1, 3], [2, 2], 1.0)
         with pytest.raises(ValueError):
             station_failure_probabilities(prof, [1], [None], 1.0, tail_tolerance=0.0)
+
+
+# --- the backward sweep against the forward columns ---------------------------
+
+
+def sweep_profile(r, horizon, T):
+    """``random_profile`` with some pieces silenced and relocations possibly at t=0 and t=T."""
+    prof = random_profile(r, horizon)
+
+    def silenced(pci):
+        values = [0.0 if r.random() < 0.3 else x for x in pci.values]
+        return PiecewiseConstantIntensity(pci.breakpoints, values, horizon)
+
+    rho = {name: list(getattr(prof, name)) for name in ("rho_a", "rho_d")}
+    for t in (0.0, T):
+        for name in rho:
+            rho[name] += [t] * int(r.integers(0, 3))
+    return StationFlowProfile(
+        silenced(prof.lambda_a), silenced(prof.lambda_d), sorted(rho["rho_a"]), sorted(rho["rho_d"])
+    )
+
+
+class TestAvailabilityFailureSweep:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_every_start_is_the_forward_value_within_the_certified_margin(self, seed):
+        # sizing accepts a screened stock read only if the forward value of
+        # start x lies in [fail - tail, fail + lost], widened by 1e-9 of the
+        # budget (1e3 tail) and 1e-12 of the value for rounding
+        r = np.random.default_rng(seed)
+        horizon = 2.0
+        T = horizon if r.random() < 0.5 else round(float(r.uniform(0.2, horizon)), 6)
+        prof = sweep_profile(r, horizon, T)
+        fail, lost, terms = availability_failure_sweep(prof, int(r.integers(0, 6)), T)
+        n = len(fail)
+        assert terms >= 0
+        for tail in (1e-3, 1e-9):
+            forward = np.array(station_failure_probabilities(prof, list(range(n)), [None] * n, T, tail))
+            allow = 1e-9 * (1e3 * tail) + 1e-12 * fail
+            assert np.all(forward >= fail - tail - allow)
+            assert np.all(forward <= fail + lost + allow)
+        # more stock never fails more, and a higher start escapes no less often
+        assert np.all(np.diff(fail) <= 1e-15) and np.all(np.diff(lost) >= -1e-15)
+        assert np.all(fail + lost <= 1.0 + 1e-9)
+
+    def test_closed_forms_of_pure_departures(self):
+        # no arrivals: fail(v) = P(Poisson(1) >= v + 1) and nothing escapes
+        fail, lost, _ = availability_failure_sweep(constant_profile(0.0, 1.0, 1.0), 3, 1.0)
+        assert fail[:4] == pytest.approx([P_GE_1, P_GE_2, P_GE_3, P_GE_4], rel=1e-12)
+        assert not lost.any()
+
+    @pytest.mark.parametrize("rho_a, expected", [((), [1.0, 1.0, 0.0]), ((1.0,), [1.0, 0.0, 0.0])])
+    def test_relocations_at_zero_and_at_T_run_in_forward_order(self, rho_a, expected):
+        # departures at t=0 and t=T; an arrival at T runs before the
+        # departure at T, as in the forward timeline, and saves start 1
+        prof = constant_profile(0.0, 0.0, 1.0, rho_a=rho_a, rho_d=(0.0, 1.0))
+        fail, _, terms = availability_failure_sweep(prof, 3, 1.0)
+        assert terms == 0
+        assert fail[:3].tolist() == expected
+        assert expected == [station_failure_probability(prof, v, None, 1.0) for v in range(3)]
+        early = availability_failure_sweep(prof, 3, 0.5)[0]
+        assert early[:2].tolist() == [1.0, 0.0]  # by T = 0.5 only the departure at 0 has run
+
+    def test_boundaries_stay_exact_through_many_pieces(self):
+        # the failed boundary enters start 0 through the departure at t=0,
+        # after every piece's series has run over it
+        prof = StationFlowProfile(
+            make_pci(np.random.default_rng(3), 5.0, max_rate=9.0, max_pieces=6),
+            make_pci(np.random.default_rng(4), 5.0, max_rate=9.0, max_pieces=6),
+            (1.0, 2.5, 4.0),
+            (0.0, 3.0),
+        )
+        fail, lost, terms = availability_failure_sweep(prof, 4, 5.0)
+        assert terms > 100
+        assert fail[0] == 1.0 and lost[0] == 0.0
+
+    def test_top_too_tall_and_bad_horizon_are_errors(self):
+        prof = constant_profile(1.0, 1.0, 1.0)
+        with mock.patch.object(station_bound, "_MAX_BATCH_CELLS", 40):
+            with pytest.raises(InvariantViolationError, match="grew unreasonably"):
+                availability_failure_sweep(prof, 30, 1.0)
+        with pytest.raises(ValueError):
+            availability_failure_sweep(prof, 3, 1.5)
