@@ -6,39 +6,41 @@ smallest initial stock whose availability-failure probability (evaluated
 with unlimited parking) fits half the slice, then the smallest capacity
 whose total failure probability fits the whole slice.  Both stages
 exploit that the failure probability is non-increasing in stock
-(unlimited capacity) and in capacity (fixed stock): an upper bracket is
-found by doubling and the minimum by bisection.  Monotonicity is
-asserted at the bracket endpoints and a violation aborts the search.
+(unlimited capacity) and in capacity (fixed stock): ``_search`` finds an
+upper bracket by doubling and the minimum by bisection, and aborts if a
+bracket's value rises.
 
-Candidates are evaluated in column batches: when the search reads a
-value it does not have yet, one forward pass of the station's event
-timeline evaluates every candidate it may read in its next few steps
-(``station_bound.station_failure_probabilities``).  Each column is
-bitwise the one-candidate evaluation, so the reads, decisions, sizes and
-errors are those of evaluating one candidate at a time; the capacity
-search hands its last read back as the station's failure probability.
+One backward sweep (``station_bound.availability_failure_sweep``) gives,
+for every start x up to its top, fail(x), the chance of having fallen
+below 0 by T, and lost(x), the chance of having escaped through the top
+first.  The stock stage writes no probability, so it runs the search on
+fail and accepts a read only if it is certain to decide as the forward
+value would.  That value lies in [fail(x) - tail, fail(x) + lost(x)],
+widened by a rounding allowance: two truncation tops N < N' give
+0 <= qF(N') - qF(N) <= lost(N), and the forward value's own top lets
+less than ``tail`` escape.  A read is certain if that interval lies on
+one side of the budget and, as the top of a growing bracket, cannot
+rise by more than the slack over a value read below it.  A read past
+the sweep's reach re-runs it on a top twice as high; any other
+uncertain read or error sends the station through the forward search.
 
-The stock stage writes no probability, only the stock, so it screens
-first and confirms on the forward path only where it must.  One backward
-sweep (``station_bound.availability_failure_sweep``) gives every start's
-availability failure, and the same search runs on those values, each
-read accepted only if it is certain to decide as the forward value
-would.  For a start x the forward value lies in [fail(x) - tail,
-fail(x) + lost(x)], widened by a rounding allowance: two truncation tops
-N < N' give 0 <= qF(N') - qF(N) <= lost(N), and the forward value's own
-top lets less than ``tail`` escape.  A read is certain if that interval
-lies on one side of the budget and, as the top of a growing bracket,
-cannot rise by more than the slack over any value the search may have
-read below it.  A read beyond the sweep's reach (past its top, or with
-``lost`` at or above ``tail``) re-runs the sweep on a top twice as high.
-Any other uncertain read, a sweep that breaks its checks and a search
-that raises anything send the station through the forward search, so
-sizes, errors and their messages are always the forward search's.
+The forward search (``_minimal_feasible``) reads forward values only,
+each bitwise that of its candidate alone
+(``station_bound.station_failure_probabilities``), so sizes, errors and
+the written failure probability are always the forward search's.  The
+sweep only chooses its columns: the search first runs on a prediction,
+and one forward pass evaluates every candidate that run read.  The
+stock stage predicts fail(v).  The capacity stage predicts extra e as
+fail(v) + lost(top - e): between the two boundaries the rates do not
+depend on the stock, so the two terms are the first passages through
+the lower and the upper boundary, and their sum is high only by the
+chance of crossing both, which is small when they lie far apart.
 """
 
+import contextlib
 import logging
 import math
-from collections import deque
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,67 +107,77 @@ class SizingResult:
     bound: float
 
 
-_LOOKAHEAD = 15  # candidates evaluated per forward pass
-
-
-def _lookahead(state, cap):
-    """Candidates the search may read next from ``state``, nearest first.
-
-    A state is (kind, lo, hi) and reads one candidate: "start" reads lo,
-    "bracket" and "double" read hi, "bisect" reads the midpoint.  Both
-    outcomes of each read are followed breadth first: lo feasible ends
-    the search, hi feasible starts the bisection of [lo, hi] and hi
-    infeasible doubles it.  A doubling is read but not expanded, so a
-    pass holds no column more than twice as tall as the bracket.
-    """
-    out = []
-    queue = deque([state])
-    while queue and len(out) < _LOOKAHEAD:
-        kind, lo, hi = queue.popleft()
-        if kind == "bisect":
-            if hi - lo > 1:
-                mid = (lo + hi) // 2
-                out.append(mid)
-                queue.extend((("bisect", lo, mid), ("bisect", mid, hi)))
-        elif kind == "start":
-            out.append(lo)
-            queue.append(("bracket", lo, hi))
-        else:
-            out.append(hi)
-            if kind == "bracket":
-                queue.append(("bisect", lo, hi))
-                if hi < cap:
-                    queue.append(("double", hi, min(2 * hi, cap)))
-    return out
-
-
-def _minimal_feasible(evaluate, lo, hi, cap, budget, slack, what):
+def _search(read, lo, hi, cap, budget, slack, what):
     """Smallest n in [lo, cap] with f(n) <= budget, for non-increasing f.
 
-    Returns (n, f(n)).  The upper bracket grows by doubling; successive
-    bracket values must not rise by more than the evaluation slack,
-    otherwise the assumed monotonicity is broken and the search aborts
-    rather than returning a wrong size.
-
-    ``evaluate(ns)`` returns f at each n, or the exception evaluating it
-    raised.  On a candidate not yet evaluated, one call evaluates every
-    candidate the search may read in its next few steps (``_lookahead``),
-    so a forward pass serves several reads.  The reads, decisions and
-    errors are those of the one-candidate-at-a-time search: a candidate's
-    exception is raised only if the search reads it.
+    Reads f(n) as ``read(n)`` and returns (n, f(n)).  The upper bracket
+    grows by doubling; successive bracket values must not rise by more
+    than the evaluation slack, otherwise the assumed monotonicity is
+    broken and the search aborts rather than returning a wrong size.
     """
     if cap < 1:
         raise ValueError("search cap must be at least 1")
+    hi = min(max(hi, lo + 1), cap)
+    prev = read(lo)
+    if prev <= budget:
+        return lo, prev
+    f_hi = read(hi)
+    while True:
+        if f_hi > prev + slack:
+            raise InvariantViolationError(
+                f"{what}: failure probability rose from {prev:.6e} to {f_hi:.6e} "
+                f"while growing the bracket to {hi}; expected non-increasing"
+            )
+        if f_hi <= budget:
+            break
+        if hi >= cap:
+            raise SizingInfeasibleError(
+                f"{what}: failure probability {f_hi:.3e} still exceeds budget "
+                f"{budget:.3e} at search cap {cap}"
+            )
+        lo, prev = hi, f_hi
+        hi = min(2 * hi, cap)
+        f_hi = read(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        f_mid = read(mid)
+        if f_mid <= budget:
+            hi, f_hi = mid, f_mid
+        else:
+            lo = mid
+    return hi, f_hi
+
+
+def _minimal_feasible(evaluate, lo, hi, cap, budget, slack, what, predict=None):
+    """``_search`` on ``evaluate(ns)``, which returns f or the exception of each n.
+
+    ``predict(n)`` guesses f(n), or raises where it has no guess.  One
+    call evaluates every candidate the search on the guesses reads (any
+    error of that run is dropped); each read off that path is evaluated
+    on its own.  The search then reads evaluated values only, so a wrong
+    guess costs calls, never another result, and a candidate's exception
+    is raised only if the search reads it.
+    """
     memo = {}
     passes = columns = reads = 0
 
-    def read(n, state):
-        nonlocal passes, columns, reads
+    def fetch(ns):
+        nonlocal passes, columns
+        memo.update(zip(ns, evaluate(ns), strict=True))
+        passes += 1
+        columns += len(ns)
+
+    if predict is not None:
+        path = []
+        with contextlib.suppress(Exception):  # the evaluated search raises its own
+            _search(lambda n: path.append(n) or predict(n), lo, hi, cap, budget, slack, what)
+        if path:
+            fetch(list(dict.fromkeys(path)))
+
+    def read(n):
+        nonlocal reads
         if n not in memo:
-            batch = [m for m in dict.fromkeys(_lookahead(state, cap)) if m not in memo]
-            memo.update(zip(batch, evaluate(batch), strict=True))
-            passes += 1
-            columns += len(batch)
+            fetch([n])
         reads += 1
         value = memo[n]
         if isinstance(value, Exception):
@@ -173,35 +185,7 @@ def _minimal_feasible(evaluate, lo, hi, cap, budget, slack, what):
         return value
 
     try:
-        hi = min(max(hi, lo + 1), cap)
-        prev = read(lo, ("start", lo, hi))
-        if prev <= budget:
-            return lo, prev
-        f_hi = read(hi, ("bracket", lo, hi))
-        while True:
-            if f_hi > prev + slack:
-                raise InvariantViolationError(
-                    f"{what}: failure probability rose from {prev:.6e} to {f_hi:.6e} "
-                    f"while growing the bracket to {hi}; expected non-increasing"
-                )
-            if f_hi <= budget:
-                break
-            if hi >= cap:
-                raise SizingInfeasibleError(
-                    f"{what}: failure probability {f_hi:.3e} still exceeds budget "
-                    f"{budget:.3e} at search cap {cap}"
-                )
-            lo, prev = hi, f_hi
-            hi = min(2 * hi, cap)
-            f_hi = read(hi, ("bracket", lo, hi))
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            f_mid = read(mid, ("bisect", lo, hi))
-            if f_mid <= budget:
-                hi, f_hi = mid, f_mid
-            else:
-                lo = mid
-        return hi, f_hi
+        return _search(read, lo, hi, cap, budget, slack, what)
     finally:
         log.debug(
             "%s: %d evaluation passes, %d candidates evaluated, %d candidates read",
@@ -218,17 +202,12 @@ class _Uncertain(Exception):
 
 
 def _screened(fail, lost, budget, tail, slack):
-    """The stock search's evaluator on one backward sweep's (fail, lost).
+    """The stock search's reader on one backward sweep's (fail, lost).
 
-    Returns ``fail[n]`` where it is certain to decide every comparison
-    the search may make with it as the forward value would, and an
-    ``_Uncertain`` or ``_OutOfReach`` in its place otherwise.  The
-    forward value of start n lies in [lower(n), upper(n)] (see the module
-    docstring), so a read is certain if that interval lies on one side of
-    the budget and if upper(n) exceeds no lower(m) + slack of a start
-    m < n whose forward value may exceed the budget: the search compares
-    a bracket's new top with its previous one only when that one exceeded
-    the budget.
+    Returns ``fail[n]`` where it is certain to decide as the forward value
+    would (see the module docstring), and raises ``_Uncertain`` or
+    ``_OutOfReach`` otherwise.  A bracket's new top is compared with the
+    previous one only when that one may exceed the budget.
     """
     allow = 1e-9 * budget + 1e-12 * fail  # rounding, both ways
     lower, upper = fail - tail - allow, fail + lost + allow
@@ -238,41 +217,28 @@ def _screened(fail, lost, budget, tail, slack):
     certain = ((upper <= budget) | (lower > budget)) & (upper <= below + slack)
     reached = lost < tail
 
-    def evaluate(ns):
-        return [
-            _OutOfReach() if n >= len(fail) or not reached[n]
-            else fail[n].item() if certain[n]
-            else _Uncertain(f"screened value {fail[n]:.6e} of start {n} is not certain")
-            for n in ns
-        ]
+    def read(n):
+        if n >= len(fail) or not reached[n]:
+            raise _OutOfReach
+        if not certain[n]:
+            raise _Uncertain(f"screened value {fail[n]:.6e} of start {n} is not certain")
+        return fail[n].item()
 
-    return evaluate
+    return read
 
 
-def size_station_stock(profile, T, budget, search_cap=DEFAULT_SEARCH_CAP):
-    """Smallest initial stock whose availability failure fits the budget.
-
-    Evaluated with unlimited parking; the working-truncation tail is held
-    three orders of magnitude below the budget so it cannot tip the
-    comparison.  The search first runs on one backward sweep, whose top
-    covers twice the search's first bracket and doubles while a read
-    lies beyond its reach; a read it cannot certify, or any error, sends
-    the station through the forward search instead (see the module
-    docstring).  Either way the stock is the forward search's.  At DEBUG
-    one ``stock sizing:`` line reports the sweeps, their top, kernel
-    terms and whether the forward search ran; the forward search then
-    logs its own line.
-    """
+def _stock(profile, T, budget, search_cap):
+    """The stock stage: (v, the last backward sweep's (fail, lost) or None)."""
     if not 0.0 < budget < 1.0:
         raise ValueError("budget must lie in (0, 1)")
     tail = 1e-3 * budget
     start = max(1, math.ceil(bin_integrals([profile.lambda_d], (0.0, T))[0, 0]))
-    reach, sweeps, terms, top, fallback = 2 * start, 0, 0, None, None
+    reach, sweeps, terms, sweep, fallback = 2 * start, 0, 0, None, None
     while True:
         try:
             fail, lost, n_terms = availability_failure_sweep(profile, reach, T)
-            sweeps, terms, top = sweeps + 1, terms + n_terms, len(fail) - 1
-            v, _ = _minimal_feasible(
+            sweeps, terms, sweep = sweeps + 1, terms + n_terms, (fail, lost)
+            v, _ = _search(
                 _screened(fail, lost, budget, tail, 2.0 * tail),
                 0, start, search_cap, budget, 2.0 * tail, "stock screen",
             )
@@ -284,32 +250,43 @@ def size_station_stock(profile, T, budget, search_cap=DEFAULT_SEARCH_CAP):
             break
     log.debug(
         "stock sizing: %d backward sweeps to top %s, %d kernel terms; %s",
-        sweeps, top, terms,
+        sweeps, sweep and len(sweep[0]) - 1, terms,
         f"forward fallback ({fallback})" if fallback else "every read certain, no forward pass",
     )
     if fallback is None:
-        return v
+        return v, sweep
 
     def f(vs):
         return station_failure_probabilities(
             profile, vs, [None] * len(vs), T, tail_tolerance=tail
         )
 
-    v, _ = _minimal_feasible(f, 0, start, search_cap, budget, 2.0 * tail, "stock sizing")
-    return v
+    v, _ = _minimal_feasible(
+        f, 0, start, search_cap, budget, 2.0 * tail, "stock sizing",
+        predict=sweep and sweep[0].item,
+    )
+    return v, sweep
 
 
-def size_station_capacity(
-    profile, T, v, budget, search_cap=DEFAULT_SEARCH_CAP, return_failure=False
-):
-    """Smallest capacity >= v whose total failure probability fits the budget.
+def _capacity(profile, T, v, budget, search_cap, sweep):
+    """The capacity stage: (c, the failure probability of (v, c) it read).
 
-    With ``return_failure`` the result is (c, failure probability of (v, c)
-    by T), the value the search read, bitwise that of
-    ``station_failure_probability(profile, v, c, T)``.
+    ``sweep`` is a backward sweep's (fail, lost), or None to run one.
     """
     if not 0.0 < budget < 1.0:
         raise ValueError("budget must lie in (0, 1)")
+    if sweep is None:
+        with contextlib.suppress(Exception):  # the forward search raises its own
+            sweep = availability_failure_sweep(profile, v, T)[:2]
+    predict = None
+    if sweep is not None:
+        fail, lost = sweep
+        top = len(fail) - 1
+
+        def predict(e):  # both boundaries, less the chance of crossing both
+            if top - e < v:
+                raise IndexError(f"no prediction for extra {e} above top {top}")
+            return fail[v] + lost[top - e]
 
     def g(extras):
         return station_failure_probabilities(
@@ -317,35 +294,59 @@ def size_station_capacity(
         )
 
     start = max(1, math.ceil(bin_integrals([profile.lambda_a], (0.0, T))[0, 0]))
-    extra, qf = _minimal_feasible(g, 0, start, search_cap, budget, 1e-9, "capacity sizing")
-    return (v + extra, qf) if return_failure else v + extra
+    extra, qf = _minimal_feasible(g, 0, start, search_cap, budget, 1e-9, "capacity sizing", predict)
+    return v + extra, qf
+
+
+def size_station_stock(profile, T, budget, search_cap=DEFAULT_SEARCH_CAP):
+    """Smallest initial stock whose availability failure fits the budget.
+
+    Evaluated with unlimited parking; the working-truncation tail is held
+    three orders of magnitude below the budget so it cannot tip the
+    comparison.  The backward sweep's top first covers twice the search's
+    first bracket.  At DEBUG one ``stock sizing:`` line reports the
+    sweeps, their top, kernel terms and whether the forward search ran.
+    """
+    return _stock(profile, T, budget, search_cap)[0]
+
+
+def size_station_capacity(profile, T, v, budget, search_cap=DEFAULT_SEARCH_CAP):
+    """Smallest capacity >= v whose total failure probability fits the budget.
+
+    Its own backward sweep, from a reach of ``v``, predicts the values.
+    """
+    return _capacity(profile, T, v, budget, search_cap, None)[0]
 
 
 def size_system(model, plan, request, with_delay=False, search_cap=DEFAULT_SEARCH_CAP):
-    """Size every station against an even split of the system budget."""
+    """Size every station against an even split of the system budget.
+
+    Both stages of a station share one backward sweep.  At DEBUG a
+    ``station i:`` line also reports the seconds of each stage.
+    """
     if request.T > model.horizon + 1e-9:
         raise ValueError("sizing horizon exceeds the model horizon")
     budgets = request.station_budgets(model.k)
-    vs = []
-    cs = []
-    qfs = []
+    rows = []
     profiles = aggregate_station_flows(model, plan, with_delay=with_delay)
     for i, profile in enumerate(profiles, start=1):
         z_i = budgets[i - 1]
-        v = size_station_stock(profile, request.T, 0.5 * z_i, search_cap=search_cap)
-        c, qf = size_station_capacity(
-            profile, request.T, v, z_i, search_cap=search_cap, return_failure=True
-        )
+        t0 = time.perf_counter()
+        v, sweep = _stock(profile, request.T, 0.5 * z_i, search_cap)
+        t1 = time.perf_counter()
+        c, qf = _capacity(profile, request.T, v, z_i, search_cap, sweep)
+        t2 = time.perf_counter()
         if qf > z_i + 1e-9:
             raise InvariantViolationError(
                 f"station {i}: sized design misses its budget ({qf:.3e} > {z_i:.3e})"
             )
-        log.debug("station %d: v=%d c=%d qf=%.6e", i, v, c, qf)
-        vs.append(v)
-        cs.append(c)
-        qfs.append(qf)
-    bound = sum(qfs)
-    return SizingResult(SystemDesign(tuple(vs), tuple(cs)), tuple(qfs), bound)
+        log.debug(
+            "station %d: v=%d c=%d qf=%.6e stock_s=%.4f capacity_s=%.4f",
+            i, v, c, qf, t1 - t0, t2 - t1,
+        )
+        rows.append((v, c, qf))
+    vs, cs, qfs = zip(*rows)
+    return SizingResult(SystemDesign(vs, cs), qfs, sum(qfs))
 
 
 # --- design / result files --------------------------------------------------

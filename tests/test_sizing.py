@@ -3,7 +3,7 @@
 import logging
 import math
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from unittest import mock
 
 import numpy as np
@@ -153,10 +153,9 @@ class TestJointSizing:
             rho_d=rho if relocation == "departure" else (),
         )
         v = size_station_stock(profile, T, 0.5 * budget)
-        c, qf = size_station_capacity(profile, T, v, budget, return_failure=True)
+        c = size_station_capacity(profile, T, v, budget)
         assert v <= c
-        assert qf == station_failure_probability(profile, v, c, T)
-        assert qf <= budget
+        assert station_failure_probability(profile, v, c, T) <= budget
         vj, cj = size_station_joint(profile, T, budget)
         assert vj + cj <= v + c
 
@@ -286,14 +285,15 @@ class TestDesignFiles:
             design_from_json(doc)
 
 
-# --- the prefetching search against the one-candidate-at-a-time search ------
+# --- the predicted search against the one-candidate-at-a-time search -------
 
 
 def reference_minimal_feasible(f, lo, hi, cap, budget, slack, what):
     """The bracket-doubling and bisection search, one f(n) per step.
 
     ``sizing._minimal_feasible`` must make the same reads and decisions
-    and raise the same errors while evaluating candidates in batches.
+    and raise the same errors while evaluating the candidates a
+    prediction picks in one batch.
     """
     if cap < 1:
         raise ValueError("search cap must be at least 1")
@@ -349,6 +349,10 @@ class NotRead(RuntimeError):
     """The one-candidate search never read this candidate."""
 
 
+class NoGuess(RuntimeError):
+    """The prediction has no guess at this candidate."""
+
+
 def batched(f, evaluated):
     """f as a batch evaluator: exceptions become values; records every candidate."""
 
@@ -396,7 +400,11 @@ def outcome(call):
 
 @st.composite
 def searches(draw):
-    """A search over a random integer -> float function on 0 .. size - 1."""
+    """A search over a random integer -> float function on 0 .. size - 1, and a prediction.
+
+    The prediction is none, exact, wrong at a few candidates, or without a
+    guess from some candidate on.
+    """
     size = draw(st.integers(2, 70))
     values = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
     if draw(st.booleans()):
@@ -413,14 +421,26 @@ def searches(draw):
             raise NoValue(f"f is undefined at {n}")
         return values[n]
 
-    return f, (lo, hi, cap, budget, slack, "test search")
+    kind = draw(st.sampled_from(["none", "exact", "perturbed", "raising"]))
+    guesses = list(values)
+    if kind == "perturbed":
+        wrong = draw(st.dictionaries(st.integers(0, size - 1), st.floats(0.0, 1.0), min_size=1))
+        guesses = [wrong.get(n, value) for n, value in enumerate(values)]
+    no_guess_from = draw(st.integers(0, size)) if kind == "raising" else size
+
+    def predict(n):
+        if n >= no_guess_from:
+            raise NoGuess(f"no guess at {n}")
+        return guesses[n]
+
+    return f, None if kind == "none" else predict, (lo, hi, cap, budget, slack, "test search")
 
 
 class TestPrefetchingSearch:
     @given(searches())
     @settings(max_examples=400, deadline=None)
     def test_reads_and_outcome_match_the_one_candidate_search(self, case):
-        f, args = case
+        f, predict, args = case
         reads = []
 
         def traced(n):
@@ -428,6 +448,14 @@ class TestPrefetchingSearch:
             return f(n)
 
         expected = outcome(lambda: reference_minimal_feasible(traced, *args))
+        path = []  # what the one-candidate search on the guesses reads, up to any error
+        if predict is not None:
+            def guessed(n):
+                path.append(n)
+                return predict(n)
+
+            with suppress(Exception):
+                reference_minimal_feasible(guessed, *args)
 
         def only_reference_reads(n):
             if n not in reads:
@@ -436,18 +464,19 @@ class TestPrefetchingSearch:
 
         evaluated = []
         with sizing_log() as messages:
-            got = outcome(lambda: _minimal_feasible(batched(only_reference_reads, evaluated), *args))
+            got = outcome(lambda: _minimal_feasible(
+                batched(only_reference_reads, evaluated), *args, predict=predict))
         if got[0] == "returns":
             n, value = got[1]
             assert value == f(n)
             got = ("returns", n)
         assert got == expected
-        assert set(reads) <= set(evaluated)
-        if messages:
-            passes, columns, read = map(int, re.findall(r"\d+", messages[-1]))
-            assert read == len(reads)
-            assert columns == len(evaluated)
-            assert passes <= read
+        assert sorted(evaluated) == sorted(set(path) | set(reads))
+        passes, columns, read = map(int, re.findall(r"\d+", messages[-1]))
+        assert read == len(reads)
+        assert columns == len(evaluated)
+        # one pass for the predicted path, one for each read off it
+        assert passes == bool(path) + len(set(reads) - set(path))
 
     def test_lo_already_feasible_reads_only_lo(self):
         evaluated = []
@@ -460,31 +489,66 @@ class TestPrefetchingSearch:
     def test_search_cap_is_honoured_by_speculation(self):
         evaluated = []
         with pytest.raises(SizingInfeasibleError, match="at search cap 5"):
-            _minimal_feasible(batched(lambda n: 1.0, evaluated), 0, 2, 5, 0.5, 0.0, "cap")
+            _minimal_feasible(
+                batched(lambda n: 1.0, evaluated), 0, 2, 5, 0.5, 0.0, "cap", predict=lambda n: 1.0
+            )
         assert max(evaluated) <= 5
 
     def test_speculative_failure_is_raised_only_when_read(self):
         def f(n):
-            if n == 40:  # the next doubling, which a feasible bracket never reads
+            if n == 40:  # a doubling only the predicted search reads
                 raise NoValue("f is undefined at 40")
             return 1.0 if n < 7 else 0.0
 
         evaluated = []
-        n, _ = _minimal_feasible(batched(f, evaluated), 0, 20, 1000, 0.5, 0.0, "spec")
+        n, _ = _minimal_feasible(
+            batched(f, evaluated), 0, 20, 1000, 0.5, 0.0, "spec",
+            predict=lambda n: 1.0 if n < 33 else 0.0,
+        )
         assert n == 7
         assert 40 in evaluated
 
     def test_one_pass_serves_several_reads(self):
         calls = []
 
+        def f(n):
+            return 1.0 if n < 13 else 0.0
+
         def evaluate(ns):
             calls.append(list(ns))
-            return [1.0 if n < 13 else 0.0 for n in ns]
+            return [f(n) for n in ns]
 
         with sizing_log() as messages:
-            assert _minimal_feasible(evaluate, 0, 32, 1000, 0.5, 0.0, "few")[0] == 13
-        assert len(calls) < 7  # the one-candidate search evaluates 7 times
-        assert "candidates read" in messages[-1]
+            assert _minimal_feasible(evaluate, 0, 32, 1000, 0.5, 0.0, "few", predict=f)[0] == 13
+        assert len(calls) == 1  # an exact prediction; the one-candidate search evaluates 7 times
+        assert messages[-1] == "few: 1 evaluation passes, 7 candidates evaluated, 7 candidates read"
+
+
+def assert_one_candidate_design(model, plan, z, with_delay):
+    """size_system matches the one-candidate forward searches, bitwise."""
+    T = model.horizon
+    res = size_system(model, plan, SizingRequest(z, T), with_delay=with_delay)
+    for i in range(model.k):
+        profile = aggregate_station_flows(model, plan, with_delay=with_delay)[i]
+        z_i = z / model.k
+        v = reference_stock(profile, T, 0.5 * z_i)
+        extra = reference_minimal_feasible(
+            lambda e: station_failure_probability(profile, v, v + e, T),
+            0,
+            max(1, math.ceil(reference_integral(profile.lambda_a, 0.0, T))),
+            1_000_000,
+            z_i,
+            1e-9,
+            "capacity sizing",
+        )
+        assert (res.design.v[i], res.design.c[i]) == (v, v + extra)
+        assert res.station_failure[i] == station_failure_probability(profile, v, v + extra, T)
+    assert res.bound == sum(res.station_failure)
+
+
+def capacity_passes(messages):
+    return [int(re.match(r"capacity sizing: (\d+) evaluation passes", m)[1])
+            for m in messages if m.startswith("capacity sizing:")]
 
 
 class TestBatchedSizingMatchesOneCandidateSearch:
@@ -492,39 +556,44 @@ class TestBatchedSizingMatchesOneCandidateSearch:
     @settings(max_examples=12, deadline=None)
     def test_designs_and_failures_are_bitwise_equal(self, seed, z, with_delay):
         model, plan, _ = random_small_instance(np.random.default_rng(seed))
-        T = model.horizon
-        res = size_system(model, plan, SizingRequest(z, T), with_delay=with_delay)
-        for i in range(model.k):
-            profile = aggregate_station_flows(model, plan, with_delay=with_delay)[i]
-            z_i = z / model.k
-            v = reference_stock(profile, T, 0.5 * z_i)
-            extra = reference_minimal_feasible(
-                lambda e: station_failure_probability(profile, v, v + e, T),
-                0,
-                max(1, math.ceil(reference_integral(profile.lambda_a, 0.0, T))),
-                1_000_000,
-                z_i,
-                1e-9,
-                "capacity sizing",
-            )
-            assert (res.design.v[i], res.design.c[i]) == (v, v + extra)
-            assert res.station_failure[i] == station_failure_probability(profile, v, v + extra, T)
-        assert res.bound == sum(res.station_failure)
+        assert_one_candidate_design(model, plan, z, with_delay)
+
+    def test_a_wrong_capacity_prediction_costs_passes_not_the_design(self):
+        sweep = station_bound.availability_failure_sweep
+
+        def overstated(profile, reach, T):
+            # more escape than the truth only widens the stock screen's
+            # intervals, but it raises every capacity prediction
+            fail, lost, terms = sweep(profile, reach, T)
+            return fail, np.sqrt(lost), terms
+
+        model, plan, _ = random_small_instance(np.random.default_rng(3))
+        with mock.patch.object(sizing, "availability_failure_sweep", overstated), \
+                sizing_log() as messages:
+            assert_one_candidate_design(model, plan, 0.05, True)
+        assert max(capacity_passes(messages)) > 1
 
     def test_capacity_search_returns_the_failure_it_read(self):
         profile = constant_profile(1.3, 0.7, 2.0, rho_a=(0.5,), rho_d=(1.5,))
         v = size_station_stock(profile, 2.0, 0.005)
-        c, qf = size_station_capacity(profile, 2.0, v, 0.01, return_failure=True)
-        assert c == size_station_capacity(profile, 2.0, v, 0.01)
-        assert qf == station_failure_probability(profile, v, c, 2.0)
+        c = size_station_capacity(profile, 2.0, v, 0.01)
+        assert c > v
+        assert station_failure_probability(profile, v, c, 2.0) <= 0.01
+        assert station_failure_probability(profile, v, c - 1, 2.0) > 0.01
 
     def test_debug_log_counts_passes_per_station(self):
         model = two_station_symmetric(rate=2.0)
         with sizing_log() as messages:
             size_system(model, RebalancingPlan(2, 1.0, {}), SizingRequest(0.02, 1.0))
-        assert sum("station" in m and "v=" in m for m in messages) == 2
+        stations = [m for m in messages if m.startswith("station ")]
+        assert len(stations) == 2
+        for line in stations:
+            assert re.fullmatch(
+                r"station \d: v=\d+ c=\d+ qf=\S+ stock_s=\d+\.\d{4} capacity_s=\d+\.\d{4}", line
+            )
         assert sum(m.startswith("stock sizing:") for m in messages) == 2
-        assert sum(m.startswith("capacity sizing:") for m in messages) == 2
+        # the stock stage's sweep predicts each capacity search's path
+        assert capacity_passes(messages) == [1, 1]
 
 
 # --- the stock stage: screened by one backward sweep, else the forward search --
@@ -687,3 +756,14 @@ class TestScreenedReadsAreCertifiedAgainstTheForwardValue:
         screened = outcome(lambda: reference_minimal_feasible(
             fail.__getitem__, 0, 8, 1_000_000, BUDGET, 2.0 * TAIL, "stock sizing"))
         assert screened != expected
+
+    def test_an_exact_prediction_takes_one_forward_pass(self):
+        # start 7's escape makes its screened read uncertain, but the forward
+        # values are the sweep's, so the forward search's prediction is exact
+        fail = nudged_at(FALLING, 7, BUDGET - TAIL / 2)
+        sweep, probabilities = tabled_station(fail, nudged_at([0.0] * 40, 7, 0.9 * TAIL), fail)
+        with sweep, probabilities, sizing_log() as messages:
+            assert size_station_stock(constant_profile(0.0, 8.0, 1.0), 1.0, BUDGET) == 7
+        first, forward = stock_lines(messages)
+        assert "forward fallback (_Uncertain" in first
+        assert forward == "stock sizing: 1 evaluation passes, 5 candidates evaluated, 5 candidates read"
