@@ -236,9 +236,7 @@ def _walk(model, plan, design, T, record_times=()):
     engine = _JointEngine(design, pairs)
     state = engine.initial(design.v)
     jumps = [(t, (o, d)) for t, o, d in plan.instants()]
-    pieces, ends, actions, cuts = timeline(
-        [model.intensities[pair] for pair in pairs], jumps, T, record_times
-    )
+    pieces, ends, actions, cuts = timeline(model.pieces, jumps, T, record_times)
     snapshots = [None] * len(record_times)
     terms, worst_drift, last_rates = 0, 0.0, None
     bounds = [0.0, *ends.tolist()]

@@ -20,11 +20,14 @@ import logging
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
-from statistics import median
+
+import numpy as np
 
 from .model import (
     DemandModel,
-    _intensity_batch,
+    _checked_pairs,
+    _checked_size,
+    check_bin_width,
     number,
     parsing,
     read_json,
@@ -178,43 +181,38 @@ def estimate_demand(sequences, bin_hours=1.0):
     """
     if any(seq.horizon != DAY_HOURS for seq in sequences):
         raise ValueError(f"demand is estimated from {DAY_HOURS:g} h days")
+    check_bin_width(bin_hours)
     # count whole bins rather than take a float modulo: 24 % 0.1 == 0.0999...
-    n_bins = round(DAY_HOURS / bin_hours) if bin_hours > 0.0 else 0
+    n_bins = round(DAY_HOURS / bin_hours)
     if n_bins < 1 or abs(n_bins * bin_hours - DAY_HOURS) > 1e-9:
         raise ValueError("bin_hours must evenly divide 24")
-    n_trips = sum(len(seq.events) for seq in sequences)
-    if not n_trips:
+    events = [e for seq in sequences for e in seq.events]
+    if not events:
         raise ValueError("no trips left after filtering; cannot estimate demand")
 
-    counts = {}
-    durations = {}
-    for seq in sequences:
-        for e in seq.events:
-            key = (e.o, e.d)
-            if key not in counts:
-                counts[key] = [0] * n_bins
-            counts[key][min(int(e.t / bin_hours), n_bins - 1)] += 1
-            durations.setdefault(key, []).append(e.eta)
+    # pairs are numbered in the order they are first seen
+    index = {}
+    pair = np.fromiter((index.setdefault((e.o, e.d), len(index)) for e in events), np.intp, len(events))
+    t, rides = np.array([(e.t, e.eta) for e in events]).T
+    k, n_pairs, n_days = sequences.k, len(index), len(sequences)
+    _checked_size(k, DAY_HOURS)
+    o, d = _checked_pairs(k, [label for key in index for label in key])
+    hits = pair * n_bins + np.minimum((t / bin_hours).astype(np.intp), n_bins - 1)
+    values = np.bincount(hits, minlength=n_pairs * n_bins) / (n_days * bin_hours)
+    pieces = np.tile(np.arange(n_bins) * bin_hours, n_pairs), values, np.full(n_pairs, n_bins)
 
-    n_days = len(sequences)
-    breakpoints = tuple(b * bin_hours for b in range(n_bins))
-    values = [tuple(c / (n_days * bin_hours) for c in per_bin) for per_bin in counts.values()]
-    intensities = dict(
-        zip(counts, _intensity_batch([breakpoints] * len(values), values, DAY_HOURS))
-    )
+    # each pair's median riding time, then the global one, as statistics.median
+    # takes them: a stable sort, then the middle entry or the mean of the two
+    x = np.concatenate([rides[np.lexsort((rides, pair))], rides[np.lexsort((pair, rides))]])
+    n = np.append(np.bincount(pair, minlength=n_pairs), len(events))
+    mid = np.cumsum(n) - n + n // 2
+    median = np.where(n % 2 == 1, x[mid], (x[mid - 1] + x[mid]) / 2)
+    eta = np.full((k, k), median[-1])
+    eta[o - 1, d - 1] = median[:-1]
+    np.fill_diagonal(eta, 0.0)
 
-    k = sequences.k
-    global_eta = median(t for ts in durations.values() for t in ts)
-    eta = [[0.0] * k for _ in range(k)]
-    for o in range(1, k + 1):
-        for d in range(1, k + 1):
-            if o == d:
-                continue
-            ts = durations.get((o, d))
-            eta[o - 1][d - 1] = median(ts) if ts else global_eta
-
-    log.info("estimated demand for k=%d stations from %d trips over %d days", k, n_trips, n_days)
-    return DemandModel(k, intensities, tuple(tuple(row) for row in eta), DAY_HOURS)
+    log.info("estimated demand for k=%d stations from %d trips over %d days", k, len(events), n_days)
+    return DemandModel._of_pieces(k, o, d, pieces, eta.tolist(), DAY_HOURS)
 
 
 # --- per-day replay sequences -------------------------------------------------

@@ -3,6 +3,11 @@
 Time is measured in hours from the start of the planning horizon.
 Station labels are dense and 1-based in every public interface and in
 every file format; internal arrays are 0-based.
+
+A ``DemandModel`` keeps its pairs sorted by (o, d) and their rates as
+arrays concatenated in that order, which every reader takes and every
+sum over pairs follows.  The order depends on the pairs alone, so a model
+and its JSON round trip give bitwise the same numbers.
 """
 
 import json
@@ -14,6 +19,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -95,59 +101,45 @@ def _number_lists(lists):
     return [tuple(map(number, xs)) for xs in lists]
 
 
-def _concatenated(tuples, ends):
-    """The numbers of ``tuples`` as one array; ``ends`` are the tuples' cumulative lengths."""
-    return np.fromiter(chain.from_iterable(tuples), float, ends[-1] if ends.size else 0)
-
-
 def _owners(ends, wrong):
     """The item of each true entry of ``wrong``, for items that end at ``ends``."""
     return np.searchsorted(ends, np.flatnonzero(wrong), "right")
 
 
-def _intensity_batch(breakpoints, values, horizon_end):
-    """``PiecewiseConstantIntensity(b, v, horizon_end)`` for each b, v of the two lists.
+def _checked_pieces(breakpoints, values, horizon_end):
+    """The pieces of ``PiecewiseConstantIntensity(b, v, horizon_end)`` for each b, v of the lists.
 
-    The items' numbers are read once (see ``_number_lists``) and checked
-    as concatenated arrays; the instances are then built without checking
-    them again.  Given numbers, it accepts exactly what the constructor
-    accepts and, when some item is invalid, raises the constructor's
-    message for the first such item.  Unlike the constructor, it rejects
-    a bool or a string where a number belongs.
+    Returns them concatenated, as ``_pieces`` does, having checked them as
+    arrays.  Given numbers, it accepts exactly what the constructor accepts
+    and, when some item is invalid, raises the constructor's message for
+    the first such item.  Unlike the constructor, it rejects a bool or a
+    string where a number belongs.
     """
-    bps = _number_lists(breakpoints)
-    vals = _number_lists(values)
-    horizon_end = float(horizon_end)
-    nb = np.fromiter(map(len, bps), np.intp, len(bps))
-    nv = np.fromiter(map(len, vals), np.intp, len(vals))
+    nb = np.fromiter(map(len, breakpoints), np.intp, len(breakpoints))
+    nv = np.fromiter(map(len, values), np.intp, len(values))
     b_ends, v_ends = np.cumsum(nb), np.cumsum(nv)
+    for lists in (breakpoints, values):
+        if not set(map(type, chain.from_iterable(lists))) <= _NUMBER_TYPES:
+            list(map(number, chain.from_iterable(lists)))  # raises number's TypeError
+    b, v = (np.fromiter(chain.from_iterable(lists), float) for lists in (breakpoints, values))
+    horizon_end = float(horizon_end)
     # one row per check of __post_init__, in its order; an item that fails
     # the first check fails it whatever the other rows say of it
-    bad = np.zeros((len(_PIECE_CHECKS), len(bps)), dtype=bool)
+    bad = np.zeros((len(_PIECE_CHECKS), nb.size), dtype=bool)
     bad[0] = (nb == 0) | (nb != nv)
     has = nb > 0
     first = (b_ends - nb)[has]
-    b = _concatenated(bps, b_ends)
     bad[1, has] = b[first] != 0.0
     rising = np.ones(b.size, dtype=bool)
     rising[1:] = b[1:] > b[:-1]
     rising[first] = True  # an item's first breakpoint follows no other
     bad[2, _owners(b_ends, ~(np.isfinite(b) & rising))] = True
     bad[3, has] = ~(math.isfinite(horizon_end) & (horizon_end > b[b_ends[has] - 1]))
-    del b, rising  # a city model's rates make a second array as large: keep one at a time
-    v = _concatenated(vals, v_ends)
     bad[4, _owners(v_ends, ~(np.isfinite(v) & (v >= 0.0)))] = True
     failed = bad.any(axis=0)
     if failed.any():
         raise ValueError(_PIECE_CHECKS[bad[:, failed.argmax()].argmax()])
-    out = []
-    for bp, vs in zip(bps, vals):
-        pci = object.__new__(PiecewiseConstantIntensity)
-        object.__setattr__(pci, "breakpoints", bp)
-        object.__setattr__(pci, "values", vs)
-        object.__setattr__(pci, "horizon_end", horizon_end)
-        out.append(pci)
-    return out
+    return b, v, nb
 
 
 def _pieces(items):
@@ -156,6 +148,16 @@ def _pieces(items):
     values = np.fromiter(chain.from_iterable(it.values for it in items), float)
     counts = np.fromiter((len(it.breakpoints) for it in items), np.intp, len(items))
     return starts, values, counts
+
+
+def _take(pieces, rows):
+    """The pieces of the items ``rows``, in that order."""
+    starts, values, counts = pieces
+    taken = counts[rows]
+    # each taken piece's index: its item's first piece, then its place in the item
+    at = np.repeat((np.cumsum(counts) - counts)[rows] - (np.cumsum(taken) - taken), taken)
+    at += np.arange(at.size)
+    return starts[at], values[at], taken
 
 
 def _holding(starts, counts, edges):
@@ -174,52 +176,48 @@ def _holding(starts, counts, edges):
     return piece[:, :-1]
 
 
-def _grid(starts, values, counts):
-    """``rate_grid`` of items given by their concatenated pieces."""
+def rate_grid(pieces):
+    """The merged breakpoints of several intensities and each one's rate per piece.
+
+    ``pieces`` are the items' concatenated ``(starts, values, counts)``, a
+    model's own or ``_pieces`` of some intensities.  Returns (edges,
+    rates): the sorted union of the breakpoints (``[0.0]`` for no items),
+    and an (items x pieces) array whose row r holds item r on ``[edges[j],
+    edges[j+1])``, the last piece ending at the horizon.  Entries are looked
+    up, never computed, so each is bitwise ``value_at`` in its piece.
+    """
+    starts, values, counts = pieces
     edges = np.unique(np.append(starts, 0.0))
     return edges, values[_holding(starts, counts, edges)]
 
 
-def rate_grid(items):
-    """The merged breakpoints of several intensities and each one's rate per piece.
-
-    Returns (edges, rates): the sorted union of the items' breakpoints
-    (``[0.0]`` for no items), and an (items x pieces) array whose row r
-    holds ``items[r]`` on ``[edges[j], edges[j+1])``, the last piece
-    ending at the horizon.  Entries are looked up, never computed, so each
-    is bitwise ``items[r].value_at`` anywhere in its piece.
-    """
-    return _grid(*_pieces(items))
-
-
-def bin_integrals(items, edges):
+def bin_integrals(pieces, horizon, edges):
     """Each item's integral over each bin ``[edges[b], edges[b+1]]``: (items x bins).
 
-    Entry (r, b) adds up the pieces of ``items[r]`` that meet bin b, each
-    clipped to the bin as rate x width, from left to right, so it is
+    Items are given by their ``pieces`` (see ``rate_grid``) on ``[0,
+    horizon]``.  Entry (r, b) adds up the pieces of item r that meet bin b,
+    each clipped to the bin as rate x width, from left to right, so it is
     bitwise the scalar walk over the item's own breakpoints.  Edges up to
-    1e-9 outside an item's ``[0, horizon_end]`` are clamped to it, as
-    ``value_at`` clamps times; a zero-width bin gives 0.0.
+    1e-9 outside ``[0, horizon]`` are clamped to it, as ``value_at`` clamps
+    times; a zero-width bin gives 0.0.
     """
     edges = np.asarray(edges, dtype=float)
     if not (edges.size and np.isfinite(edges).all() and np.all(np.diff(edges) >= 0.0)):
         raise ValueError("bin edges must be finite and must not decrease")
-    starts, values, counts = _pieces(items)
-    horizons = np.array([it.horizon_end for it in items])
-    if horizons.size and (edges[0] < -_TIME_EPS or edges[-1] > horizons.min() + _TIME_EPS):
-        raise ValueError(f"bin edges outside intensity domain [0, {horizons.min()}]")
-    x = np.maximum(edges, 0.0)
+    if edges[0] < -_TIME_EPS or edges[-1] > horizon + _TIME_EPS:
+        raise ValueError(f"bin edges outside intensity domain [0, {horizon}]")
+    starts, values, counts = pieces
+    x = np.minimum(np.maximum(edges, 0.0), horizon)
     ends = np.append(starts[1:], 0.0)  # each piece's right end
-    ends[np.cumsum(counts) - 1] = horizons
+    ends[np.cumsum(counts) - 1] = horizon
     hold = _holding(starts, counts, x)
     out = np.empty((len(counts), x.size - 1))
     for b in range(x.size - 1):
-        lo, hi = np.minimum(x[b], horizons), np.minimum(x[b + 1], horizons)
         n_pieces = hold[:, b + 1] - hold[:, b] + 1
         for m in np.unique(n_pieces):
             r = np.flatnonzero(n_pieces == m)
             j = hold[r, b, None] + np.arange(m)
-            width = np.minimum(ends[j], hi[r, None]) - np.maximum(starts[j], lo[r, None])
+            width = np.minimum(ends[j], x[b + 1]) - np.maximum(starts[j], x[b])
             # a running sum along each row adds the pieces one after another
             out[r, b] = np.cumsum(values[j] * width, axis=1)[:, -1]
     return out
@@ -261,46 +259,85 @@ def _checked_eta(k, eta):
     return eta
 
 
-@dataclass(frozen=True, eq=False)
+def _checked_pairs(k, labels, horizons=None, horizon=None):
+    """Pairs given as flat labels ``[o_0, d_0, o_1, ...]``, checked, as (o, d) arrays.
+
+    Each check names the first pair that fails it; they run in the order:
+    labels (``_check_station``), o != d, no repeat, ``horizons`` if given.
+    """
+    valid = (isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= k for x in labels)
+    o, d = np.array([x if ok else 0 for x, ok in zip(labels, valid)], np.intp).reshape(-1, 2).T
+    for i in np.flatnonzero((o == 0) | (d == 0))[:1]:  # an invalid label reads as 0
+        _check_station(labels[2 * i], k, "origin")
+        _check_station(labels[2 * i + 1], k, "destination")
+    if (o == d).any():
+        raise ValueError("demand between a station and itself is not allowed")
+    order = np.lexsort((d, o))
+    repeats = order[1:][(o[order[1:]] == o[order[:-1]]) & (d[order[1:]] == d[order[:-1]])]
+    if repeats.size:
+        i = repeats.min()
+        raise ValueError(f"duplicate intensity entry for pair {(labels[2 * i], labels[2 * i + 1])}")
+    if horizons is not None and np.not_equal(horizons, horizon).any():
+        raise ValueError("all intensities must share the model horizon")
+    return o, d
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class DemandModel:
     """Time-varying demand between k stations.
 
     ``intensities`` maps ordered station pairs (o, d), o != d, 1-based, to
-    the rental request rate from o to d; absent pairs have zero demand.
-    ``eta[o-1][d-1]`` is the travel time in hours from o to d.
+    the rental request rate from o to d; absent and all-zero pairs have
+    zero demand.  ``eta[o-1][d-1]`` is the travel time in hours from o to d.
+    Pair p in (o, d) order is ``pair_o[p]`` -> ``pair_d[p]``, with the p-th
+    of ``counts`` in the read-only ``pieces = (starts, values, counts)``.
     """
 
     k: int
-    intensities: dict
     eta: tuple
     horizon: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "horizon", _checked_size(self.k, self.horizon))
-        cleaned = {}
-        for (o, d), pci in dict(self.intensities).items():
-            _check_station(o, self.k, "origin")
-            _check_station(d, self.k, "destination")
-            if o == d:
-                raise ValueError("demand between a station and itself is not allowed")
-            if pci.horizon_end != self.horizon:
-                raise ValueError("all intensities must share the model horizon")
-            if any(pci.values):  # an all-zero pair has no demand, like an absent one
-                cleaned[(o, d)] = pci
-        object.__setattr__(self, "intensities", cleaned)
-        object.__setattr__(self, "eta", _checked_eta(self.k, self.eta))
-        object.__setattr__(self, "_zero", PiecewiseConstantIntensity.zero(self.horizon))
+    def __init__(self, k, intensities, eta, horizon):
+        horizon = _checked_size(k, horizon)
+        items = dict(intensities)
+        horizons = [pci.horizon_end for pci in items.values()]
+        o, d = _checked_pairs(k, list(chain.from_iterable(items)), horizons, horizon)
+        vars(self).update(vars(self._of_pieces(k, o, d, _pieces(items.values()), eta, horizon)))
+
+    @classmethod
+    def _of_pieces(cls, k, o, d, pieces, eta, horizon):
+        """The model of checked pairs ``o``, ``d`` with checked ``pieces``; ``eta`` is checked here."""
+        demand = np.bincount(np.repeat(np.arange(o.size), pieces[2]), pieces[1] > 0.0, o.size)
+        order = np.lexsort((d, o))
+        rows = order[demand[order] > 0]  # an all-zero pair has no demand, like an absent one
+        arrays = (o[rows], d[rows], *_take(pieces, rows))
+        for a in arrays:
+            a.flags.writeable = False
+        model = object.__new__(cls)
+        vars(model).update(k=k, eta=_checked_eta(k, eta), horizon=horizon, pair_o=arrays[0],
+                           pair_d=arrays[1], pieces=arrays[2:])
+        return model
+
+    @property
+    def intensities(self):
+        """The rates as a read-only (o, d) -> PiecewiseConstantIntensity mapping, in (o, d) order."""
+        if "_intensities" not in vars(self):  # built on first read
+            vars(self)["_intensities"] = {
+                (e["o"], e["d"]): PiecewiseConstantIntensity(e["breakpoints"], e["values"], self.horizon)
+                for e in model_to_json(self)["lambda"]
+            }
+        return MappingProxyType(vars(self)["_intensities"])
 
     def rate(self, o, d):
         _check_station(o, self.k, "origin")
         _check_station(d, self.k, "destination")
-        return self.intensities.get((o, d), self._zero)
+        return self.intensities.get((o, d)) or PiecewiseConstantIntensity.zero(self.horizon)
 
     def eta_hours(self, o, d):
         return self.eta[o - 1][d - 1]
 
     def pairs(self):
-        return sorted(self.intensities)
+        return list(zip(self.pair_o.tolist(), self.pair_d.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,29 +459,37 @@ def checked_plan(model, plan):
     return plan
 
 
+_MIN_BIN_HOURS = 1.0 / 60.0  # one minute: a narrower bin only exhausts memory
+
+
+def check_bin_width(hours):
+    """Reject a time bin width that is not a finite number of hours of at least one minute."""
+    if not (math.isfinite(hours) and hours >= _MIN_BIN_HOURS):
+        raise ValueError(f"bin width must be a finite number of hours, at least one minute, got {hours}")
+
+
 def check_design(model, design):
     """Reject a design for a different number of stations than the model's."""
     if design.k != model.k:
         raise ValueError(f"design is for {design.k} stations, model has {model.k}")
 
 
-def _delayed_sum(items, horizon):
-    """The pointwise sum of ``(intensity, delay)`` items, rates added in item order.
+def _delayed_sum(pieces, delays, horizon):
+    """The pointwise sum of intensities delayed by ``delays`` hours, rates added in item order.
 
     An intensity delayed by ``delay`` hours is 0 on ``[0, delay)`` and loses
     the pieces that then start at or past the horizon; a delay of 0 leaves
     it as it is.
     """
-    starts, values, counts = _pieces([pci for pci, _ in items])
-    delays = np.array([delay for _, delay in items], dtype=float)
-    owner = np.repeat(np.arange(len(items)), counts)
+    starts, values, counts = pieces
+    owner = np.repeat(np.arange(len(counts)), counts)
     # a (0.0, 0.0) piece goes in ahead of each delayed item's first piece
     lead = (np.cumsum(counts) - counts)[delays > 0.0]
     starts = np.insert(starts + delays[owner], lead, 0.0)
     values = np.insert(values, lead, 0.0)
     owner = np.insert(owner, lead, owner[lead])
     keep = starts < horizon
-    edges, rates = _grid(starts[keep], values[keep], np.bincount(owner[keep], minlength=len(items)))
+    edges, rates = rate_grid((starts[keep], values[keep], np.bincount(owner[keep], minlength=len(counts))))
     total = sum(rates, np.zeros(len(edges)))  # 0.0 + r_0 + r_1 + ...
     return PiecewiseConstantIntensity(tuple(edges), tuple(total), horizon)
 
@@ -452,32 +497,49 @@ def _delayed_sum(items, horizon):
 def aggregate_station_flows(model, plan, *, with_delay=False):
     """Fold a demand model and relocation plan into every station's flow profile.
 
-    Returns k profiles, station i's at index i - 1, built in one pass over
-    the model's pairs and the plan's relocations.  With ``with_delay`` the
+    Returns k profiles, station i's at index i - 1.  With ``with_delay`` the
     arrival stream of station i is the sum of the origin streams delayed
     by the pairwise travel times (vehicles arrive eta hours after they
     depart); otherwise transfers are instantaneous.  Scheduled relocation
     arrivals shift the same way; shifted instants falling past the horizon
-    are discarded.  Each station's intensities are shifted and summed as
-    one set of breakpoint arrays; only the k profiles' intensities are built.
+    are discarded.  Sums add pairs in (o, d) order: on the model's rate
+    grid, keeping each station's own breakpoints, or when delayed per station.
     """
+    t0 = time.perf_counter()
     plan = checked_plan(model, plan)
     k, horizon = model.k, model.horizon
-    # without delay every shift is by 0.0: an item keeps its pieces and
-    # ``t + 0.0 == t``, so both modes share one path
-    eta = model.eta if with_delay else ((0.0,) * k,) * k
-    dep, arr, rho_d, rho_a = ([[] for _ in range(k)] for _ in range(4))
-    for (o, d), pci in model.intensities.items():
-        dep[o - 1].append((pci, 0.0))
-        arr[d - 1].append((pci, eta[o - 1][d - 1]))
+    origin, destination = model.pair_o - 1, model.pair_d - 1
+    starts, _, counts = model.pieces
+    edges, rates = rate_grid(model.pieces)
+    owner = np.repeat(np.arange(counts.size), counts)
+
+    def undelayed(station):
+        # each station adds its rows in (o, d) order, from 0.0: its j-th row at step j
+        order, n = np.argsort(station, kind="stable"), np.bincount(station, minlength=k)
+        first, total = np.cumsum(n) - n, np.zeros((k, edges.size))
+        for j in range(n.max(initial=0)):
+            has = np.flatnonzero(n > j)
+            total[has] += rates[order[first[has] + j]]
+        own = np.zeros(total.shape, dtype=bool)
+        own[:, 0] = own[station[owner], np.searchsorted(edges, starts)] = True
+        return [PiecewiseConstantIntensity(tuple(edges[u]), tuple(r[u]), horizon) for r, u in zip(total, own)]
+
+    if with_delay:
+        delays = np.array(model.eta)[origin, destination]
+        rows = [np.flatnonzero(destination == i) for i in range(k)]
+        lambda_a = [_delayed_sum(_take(model.pieces, r), delays[r], horizon) for r in rows]
+    else:
+        lambda_a = undelayed(destination)
+    rho_d, rho_a = ([[] for _ in range(k)] for _ in range(2))
     for (o, d), ts in plan.rho.items():
         rho_d[o - 1].extend(ts)
-        e = eta[o - 1][d - 1]
+        e = model.eta[o - 1][d - 1] if with_delay else 0.0
         rho_a[d - 1].extend(t + e for t in ts if t + e <= horizon)
-    return tuple(
-        StationFlowProfile(_delayed_sum(a, horizon), _delayed_sum(d, horizon), ra, rd)
-        for a, d, ra, rd in zip(arr, dep, map(sorted, rho_a), map(sorted, rho_d))
+    log.debug(
+        "flow aggregation: %d pairs, %d shared-grid edges, %d delayed stations, %.3f s",
+        counts.size, edges.size, k if with_delay else 0, time.perf_counter() - t0,
     )
+    return tuple(map(StationFlowProfile, lambda_a, undelayed(origin), map(sorted, rho_a), map(sorted, rho_d)))
 
 
 # --- JSON wire format ------------------------------------------------------
@@ -491,7 +553,8 @@ def aggregate_station_flows(model, plan, *, with_delay=False):
 # unknown keys are ignored so both can live in one file.  A number is a JSON
 # int or float: a bool, a string or null where one belongs is an input error.
 #
-# Reading checks a model's pieces as concatenated arrays (``_intensity_batch``).
+# Reading checks a model's pieces as concatenated arrays (``_checked_pieces``)
+# and builds no per-pair object.
 # Every file is written by ``write_json``, whose bytes are those of
 # ``json.dump(doc, fh, indent=2, sort_keys=True)`` plus a newline, all ASCII.
 # ``indent`` would turn off ``json``'s C encoder, so the writer C-encodes the
@@ -533,19 +596,21 @@ def number(value):
     return float(value)
 
 
+def _float_list(a):
+    """``a.tolist()`` with one float object per distinct value: pairs share most breakpoints."""
+    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    return np.array(bits.view(float).tolist(), dtype=object)[inverse].tolist()
+
+
 def model_to_json(model):
+    starts, values, counts = model.pieces
+    ends = np.cumsum(counts).tolist()
+    bps, vals = _float_list(starts), _float_list(values)
     return {
         "k": model.k,
         "horizon_hours": model.horizon,
-        "lambda": [
-            {
-                "o": o,
-                "d": d,
-                "breakpoints": list(model.intensities[(o, d)].breakpoints),
-                "values": list(model.intensities[(o, d)].values),
-            }
-            for (o, d) in model.pairs()
-        ],
+        "lambda": [{"o": o, "d": d, "breakpoints": bps[a:b], "values": vals[a:b]}
+                   for (o, d), a, b in zip(model.pairs(), [0, *ends], ends)],
         "eta": [list(row) for row in model.eta],
     }
 
@@ -553,22 +618,15 @@ def model_to_json(model):
 def model_from_json(doc):
     with parsing("demand model"):
         k = whole_number(doc["k"])
-        horizon = number(doc["horizon_hours"])
+        horizon = _checked_size(k, number(doc["horizon_hours"]))
         entries = doc["lambda"]
-        keys = [(whole_number(e["o"]), whole_number(e["d"])) for e in entries]
-        intensities = dict.fromkeys(keys)
-        if len(intensities) < len(keys):
-            seen = set()
-            for key in keys:
-                if key in seen:
-                    raise ValueError(f"duplicate intensity entry for pair {key}")
-                seen.add(key)
-        batch = _intensity_batch(
+        labels = [whole_number(e[end]) for e in entries for end in ("o", "d")]
+        pieces = _checked_pieces(
             [e["breakpoints"] for e in entries], [e["values"] for e in entries], horizon
         )
-        intensities.update(zip(keys, batch))
-        eta = tuple(_number_lists(doc["eta"]))
-        return DemandModel(k, intensities, eta, horizon)
+        eta = _number_lists(doc["eta"])
+        o, d = _checked_pairs(k, labels)
+        return DemandModel._of_pieces(k, o, d, pieces, eta, horizon)
 
 
 def eta_from_json(doc):

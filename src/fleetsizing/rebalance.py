@@ -4,7 +4,7 @@ Per time bin, each station's expected net vehicle accumulation is the
 integrated inflow minus outflow (instantaneous-transfer accounting).
 Every pair's expected flow in every bin comes from one array of bin
 integrals (``model.bin_integrals``), and each station's bin adds its
-pairs' flows in pair order, as a loop over the pairs would.
+pairs' flows in (o, d) order, as a loop over the pairs would.
 Stations that accumulate must ship the surplus out and depleting
 stations must receive it, which is a balanced transportation problem
 solved per bin with travel times as costs.  The fractional flows are
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InvariantViolationError, RebalancingPlan, bin_integrals
+from .model import InvariantViolationError, RebalancingPlan, bin_integrals, check_bin_width
 
 _BALANCE_ATOL = 1e-9
 _FLOW_EPS = 1e-9
@@ -58,8 +58,7 @@ class RebalanceRates:
 
 
 def uniform_bins(horizon, bin_hours):
-    if not (math.isfinite(bin_hours) and bin_hours > 0.0):
-        raise ValueError(f"bin width must be a positive number of hours, got {bin_hours}")
+    check_bin_width(bin_hours)
     n = max(1, math.ceil(horizon / bin_hours - 1e-9))
     edges = [min(i * bin_hours, horizon) for i in range(n)] + [horizon]
     return tuple(edges)
@@ -70,11 +69,11 @@ def compute_imbalance(model, bin_edges):
     edges = tuple(float(e) for e in bin_edges)
     if edges[0] != 0.0 or abs(edges[-1] - model.horizon) > _BALANCE_ATOL:
         raise ValueError("bins must partition [0, horizon]")
-    flows = bin_integrals(list(model.intensities.values()), edges)
+    flows = bin_integrals(model.pieces, model.horizon, edges)
     # pair by pair, +flow at the destination and then -flow at the origin:
     # bincount adds its weights in input order, so each station sums its
-    # terms in pair order
-    stations = np.array(list(model.intensities), dtype=np.intp).reshape(-1, 2)[:, ::-1].ravel() - 1
+    # terms in (o, d) order
+    stations = np.stack([model.pair_d, model.pair_o], axis=1).ravel() - 1
     delta = np.empty((model.k, len(edges) - 1))
     for b, flow in enumerate(flows.T):
         delta[:, b] = np.bincount(stations, np.stack([flow, -flow], axis=1).ravel(), model.k)

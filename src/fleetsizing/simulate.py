@@ -110,14 +110,13 @@ class RequestTables:
 
 def compile_tables(model):
     """The model's pairs, sorted by (o, d), and their rates on one shared grid."""
-    pairs = model.pairs()
-    edges, rates = rate_grid([model.intensities[pair] for pair in pairs])
+    edges, rates = rate_grid(model.pieces)
     return RequestTables(
         k=model.k,
         horizon=model.horizon,
-        pair_o=np.asarray([o for o, _ in pairs], dtype=np.int64),
-        pair_d=np.asarray([d for _, d in pairs], dtype=np.int64),
-        pair_eta=np.asarray([model.eta_hours(o, d) for o, d in pairs], dtype=float),
+        pair_o=model.pair_o.astype(np.int64),
+        pair_d=model.pair_d.astype(np.int64),
+        pair_eta=np.array(model.eta)[model.pair_o - 1, model.pair_d - 1],
         grid=np.append(edges, model.horizon),
         rates=rates,
         max_rate=rates.max(axis=1),

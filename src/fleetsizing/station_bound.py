@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from . import model as model_module  # read at call time, where a tracer may wrap it
-from .model import InvariantViolationError, bin_integrals, check_design
+from .model import InvariantViolationError, _pieces, bin_integrals, check_design
 from .uniformization import NEG_CLIP, RECORD, check_mass, timeline, uniformize
 
 log = logging.getLogger(__name__)
@@ -75,10 +75,10 @@ _KEEP_FAILED = np.array([1.0, 0.0])
 _SWEEP_EDGES = np.eye(2)  # (fail, lost) at the failed boundary and at the escape boundary
 
 
-def _pieces(profile, T, record_times):
+def _timeline(profile, T, record_times):
     """One station's ``timeline`` to T: pieces of (dt, lambda_a, lambda_d), and its jumps."""
     jumps = [(t, "arrival") for t in profile.rho_a] + [(t, "departure") for t in profile.rho_d]
-    return timeline([profile.lambda_a, profile.lambda_d], jumps, T, record_times)
+    return timeline(_pieces([profile.lambda_a, profile.lambda_d]), jumps, T, record_times)
 
 
 def _evolve_columns(profiles, starts, tops, T, cap_absorbs, record_times=(), keep_q=False):
@@ -116,7 +116,7 @@ def _evolve_columns(profiles, starts, tops, T, cap_absorbs, record_times=(), kee
     for prof in profiles:
         if id(prof) not in index:
             index[id(prof)] = len(timelines)
-            timelines.append(_pieces(prof, T, record_times))
+            timelines.append(_timeline(prof, T, record_times))
         station.append(index[id(prof)])
     # internal order: stations by descending piece count (rank), each
     # station's rows together, so the rows still running form a prefix
@@ -261,7 +261,8 @@ def _unbounded_start(arrivals, v):
 
 def _arrivals(profile, T):
     """Expected arrivals by T plus the relocations that arrive by T."""
-    return bin_integrals([profile.lambda_a], (0.0, T))[0, 0] + sum(t <= T for t in profile.rho_a)
+    expected = bin_integrals(_pieces([profile.lambda_a]), profile.horizon, (0.0, T))[0, 0]
+    return expected + sum(t <= T for t in profile.rho_a)
 
 
 def station_failure_probability(profile, v, c, T, tail_tolerance=1e-9):
@@ -382,7 +383,7 @@ def availability_failure_sweep(profile, reach, T):
     top = _unbounded_start(_arrivals(profile, T), reach)
     if 2 * (top + 3) > _MAX_BATCH_CELLS:
         raise InvariantViolationError(_TRUNCATION_GREW)
-    pieces, _, actions, cuts = _pieces(profile, T, ())
+    pieces, _, actions, cuts = _timeline(profile, T, ())
     edges = top + 2  # the row stride of u[::edges]: the failed and escape boundaries
     u = np.zeros((top + 3, 2))  # rows: failed boundary, states 0 .. top, escape boundary
     u[::edges] = _SWEEP_EDGES

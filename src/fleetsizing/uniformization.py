@@ -155,20 +155,20 @@ def check_mass(states, tol, where):
     return failed, worst
 
 
-def timeline(items, jumps, T, record_times=()):
+def timeline(pieces, jumps, T, record_times=()):
     """The pieces of constant rates of some intensities up to T, and what runs between them.
 
     Pieces end at every interior rate breakpoint, jump time and record
     time up to T, and at T.  Returns (pieces, ends, actions, cuts): a
     (pieces, 1 + items) array of each piece's dt and the items' rates,
-    read through ``rate_grid`` so each is bitwise ``value_at`` of the
-    piece's start; each piece's end time; the ``(JUMP, payload)`` of each
-    ``(t, payload)`` in ``jumps`` up to T and the ``(RECORD, index)`` of
-    each record time, in the order they run; and the cuts of that list,
-    so that ``actions[cuts[b]:cuts[b + 1]]`` run at boundary b: b = 0 at
-    t=0 and b = j + 1 at the end of piece j.  At one instant jumps run
-    before records, so a record sees the post-jump state, and jumps keep
-    their order in ``jumps``.
+    read from their concatenated ``pieces`` through ``rate_grid``, so each
+    is bitwise ``value_at`` of the piece's start; each piece's end time;
+    the ``(JUMP, payload)`` of each ``(t, payload)`` in ``jumps`` up to T
+    and the ``(RECORD, index)`` of each record time, in the order they
+    run; and the cuts of that list, so that ``actions[cuts[b]:cuts[b + 1]]``
+    run at boundary b: b = 0 at t=0 and b = j + 1 at the end of piece j.
+    At one instant jumps run before records, so a record sees the
+    post-jump state, and jumps keep their order in ``jumps``.
     """
     for t in record_times:
         if t < 0.0 or t > T + 1e-9:
@@ -179,7 +179,7 @@ def timeline(items, jumps, T, record_times=()):
     order = np.argsort(at, kind="stable")
     actions = [(JUMP, payload) for _, payload in jumps] + [(RECORD, i) for i in range(len(record_times))]
     actions, at = [actions[i] for i in order], at[order]
-    edges, rates = rate_grid(items)
+    edges, rates = rate_grid(pieces)
     ends = np.unique(np.concatenate([edges, at, [T]]))
     ends = ends[(ends > 0.0) & (ends <= T)]
     starts = np.concatenate([[0.0], ends])[:-1]

@@ -342,6 +342,14 @@ class TestDeterminism:
                             str(design), "--T", "12"]) == EXIT_OK
             outs.append((design.read_bytes(), curve.read_bytes(), capsys.readouterr().out))
         assert outs[0] == outs[1]
+        # size and both bounds aggregate the flows once each, with travel delays off
+        flows = [r.getMessage() for r in caplog.records if r.name == "fleetsizing.model"
+                 and r.getMessage().startswith("flow aggregation:")]
+        pairs = len(json.loads(pipeline["model"].read_text())["lambda"])
+        assert len(flows) == 3 and all(
+            re.fullmatch(rf"flow aggregation: {pairs} pairs, \d+ shared-grid edges, "
+                         r"0 delayed stations, \d+\.\d{3} s", line) for line in flows
+        ), flows
         passes = [r.getMessage() for r in caplog.records if r.name == "fleetsizing.station_bound"]
         line = re.compile(
             r"station pass: (\d+) columns of (\d+) stations, \d+ steps, \d+ kernel terms, "
@@ -537,7 +545,8 @@ class TestExitCodes:
         assert "invariant violation" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("width", ["0", "-1", "nan", "inf"])
+    # 1e-300 h would lay out about 2.4e301 bins
+    @pytest.mark.parametrize("width", ["0", "-1", "nan", "inf", "1e-300"])
     def test_plan_rejects_a_bin_width_that_is_not_positive(
         self, pipeline, tmp_path, capsys, width
     ):
@@ -547,6 +556,15 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert "bin width" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("width", ["0", "-1", "nan", "1e-300", "0.01"])
+    def test_ingest_rejects_a_bin_width_below_one_minute(self, pipeline, tmp_path, capsys, width):
+        model, days = tmp_path / "m.json", tmp_path / "d.json"
+        argv = ["ingest", "--trips", str(pipeline["trips"]), "--model-out", str(model),
+                "--sequences-out", str(days), "--bin-hours", width]
+        assert run(argv) == EXIT_INPUT
+        assert "bin width" in capsys.readouterr().err
+        assert not model.exists() and not days.exists()
 
     @pytest.mark.parametrize(
         "mode", [["bound", "--curve"], ["simulate", "--mc"], ["simulate", "--exact"]]
@@ -811,6 +829,14 @@ class TestMalformedDocuments:
                          "eta must be a k x k matrix of hours", id="non-square-eta"),
             pytest.param(replaced(["eta", 1, 1], 0.25), "diagonal travel times must be zero",
                          id="nonzero-diagonal"),
+            # a bad horizon is named as such, not as every piece's fault
+            pytest.param(replaced(["horizon_hours"], 0.0),
+                         "horizon must be a positive finite number of hours", id="zero-horizon"),
+            pytest.param(replaced(["k"], 0), "need at least one station", id="no-stations"),
+            pytest.param(replaced(["lambda", 0, "o"], 4), "origin label 4 outside 1..3",
+                         id="origin-past-k"),
+            pytest.param(replaced(["lambda", 0, "d"], 1), "demand between a station and itself",
+                         id="diagonal-pair"),
         ],
     )
     def test_model_with_invalid_pieces(self, pipeline, tmp_path, capsys, edit, message):

@@ -313,7 +313,7 @@ class TestMoveMatrixKernel:
         }
         eta = tuple(tuple(0.0 for _ in range(3)) for _ in range(3))
         model = DemandModel(3, intensities, eta, horizon)
-        _, rates = rate_grid([intensities[pair] for pair in model.pairs()])
+        _, rates = rate_grid(model.pieces)
         assert len({tuple(col > 0.0) for col in rates.T}) == 5
         with mock.patch.object(exact, "csr_matrix", wraps=exact.csr_matrix) as build:
             joint_transient(model, None, SystemDesign((2, 2, 2), (4, 4, 4)), [0.5, 1.0])

@@ -2,11 +2,14 @@
 
 import datetime as dt
 import json
+from statistics import median
 
+import numpy as np
 import pytest
 
 from fleetsizing.ingest import (
     DaySequence,
+    DaySequences,
     RentalEvent,
     estimate_demand,
     extract_day_sequences,
@@ -272,6 +275,40 @@ class TestEstimateDemand:
         )
         assert total == pytest.approx(sum(len(day.events) for day in days))
         assert estimate.eta == model.eta
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_per_pair_loop(self, seed):
+        # the estimate as a loop over the events and statistics.median per
+        # pair; riding times repeat, and include both zeros, so ties occur
+        rng = np.random.default_rng(seed)
+        k, bin_hours = int(rng.integers(2, 6)), float(rng.choice([0.5, 1.0, 3.0, 24.0]))
+        days = DaySequences([
+            DaySequence(f"2016-05-{day + 2:02d}", [
+                RentalEvent(float(t), int(o), int(d), float(rng.choice([0.0, -0.0, -0.0, 0.0, 0.25, 0.3])))
+                for t, o, d in zip(np.sort(rng.choice([0.0, 3.5, 7.25, 11.0, 23.9, 24.0], n)),
+                                   rng.integers(1, k + 1, n), rng.integers(1, k + 1, n))
+                if o != d
+            ])
+            for day, n in enumerate(rng.integers(1, 30, int(rng.integers(1, 4))))
+        ], k)
+        if not any(day.events for day in days):
+            return
+        n_bins = round(24 / bin_hours)
+        counts, durations = {}, {}
+        for day in days:
+            for e in day.events:
+                counts.setdefault((e.o, e.d), [0] * n_bins)[min(int(e.t / bin_hours), n_bins - 1)] += 1
+                durations.setdefault((e.o, e.d), []).append(e.eta)
+        overall = median(t for ts in durations.values() for t in ts)
+        model = estimate_demand(days, bin_hours)
+        assert sorted(counts) == list(model.intensities)
+        for key, per_bin in counts.items():
+            lam = model.intensities[key]
+            assert lam.breakpoints == tuple(b * bin_hours for b in range(n_bins))
+            assert lam.values == tuple(c / (len(days) * bin_hours) for c in per_bin)
+        expected = [[0.0 if o == d else median(durations[o, d]) if (o, d) in durations else overall
+                     for d in range(1, k + 1)] for o in range(1, k + 1)]
+        assert np.array(model.eta).tobytes() == np.array(expected).tobytes()
 
     def test_days_must_last_24_hours(self):
         days = sample_day_sequences(uniform_demand_model(2, 0.5, 72.0), 2)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import pickle
+import re
 from unittest import mock
 
 import numpy as np
@@ -17,6 +19,7 @@ from fleetsizing.model import (
     RebalancingPlan,
     StationFlowProfile,
     SystemDesign,
+    _pieces,
     aggregate_station_flows,
     bin_integrals,
     load_model,
@@ -31,7 +34,7 @@ from fleetsizing.model import (
     write_json,
 )
 from fleetsizing.sizing import design_from_json
-from fleetsizing.station_bound import _pieces
+from fleetsizing.station_bound import _timeline
 from fleetsizing.uniformization import JUMP, RECORD
 
 from conftest import make_pci, random_small_instance, reference_integral, reference_shifted
@@ -152,7 +155,7 @@ class TestPiecewiseConstantIntensity:
         assert reference_integral(pci, 1.0, 3.0) == pytest.approx(1.0 + 3.0)
         assert reference_integral(pci, 0.0, 10.0) == pytest.approx(2.0 + 24.0)
         assert reference_integral(pci, 4.0, 4.0) == 0.0
-        assert bin_integrals([pci], (0.0, 2.0, 3.0, 10.0)).tolist() == [[2.0, 3.0, 21.0]]
+        assert bin_integrals(_pieces([pci]), 10.0, (0.0, 2.0, 3.0, 10.0)).tolist() == [[2.0, 3.0, 21.0]]
 
     def test_sum_of_constants(self):
         pci = PiecewiseConstantIntensity.constant(0.05, 24.0)
@@ -177,7 +180,7 @@ class TestPiecewiseConstantIntensity:
     @given(st.sampled_from([2.0, 24.0]).flatmap(lambda h: st.lists(piecewise_rates(h), max_size=6)))
     @settings(max_examples=200, deadline=None)
     def test_rate_grid_entries_are_value_at(self, items):
-        edges, rates = rate_grid(items)
+        edges, rates = rate_grid(_pieces(items))
         assert edges.tolist() == sorted({0.0, *(b for it in items for b in it.breakpoints)})
         assert rates.shape == (len(items), len(edges))
         if not items:
@@ -188,7 +191,7 @@ class TestPiecewiseConstantIntensity:
                 assert row[j] == it.value_at(a) == it.value_at(0.5 * (a + b))
 
     def test_rate_grid_of_no_items(self):
-        edges, rates = rate_grid([])
+        edges, rates = rate_grid(_pieces([]))
         assert edges.tolist() == [0.0]
         assert rates.shape == (0, 1)
 
@@ -230,29 +233,29 @@ def items_and_edges(draw):
     near = [*bps, *(b + 1e-9 for b in bps[1:]), *(b - 1e-9 for b in bps)]
     near += [0.5 * (a + b) for a, b in zip(bps, bps[1:])]
     edges = draw(st.lists(st.sampled_from(near), min_size=1, max_size=12))
-    return items, sorted(edges)
+    return horizon, items, sorted(edges)
 
 
 class TestBinIntegrals:
     @given(items_and_edges())
     @settings(max_examples=300, deadline=None)
     def test_entries_are_the_scalar_integrals(self, case):
-        items, edges = case
-        got = bin_integrals(items, edges)
+        horizon, items, edges = case
+        got = bin_integrals(_pieces(items), horizon, edges)
         assert got.shape == (len(items), len(edges) - 1)
         for row, it in zip(got.tolist(), items):
             assert row == [reference_integral(it, a, b) for a, b in zip(edges, edges[1:])]
 
     def test_one_bin_over_many_pieces(self):
         pci = PiecewiseConstantIntensity(tuple(np.arange(0.0, 24.0, 0.1)), (0.3,) * 240, 24.0)
-        assert bin_integrals([pci], (0.0, 24.0))[0, 0] == reference_integral(pci, 0.0, 24.0)
+        assert bin_integrals(_pieces([pci]), 24.0, (0.0, 24.0))[0, 0] == reference_integral(pci, 0.0, 24.0)
 
     @pytest.mark.parametrize(
         "edges", [(0.0, 2.0, 1.0), (0.0, 24.1), (-0.1, 1.0), (0.0, math.nan), (0.0, math.inf), ()]
     )
     def test_bad_edges_are_rejected(self, edges):
         with pytest.raises(ValueError):
-            bin_integrals([PiecewiseConstantIntensity.constant(1.0, 24.0)], edges)
+            bin_integrals(_pieces([PiecewiseConstantIntensity.constant(1.0, 24.0)]), 24.0, edges)
 
 
 class TestDemandModel:
@@ -419,7 +422,7 @@ class TestMergedEventTimeline:
         prof = StationFlowProfile(
             prof_lambda, PiecewiseConstantIntensity.zero(24.0), (9.0,), (12.0,)
         )
-        pieces, ends, actions, cuts = _pieces(prof, 24.0, ())
+        pieces, ends, actions, cuts = _timeline(prof, 24.0, ())
         assert ends.tolist() == [8.0, 9.0, 12.0, 17.0, 24.0]
         assert pieces.tolist() == [
             [8.0, 1.0, 0.0], [1.0, 2.0, 0.0], [3.0, 2.0, 0.0], [5.0, 2.0, 0.0], [7.0, 1.0, 0.0]
@@ -427,13 +430,13 @@ class TestMergedEventTimeline:
         assert actions == [(JUMP, "arrival"), (JUMP, "departure")]
         assert cuts == [0, 0, 0, 1, 2, 2, 2]
         # events past T are dropped; a record at an event's instant comes last
-        pieces, ends, actions, cuts = _pieces(prof, 9.0, [9.0, 2.0])
+        pieces, ends, actions, cuts = _timeline(prof, 9.0, [9.0, 2.0])
         assert ends.tolist() == [2.0, 8.0, 9.0]
         assert pieces.tolist() == [[2.0, 1.0, 0.0], [6.0, 1.0, 0.0], [1.0, 2.0, 0.0]]
         assert actions == [(RECORD, 1), (JUMP, "arrival"), (RECORD, 0)]
         assert cuts == [0, 0, 1, 1, 3]
         with pytest.raises(ValueError, match="record times"):
-            _pieces(prof, 9.0, [9.5])
+            _timeline(prof, 9.0, [9.5])
 
     def test_constant_intensity_empty_plan_has_no_events(self):
         prof = StationFlowProfile(
@@ -442,7 +445,7 @@ class TestMergedEventTimeline:
             (),
             (),
         )
-        pieces, ends, actions, cuts = _pieces(prof, 24.0, ())
+        pieces, ends, actions, cuts = _timeline(prof, 24.0, ())
         assert (pieces.tolist(), ends.tolist(), actions, cuts) == ([[24.0, 1.0, 2.0]], [24.0], [], [0, 0, 0])
 
     def test_simultaneous_arrival_precedes_departure(self):
@@ -452,7 +455,7 @@ class TestMergedEventTimeline:
             (5.0,),
             (5.0,),
         )
-        pieces, ends, actions, cuts = _pieces(prof, 24.0, ())
+        pieces, ends, actions, cuts = _timeline(prof, 24.0, ())
         assert pieces.tolist() == [[5.0, 0.0, 0.0], [19.0, 1.0, 0.0]]
         assert actions == [(JUMP, "arrival"), (JUMP, "departure")]
         assert cuts == [0, 0, 2, 2]
@@ -460,7 +463,7 @@ class TestMergedEventTimeline:
     def test_merge_is_idempotent(self, rng):
         model, plan, _ = random_small_instance(rng)
         prof = aggregate_station_flows(model, plan)[0]
-        pieces, ends, actions, cuts = _pieces(prof, prof.horizon, [0.5, 1.0])
+        pieces, ends, actions, cuts = _timeline(prof, prof.horizon, [0.5, 1.0])
         assert np.all(np.diff(ends) > 0.0) and ends[-1] == prof.horizon
         assert cuts == sorted(cuts)
         assert [payload for kind, payload in actions if kind == RECORD] == [0, 1]
@@ -555,7 +558,173 @@ class TestWireFormat:
             model_from_json({"k": 1, "horizon_hours": value, "lambda": [], "eta": [[0.0]]})
 
 
-# --- the batch builder against the checked constructor ------------------------
+# --- one demand representation, whatever the mapping's order ---------------
+
+
+def shuffled_model(seed, k=4, horizon=4.0):
+    """A model with demand on every pair, built from its mapping in a random order.
+
+    Each station sends to and receives from k - 1 >= 3 others, so a sum
+    taken in another pair order differs in its last bits.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = [(o, d) for o in range(1, k + 1) for d in range(1, k + 1) if o != d]
+    intensities = {}
+    for i in rng.permutation(len(pairs)):
+        cuts = np.sort(rng.choice(np.arange(1, 40), int(rng.integers(0, 4)), replace=False))
+        bps = (0.0, *(cuts * horizon / 40).tolist())
+        intensities[pairs[i]] = PiecewiseConstantIntensity(bps, rng.uniform(0.1, 1.5, len(bps)), horizon)
+    eta = tuple(tuple(0.0 if o == d else float(rng.uniform(0.05, 0.5)) for d in range(k))
+                for o in range(k))
+    return DemandModel(k, intensities, eta, horizon)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestOneRepresentation:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_shuffled_mapping_gives_its_round_trip_bitwise(self, seed):
+        from fleetsizing.exact import joint_failure_probability
+        from fleetsizing.rebalance import compute_imbalance, uniform_bins
+        from fleetsizing.simulate import compile_tables
+        from fleetsizing.sizing import SizingRequest, size_system
+        from fleetsizing.station_bound import system_failure_upper_bound
+
+        model = shuffled_model(seed)
+        again = model_from_json(json.loads(json.dumps(model_to_json(model))))
+        assert list(model.intensities) == sorted(model.intensities) == again.pairs()
+        plan = RebalancingPlan(4, 4.0, {(1, 3): (0.5, 2.25), (4, 2): (1.0,)})
+        design = SystemDesign((1, 2, 1, 1), (2, 3, 2, 2))
+        for with_delay in (False, True):
+            ours, theirs = (aggregate_station_flows(m, plan, with_delay=with_delay)
+                            for m in (model, again))
+            for i, (a, b) in enumerate(zip(ours, theirs, strict=True), start=1):
+                # both are the scalar sum over the station's pairs in (o, d) order
+                ref = reference_station_flows(model, plan, i, with_delay)
+                for lam in ("lambda_a", "lambda_d"):
+                    x, y, z = getattr(a, lam), getattr(b, lam), getattr(ref, lam)
+                    assert bits(x.breakpoints) == bits(y.breakpoints) == bits(z.breakpoints)
+                    assert bits(x.values) == bits(y.values) == bits(z.values)
+                assert (a.rho_a, a.rho_d) == (b.rho_a, b.rho_d)
+            assert bits(system_failure_upper_bound(model, plan, design, 3.0, with_delay)) == bits(
+                system_failure_upper_bound(again, plan, design, 3.0, with_delay))
+            request = SizingRequest(0.2, 3.0)
+            sized = [size_system(m, plan, request, with_delay) for m in (model, again)]
+            assert sized[0].design == sized[1].design
+            assert bits(sized[0].station_failure) == bits(sized[1].station_failure)
+        edges = uniform_bins(4.0, 0.75)
+        assert bits(compute_imbalance(model, edges).delta) == bits(compute_imbalance(again, edges).delta)
+        ours, theirs = compile_tables(model), compile_tables(again)
+        for name in ("pair_o", "pair_d", "pair_eta", "grid", "rates", "max_rate"):
+            assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
+        assert bits(joint_failure_probability(model, plan, design, 3.0)) == bits(
+            joint_failure_probability(again, plan, design, 3.0))
+
+    def test_the_pairs_are_sorted_arrays_without_zero_demand(self):
+        lam = PiecewiseConstantIntensity((0.0, 1.0), (0.5, 2.0), 4.0)
+        zero = PiecewiseConstantIntensity((0.0, 2.0), (0.0, -0.0), 4.0)
+        model = DemandModel(3, {(3, 1): lam, (1, 2): zero, (2, 3): lam, (1, 3): lam},
+                            ((0.0,) * 3,) * 3, 4.0)
+        assert model.pair_o.tolist() == [1, 2, 3] and model.pair_d.tolist() == [3, 3, 1]
+        starts, values, counts = model.pieces
+        assert starts.tolist() == [0.0, 1.0] * 3 and values.tolist() == [0.5, 2.0] * 3
+        assert counts.tolist() == [2, 2, 2]
+        for a in (model.pair_o, model.pair_d, *model.pieces):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        assert list(model.intensities) == [(1, 3), (2, 3), (3, 1)]
+        assert same_intensity(model.intensities[(2, 3)], lam)
+        with pytest.raises(TypeError):
+            model.intensities[(1, 2)] = lam
+        assert model.rate(1, 2).values == (0.0,)
+        again = pickle.loads(pickle.dumps(model))  # with the mapping built
+        assert model_to_json(again) == model_to_json(model)
+        assert list(again.intensities) == list(model.intensities)
+
+    def test_readers_of_a_loaded_model_never_build_the_mapping(self, rng, tmp_path):
+        from fleetsizing.exact import joint_transient
+        from fleetsizing.rebalance import build_plan
+        from fleetsizing.simulate import compile_tables
+        from fleetsizing.sizing import SizingRequest, size_system
+        from fleetsizing.station_bound import system_failure_upper_bound
+
+        model, plan, design = random_small_instance(rng, k_max=3)
+        save_model(model, tmp_path / "m.json")
+
+        def unread(_):
+            pytest.fail("the per-pair mapping was built")
+
+        with mock.patch.object(DemandModel, "intensities", property(unread)):
+            loaded = load_model(tmp_path / "m.json")
+            build_plan(loaded, bin_hours=0.5)
+            size_system(loaded, plan, SizingRequest(0.3, 1.5), with_delay=True)
+            system_failure_upper_bound(loaded, plan, design, 1.5)
+            compile_tables(loaded)
+            joint_transient(loaded, plan, design, [0.5, 1.5])
+            assert model_to_json(loaded) == model_to_json(model)
+
+
+class TestPairChecks:
+    """Every pair check keeps its message on each way a model is built."""
+
+    lam = PiecewiseConstantIntensity.constant(1.0, 24.0)
+    eta = ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0))
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(True, 2)], "origin label must be an integer, got True"),
+            ([(1, "2")], "destination label must be an integer, got '2'"),
+            ([(1, 2), (0, 2)], "origin label 0 outside 1..3"),
+            ([(1, 2 ** 70)], f"destination label {2 ** 70} outside 1..3"),
+            ([(1, 2), (3, 3)], "demand between a station and itself is not allowed"),
+            # the labels are checked first, then o != d
+            ([(2, 2), (1, 5)], "destination label 5 outside 1..3"),
+            ([(2, 2), (0, 1), (1, 2)], "origin label 0 outside 1..3"),
+        ],
+    )
+    def test_the_constructor(self, pairs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DemandModel(3, dict.fromkeys(pairs, self.lam), self.eta, 24.0)
+
+    def test_a_horizon_other_than_the_models(self):
+        short = PiecewiseConstantIntensity.constant(1.0, 12.0)
+        with pytest.raises(ValueError, match="^all intensities must share the model horizon$"):
+            DemandModel(3, {(1, 2): self.lam, (2, 1): short}, self.eta, 24.0)
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(1, 2), (4, 1)], "origin label 4 outside 1..3"),
+            ([(1, 2), (1, 1)], "demand between a station and itself is not allowed"),
+            ([(2, 1), (1, 2), (2, 1), (1, 2)], "duplicate intensity entry for pair (2, 1)"),
+        ],
+    )
+    def test_a_document(self, pairs, message):
+        doc = {"k": 3, "horizon_hours": 24.0, "eta": self.eta,
+               "lambda": [{"o": o, "d": d, "breakpoints": [0.0], "values": [1.0]} for o, d in pairs]}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            model_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(1, 2), (4, 1)], "origin label 4 outside 1..3"),
+            ([(1, 2), (2, 2)], "demand between a station and itself is not allowed"),
+        ],
+    )
+    def test_estimated_demand(self, pairs, message):
+        from fleetsizing.ingest import estimate_demand
+
+        doc = {"k": 3, "horizon_hours": 24.0, "days": [{"date": "2016-05-02", "events": [
+            {"t": 1.0 + i, "o": o, "d": d, "eta": 0.25} for i, (o, d) in enumerate(pairs)]}]}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_demand(sequences_from_json(doc))
+
+
+# --- the array check against the checked constructor -------------------------
 
 
 def first_error(build):
@@ -599,7 +768,7 @@ def piece_lists(draw, horizon):
     return ([int(b) if whole and float(b).is_integer() else b for b in bps], values)
 
 
-class TestIntensityBatch:
+class TestCheckedPieces:
     @given(
         st.sampled_from([24.0, 0.15, math.nan, math.inf]).flatmap(
             lambda h: st.tuples(st.just(h), st.lists(piece_lists(h if math.isfinite(h) else 24.0),
@@ -610,17 +779,17 @@ class TestIntensityBatch:
     def test_accepts_and_rejects_what_the_constructor_does(self, case):
         horizon, items = case
         expected = first_error(
-            lambda: [PiecewiseConstantIntensity(b, v, horizon) for b, v in items]
+            lambda: _pieces([PiecewiseConstantIntensity(b, v, horizon) for b, v in items])
         )
         got = first_error(
-            lambda: model_module._intensity_batch([b for b, _ in items], [v for _, v in items],
-                                                  horizon)
+            lambda: model_module._checked_pieces([b for b, _ in items], [v for _, v in items],
+                                                 horizon)
         )
-        assert got == expected
-        if not isinstance(expected, str):
-            for pci in got:
-                assert all(type(x) is float for x in pci.breakpoints + pci.values)
-                assert type(pci.horizon_end) is float
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            for a, b in zip(got, expected, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # --- the writer against json.dump(indent=2) -----------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetsizing.model import InvariantViolationError
+from fleetsizing.model import InvariantViolationError, _pieces
 from fleetsizing.uniformization import JUMP, RECORD, check_mass, timeline, uniformize
 
 from conftest import make_pci
@@ -107,7 +107,7 @@ class TestTimeline:
         jumps = [(float(r.choice(pool)), n) for n in range(int(r.integers(0, 6)))]
         pool += [t for t, _ in jumps]
         records = [min(float(r.choice(pool + [T])), T) for _ in range(int(r.integers(0, 5)))]
-        pieces, ends, actions, cuts = timeline(items, jumps, T, records)
+        pieces, ends, actions, cuts = timeline(_pieces(items), jumps, T, records)
 
         starts = np.concatenate([[0.0], ends])[:-1]
         assert np.all(np.diff(ends) > 0.0)
@@ -131,8 +131,8 @@ class TestTimeline:
 
     def test_record_times_must_lie_within_the_horizon(self):
         with pytest.raises(ValueError, match="record times"):
-            timeline([], [], 1.0, [1.5])
+            timeline(_pieces([]), [], 1.0, [1.5])
         with pytest.raises(ValueError, match="record times"):
-            timeline([], [], 1.0, [-0.1])
+            timeline(_pieces([]), [], 1.0, [-0.1])
         # within rounding of T a record is taken at T
-        assert timeline([], [], 1.0, [1.0 + 1e-12])[2:] == ([(RECORD, 0)], [0, 0, 1])
+        assert timeline(_pieces([]), [], 1.0, [1.0 + 1e-12])[2:] == ([(RECORD, 0)], [0, 0, 1])
