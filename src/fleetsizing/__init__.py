@@ -15,8 +15,7 @@ from .exact import (
     marginal_distribution,
 )
 from .ingest import (
-    DaySequence,
-    RentalEvent,
+    DaySequences,
     TripRecord,
     estimate_demand,
     extract_day_sequences,
@@ -70,14 +69,13 @@ from .synth import sample_day_sequences, synthetic_imbalanced_model, uniform_dem
 __version__ = "0.1.0"
 
 __all__ = [
-    "DaySequence",
+    "DaySequences",
     "DemandModel",
     "EstimateWithCI",
     "InvariantViolationError",
     "JointDistribution",
     "PiecewiseConstantIntensity",
     "RebalancingPlan",
-    "RentalEvent",
     "ReplayOutcome",
     "SizingInfeasibleError",
     "SizingRequest",

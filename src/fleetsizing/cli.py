@@ -58,7 +58,7 @@ def cmd_ingest(args):
     )
     model = ingest.estimate_demand(sequences, bin_hours=args.bin_hours)
     save_model(model, args.model_out)
-    ingest.save_sequences(sequences, model.k, args.sequences_out, station_ids)
+    ingest.save_sequences(sequences, args.sequences_out, station_ids)
     print(
         f"ingested {len(parsed.records)} trips ({parsed.n_rejected} rejected), "
         f"k={model.k} stations, {len(sequences)} days"
@@ -152,8 +152,6 @@ def cmd_simulate(args):
 def cmd_replay(args):
     sequences = ingest.load_sequences(args.sequences)
     design = sizing.load_design(args.design)
-    if sequences.k != design.k:
-        raise ValueError(f"sequences have {sequences.k} stations, design has {design.k}")
     eta = None
     if args.eta_from_model:
         eta = load_eta(args.eta_from_model)
@@ -164,8 +162,7 @@ def cmd_replay(args):
     if args.plan:
         plan = load_plan(args.plan)
     else:
-        horizon = sequences[0].horizon if sequences else ingest.DAY_HOURS
-        plan = RebalancingPlan.empty(design.k, horizon)
+        plan = RebalancingPlan.empty(design.k, sequences.horizon)
     outcomes = replay.replay_all(
         sequences, plan, design, eta=eta, overflow=not args.strict
     )

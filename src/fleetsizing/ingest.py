@@ -7,26 +7,30 @@ arbitrary; they are relabelled to dense 1..k in the order of sorted raw
 ids, and the mapping is carried alongside every artifact that needs it.
 
 Trips are filtered (day kind, month), labelled and clocked once, into
-per-day rental sequences.  Demand is their average, a single typical-day
-profile: the rate for a pair in an hour bin is the rental count in that
-bin across all days divided by (number of days x bin width).  Travel
-times are per-pair medians with a global-median fallback for unseen
-pairs.  Round trips (start station == end station) move no stock and are
-dropped, with a count reported.
+``DaySequences``: every kept day's rentals as columns of request time,
+origin, destination and riding time, in (day, time) order, checked once
+when built.  Demand is their average, a single typical-day profile: the
+rate for a pair in an hour bin is the rental count in that bin across
+all days divided by (number of days x bin width).  Travel times are
+per-pair medians with a global-median fallback for unseen pairs.  Round
+trips (start station == end station) move no stock and are dropped,
+with a count reported.
 """
 
 import csv
 import logging
-import math
+import time
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import chain
 
 import numpy as np
 
 from .model import (
+    _NUMBER_TYPES,
     DemandModel,
+    _checked_horizon,
     _checked_pairs,
-    _checked_size,
     check_bin_width,
     number,
     parsing,
@@ -179,24 +183,24 @@ def estimate_demand(sequences, bin_hours=1.0):
     integrating the model over the day and multiplying by the day count
     recovers the rental counts exactly.
     """
-    if any(seq.horizon != DAY_HOURS for seq in sequences):
+    if sequences.horizon != DAY_HOURS:
         raise ValueError(f"demand is estimated from {DAY_HOURS:g} h days")
     check_bin_width(bin_hours)
     # count whole bins rather than take a float modulo: 24 % 0.1 == 0.0999...
     n_bins = round(DAY_HOURS / bin_hours)
     if n_bins < 1 or abs(n_bins * bin_hours - DAY_HOURS) > 1e-9:
         raise ValueError("bin_hours must evenly divide 24")
-    events = [e for seq in sequences for e in seq.events]
-    if not events:
+    t, rides = sequences.t, sequences.eta
+    if not t.size:
         raise ValueError("no trips left after filtering; cannot estimate demand")
 
     # pairs are numbered in the order they are first seen
-    index = {}
-    pair = np.fromiter((index.setdefault((e.o, e.d), len(index)) for e in events), np.intp, len(events))
-    t, rides = np.array([(e.t, e.eta) for e in events]).T
-    k, n_pairs, n_days = sequences.k, len(index), len(sequences)
-    _checked_size(k, DAY_HOURS)
-    o, d = _checked_pairs(k, [label for key in index for label in key])
+    k, n_days = sequences.k, len(sequences)
+    keys, first, inverse = np.unique(sequences.o * (k + 1) + sequences.d, return_index=True,
+                                     return_inverse=True)
+    pair, n_pairs = np.argsort(np.argsort(first))[inverse], keys.size
+    seen = np.divmod(keys[np.argsort(first)], k + 1)
+    o, d = _checked_pairs(k, np.column_stack(seen).ravel().tolist())
     hits = pair * n_bins + np.minimum((t / bin_hours).astype(np.intp), n_bins - 1)
     values = np.bincount(hits, minlength=n_pairs * n_bins) / (n_days * bin_hours)
     pieces = np.tile(np.arange(n_bins) * bin_hours, n_pairs), values, np.full(n_pairs, n_bins)
@@ -204,52 +208,78 @@ def estimate_demand(sequences, bin_hours=1.0):
     # each pair's median riding time, then the global one, as statistics.median
     # takes them: a stable sort, then the middle entry or the mean of the two
     x = np.concatenate([rides[np.lexsort((rides, pair))], rides[np.lexsort((pair, rides))]])
-    n = np.append(np.bincount(pair, minlength=n_pairs), len(events))
+    n = np.append(np.bincount(pair, minlength=n_pairs), t.size)
     mid = np.cumsum(n) - n + n // 2
     median = np.where(n % 2 == 1, x[mid], (x[mid - 1] + x[mid]) / 2)
     eta = np.full((k, k), median[-1])
     eta[o - 1, d - 1] = median[:-1]
     np.fill_diagonal(eta, 0.0)
 
-    log.info("estimated demand for k=%d stations from %d trips over %d days", k, len(events), n_days)
+    log.info("estimated demand for k=%d stations from %d trips over %d days", k, t.size, n_days)
     return DemandModel._of_pieces(k, o, d, pieces, eta.tolist(), DAY_HOURS)
 
 
 # --- per-day replay sequences -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RentalEvent:
-    """One observed rental: request at hour t, o -> d, riding time eta hours."""
+@dataclass(frozen=True, eq=False, init=False)
+class DaySequences:
+    """Recorded days of rentals between stations 1..k over ``horizon`` hours, as columns.
 
-    t: float
-    o: int
-    d: int
-    eta: float
+    Day i is ``dates[i]``; its ``counts[i]`` events follow those of the
+    days before it in the read-only columns ``t``, ``o``, ``d`` and
+    ``eta``: a request at hour t from station o to d, riding eta hours, in
+    time order within the day.  ``len()`` counts the days, ``sequences[i]``
+    is day i as a one-day DaySequences whose columns are views of these,
+    and equal DaySequences have bitwise equal columns.
+    """
 
+    k: int
+    horizon: float
+    dates: tuple
 
-@dataclass(frozen=True)
-class DaySequence:
-    date: str
-    events: tuple
-    horizon: float = DAY_HOURS
-
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        if not all(math.isfinite(e.t) and math.isfinite(e.eta) for e in self.events):
+    def __init__(self, k, horizon, dates, counts, t, o, d, eta):
+        horizon = _checked_horizon(horizon)
+        counts, t, eta = np.array(counts, np.intp), np.array(t, float), np.array(eta, float)
+        day = np.repeat(np.arange(counts.size), counts)
+        if not (np.isfinite(t) & np.isfinite(eta)).all():
             raise ValueError("event times and riding times must be finite")
-        if any(e.eta < 0.0 for e in self.events):
+        if (eta < 0.0).any():
             raise ValueError("riding times must be non-negative")
-        if any(not 0.0 <= e.t <= self.horizon for e in self.events):
-            raise ValueError(f"event times must lie within [0, {self.horizon}] hours")
-        if any(
-            a.t > b.t for a, b in zip(self.events, self.events[1:])
-        ):
+        if not ((t >= 0.0) & (t <= horizon)).all():
+            raise ValueError(f"event times must lie within [0, {horizon}] hours")
+        if ((t[1:] < t[:-1]) & (day[1:] == day[:-1])).any():
             raise ValueError("events must be ordered by time")
+        # labels as read may be Python ints past intp's range
+        if not all(((x >= 1) & (x <= k)).all() for x in map(np.asarray, (o, d))):
+            raise ValueError(f"event names station outside 1..{k}")
+        columns = dict(counts=counts, t=t, o=np.array(o, np.intp), d=np.array(d, np.intp), eta=eta)
+        for a in columns.values():
+            a.flags.writeable = False
+        vars(self).update(columns, k=k, horizon=horizon, dates=tuple(dates))
+
+    def __len__(self):
+        return len(self.dates)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]  # an IndexError past either end
+        events = slice(int(self.counts[:i].sum()), int(self.counts[: i + 1].sum()))
+        day = object.__new__(DaySequences)
+        vars(day).update({key: getattr(self, key)[events] for key in ("t", "o", "d", "eta")},
+                         k=self.k, horizon=self.horizon, dates=self.dates[i : i + 1],
+                         counts=self.counts[i : i + 1])
+        return day
+
+    def __eq__(self, other):
+        if not isinstance(other, DaySequences):
+            return NotImplemented
+        return (self.k, self.horizon, self.dates) == (other.k, other.horizon, other.dates) and all(
+            getattr(self, c).tobytes() == getattr(other, c).tobytes() for c in ("counts", "t", "o", "d", "eta")
+        )
 
 
 def extract_day_sequences(trips, station_ids=None, days="working", month=None):
-    """One DaySequence per filtered calendar day, events in start-time order.
+    """The filtered calendar days of ``trips``, each day's events in start-time order.
 
     station_ids fixes the raw-id -> label mapping and the station count k
     (sorted raw ids of the kept trips when omitted).
@@ -259,71 +289,71 @@ def extract_day_sequences(trips, station_ids=None, days="working", month=None):
         station_ids = station_set_from_trips(kept)
     label = {raw: i + 1 for i, raw in enumerate(station_ids)}
 
-    by_date = {}
-    for trip in kept:
-        started = trip.start_time
-        t = started.hour + started.minute / 60.0 + started.second / 3600.0
-        event = RentalEvent(
-            t, label[trip.start_station], label[trip.end_station], trip.duration_hours
-        )
-        by_date.setdefault(started.date(), []).append(event)
+    def column(values, dtype=float):
+        return np.fromiter(values, dtype, len(kept))
 
-    sequences = []
-    for date in sorted(by_date):
-        events = sorted(by_date[date], key=lambda e: e.t)
-        sequences.append(DaySequence(date.isoformat(), tuple(events)))
-    return DaySequences(sequences, len(station_ids))
+    started = [trip.start_time for trip in kept]
+    day = column((s.toordinal() for s in started), np.intp)
+    t = column(s.hour + s.minute / 60.0 + s.second / 3600.0 for s in started)
+    order = np.lexsort((t, day))  # stable: trips that start together keep their order
+    dates, counts = np.unique(day[order], return_counts=True)
+    o = column((label[trip.start_station] for trip in kept), np.intp)
+    d = column((label[trip.end_station] for trip in kept), np.intp)
+    eta = column(trip.duration_hours for trip in kept)
+    return DaySequences(len(station_ids), DAY_HOURS,
+                        [datetime.fromordinal(x).date().isoformat() for x in dates.tolist()],
+                        counts, t[order], o[order], d[order], eta[order])
 
 
-def sequences_to_json(sequences, k, station_ids=None):
+def sequences_to_json(sequences, station_ids=None):
+    columns = (getattr(sequences, key).tolist() for key in ("t", "o", "d", "eta"))
+    events = [{"t": t, "o": o, "d": d, "eta": eta} for t, o, d, eta in zip(*columns)]
+    ends = np.cumsum(sequences.counts).tolist()
     doc = {
-        "k": k,
-        "horizon_hours": sequences[0].horizon if sequences else DAY_HOURS,
-        "days": [
-            {
-                "date": seq.date,
-                "events": [
-                    {"t": e.t, "o": e.o, "d": e.d, "eta": e.eta} for e in seq.events
-                ],
-            }
-            for seq in sequences
-        ],
+        "k": sequences.k,
+        "horizon_hours": sequences.horizon,
+        "days": [{"date": date, "events": events[a:b]}
+                 for date, a, b in zip(sequences.dates, [0, *ends], ends)],
     }
     if station_ids is not None:
         doc["station_ids"] = list(station_ids)
     return doc
 
 
-class DaySequences(list):
-    """The day sequences of one file, with the station count ``k`` it states."""
+def _column(values, labels):
+    """One field of a document's events as an array.
 
-    def __init__(self, days, k):
-        super().__init__(days)
-        self.k = k
+    ``whole_number`` (for station ``labels``) or ``number`` reads the values
+    only when some value is not an int (or, for a number, a float).
+    """
+    if not set(map(type, values)) <= ({int} if labels else _NUMBER_TYPES):
+        values = list(map(whole_number if labels else number, values))
+    return np.array(values)
 
 
 def sequences_from_json(doc):
+    t0 = time.perf_counter()
     with parsing("sequence"):
-        k = whole_number(doc["k"])
-        horizon = number(doc["horizon_hours"])
-        sequences = []
-        for day in doc["days"]:
-            events = tuple(
-                RentalEvent(
-                    number(e["t"]), whole_number(e["o"]), whole_number(e["d"]), number(e["eta"])
-                )
-                for e in day["events"]
-            )
-            date = day["date"]
+        k, horizon = whole_number(doc["k"]), number(doc["horizon_hours"])
+        days = doc["days"]
+        events = [day["events"] for day in days]
+        if not all(type(x) is list for x in (days, *events)):  # not the keys of an object
+            raise TypeError("expected lists of days and of events")
+        dates = [day["date"] for day in days]
+        for date in dates:
             if type(date) is not str:
                 raise TypeError(f"expected a date string, got {date!r}")
-            sequences.append(DaySequence(date, events, horizon))
-        return DaySequences(sequences, k)
+        flat = list(chain.from_iterable(events))
+        t, o, d, eta = (_column([e[key] for e in flat], key in "od") for key in ("t", "o", "d", "eta"))
+        sequences = DaySequences(k, horizon, dates, list(map(len, events)), t, o, d, eta)
+    log.debug("read %d days, %d events of day sequences, %.3f s",
+              len(sequences), t.size, time.perf_counter() - t0)
+    return sequences
 
 
 def load_sequences(path):
     return sequences_from_json(read_json(path))
 
 
-def save_sequences(sequences, k, path, station_ids=None):
-    write_json(sequences_to_json(sequences, k, station_ids), path)
+def save_sequences(sequences, path, station_ids=None):
+    write_json(sequences_to_json(sequences, station_ids), path)

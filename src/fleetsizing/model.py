@@ -231,14 +231,19 @@ def _check_station(label, k, what="station"):
     return label
 
 
-def _checked_size(k, horizon):
-    """A model's station count and horizon checked; returns the horizon as a float."""
-    if k < 1:
-        raise ValueError("need at least one station")
+def _checked_horizon(horizon):
+    """A horizon checked; returns it as a float."""
     horizon = float(horizon)
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError("horizon must be a positive finite number of hours")
     return horizon
+
+
+def _checked_size(k, horizon):
+    """A model's station count and horizon checked; returns the horizon as a float."""
+    if k < 1:
+        raise ValueError("need at least one station")
+    return _checked_horizon(horizon)
 
 
 def _checked_eta(k, eta):

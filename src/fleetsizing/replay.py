@@ -14,9 +14,14 @@ fall back on scheduling order, which is itself deterministic.
 """
 
 import heapq
+import logging
+import time
 from dataclasses import dataclass
+from itertools import repeat
 
 from .model import SystemDesign
+
+log = logging.getLogger(__name__)
 
 _ARRIVAL, _DEPARTURE = 1, 2
 
@@ -36,7 +41,8 @@ class ReplayOutcome:
 def replay_day(seq, plan, design, eta=None, overflow=True, trace=None):
     """Replay one day's rentals plus the plan's relocations against a design.
 
-    eta supplies relocation travel times as a k x k matrix of hours (zero
+    ``seq`` is a one-day DaySequences, such as ``sequences[i]``.  eta
+    supplies relocation travel times as a k x k matrix of hours (zero
     when omitted; rentals always ride for their recorded duration).  In
     overflow mode a vehicle arriving at a full station docks anyway and
     the violation is counted; with overflow=False it is discarded
@@ -47,22 +53,23 @@ def replay_day(seq, plan, design, eta=None, overflow=True, trace=None):
     k = design.k
     if plan.k != k:
         raise ValueError(f"plan is for {plan.k} stations, design for {k}")
+    (date,) = seq.dates
     if plan.horizon != seq.horizon:
         raise ValueError(
-            f"plan covers {plan.horizon:g} h, day {seq.date} covers {seq.horizon:g} h"
+            f"plan covers {plan.horizon:g} h, day {date} covers {seq.horizon:g} h"
         )
+    if seq.k != k:
+        raise ValueError(f"sequences have {seq.k} stations, design has {k}")
     stocks = list(design.v)
     in_transit = 0
     availability = 0
     capacity = 0
 
-    heap = []
-    order = 0
-    for event in seq.events:
-        if not (1 <= event.o <= k and 1 <= event.d <= k):
-            raise ValueError(f"event names station outside 1..{k}")
-        heapq.heappush(heap, (event.t, _DEPARTURE, order, event.o, event.d, event.eta))
-        order += 1
+    n = seq.t.size
+    heap = list(zip(seq.t.tolist(), repeat(_DEPARTURE), range(n), seq.o.tolist(),
+                    seq.d.tolist(), seq.eta.tolist()))
+    heapq.heapify(heap)
+    order = n
     for t, o, d in plan.instants():
         delay = eta[o - 1][d - 1] if eta is not None else 0.0
         heapq.heappush(heap, (t, _DEPARTURE, order, o, d, delay))
@@ -91,7 +98,7 @@ def replay_day(seq, plan, design, eta=None, overflow=True, trace=None):
         if trace is not None:
             trace.append((t, kind, station, sum(stocks), in_transit))
 
-    return ReplayOutcome(seq.date, availability, capacity, tuple(stocks))
+    return ReplayOutcome(date, availability, capacity, tuple(stocks))
 
 
 def failure_rate(outcomes):
@@ -102,7 +109,12 @@ def failure_rate(outcomes):
 
 
 def replay_all(sequences, plan, design, eta=None, overflow=True):
-    return [replay_day(seq, plan, design, eta=eta, overflow=overflow) for seq in sequences]
+    """Replay every day of a DaySequences against one design, one outcome per day."""
+    t0 = time.perf_counter()
+    outcomes = [replay_day(seq, plan, design, eta=eta, overflow=overflow) for seq in sequences]
+    log.debug("replayed %d days, %d events: %d failed days, %.3f s", len(outcomes),
+              sequences.t.size, sum(o.day_failed for o in outcomes), time.perf_counter() - t0)
+    return outcomes
 
 
 def baseline_design(k, per_station_capacity):

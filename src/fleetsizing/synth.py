@@ -12,7 +12,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .ingest import DAY_HOURS, DaySequence, DaySequences, RentalEvent
+from .ingest import DAY_HOURS, DaySequences
 from .model import DemandModel, PiecewiseConstantIntensity
 from .simulate import compile_tables, sample_requests
 
@@ -92,7 +92,7 @@ def sample_day_sequences(model, n_days, seed=0, start=date(2016, 5, 2)):
     travel times.
     """
     tables = compile_tables(model)
-    sequences = []
+    dates, draws = [], []
     day = start
     if day.weekday() >= 5:
         day = _next_weekday(day)
@@ -100,10 +100,8 @@ def sample_day_sequences(model, n_days, seed=0, start=date(2016, 5, 2)):
         rng = np.random.default_rng((seed, i))
         times, origins, dests, etas = sample_requests(tables, model.horizon, rng)
         order = np.argsort(times, kind="stable")
-        events = tuple(
-            RentalEvent(float(times[j]), int(origins[j]), int(dests[j]), float(etas[j]))
-            for j in order
-        )
-        sequences.append(DaySequence(day.isoformat(), events, model.horizon))
+        draws.append([times[order], origins[order], dests[order], etas[order]])
+        dates.append(day.isoformat())
         day = _next_weekday(day)
-    return DaySequences(sequences, model.k)
+    columns = [np.concatenate(c) for c in zip(*draws)] if draws else [()] * 4
+    return DaySequences(model.k, model.horizon, dates, [len(c[0]) for c in draws], *columns)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fleetsizing.ingest import DaySequences
 from fleetsizing.model import (
     DemandModel,
     PiecewiseConstantIntensity,
@@ -29,6 +30,14 @@ def fresh_python(*args, cwd):
     return subprocess.run(
         [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=120
     )
+
+
+def days_of(days, k, horizon=24.0):
+    """DaySequences of ``days``, each a list of (t, o, d, eta) events, dated daily from 2016-05-02."""
+    events = [event for day in days for event in day]
+    t, o, d, eta = zip(*events) if events else ((),) * 4
+    dates = [f"2016-05-{2 + i:02d}" for i in range(len(days))]
+    return DaySequences(k, horizon, dates, list(map(len, days)), t, o, d, eta)
 
 
 def make_pci(rng, horizon, max_rate=2.0, max_pieces=3):

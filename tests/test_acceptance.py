@@ -201,7 +201,7 @@ def test_seeded_commands_are_byte_identical(tmp_path):
     design_path = tmp_path / "design.json"
     design_path.write_text(json.dumps(design_to_json(baseline_design(6, 6))))
     seq_path = tmp_path / "days.json"
-    save_sequences(sample_day_sequences(model, 8, seed=3), 6, seq_path)
+    save_sequences(sample_day_sequences(model, 8, seed=3), seq_path)
 
     def mc(out):
         assert (

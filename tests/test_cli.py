@@ -17,16 +17,12 @@ from fleetsizing.cli import (
     run,
 )
 from fleetsizing import model as model_module
-from fleetsizing.ingest import (
-    DaySequence,
-    RentalEvent,
-    estimate_demand,
-    load_sequences,
-    save_sequences,
-)
+from fleetsizing.ingest import estimate_demand, load_sequences, save_sequences
 from fleetsizing.model import InvariantViolationError, SystemDesign, save_model
 from fleetsizing.sizing import SizingInfeasibleError, design_to_json
 from fleetsizing.synth import uniform_demand_model
+
+from conftest import days_of
 
 
 def write_demo_trips(path):
@@ -361,6 +357,27 @@ class TestDeterminism:
         # the bound curve and the bound at T=12 each run all three stations in one pass
         assert [f.group(1, 2) for f in found[-2:]] == [("3", "3"), ("3", "3")]
 
+    def test_replay_output_is_unchanged_by_debug_logging(self, pipeline, tmp_path, caplog, capsys):
+        outs = []
+        for level in (logging.WARNING, logging.DEBUG):
+            out = tmp_path / f"replay-{level}.csv"
+            with caplog.at_level(level, logger="fleetsizing"):
+                assert run(["replay", "--sequences", str(pipeline["sequences"]), "--design",
+                            str(pipeline["design"]), "--plan", str(pipeline["plan"]),
+                            "--out", str(out)]) == EXIT_OK
+            outs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outs[0] == outs[1]
+        events = sum(len(day["events"]) for day in json.loads(pipeline["sequences"].read_text())["days"])
+        failed = outs[0][0].decode().splitlines()[1:]
+        failed = sum(line.endswith(",1") for line in failed)
+        lines = [(r.name, r.getMessage()) for r in caplog.records
+                 if r.name in ("fleetsizing.ingest", "fleetsizing.replay")]
+        assert [name for name, _ in lines] == ["fleetsizing.ingest", "fleetsizing.replay"], lines
+        assert re.fullmatch(rf"read 10 days, {events} events of day sequences, \d+\.\d{{3}} s",
+                            lines[0][1]), lines
+        assert re.fullmatch(rf"replayed 10 days, {events} events: {failed} failed days, "
+                            r"\d+\.\d{3} s", lines[1][1]), lines
+
     def test_replay_output_is_byte_identical(self, pipeline, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):
@@ -472,7 +489,7 @@ class TestExitCodes:
         # a 72 h plan against 24 h days: its relocations at t=30, 40 and 50 h
         # fall after the day has ended
         days = tmp_path / "days.json"
-        save_sequences([DaySequence("2016-05-02", (RentalEvent(1.0, 1, 2, 0.0),))], 2, days)
+        save_sequences(days_of([[(1.0, 1, 2, 0.0)]], 2), days)
         design = tmp_path / "design.json"
         design.write_text(json.dumps(design_to_json(SystemDesign((1, 1), (2, 2)))))
         plan = tmp_path / "plan.json"
@@ -804,6 +821,30 @@ class TestMalformedDocuments:
                 "--out", str(out)]
         assert run(argv) == EXIT_INPUT
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0, math.inf, math.nan])
+    def test_sequence_with_a_wrong_horizon(self, pipeline, tmp_path, capsys, horizon):
+        # one day without events, so that no event check can catch the horizon
+        def edit(doc):
+            return {**doc, "horizon_hours": horizon, "days": [{"date": "2016-05-02", "events": []}]}
+
+        days = edited_copy(pipeline["sequences"], tmp_path / "days.json", edit)
+        out = tmp_path / "r.csv"
+        argv = ["replay", "--sequences", days, "--design", str(pipeline["design"]),
+                "--out", str(out)]
+        assert run(argv) == EXIT_INPUT
+        assert "horizon must be a positive finite number of hours" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", [["days"], ["days", 0, "events"]], ids=["days", "events"])
+    def test_sequence_with_an_object_for_a_list(self, pipeline, tmp_path, capsys, path):
+        days = edited_copy(pipeline["sequences"], tmp_path / "days.json", replaced(path, {}))
+        out = tmp_path / "r.csv"
+        argv = ["replay", "--sequences", days, "--design", str(pipeline["design"]),
+                "--out", str(out)]
+        assert run(argv) == EXIT_INPUT
+        assert "malformed sequence document" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

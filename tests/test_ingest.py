@@ -2,29 +2,31 @@
 
 import datetime as dt
 import json
+import math
 from statistics import median
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetsizing.ingest import (
-    DaySequence,
-    DaySequences,
-    RentalEvent,
     estimate_demand,
     extract_day_sequences,
     load_sequences,
     parse_trips,
     save_sequences,
+    sequences_from_json,
     station_set_from_trips,
 )
+from fleetsizing.model import number, parsing, whole_number
 from fleetsizing.synth import (
     sample_day_sequences,
     synthetic_imbalanced_model,
     uniform_demand_model,
 )
 
-from conftest import reference_integral
+from conftest import days_of, reference_integral
 
 HEADER = "start_time,end_time,start_station_id,end_station_id"
 
@@ -273,7 +275,7 @@ class TestEstimateDemand:
             reference_integral(lam, 0.0, 24.0) * len(days)
             for lam in estimate.intensities.values()
         )
-        assert total == pytest.approx(sum(len(day.events) for day in days))
+        assert total == pytest.approx(days.t.size)
         assert estimate.eta == model.eta
 
     @pytest.mark.parametrize("seed", range(12))
@@ -282,23 +284,22 @@ class TestEstimateDemand:
         # pair; riding times repeat, and include both zeros, so ties occur
         rng = np.random.default_rng(seed)
         k, bin_hours = int(rng.integers(2, 6)), float(rng.choice([0.5, 1.0, 3.0, 24.0]))
-        days = DaySequences([
-            DaySequence(f"2016-05-{day + 2:02d}", [
-                RentalEvent(float(t), int(o), int(d), float(rng.choice([0.0, -0.0, -0.0, 0.0, 0.25, 0.3])))
+        days = days_of([
+            [
+                (float(t), int(o), int(d), float(rng.choice([0.0, -0.0, -0.0, 0.0, 0.25, 0.3])))
                 for t, o, d in zip(np.sort(rng.choice([0.0, 3.5, 7.25, 11.0, 23.9, 24.0], n)),
                                    rng.integers(1, k + 1, n), rng.integers(1, k + 1, n))
                 if o != d
-            ])
-            for day, n in enumerate(rng.integers(1, 30, int(rng.integers(1, 4))))
+            ]
+            for n in rng.integers(1, 30, int(rng.integers(1, 4)))
         ], k)
-        if not any(day.events for day in days):
+        if not days.t.size:
             return
         n_bins = round(24 / bin_hours)
         counts, durations = {}, {}
-        for day in days:
-            for e in day.events:
-                counts.setdefault((e.o, e.d), [0] * n_bins)[min(int(e.t / bin_hours), n_bins - 1)] += 1
-                durations.setdefault((e.o, e.d), []).append(e.eta)
+        for t, o, d, eta in zip(*(c.tolist() for c in (days.t, days.o, days.d, days.eta))):
+            counts.setdefault((o, d), [0] * n_bins)[min(int(t / bin_hours), n_bins - 1)] += 1
+            durations.setdefault((o, d), []).append(eta)
         overall = median(t for ts in durations.values() for t in ts)
         model = estimate_demand(days, bin_hours)
         assert sorted(counts) == list(model.intensities)
@@ -322,11 +323,10 @@ class TestDaySequences:
             parse_trips(month_of_commutes(tmp_path / "t.csv")).records
         )
         assert (len(sequences), sequences.k) == (22, 2)
-        assert sequences[0].date == "2016-05-02"
-        assert all(len(seq.events) == 2 for seq in sequences)
-        first = sequences[0].events[0]
-        assert (first.t, first.o, first.d) == (8.25, 1, 2)
-        assert first.eta == pytest.approx(0.25)
+        assert sequences.dates[0] == "2016-05-02"
+        assert sequences.counts.tolist() == [2] * 22
+        assert (sequences.t[0], sequences.o[0], sequences.d[0]) == (8.25, 1, 2)
+        assert sequences.eta[0] == pytest.approx(0.25)
 
     def test_events_come_out_in_time_order(self, tmp_path):
         path = write_trips(
@@ -337,7 +337,7 @@ class TestDaySequences:
             ],
         )
         (seq,) = extract_day_sequences(parse_trips(path).records)
-        assert [e.t for e in seq.events] == [8.25, 10.0]
+        assert seq.t.tolist() == [8.25, 10.0]
 
     def test_ties_keep_input_order(self, tmp_path):
         path = write_trips(
@@ -348,7 +348,7 @@ class TestDaySequences:
             ],
         )
         (seq,) = extract_day_sequences(parse_trips(path).records)
-        assert [(e.o, e.d) for e in seq.events] == [(2, 1), (1, 2)]
+        assert list(zip(seq.o.tolist(), seq.d.tolist())) == [(2, 1), (1, 2)]
 
     def test_round_trips_are_dropped_here_too(self, tmp_path):
         path = write_trips(
@@ -359,14 +359,14 @@ class TestDaySequences:
             ],
         )
         (seq,) = extract_day_sequences(parse_trips(path).records)
-        assert len(seq.events) == 1
+        assert seq.t.size == 1
 
     def test_sequence_file_roundtrip(self, tmp_path):
         sequences = extract_day_sequences(
             parse_trips(month_of_commutes(tmp_path / "t.csv")).records
         )
         out = tmp_path / "days.json"
-        save_sequences(sequences, 2, out, station_ids=(22, 36))
+        save_sequences(sequences, out, station_ids=(22, 36))
         loaded = load_sequences(out)
         assert loaded == sequences
         doc = json.loads(out.read_text())
@@ -374,7 +374,119 @@ class TestDaySequences:
         assert doc["station_ids"] == [22, 36]
         assert doc["horizon_hours"] == 24.0
 
-    def test_unordered_events_are_rejected(self):
-        events = (RentalEvent(2.0, 1, 2, 0.1), RentalEvent(1.0, 2, 1, 0.1))
+    def test_a_day_is_a_read_only_view(self):
+        days = days_of([[(1.0, 1, 2, 0.5)], [], [(2.0, 2, 1, 0.0), (3.0, 1, 2, 0.25)]], 2)
+        assert len(days) == 3 and [len(day) for day in days] == [1, 1, 1]
+        last = days[2]
+        assert last.dates == ("2016-05-04",) and last.counts.tolist() == [2]
+        assert last.t.tolist() == [2.0, 3.0] and np.shares_memory(last.t, days.t)
+        assert days[-1] == last and days[1].t.size == 0
+        with pytest.raises(IndexError):
+            days[3]
         with pytest.raises(ValueError):
-            DaySequence("2016-05-02", events)
+            days.eta[0] = 1.0
+        # equality is bitwise: a ride of -0.0 is not one of 0.0
+        assert days != days_of([[(1.0, 1, 2, 0.5)], [], [(2.0, 2, 1, -0.0), (3.0, 1, 2, 0.25)]], 2)
+
+    def test_unordered_events_are_rejected(self):
+        with pytest.raises(ValueError, match="^events must be ordered by time$"):
+            days_of([[(2.0, 1, 2, 0.1), (1.0, 2, 1, 0.1)]], 2)
+
+
+def reference_sequences_from_json(doc):
+    """The per-event reader the column reader replaced, as (date, events) per day.
+
+    It reads each field of each event with ``number`` or ``whole_number``,
+    runs the old per-day checks on each day as soon as it is read, and
+    checks the labels last, as replay did.
+    """
+    with parsing("sequence"):
+        k = whole_number(doc["k"])
+        horizon = number(doc["horizon_hours"])
+        days = []
+        for day in doc["days"]:
+            events = [(number(e["t"]), whole_number(e["o"]), whole_number(e["d"]), number(e["eta"]))
+                      for e in day["events"]]
+            date = day["date"]
+            if type(date) is not str:
+                raise TypeError(f"expected a date string, got {date!r}")
+            if not all(math.isfinite(t) and math.isfinite(eta) for t, _, _, eta in events):
+                raise ValueError("event times and riding times must be finite")
+            if any(eta < 0.0 for *_, eta in events):
+                raise ValueError("riding times must be non-negative")
+            if any(not 0.0 <= t <= horizon for t, *_ in events):
+                raise ValueError(f"event times must lie within [0, {horizon}] hours")
+            if any(a[0] > b[0] for a, b in zip(events, events[1:])):
+                raise ValueError("events must be ordered by time")
+            days.append((date, events))
+    if not all(1 <= x <= k for _, events in days for e in events for x in e[1:3]):
+        raise ValueError(f"event names station outside 1..{k}")
+    return days
+
+
+FIELDS = ("t", "o", "d", "eta")
+
+
+@st.composite
+def sequence_documents(draw):
+    """A days.json document of a few days, with at most one fault in one event."""
+    k = draw(st.integers(1, 4))
+    horizon = draw(st.sampled_from([24.0, 72.0, 0.5, 3]))
+    time = st.one_of(st.floats(0.0, horizon), st.integers(0, int(horizon)), st.just(-0.0))
+    ride = st.one_of(st.floats(0.0, 1e6), st.integers(0, 10**30), st.just(-0.0))
+    label = st.integers(1, k) | st.integers(1, k).map(float)
+    days = []
+    for n in draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)):
+        times = sorted(draw(st.lists(time, min_size=n, max_size=n)))
+        days.append({"date": f"2016-05-{len(days) + 2:02d}", "events": [
+            {"t": t, "o": draw(label), "d": draw(label), "eta": draw(ride)} for t in times]})
+    doc = {"k": k, "horizon_hours": horizon, "days": days}
+    fault = draw(st.sampled_from([None, "bool", "string", "fraction", "huge-int", "huge-float",
+                                  "nan", "inf", "negative-eta", "outside", "unordered", "label"]))
+    if fault == "unordered":
+        # the latest time, then the earliest, in two events of one day
+        events = draw(st.sampled_from([day["events"] for day in days]))
+        if len(events) > 1:
+            j = draw(st.integers(1, len(events) - 1))
+            events[j - 1]["t"], events[j]["t"] = horizon, 0.0
+        return doc
+    events = [e for day in days for e in day["events"]]
+    if fault is None or not events:
+        return doc
+    key = draw(st.sampled_from({"fraction": "od", "label": "od", "negative-eta": ["eta"],
+                                "outside": "t"}.get(fault, FIELDS)))
+    draw(st.sampled_from(events))[key] = {
+        "bool": draw(st.booleans()),
+        "string": draw(st.sampled_from(["1", "x"])),
+        "fraction": 1.5,
+        "huge-int": draw(st.sampled_from([10**30, -(10**30)])),
+        "huge-float": 1e300,
+        "nan": math.nan,
+        "inf": draw(st.sampled_from([math.inf, -math.inf])),
+        "negative-eta": -0.25,
+        "outside": draw(st.sampled_from([-0.5, horizon + 0.5])),
+        "label": draw(st.sampled_from([0, k + 1])),
+    }[fault]
+    return doc
+
+
+class TestColumnReader:
+    @given(sequence_documents())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_per_event_reader(self, doc):
+        try:
+            expected = reference_sequences_from_json(doc)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                sequences_from_json(doc)
+            assert str(got.value) == str(exc)
+            return
+        sequences = sequences_from_json(doc)
+        assert sequences.k == doc["k"] and sequences.horizon == doc["horizon_hours"]
+        assert list(sequences.dates) == [date for date, _ in expected]
+        assert sequences.counts.tolist() == [len(events) for _, events in expected]
+        events = [e for _, day in expected for e in day]
+        for i, key in enumerate(FIELDS):
+            column = np.array([e[i] for e in events], sequences.o.dtype if key in "od" else float)
+            assert vars(sequences)[key].tobytes() == column.tobytes(), key
+        assert sequences == sequences_from_json(json.loads(json.dumps(doc)))

@@ -711,7 +711,7 @@ class TestPairChecks:
     @pytest.mark.parametrize(
         "pairs, message",
         [
-            ([(1, 2), (4, 1)], "origin label 4 outside 1..3"),
+            ([(1, 2), (4, 1)], "event names station outside 1..3"),
             ([(1, 2), (2, 2)], "demand between a station and itself is not allowed"),
         ],
     )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetsizing.ingest import DaySequence, RentalEvent
+from fleetsizing.ingest import DaySequences
 from fleetsizing.model import RebalancingPlan, SystemDesign
 from fleetsizing.replay import (
     ReplayOutcome,
@@ -18,11 +18,11 @@ from fleetsizing.replay import (
 from fleetsizing.simulate import compile_tables, sample_requests, simulate_run
 from fleetsizing.synth import sample_day_sequences, synthetic_imbalanced_model
 
-from conftest import random_small_instance
+from conftest import days_of, random_small_instance
 
 
-def day(events, date="2016-05-02"):
-    return DaySequence(date, tuple(events))
+def day(events, k=2):
+    return days_of([events], k)
 
 
 def no_plan(k):
@@ -39,7 +39,7 @@ class TestReplayDay:
     def test_successful_rental_moves_one_vehicle(self):
         design = SystemDesign((2, 3), (4, 4))
         out = replay_day(
-            day([RentalEvent(8.0, 1, 2, 0.25)]), no_plan(2), design
+            day([(8.0, 1, 2, 0.25)]), no_plan(2), design
         )
         assert out.final_stocks == (1, 4)
         assert (out.availability_failures, out.capacity_failures) == (0, 0)
@@ -47,7 +47,7 @@ class TestReplayDay:
     def test_rental_from_empty_station_is_skipped(self):
         design = SystemDesign((0, 3), (4, 4))
         out = replay_day(
-            day([RentalEvent(8.0, 1, 2, 0.25)]), no_plan(2), design
+            day([(8.0, 1, 2, 0.25)]), no_plan(2), design
         )
         assert out.availability_failures == 1
         assert out.final_stocks == (0, 3)  # trip never happened
@@ -55,7 +55,7 @@ class TestReplayDay:
     def test_full_station_overflow_docks_and_counts(self):
         design = SystemDesign((1, 2), (4, 2))
         out = replay_day(
-            day([RentalEvent(8.0, 1, 2, 0.25)]), no_plan(2), design
+            day([(8.0, 1, 2, 0.25)]), no_plan(2), design
         )
         assert out.capacity_failures == 1
         assert out.final_stocks == (0, 3)
@@ -63,7 +63,7 @@ class TestReplayDay:
     def test_full_station_strict_discards(self):
         design = SystemDesign((1, 2), (4, 2))
         out = replay_day(
-            day([RentalEvent(8.0, 1, 2, 0.25)]), no_plan(2), design, overflow=False
+            day([(8.0, 1, 2, 0.25)]), no_plan(2), design, overflow=False
         )
         assert out.capacity_failures == 1
         assert out.final_stocks == (0, 2)
@@ -71,9 +71,9 @@ class TestReplayDay:
     def test_day_keeps_running_after_a_failure(self):
         design = SystemDesign((1, 0), (4, 4))
         events = [
-            RentalEvent(8.0, 2, 1, 0.1),  # fails: station 2 empty
-            RentalEvent(9.0, 1, 2, 0.1),  # still goes through
-            RentalEvent(10.0, 2, 1, 0.1),  # uses the vehicle that just docked
+            (8.0, 2, 1, 0.1),  # fails: station 2 empty
+            (9.0, 1, 2, 0.1),  # still goes through
+            (10.0, 2, 1, 0.1),  # uses the vehicle that just docked
         ]
         out = replay_day(day(events), no_plan(2), design)
         assert out.availability_failures == 1
@@ -84,8 +84,8 @@ class TestReplayDay:
         # station 1 must see it
         design = SystemDesign((0, 1), (2, 2))
         events = [
-            RentalEvent(1.0, 2, 1, 1.0),
-            RentalEvent(2.0, 1, 2, 0.5),
+            (1.0, 2, 1, 1.0),
+            (2.0, 1, 2, 0.5),
         ]
         out = replay_day(day(events), no_plan(2), design)
         assert out.availability_failures == 0
@@ -98,8 +98,8 @@ class TestReplayDay:
         # request at station 2 before the relocation lands fails; a later
         # one is served
         events = [
-            RentalEvent(7.2, 2, 1, 0.1),
-            RentalEvent(8.0, 2, 1, 0.1),
+            (7.2, 2, 1, 0.1),
+            (8.0, 2, 1, 0.1),
         ]
         out = replay_day(day(events), plan, design, eta=eta)
         assert out.availability_failures == 1
@@ -137,9 +137,11 @@ class TestReplayDay:
         assert first == second
 
     def test_station_label_bounds_checked(self):
+        with pytest.raises(ValueError, match=r"^event names station outside 1\.\.1$"):
+            day([(1.0, 1, 2, 0.1)], k=1)
         design = SystemDesign((1,), (2,))
-        with pytest.raises(ValueError):
-            replay_day(day([RentalEvent(1.0, 1, 2, 0.1)]), no_plan(1), design)
+        with pytest.raises(ValueError, match="sequences have 2 stations, design has 1"):
+            replay_day(day([(1.0, 1, 2, 0.1)]), no_plan(1), design)
 
     def test_plan_and_design_sizes_must_agree(self):
         design = SystemDesign((1, 1), (2, 2))
@@ -150,7 +152,7 @@ class TestReplayDay:
         design = SystemDesign((1, 1), (2, 2))
         plan = RebalancingPlan(2, 72.0, {(2, 1): (30.0,)})
         with pytest.raises(ValueError, match="plan covers 72 h, day 2016-05-02 covers 24 h"):
-            replay_day(day([RentalEvent(1.0, 1, 2, 0.0)]), plan, design)
+            replay_day(day([(1.0, 1, 2, 0.0)]), plan, design)
 
 
 class TestFailureRate:
@@ -207,7 +209,7 @@ class TestSweep:
         model = synthetic_imbalanced_model(4, seed=8)
         sequences = sample_day_sequences(model, 5, seed=3)
         outs = replay_all(sequences, no_plan(4), baseline_design(4, 6))
-        assert [o.day for o in outs] == [s.date for s in sequences]
+        assert [o.day for o in outs] == list(sequences.dates)
 
 
 class TestReplayMatchesMonteCarlo:
@@ -223,8 +225,8 @@ class TestReplayMatchesMonteCarlo:
         T = model.horizon
         t, o, d, _ = sample_requests(compile_tables(model), T, np.random.default_rng(run_seed))
         order = np.argsort(t, kind="stable")
-        events = [RentalEvent(float(t[i]), int(o[i]), int(d[i]), 0.0) for i in order]
-        out = replay_day(DaySequence("sampled", events, T), plan, design)
+        seq = DaySequences(model.k, T, ["sampled"], [t.size], t[order], o[order], d[order], np.zeros(t.size))
+        out = replay_day(seq, plan, design)
         run = simulate_run(model, plan, design, T, run_seed, sample_times=[T])
         assert out.day_failed == (run.failed_at is not None)
         if run.failed_at is None:

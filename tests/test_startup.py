@@ -44,7 +44,7 @@ def inputs(tmp_path_factory):
     paths = {name: root / f"{name}.json" for name in ("model", "days", "plan", "design")}
     model = synthetic_imbalanced_model(4, seed=0)
     save_model(model, paths["model"])
-    save_sequences(sample_day_sequences(model, 3), model.k, paths["days"])
+    save_sequences(sample_day_sequences(model, 3), paths["days"])
     paths["design"].write_text(json.dumps(design_to_json(SystemDesign((1, 1, 1, 1), (2, 2, 2, 2)))))
     assert run(["plan", "--model", str(paths["model"]), "--out", str(paths["plan"])]) == EXIT_OK
     return paths
