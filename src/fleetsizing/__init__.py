@@ -16,7 +16,7 @@ from .exact import (
 )
 from .ingest import (
     DaySequences,
-    TripRecord,
+    Trips,
     estimate_demand,
     extract_day_sequences,
     parse_trips,
@@ -83,7 +83,7 @@ __all__ = [
     "StateSpaceTooLargeError",
     "StationFlowProfile",
     "SystemDesign",
-    "TripRecord",
+    "Trips",
     "aggregate_station_flows",
     "baseline_design",
     "build_plan",

@@ -51,20 +51,18 @@ def _sample_times(T, points):
 
 
 def cmd_ingest(args):
-    parsed = ingest.parse_trips(args.trips)
-    station_ids = ingest.station_set_from_trips(parsed.records)
-    sequences = ingest.extract_day_sequences(
-        parsed.records, station_ids, days=args.days, month=args.month
-    )
+    trips = ingest.parse_trips(args.trips)
+    station_ids = ingest.station_set_from_trips(trips)
+    sequences = ingest.extract_day_sequences(trips, station_ids, days=args.days, month=args.month)
     model = ingest.estimate_demand(sequences, bin_hours=args.bin_hours)
     save_model(model, args.model_out)
     ingest.save_sequences(sequences, args.sequences_out, station_ids)
     print(
-        f"ingested {len(parsed.records)} trips ({parsed.n_rejected} rejected), "
+        f"ingested {len(trips)} trips ({trips.n_rejected} rejected), "
         f"k={model.k} stations, {len(sequences)} days"
     )
-    for reason in sorted(parsed.rejected):
-        print(f"  rejected {reason}: {parsed.rejected[reason]}")
+    for reason in sorted(trips.rejected):
+        print(f"  rejected {reason}: {trips.rejected[reason]}")
     return EXIT_OK
 
 

@@ -2,26 +2,31 @@
 
 Input is a trip CSV with header columns ``start_time``, ``end_time``,
 ``start_station_id``, ``end_station_id`` (extra columns are ignored,
-timestamps are ISO-8601 local time).  Station ids in the file are
-arbitrary; they are relabelled to dense 1..k in the order of sorted raw
-ids, and the mapping is carried alongside every artifact that needs it.
+timestamps are ISO-8601 local time, a leading byte-order mark is
+skipped).  ``parse_trips`` reads it in one pass into ``Trips``: columns
+of start date, start hour, riding time and raw origin and destination
+ids.  Station ids in the file are arbitrary int64 values written in
+ASCII digits; they are relabelled to dense 1..k in the order of sorted
+raw ids, and the mapping is carried alongside every artifact that needs
+it.
 
-Trips are filtered (day kind, month), labelled and clocked once, into
-``DaySequences``: every kept day's rentals as columns of request time,
-origin, destination and riding time, in (day, time) order, checked once
-when built.  Demand is their average, a single typical-day profile: the
-rate for a pair in an hour bin is the rental count in that bin across
-all days divided by (number of days x bin width).  Travel times are
-per-pair medians with a global-median fallback for unseen pairs.  Round
-trips (start station == end station) move no stock and are dropped,
-with a count reported.
+Trips are filtered (day kind, month) by masks over those columns,
+labelled and sorted once, into ``DaySequences``: every kept day's
+rentals as columns of request time, origin, destination and riding
+time, in (day, time) order, checked once when built.  Demand is their
+average, a single typical-day profile: the rate for a pair in an hour
+bin is the rental count in that bin across all days divided by (number
+of days x bin width).  Travel times are per-pair medians with a
+global-median fallback for unseen pairs.  Round trips (start station ==
+end station) move no stock and are dropped, with a count reported.
 """
 
 import csv
 import logging
+import re
 import time
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import date, datetime
 from itertools import chain
 
 import numpy as np
@@ -44,133 +49,104 @@ log = logging.getLogger(__name__)
 DAY_HOURS = 24.0
 
 _REQUIRED_COLUMNS = ("start_time", "end_time", "start_station_id", "end_station_id")
+_STATION_ID = re.compile(r"\s*[+-]?[0-9]+\s*")
+_MONTH = re.compile(r"[0-9]{4}-(0[1-9]|1[0-2])")
 
 
-@dataclass(frozen=True)
-class TripRecord:
-    start_time: datetime
-    end_time: datetime
-    start_station: int
-    end_station: int
+@dataclass(frozen=True, eq=False)
+class Trips:
+    """Parsed trips as read-only columns in file order, and the rows rejected by reason.
 
-    @property
-    def duration_hours(self):
-        return (self.end_time - self.start_time).total_seconds() / 3600.0
+    Trip i starts on the date with ordinal ``day[i]`` at hour ``t[i]``
+    (local clock, whole seconds), rides ``ride[i]`` hours and goes from raw
+    station ``o[i]`` to ``d[i]``.  ``len()`` counts the trips.
+    """
 
-    @property
-    def is_round_trip(self):
-        return self.start_station == self.end_station
-
-
-@dataclass
-class TripParseResult:
-    records: list
+    day: np.ndarray
+    t: np.ndarray
+    ride: np.ndarray
+    o: np.ndarray
+    d: np.ndarray
     rejected: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, dtype in (("day", np.int64), ("t", float), ("ride", float), ("o", np.int64),
+                            ("d", np.int64)):
+            column = np.array(getattr(self, name), dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self):
+        return self.t.size
 
     @property
     def n_rejected(self):
         return sum(self.rejected.values())
 
 
-def _parse_row(row, lookup):
-    try:
-        start = datetime.fromisoformat(row[lookup["start_time"]])
-        end = datetime.fromisoformat(row[lookup["end_time"]])
-        o = int(row[lookup["start_station_id"]])
-        d = int(row[lookup["end_station_id"]])
-        backwards = end < start  # a TypeError when one timestamp alone has a UTC offset
-    except (ValueError, IndexError, TypeError):
-        return None, "malformed"
-    if backwards:
-        return None, "ends_before_start"
-    return TripRecord(start, end, o, d), None
+def _station_id(cell):
+    """A station id cell: an optionally signed run of ASCII digits that fits int64."""
+    if not _STATION_ID.fullmatch(cell) or not -(2**63) <= (raw := int(cell)) < 2**63:
+        raise ValueError(f"bad station id {cell!r}")
+    return raw
 
 
-def parse_trips(path, station_set=None):
-    """Read a trip CSV, keeping valid rows and counting the rest by reason.
+def parse_trips(path):
+    """Read a trip CSV into columns, counting the rows it rejects by reason.
 
-    station_set, when given, restricts the accepted station ids; rows
-    naming other stations are rejected with a diagnostic.  Malformed rows
-    are never fatal.
+    Rows that do not parse are ``malformed`` and trips that end before they
+    start ``ends_before_start``; neither is fatal.
     """
-    records = []
+    columns = day, t, ride, o, d = [], [], [], [], []
     rejected = {}
-
-    def reject(reason, row_no, detail=""):
-        rejected[reason] = rejected.get(reason, 0) + 1
-        log.debug("row %d rejected (%s)%s", row_no, reason, detail)
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [name.strip() for name in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty trip file") from None
-        lookup = {name.strip(): i for i, name in enumerate(header)}
-        missing = [c for c in _REQUIRED_COLUMNS if c not in lookup]
+        missing = [c for c in _REQUIRED_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"{path}: missing required columns {missing}")
+        repeated = [c for c in _REQUIRED_COLUMNS if header.count(c) > 1]
+        if repeated:
+            raise ValueError(f"{path}: duplicate columns {repeated}")
+        i_start, i_end, i_o, i_d = map(header.index, _REQUIRED_COLUMNS)
         for row_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            record, reason = _parse_row(row, lookup)
-            if record is None:
-                reject(reason, row_no)
+            try:
+                start = datetime.fromisoformat(row[i_start])
+                end = datetime.fromisoformat(row[i_end])
+                stations = _station_id(row[i_o]), _station_id(row[i_d])
+                # a TypeError when one timestamp alone has a UTC offset
+                reason = "ends_before_start" if end < start else None
+            except (ValueError, IndexError, TypeError):
+                reason = "malformed"
+            if reason:
+                rejected[reason] = rejected.get(reason, 0) + 1
+                log.debug("row %d rejected (%s)", row_no, reason)
                 continue
-            if station_set is not None and (
-                record.start_station not in station_set
-                or record.end_station not in station_set
-            ):
-                reject(
-                    "unknown_station",
-                    row_no,
-                    f": {record.start_station} -> {record.end_station}",
-                )
-                continue
-            records.append(record)
+            day.append(start.toordinal())
+            t.append(start.hour + start.minute / 60.0 + start.second / 3600.0)
+            ride.append((end - start).total_seconds() / 3600.0)
+            o.append(stations[0])
+            d.append(stations[1])
+    trips = Trips(*columns, rejected)
     if rejected:
         log.info(
             "parsed %d trips from %s, rejected %d (%s)",
-            len(records),
+            len(trips),
             path,
-            sum(rejected.values()),
+            trips.n_rejected,
             ", ".join(f"{k}={v}" for k, v in sorted(rejected.items())),
         )
-    return TripParseResult(records, rejected)
+    return trips
 
 
 def station_set_from_trips(trips):
     """Sorted raw station ids appearing in the trips; index+1 is the label."""
-    ids = set()
-    for trip in trips:
-        ids.add(trip.start_station)
-        ids.add(trip.end_station)
-    return tuple(sorted(ids))
-
-
-def _day_passes(date, days, month):
-    if month is not None and f"{date.year:04d}-{date.month:02d}" != month:
-        return False
-    if days == "working":
-        return date.weekday() < 5
-    if days == "all":
-        return True
-    raise ValueError(f"unknown day filter {days!r} (expected 'working' or 'all')")
-
-
-def _filter_trips(trips, days, month):
-    kept = []
-    n_round = 0
-    for trip in trips:
-        if not _day_passes(trip.start_time.date(), days, month):
-            continue
-        if trip.is_round_trip:
-            n_round += 1
-            continue
-        kept.append(trip)
-    if n_round:
-        log.info("dropped %d round trips (same start and end station)", n_round)
-    return kept
+    return tuple(np.unique(np.concatenate([trips.o, trips.d])).tolist())
 
 
 def estimate_demand(sequences, bin_hours=1.0):
@@ -281,28 +257,42 @@ class DaySequences:
 def extract_day_sequences(trips, station_ids=None, days="working", month=None):
     """The filtered calendar days of ``trips``, each day's events in start-time order.
 
-    station_ids fixes the raw-id -> label mapping and the station count k
-    (sorted raw ids of the kept trips when omitted).
+    ``days`` keeps working days or all days, ``month`` (``YYYY-MM``) one
+    month; round trips are dropped.  station_ids fixes the raw-id -> label
+    mapping and the station count k (sorted raw ids of the kept trips when
+    omitted).
     """
-    kept = _filter_trips(trips, days, month)
+    if days not in ("working", "all"):
+        raise ValueError(f"unknown day filter {days!r} (expected 'working' or 'all')")
+    if month is not None and not _MONTH.fullmatch(month):
+        raise ValueError(f"month must be in YYYY-MM form, got {month!r}")
+    keep = (trips.day + 6) % 7 < 5 if days == "working" else np.ones(len(trips), bool)
+    if month is not None:
+        ordinals = np.unique(trips.day).tolist()
+        in_month = [x for x in ordinals if date.fromordinal(x).isoformat()[:7] == month]
+        keep &= np.isin(trips.day, in_month)
+    round_trip = trips.o == trips.d
+    n_round = int((keep & round_trip).sum())
+    if n_round:
+        log.info("dropped %d round trips (same start and end station)", n_round)
+    kept = np.flatnonzero(keep & ~round_trip)
+
+    raw = np.concatenate([trips.o[kept], trips.d[kept]])
     if station_ids is None:
-        station_ids = station_set_from_trips(kept)
-    label = {raw: i + 1 for i, raw in enumerate(station_ids)}
+        station_ids = tuple(np.unique(raw).tolist())
+    ids = np.array(station_ids, np.int64)
+    unknown = raw[~np.isin(raw, ids)]
+    if unknown.size:
+        raise ValueError(f"trip names station {unknown[0]}, which station_ids does not list")
+    rank = np.argsort(ids, kind="stable")
+    o, d = (rank[np.searchsorted(ids[rank], raw)] + 1).reshape(2, -1)
 
-    def column(values, dtype=float):
-        return np.fromiter(values, dtype, len(kept))
-
-    started = [trip.start_time for trip in kept]
-    day = column((s.toordinal() for s in started), np.intp)
-    t = column(s.hour + s.minute / 60.0 + s.second / 3600.0 for s in started)
+    day, t = trips.day[kept], trips.t[kept]
     order = np.lexsort((t, day))  # stable: trips that start together keep their order
     dates, counts = np.unique(day[order], return_counts=True)
-    o = column((label[trip.start_station] for trip in kept), np.intp)
-    d = column((label[trip.end_station] for trip in kept), np.intp)
-    eta = column(trip.duration_hours for trip in kept)
     return DaySequences(len(station_ids), DAY_HOURS,
-                        [datetime.fromordinal(x).date().isoformat() for x in dates.tolist()],
-                        counts, t[order], o[order], d[order], eta[order])
+                        [date.fromordinal(x).isoformat() for x in dates.tolist()],
+                        counts, t[order], o[order], d[order], trips.ride[kept][order])
 
 
 def sequences_to_json(sequences, station_ids=None):

@@ -583,6 +583,34 @@ class TestExitCodes:
         assert "bin width" in capsys.readouterr().err
         assert not model.exists() and not days.exists()
 
+    def test_ingest_of_a_file_with_a_byte_order_mark(self, pipeline, tmp_path, capsys):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + pipeline["trips"].read_bytes())
+        model, days = tmp_path / "m.json", tmp_path / "d.json"
+        assert run(["ingest", "--trips", str(marked), "--model-out", str(model),
+                    "--sequences-out", str(days)]) == EXIT_OK
+        assert "ingested 50 trips (0 rejected), k=3 stations, 10 days" in capsys.readouterr().out
+        assert model.read_bytes() == pipeline["model"].read_bytes()
+        assert days.read_bytes() == pipeline["sequences"].read_bytes()
+
+    def test_ingest_rejects_a_repeated_column(self, pipeline, tmp_path, capsys):
+        lines = pipeline["trips"].read_text().splitlines()
+        trips = tmp_path / "trips.csv"
+        trips.write_text("\n".join([lines[0] + ",end_station_id"] + [x + ",1" for x in lines[1:]]))
+        model, days = tmp_path / "m.json", tmp_path / "d.json"
+        assert run(["ingest", "--trips", str(trips), "--model-out", str(model),
+                    "--sequences-out", str(days)]) == EXIT_INPUT
+        assert "duplicate columns ['end_station_id']" in capsys.readouterr().err
+        assert not model.exists() and not days.exists()
+
+    @pytest.mark.parametrize("month", ["2016-5", "May 2016", "2016-05-02"])
+    def test_ingest_rejects_a_month_not_in_year_month_form(self, pipeline, tmp_path, capsys, month):
+        model, days = tmp_path / "m.json", tmp_path / "d.json"
+        assert run(["ingest", "--trips", str(pipeline["trips"]), "--model-out", str(model),
+                    "--sequences-out", str(days), "--month", month]) == EXIT_INPUT
+        assert f"month must be in YYYY-MM form, got {month!r}" in capsys.readouterr().err
+        assert not model.exists() and not days.exists()
+
     @pytest.mark.parametrize(
         "mode", [["bound", "--curve"], ["simulate", "--mc"], ["simulate", "--exact"]]
     )

@@ -1,8 +1,10 @@
 """Trip-log ingestion: CSV parsing, demand estimation, per-day sequences."""
 
+import csv
 import datetime as dt
 import json
 import math
+from dataclasses import dataclass
 from statistics import median
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetsizing.ingest import (
+    DaySequences,
     estimate_demand,
     extract_day_sequences,
     load_sequences,
@@ -58,13 +61,18 @@ class TestParseTrips:
         path = write_trips(
             tmp_path / "t.csv", ["2016-05-02T08:15:00,2016-05-02T08:30:00,22,36"]
         )
-        result = parse_trips(path)
-        assert result.n_rejected == 0
-        (trip,) = result.records
-        assert trip.start_station == 22
-        assert trip.end_station == 36
-        assert trip.duration_hours == pytest.approx(0.25)
-        assert not trip.is_round_trip
+        trips = parse_trips(path)
+        assert (len(trips), trips.n_rejected, trips.rejected) == (1, 0, {})
+        assert trips.day.tolist() == [dt.date(2016, 5, 2).toordinal()]
+        assert (trips.t.tolist(), trips.ride.tolist()) == ([8.25], [0.25])
+        assert (trips.o.tolist(), trips.d.tolist()) == ([22], [36])
+        assert trips.o.dtype == trips.d.dtype == np.int64
+
+    def test_columns_are_read_only(self, tmp_path):
+        trips = parse_trips(month_of_commutes(tmp_path / "t.csv"))
+        for column in (trips.day, trips.t, trips.ride, trips.o, trips.d):
+            with pytest.raises(ValueError):
+                column[0] = 1
 
     def test_column_order_is_free(self, tmp_path):
         path = write_trips(
@@ -72,8 +80,8 @@ class TestParseTrips:
             ["36,extra,2016-05-02T08:15:00,22,2016-05-02T08:30:00"],
             header="end_station_id,notes,start_time,start_station_id,end_time",
         )
-        (trip,) = parse_trips(path).records
-        assert (trip.start_station, trip.end_station) == (22, 36)
+        trips = parse_trips(path)
+        assert (trips.o.tolist(), trips.d.tolist()) == ([22], [36])
 
     def test_rejection_reasons_are_counted(self, tmp_path):
         path = write_trips(
@@ -85,32 +93,54 @@ class TestParseTrips:
                 "2016-05-02T08:15:00,2016-05-02T08:30:00,twenty,36",
                 "2016-05-02T08:15:00,2016-05-02T08:30:00,22,99",
                 "2016-05-02T08:15:00+02:00,2016-05-02T08:30:00,22,36",  # one offset
+                "2016-05-02T09:00:00,2016-05-02T08:30:00,22",  # ends first, but short
             ],
         )
-        result = parse_trips(path, station_set={22, 36})
-        assert len(result.records) == 1
-        assert result.rejected == {
-            "ends_before_start": 1,
-            "malformed": 3,
-            "unknown_station": 1,
-        }
-        assert result.n_rejected == 5
+        trips = parse_trips(path)
+        assert trips.o.tolist() == [22, 22]
+        assert trips.rejected == {"ends_before_start": 1, "malformed": 4}
+        assert trips.n_rejected == 5
+
+    @pytest.mark.parametrize("cell, raw", [
+        ("22", 22), (" 22 ", 22), ("+22", 22), ("022", 22), ("-5", -5), ("\t7\u00a0", 7),
+        (str(2**63 - 1), 2**63 - 1), (str(-(2**63)), -(2**63)),
+        ("2_2", None), ("\u0662\u0662", None), ("22.0", None), ("", None), ("2 2", None),
+        ("0x16", None), ("+-2", None), ("\u00b2", None), (str(2**63), None), (str(-(2**63) - 1), None),
+    ])
+    def test_station_ids_are_ascii_digits_that_fit_int64(self, tmp_path, cell, raw):
+        path = tmp_path / "t.csv"
+        path.write_text(f'{HEADER}\n2016-05-02T08:15:00,2016-05-02T08:30:00,"{cell}",36\n',
+                        encoding="utf-8")
+        trips = parse_trips(path)
+        if raw is None:
+            assert (len(trips), trips.rejected) == (0, {"malformed": 1})
+        else:
+            assert (trips.o.tolist(), trips.rejected) == ([raw], {})
 
     def test_offsets_on_both_timestamps_are_kept(self, tmp_path):
         path = write_trips(
             tmp_path / "t.csv", ["2016-05-02T08:15:00+02:00,2016-05-02T07:30:00+01:00,22,36"]
         )
-        (trip,) = parse_trips(path).records
-        assert trip.duration_hours == pytest.approx(0.25)
+        trips = parse_trips(path)
+        assert (trips.t.tolist(), trips.ride.tolist()) == ([8.25], [0.25])
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = write_trips(
             tmp_path / "t.csv",
             ["2016-05-02T08:15:00,2016-05-02T08:30:00,22,36", "", "  ,, ,"],
         )
-        result = parse_trips(path)
-        assert len(result.records) == 1
-        assert result.n_rejected == 0
+        trips = parse_trips(path)
+        assert len(trips) == 1
+        assert trips.n_rejected == 0
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        plain = month_of_commutes(tmp_path / "plain.csv")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        trips, expected = parse_trips(marked), parse_trips(plain)
+        assert len(trips) == 44 and trips.rejected == {}
+        for column in ("day", "t", "ride", "o", "d"):
+            assert getattr(trips, column).tobytes() == getattr(expected, column).tobytes()
 
     def test_missing_column_is_fatal(self, tmp_path):
         path = write_trips(
@@ -119,6 +149,15 @@ class TestParseTrips:
             header="start_time,end_time,start_station_id",
         )
         with pytest.raises(ValueError, match="end_station_id"):
+            parse_trips(path)
+
+    def test_a_repeated_required_column_is_fatal(self, tmp_path):
+        path = write_trips(
+            tmp_path / "t.csv",
+            ["2016-05-02T08:15:00,2016-05-02T08:30:00,22,36,x,x,2016-05-02T09:15:00"],
+            header=HEADER + ",notes,notes, start_time",
+        )
+        with pytest.raises(ValueError, match=r"duplicate columns \['start_time'\]"):
             parse_trips(path)
 
     def test_empty_file_is_fatal(self, tmp_path):
@@ -135,7 +174,7 @@ class TestParseTrips:
                 "2016-05-02T08:20:00,2016-05-02T08:40:00,7,36",
             ],
         )
-        assert station_set_from_trips(parse_trips(path).records) == (7, 22, 36)
+        assert station_set_from_trips(parse_trips(path)) == (7, 22, 36)
 
 
 class TestEstimateDemand:
@@ -147,7 +186,7 @@ class TestEstimateDemand:
                 "2016-05-02T08:45:00,2016-05-02T09:15:00,22,36",
             ],
         )
-        model = estimate_demand(extract_day_sequences(parse_trips(path).records))
+        model = estimate_demand(extract_day_sequences(parse_trips(path)))
         lam = model.intensities[(1, 2)]
         assert lam.value_at(8.5) == pytest.approx(2.0)
         assert lam.value_at(9.5) == 0.0
@@ -155,14 +194,14 @@ class TestEstimateDemand:
 
     def test_rates_average_over_observed_days(self, tmp_path):
         model = estimate_demand(
-            extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")).records)
+            extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")))
         )
         # 44 trips in bin [8, 9) over 22 working days
         assert model.intensities[(1, 2)].value_at(8.25) == pytest.approx(2.0)
 
     def test_exposure_identity(self, tmp_path):
         model = estimate_demand(
-            extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")).records)
+            extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")))
         )
         n_days = 22
         total = sum(
@@ -173,7 +212,7 @@ class TestEstimateDemand:
 
     def test_riding_times_are_pair_medians(self, tmp_path):
         model = estimate_demand(
-            extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")).records)
+            extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")))
         )
         # durations alternate 0.25 and 0.5 hours
         assert model.eta[0][1] == pytest.approx(0.375)
@@ -188,10 +227,10 @@ class TestEstimateDemand:
                 "2016-05-07T08:15:00,2016-05-07T08:30:00,36,22",  # Saturday
             ],
         )
-        records = parse_trips(path).records
-        model = estimate_demand(extract_day_sequences(records))
+        trips = parse_trips(path)
+        model = estimate_demand(extract_day_sequences(trips))
         assert (2, 1) not in model.intensities
-        everything = estimate_demand(extract_day_sequences(records, days="all"))
+        everything = estimate_demand(extract_day_sequences(trips, days="all"))
         assert (2, 1) in everything.intensities
 
     def test_month_filter(self, tmp_path):
@@ -202,7 +241,7 @@ class TestEstimateDemand:
                 "2016-05-02T08:15:00,2016-05-02T08:30:00,22,36",
             ],
         )
-        model = estimate_demand(extract_day_sequences(parse_trips(path).records, month="2016-05"))
+        model = estimate_demand(extract_day_sequences(parse_trips(path), month="2016-05"))
         assert reference_integral(model.intensities[(1, 2)], 0.0, 24.0) == pytest.approx(1.0)
 
     def test_round_trips_are_dropped(self, tmp_path):
@@ -213,13 +252,14 @@ class TestEstimateDemand:
                 "2016-05-02T09:15:00,2016-05-02T09:30:00,22,22",
             ],
         )
-        model = estimate_demand(extract_day_sequences(parse_trips(path).records))
+        model = estimate_demand(extract_day_sequences(parse_trips(path)))
         assert set(model.intensities) == {(1, 2)}
 
     def test_row_order_does_not_matter(self, tmp_path):
-        records = parse_trips(month_of_commutes(tmp_path / "t.csv")).records
-        forward = estimate_demand(extract_day_sequences(records))
-        backward = estimate_demand(extract_day_sequences(list(reversed(records))))
+        rows = month_of_commutes(tmp_path / "t.csv").read_text().splitlines()[1:]
+        forward = estimate_demand(extract_day_sequences(parse_trips(tmp_path / "t.csv")))
+        reversed_trips = parse_trips(write_trips(tmp_path / "r.csv", rows[::-1]))
+        backward = estimate_demand(extract_day_sequences(reversed_trips))
         assert forward.intensities.keys() == backward.intensities.keys()
         for key, lam in forward.intensities.items():
             other = backward.intensities[key]
@@ -228,7 +268,7 @@ class TestEstimateDemand:
         assert forward.eta == backward.eta
 
     def test_bin_width_must_divide_the_day(self, tmp_path):
-        days = extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")).records)
+        days = extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")))
         estimate_demand(days, bin_hours=2.0)  # fine
         with pytest.raises(ValueError):
             estimate_demand(days, bin_hours=7.0)
@@ -239,7 +279,7 @@ class TestEstimateDemand:
 
     @pytest.mark.parametrize("bin_hours", [0.1, 0.2, 0.25, 0.5, 1.5])
     def test_decimal_bin_widths_that_divide_the_day(self, tmp_path, bin_hours):
-        days = extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")).records)
+        days = extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")))
         model = estimate_demand(days, bin_hours=bin_hours)
         n_bins = round(24 / bin_hours)
         for lam in model.intensities.values():
@@ -254,14 +294,14 @@ class TestEstimateDemand:
             ["2016-05-07T08:15:00,2016-05-07T08:30:00,22,36"],  # Saturday
         )
         with pytest.raises(ValueError, match="no trips"):
-            estimate_demand(extract_day_sequences(parse_trips(path).records))
+            estimate_demand(extract_day_sequences(parse_trips(path)))
 
     def test_explicit_station_ids_fix_labels(self, tmp_path):
         path = write_trips(
             tmp_path / "t.csv", ["2016-05-02T08:15:00,2016-05-02T08:30:00,36,22"]
         )
-        records = parse_trips(path).records
-        model = estimate_demand(extract_day_sequences(records, station_ids=(7, 22, 36)))
+        trips = parse_trips(path)
+        model = estimate_demand(extract_day_sequences(trips, station_ids=(7, 22, 36)))
         assert model.k == 3
         assert set(model.intensities) == {(3, 2)}
 
@@ -320,7 +360,7 @@ class TestEstimateDemand:
 class TestDaySequences:
     def test_full_month_yields_22_working_days(self, tmp_path):
         sequences = extract_day_sequences(
-            parse_trips(month_of_commutes(tmp_path / "t.csv")).records
+            parse_trips(month_of_commutes(tmp_path / "t.csv"))
         )
         assert (len(sequences), sequences.k) == (22, 2)
         assert sequences.dates[0] == "2016-05-02"
@@ -336,7 +376,7 @@ class TestDaySequences:
                 "2016-05-02T08:15:00,2016-05-02T08:30:00,36,22",
             ],
         )
-        (seq,) = extract_day_sequences(parse_trips(path).records)
+        (seq,) = extract_day_sequences(parse_trips(path))
         assert seq.t.tolist() == [8.25, 10.0]
 
     def test_ties_keep_input_order(self, tmp_path):
@@ -347,7 +387,7 @@ class TestDaySequences:
                 "2016-05-02T08:15:00,2016-05-02T08:45:00,22,36",
             ],
         )
-        (seq,) = extract_day_sequences(parse_trips(path).records)
+        (seq,) = extract_day_sequences(parse_trips(path))
         assert list(zip(seq.o.tolist(), seq.d.tolist())) == [(2, 1), (1, 2)]
 
     def test_round_trips_are_dropped_here_too(self, tmp_path):
@@ -358,12 +398,33 @@ class TestDaySequences:
                 "2016-05-02T09:15:00,2016-05-02T09:30:00,36,36",
             ],
         )
-        (seq,) = extract_day_sequences(parse_trips(path).records)
+        (seq,) = extract_day_sequences(parse_trips(path))
         assert seq.t.size == 1
+
+    @pytest.mark.parametrize("month", ["2016-5", "2016-13", "2016-00", "16-05", "2016-05-01",
+                                       "2016/05", "\u0662016-05", ""])
+    def test_month_must_be_year_dash_month(self, tmp_path, month):
+        trips = parse_trips(month_of_commutes(tmp_path / "t.csv"))
+        with pytest.raises(ValueError, match=f"^month must be in YYYY-MM form, got {month!r}$"):
+            extract_day_sequences(trips, month=month)
+
+    def test_day_filter_is_checked_without_trips(self, tmp_path):
+        trips = parse_trips(write_trips(tmp_path / "t.csv", []))
+        assert len(extract_day_sequences(trips, days="all")) == 0
+        with pytest.raises(ValueError, match="unknown day filter 'weekend'"):
+            extract_day_sequences(trips, days="weekend")
+
+    def test_a_station_missing_from_station_ids_is_named(self, tmp_path):
+        trips = parse_trips(month_of_commutes(tmp_path / "t.csv"))
+        with pytest.raises(ValueError, match="^trip names station 36, which station_ids does not list$"):
+            extract_day_sequences(trips, station_ids=(7, 22))
+        # labels follow the order of station_ids, sorted or not
+        (day, *_) = extract_day_sequences(trips, station_ids=(36, 5, 22))
+        assert (day.k, day.o.tolist(), day.d.tolist()) == (3, [3, 3], [1, 1])
 
     def test_sequence_file_roundtrip(self, tmp_path):
         sequences = extract_day_sequences(
-            parse_trips(month_of_commutes(tmp_path / "t.csv")).records
+            parse_trips(month_of_commutes(tmp_path / "t.csv"))
         )
         out = tmp_path / "days.json"
         save_sequences(sequences, out, station_ids=(22, 36))
@@ -490,3 +551,120 @@ class TestColumnReader:
             column = np.array([e[i] for e in events], sequences.o.dtype if key in "od" else float)
             assert vars(sequences)[key].tobytes() == column.tobytes(), key
         assert sequences == sequences_from_json(json.loads(json.dumps(doc)))
+
+
+# --- the per-record trip parser the columns replaced ------------------------
+
+
+@dataclass(frozen=True)
+class TripRecord:
+    start_time: dt.datetime
+    end_time: dt.datetime
+    start_station: int
+    end_station: int
+
+
+def reference_parse_trips(path):
+    """Each kept row as a TripRecord, and the rejected rows counted by reason."""
+    records, rejected = [], {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        lookup = {name.strip(): i for i, name in enumerate(next(reader))}
+        for row in reader:
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            try:
+                start = dt.datetime.fromisoformat(row[lookup["start_time"]])
+                end = dt.datetime.fromisoformat(row[lookup["end_time"]])
+                o = int(row[lookup["start_station_id"]])
+                d = int(row[lookup["end_station_id"]])
+                backwards = end < start
+            except (ValueError, IndexError, TypeError):
+                rejected["malformed"] = rejected.get("malformed", 0) + 1
+                continue
+            if backwards:
+                rejected["ends_before_start"] = rejected.get("ends_before_start", 0) + 1
+                continue
+            records.append(TripRecord(start, end, o, d))
+    return records, rejected
+
+
+def reference_station_set(records):
+    return tuple(sorted({x for r in records for x in (r.start_station, r.end_station)}))
+
+
+def reference_filter_trips(records, days, month):
+    kept = []
+    for trip in records:
+        date = trip.start_time.date()
+        if month is not None and f"{date.year:04d}-{date.month:02d}" != month:
+            continue
+        if days == "working" and date.weekday() >= 5:
+            continue
+        if trip.start_station != trip.end_station:
+            kept.append(trip)
+    return kept
+
+
+def reference_extract_day_sequences(records, station_ids=None, days="working", month=None):
+    kept = reference_filter_trips(records, days, month)
+    if station_ids is None:
+        station_ids = reference_station_set(kept)
+    label = {raw: i + 1 for i, raw in enumerate(station_ids)}
+    started = [trip.start_time for trip in kept]
+    day = np.array([s.toordinal() for s in started], np.intp)
+    t = np.array([s.hour + s.minute / 60.0 + s.second / 3600.0 for s in started], float)
+    order = np.lexsort((t, day))
+    dates, counts = np.unique(day[order], return_counts=True)
+    o = np.array([label[trip.start_station] for trip in kept], np.intp)
+    d = np.array([label[trip.end_station] for trip in kept], np.intp)
+    eta = np.array([(trip.end_time - trip.start_time).total_seconds() / 3600.0 for trip in kept],
+                   float)
+    return DaySequences(len(station_ids), 24.0,
+                        [dt.date.fromordinal(x).isoformat() for x in dates.tolist()],
+                        counts, t[order], o[order], d[order], eta[order])
+
+
+OFFSETS = [None, dt.timezone.utc, dt.timezone(dt.timedelta(hours=2)),
+           dt.timezone(dt.timedelta(hours=-5, minutes=-30))]
+
+
+@st.composite
+def trip_rows(draw):
+    """One CSV row: mostly a trip, some round trips, some malformed, some blank."""
+    kind = draw(st.sampled_from(["trip"] * 6 + ["malformed", "blank"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " , ,,"]))
+    # Thursday 28 April to Tuesday 3 May 2016: two months and a weekend
+    start = dt.datetime(2016, 4, 28) + dt.timedelta(
+        days=draw(st.integers(0, 5)), hours=draw(st.sampled_from([0, 8, 23])),
+        minutes=draw(st.sampled_from([0, 15, 59])), seconds=draw(st.sampled_from([0, 30, 59])),
+        microseconds=draw(st.sampled_from([0, 500000, 999999])))
+    # ties, rides past midnight, and trips that end before they start
+    end = start + dt.timedelta(minutes=draw(st.sampled_from([-5, 0, 20, 90, 600])))
+    offsets = draw(st.sampled_from(OFFSETS)), draw(st.sampled_from(OFFSETS))
+    start, end = (x.replace(tzinfo=tz).isoformat() for x, tz in zip((start, end), offsets))
+    o, d = draw(st.sampled_from(["3", "7", " 22", "-1"])), draw(st.sampled_from(["3", "7", "22"]))
+    if kind == "malformed":
+        return draw(st.sampled_from([
+            ",".join(["not-a-date", end, o, d]),
+            ",".join([start, end, "x", d]),
+            ",".join([start, end, o]),  # a cell short
+        ]))
+    return ",".join([start, end, o, d])
+
+
+class TestTripColumns:
+    @given(st.lists(trip_rows(), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_match_the_record_parser(self, tmp_path_factory, rows):
+        path = write_trips(tmp_path_factory.mktemp("trips") / "t.csv", rows)
+        trips = parse_trips(path)
+        records, rejected = reference_parse_trips(path)
+        assert (len(trips), trips.rejected) == (len(records), rejected)
+        station_ids = station_set_from_trips(trips)
+        assert station_ids == reference_station_set(records)
+        for ids in (station_ids, None):
+            for days, month in (("working", None), ("all", None), ("all", "2016-05")):
+                expected = reference_extract_day_sequences(records, ids, days, month)
+                assert extract_day_sequences(trips, ids, days, month) == expected
