@@ -46,8 +46,7 @@ from .replay import (
 from .simulate import (
     EstimateWithCI,
     estimate_failure_curve,
-    estimate_marginals,
-    simulate_run,
+    failure_times,
 )
 from .sizing import (
     SizingInfeasibleError,
@@ -90,9 +89,9 @@ __all__ = [
     "compute_imbalance",
     "estimate_demand",
     "estimate_failure_curve",
-    "estimate_marginals",
     "extract_day_sequences",
     "failure_rate",
+    "failure_times",
     "joint_failure_probability",
     "joint_transient",
     "load_model",
@@ -104,7 +103,6 @@ __all__ = [
     "sample_day_sequences",
     "save_model",
     "save_plan",
-    "simulate_run",
     "size_station_capacity",
     "size_station_stock",
     "size_system",

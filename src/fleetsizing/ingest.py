@@ -280,7 +280,13 @@ def extract_day_sequences(trips, station_ids=None, days="working", month=None):
     raw = np.concatenate([trips.o[kept], trips.d[kept]])
     if station_ids is None:
         station_ids = tuple(np.unique(raw).tolist())
+    for raw_id in station_ids:
+        if not -(2**63) <= raw_id < 2**63:
+            raise ValueError(f"station id {raw_id} in station_ids does not fit int64")
     ids = np.array(station_ids, np.int64)
+    unique, counts = np.unique(ids, return_counts=True)
+    if (counts > 1).any():
+        raise ValueError(f"station id {unique[counts > 1][0]} appears twice in station_ids")
     unknown = raw[~np.isin(raw, ids)]
     if unknown.size:
         raise ValueError(f"trip names station {unknown[0]}, which station_ids does not list")

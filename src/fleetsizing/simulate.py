@@ -14,9 +14,10 @@ in this fixed order: (1) one Poisson candidate count per pair, pairs
 sorted by (o, d); (2) all candidate times in one uniform block, laid out
 pair-by-pair in the same order; (3) one uniform thinning mark per
 candidate, aligned with the times.  Runs are therefore independent of
-scheduling: one driver serves ``simulate_run`` and both estimators, and
-fans the runs out over FLEETSIZING_WORKERS processes, never more than
-there are runs (so one run starts no pool), without changing any result.
+scheduling: one driver serves ``failure_times`` and
+``estimate_failure_curve``, and fans the runs out over FLEETSIZING_WORKERS
+processes, never more than there are runs (so one run starts no pool),
+without changing any result.
 ``sample_requests`` is that sampler, and synthetic days
 (``synth.sample_day_sequences``) draw with it too.
 
@@ -36,9 +37,7 @@ start, gives the stock after every entry.  A station first refuses at
 its first entry whose stock after it leaves [0, c]: a removal from 0
 leaves it below, an addition at c above.  The earliest such entry over
 all stations is where the run enters the failed state.  Cost per run is
-O(n log n) in the n events, independent of the station count; stocks
-at sample times are read from the same sorted entries, and a run that
-reports only its failure time builds no keys for them.
+O(n log n) in the n events, independent of the station count.
 """
 
 import logging
@@ -64,33 +63,6 @@ class EstimateWithCI:
 
     mean: float
     stderr: float
-    n: int
-
-
-@dataclass
-class SimulationRun:
-    """One sampled trajectory.
-
-    ``failed_at`` is the time of the first unserved request, or None.
-    ``occupancy[s]`` holds the per-station stocks at ``sample_times[s]``;
-    rows at or after ``failed_at`` are flagged invalid (the system is in
-    the failed state, not in any stock state).
-    """
-
-    seed: int
-    failed_at: float
-    sample_times: np.ndarray
-    occupancy: np.ndarray
-    occupancy_valid: np.ndarray
-
-
-@dataclass
-class MarginalEstimate:
-    """Estimated P(station holds j vehicles, not failed) per sample time."""
-
-    times: np.ndarray
-    mean: np.ndarray  # (len(times), c_i + 1)
-    stderr: np.ndarray
     n: int
 
 
@@ -162,12 +134,12 @@ def sample_requests(tables, T, rng):
     )
 
 
-def _run(seed, tables, keys, plan, v, c, T, with_delay, sample_times, stations):
-    """One run: ``(failed_at, occupancy, valid, events)``.
+def _run(seed, tables, keys, plan, v, c, T, with_delay):
+    """One run: ``(failed_at, events)``, with ``failed_at`` inf if it never fails.
 
     ``keys`` holds each pair's 0-based origin and destination station keys,
     ``plan`` the (t, o, d, eta) of the relocations that start by T, with the
-    same keys; ``sample_times`` None reports only ``failed_at``.
+    same keys; ``events`` counts the run's requests and relocations.
     """
     t, pair_idx = _sample_pairs(tables, T, np.random.default_rng(seed))
     plan_t, plan_o, plan_d, plan_eta = plan
@@ -216,33 +188,8 @@ def _run(seed, tables, keys, plan, v, c, T, with_delay, sample_times, stations):
     # one it refuses; a negative stock reads as a large unsigned number
     after = prefix[1:] + np.repeat(base, counts)
     refused = after.view(np.uint32) > np.repeat(c, counts).view(np.uint32)
-    failed_at = float(t_s[perm[refused].min() // per_event]) if refused.any() else None
-
-    if sample_times is None:
-        return failed_at, None, None, events
-    # stock after the first ``pos`` events: each station's sorted entries
-    # carry increasing keys (station, event), so a search counts those < pos
-    stride = len(t_s) + 1
-    key = np.repeat(np.arange(len(v), dtype=np.int64) * stride, counts) + perm // per_event
-    pos = np.searchsorted(t_s, sample_times, side="right")
-    idx = np.searchsorted(key, stations * stride + pos[:, np.newaxis])
-    occ = base[stations].astype(np.int64) + prefix[idx]
-    valid = (
-        np.ones(len(sample_times), dtype=bool)
-        if failed_at is None
-        else sample_times < failed_at
-    )
-    return failed_at, occ, valid, events
-
-
-def simulate_run(model, plan, design, T, seed, with_delay=False, sample_times=None):
-    """Sample one trajectory; see the module docstring for the RNG contract."""
-    if sample_times is not None:
-        sample_times = np.asarray(sample_times, dtype=float)
-    ((failed_at, occ, valid, _),) = _collect(
-        model, plan, design, T, [seed], with_delay, sample_times, range(model.k)
-    )
-    return SimulationRun(seed, failed_at, sample_times, occ, valid)
+    failed_at = float(t_s[perm[refused].min() // per_event]) if refused.any() else np.inf
+    return failed_at, events
 
 
 def _worker_count():
@@ -256,11 +203,11 @@ def _run_batch(seeds, **prepared):
     return [_run(int(seed), **prepared) for seed in seeds]
 
 
-def _collect(model, plan, design, T, seeds, with_delay, sample_times=None, stations=()):
-    """Each seed's ``(failed_at, occupancy, valid, events)``, in seed order.
+def failure_times(model, plan, design, T, seeds, with_delay=False):
+    """Each seed's first-failure time, in seed order; inf for a run that never fails.
 
-    ``occupancy`` holds the stocks of the 0-based ``stations`` at the sample
-    times, and ``events`` counts the run's requests and relocations.
+    The run seeded ``seed`` draws from ``default_rng(seed)`` as the module
+    docstring lays out, and ends at T.
     """
     if len(seeds) < 1:
         raise ValueError("need at least one run")
@@ -288,8 +235,6 @@ def _collect(model, plan, design, T, seeds, with_delay, sample_times=None, stati
         c=np.asarray(design.c, dtype=np.int32),
         T=T,
         with_delay=with_delay,
-        sample_times=sample_times,
-        stations=np.asarray(stations, dtype=np.int64),
     )
     workers = min(_worker_count(), len(seeds))
     if workers == 1:
@@ -300,9 +245,9 @@ def _collect(model, plan, design, T, seeds, with_delay, sample_times=None, stati
             runs = [run for batch in pool.map(run_batch, chunks) for run in batch]
     log.debug(
         "monte carlo: %d runs, %d workers, %d events, %.3f s",
-        len(runs), workers, sum(run[3] for run in runs), time.perf_counter() - start,
+        len(runs), workers, sum(events for _, events in runs), time.perf_counter() - start,
     )
-    return runs
+    return np.array([failed_at for failed_at, _ in runs], dtype=float)
 
 
 def estimate_failure_curve(
@@ -314,35 +259,12 @@ def estimate_failure_curve(
     runs whose first unserved request happened at or before t.
     """
     sample_times = np.asarray(sample_times, dtype=float)
-    runs = _collect(model, plan, design, T, np.arange(seed, seed + n_runs), with_delay)
-    failed_sorted = np.sort([np.inf if f is None else f for f, *_ in runs])
+    failed_sorted = np.sort(
+        failure_times(model, plan, design, T, np.arange(seed, seed + n_runs), with_delay)
+    )
     out = []
     for t in sample_times:
         hits = int(np.searchsorted(failed_sorted, t, side="right"))
         p = hits / n_runs
         out.append((float(t), EstimateWithCI(p, math.sqrt(p * (1.0 - p) / n_runs), n_runs)))
     return out
-
-
-def estimate_marginals(
-    model, plan, design, T, n_runs, station, sample_times, with_delay=False, seed=0
-):
-    """Empirical stock distribution of one station at each sample time.
-
-    Failed runs contribute to no stock state, so the distribution sums to
-    one minus the failure estimate.
-    """
-    sample_times = np.asarray(sample_times, dtype=float)
-    if not 1 <= station <= model.k:
-        raise ValueError(f"station label {station} outside 1..{model.k}")
-    runs = _collect(
-        model, plan, design, T, np.arange(seed, seed + n_runs), with_delay,
-        sample_times, [station - 1],
-    )
-    counts = np.zeros((len(sample_times), design.c[station - 1] + 1), dtype=np.int64)
-    t_idx = np.arange(len(sample_times))
-    for _, occ, valid, _ in runs:
-        np.add.at(counts, (t_idx[valid], occ[valid, 0]), 1)
-    mean = counts / n_runs
-    stderr = np.sqrt(mean * (1.0 - mean) / n_runs)
-    return MarginalEstimate(sample_times, mean, stderr, n_runs)

@@ -74,31 +74,19 @@ class SizingInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class SizingRequest:
-    """Failure budget z over [0, T]; optional per-station budget partition."""
+    """Failure budget z over [0, T], split evenly over the stations."""
 
     z: float
     T: float
-    partition: tuple = None
 
     def __post_init__(self):
         if not 0.0 < self.z < 1.0:
             raise ValueError("budget z must lie in (0, 1)")
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise ValueError("sizing horizon T must be finite and positive")
-        if self.partition is not None:
-            partition = tuple(float(x) for x in self.partition)
-            if not all(math.isfinite(x) and x > 0.0 for x in partition):
-                raise ValueError("per-station budgets must be finite and positive")
-            object.__setattr__(self, "partition", partition)
 
     def station_budgets(self, k):
-        if self.partition is None:
-            return tuple(self.z / k for _ in range(k))
-        if len(self.partition) != k:
-            raise ValueError(f"partition has {len(self.partition)} entries for k={k}")
-        if abs(sum(self.partition) - self.z) > 1e-12 * max(1.0, self.z):
-            raise ValueError("per-station budgets must sum to z")
-        return self.partition
+        return tuple(self.z / k for _ in range(k))
 
 
 @dataclass(frozen=True)

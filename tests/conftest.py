@@ -18,6 +18,7 @@ from fleetsizing.model import (
     StationFlowProfile,
     SystemDesign,
 )
+from fleetsizing.simulate import _plan_arrays, compile_tables, sample_requests
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -133,6 +134,93 @@ def random_small_instance(rng, k_max=3, c_max=4, max_rebalances=5, horizon=2.0):
     c = tuple(int(rng.integers(1, c_max + 1)) for _ in range(k))
     v = tuple(int(rng.integers(0, ci + 1)) for ci in c)
     return model, plan, SystemDesign(v, c)
+
+
+def dense_first_failure(t_sorted, station_rows, delta_rows, check_o, check_d, v, c):
+    """Slow reference scan over a dense (events x stations) stock matrix.
+
+    ``station_rows``/``delta_rows`` are (n, 2): each event touches up to
+    two stations (0-based; -1 = unused slot).  ``check_o[n]`` is the
+    station whose emptiness fails the event (-1 = no check), ``check_d``
+    likewise for fullness.  Returns (failed_at, cumulative stock changes),
+    with failed_at inf if no event fails.
+    """
+    n = len(t_sorted)
+    k = len(v)
+    delta = np.zeros((n, k), dtype=np.int32)
+    rows = np.arange(n)
+    for slot in range(station_rows.shape[1]):
+        st_ = station_rows[:, slot]
+        used = st_ >= 0
+        np.add.at(delta, (rows[used], st_[used]), delta_rows[used, slot])
+    cum = np.cumsum(delta, axis=0)
+    before = v[np.newaxis, :] + cum - delta
+    bad = np.zeros(n, dtype=bool)
+    m = check_o >= 0
+    bad[m] |= before[rows[m], check_o[m]] == 0
+    m = check_d >= 0
+    bad[m] |= before[rows[m], check_d[m]] == c[check_d[m]]
+    if bad.any():
+        return float(t_sorted[int(bad.argmax())]), cum
+    return np.inf, cum
+
+
+def dense_simulate(model, plan, design, T, seeds, with_delay, sample_times):
+    """Runs replayed in full lexicographic event order through the dense scan.
+
+    Run ``seed`` draws the same streams as ``simulate.failure_times`` does
+    for it.  Returns one (failed_at, occupancy, occupancy_valid) per seed:
+    failed_at is inf for a run that never fails, ``occupancy[s]`` holds
+    every station's stock at ``sample_times[s]``, and rows at or after
+    failed_at are flagged invalid (the failed state is no stock state).
+    """
+    tables = compile_tables(model)
+    t_pl, o_pl, d_pl, eta_pl = _plan_arrays(model, plan)
+    keep = t_pl <= T
+    t_pl, o_pl, d_pl, eta_pl = t_pl[keep], o_pl[keep], d_pl[keep], eta_pl[keep]
+    v = np.asarray(design.v, dtype=np.int32)
+    c = np.asarray(design.c, dtype=np.int32)
+    sample_times = np.asarray(sample_times, dtype=float)
+    runs = []
+    for seed in seeds:
+        t_req, o_req, d_req, eta_req = sample_requests(tables, T, np.random.default_rng(seed))
+        t_all = np.concatenate([t_req, t_pl])
+        o_all = np.concatenate([o_req, o_pl]).astype(np.int64)
+        d_all = np.concatenate([d_req, d_pl]).astype(np.int64)
+        eta_all = np.concatenate([eta_req, eta_pl])
+        if not with_delay:
+            order = np.lexsort((d_all, o_all, t_all))
+            t_s = t_all[order]
+            o_s = o_all[order] - 1
+            d_s = d_all[order] - 1
+            station_rows = np.stack([o_s, d_s], axis=1)
+            delta_rows = np.tile(np.array([-1, 1], dtype=np.int32), (len(t_s), 1))
+            failed_at, cum = dense_first_failure(
+                t_s, station_rows, delta_rows, o_s.copy(), d_s.copy(), v, c
+            )
+        else:
+            arr_keep = t_all + eta_all <= T
+            t_ev = np.concatenate([t_all, (t_all + eta_all)[arr_keep]])
+            st_ev = np.concatenate([o_all, d_all[arr_keep]]) - 1
+            kind = np.concatenate(
+                [np.full(len(t_all), 2, np.int8), np.ones(int(arr_keep.sum()), np.int8)]
+            )
+            sign = np.where(kind == 2, -1, 1).astype(np.int32)
+            order = np.lexsort((st_ev, kind, t_ev))
+            t_s = t_ev[order]
+            st_s = st_ev[order]
+            sign_s = sign[order]
+            station_rows = np.stack([st_s, np.full_like(st_s, -1)], axis=1)
+            delta_rows = np.stack([sign_s, np.zeros_like(sign_s)], axis=1)
+            check_o = np.where(sign_s < 0, st_s, -1)
+            check_d = np.where(sign_s > 0, st_s, -1)
+            failed_at, cum = dense_first_failure(
+                t_s, station_rows, delta_rows, check_o, check_d, v, c
+            )
+        pos = np.searchsorted(t_s, sample_times, side="right")
+        padded = np.vstack([np.zeros((1, len(v)), dtype=cum.dtype), cum])
+        runs.append((failed_at, v[np.newaxis, :] + padded[pos], sample_times < failed_at))
+    return runs
 
 
 def brute_force_transport(supply, demand, cost):

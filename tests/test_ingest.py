@@ -422,6 +422,20 @@ class TestDaySequences:
         (day, *_) = extract_day_sequences(trips, station_ids=(36, 5, 22))
         assert (day.k, day.o.tolist(), day.d.tolist()) == (3, [3, 3], [1, 1])
 
+    def test_a_repeated_station_id_is_named(self, tmp_path):
+        trips = parse_trips(
+            write_trips(tmp_path / "t.csv", ["2016-05-02T08:15:00,2016-05-02T08:30:00,22,36"])
+        )
+        with pytest.raises(ValueError, match="^station id 22 appears twice in station_ids$"):
+            extract_day_sequences(trips, station_ids=(22, 22, 36))
+
+    def test_a_station_id_past_int64_is_named(self, tmp_path):
+        trips = parse_trips(
+            write_trips(tmp_path / "t.csv", ["2016-05-02T08:15:00,2016-05-02T08:30:00,22,36"])
+        )
+        with pytest.raises(ValueError, match=f"^station id {2**63} in station_ids does not fit"):
+            extract_day_sequences(trips, station_ids=(22, 36, 2**63))
+
     def test_sequence_file_roundtrip(self, tmp_path):
         sequences = extract_day_sequences(
             parse_trips(month_of_commutes(tmp_path / "t.csv"))

@@ -15,10 +15,10 @@ from fleetsizing.replay import (
     replay_day,
     sweep,
 )
-from fleetsizing.simulate import compile_tables, sample_requests, simulate_run
+from fleetsizing.simulate import compile_tables, failure_times, sample_requests
 from fleetsizing.synth import sample_day_sequences, synthetic_imbalanced_model
 
-from conftest import days_of, random_small_instance
+from conftest import days_of, dense_simulate, random_small_instance
 
 
 def day(events, k=2):
@@ -217,8 +217,9 @@ class TestReplayMatchesMonteCarlo:
     @settings(max_examples=150, deadline=None)
     def test_same_sampled_events_same_outcome(self, instance_seed, run_seed):
         # replay with zero ride times and the Monte Carlo first-failure scan
-        # are two implementations of one semantics: fed the draws of one
-        # simulate_run, they agree on failure and, without one, on the stocks
+        # are two implementations of one semantics: fed the draws of one run,
+        # they agree on failure and, without one, with the dense reference's
+        # final stocks
         model, plan, design = random_small_instance(
             np.random.default_rng(instance_seed), c_max=8, max_rebalances=6
         )
@@ -227,7 +228,8 @@ class TestReplayMatchesMonteCarlo:
         order = np.argsort(t, kind="stable")
         seq = DaySequences(model.k, T, ["sampled"], [t.size], t[order], o[order], d[order], np.zeros(t.size))
         out = replay_day(seq, plan, design)
-        run = simulate_run(model, plan, design, T, run_seed, sample_times=[T])
-        assert out.day_failed == (run.failed_at is not None)
-        if run.failed_at is None:
-            assert out.final_stocks == tuple(int(x) for x in run.occupancy[0])
+        [failed_at] = failure_times(model, plan, design, T, [run_seed])
+        assert out.day_failed == (failed_at < np.inf)
+        if not out.day_failed:
+            [(_, occ, _)] = dense_simulate(model, plan, design, T, [run_seed], False, [T])
+            assert out.final_stocks == tuple(occ[0].tolist())

@@ -16,103 +16,28 @@ from fleetsizing.model import (
     SystemDesign,
 )
 from fleetsizing.simulate import (
-    _plan_arrays,
     compile_tables,
     estimate_failure_curve,
-    estimate_marginals,
+    failure_times,
     sample_requests,
-    simulate_run,
 )
 from fleetsizing.station_bound import system_failure_bound_curve
 
-from conftest import random_small_instance, reference_integral
+from conftest import dense_simulate, random_small_instance, reference_integral
 
 P_GE_2 = 0.26424111765711533  # 1 - 2 e^-1
 
 
-def dense_first_failure(t_sorted, station_rows, delta_rows, check_o, check_d, v, c):
-    """Slow reference scan over a dense (events x stations) stock matrix.
-
-    ``station_rows``/``delta_rows`` are (n, 2): each event touches up to
-    two stations (0-based; -1 = unused slot).  ``check_o[n]`` is the
-    station whose emptiness fails the event (-1 = no check), ``check_d``
-    likewise for fullness.  Returns (failed_at, cumulative stock changes).
-    """
-    n = len(t_sorted)
-    k = len(v)
-    delta = np.zeros((n, k), dtype=np.int32)
-    rows = np.arange(n)
-    for slot in range(station_rows.shape[1]):
-        st_ = station_rows[:, slot]
-        used = st_ >= 0
-        np.add.at(delta, (rows[used], st_[used]), delta_rows[used, slot])
-    cum = np.cumsum(delta, axis=0)
-    before = v[np.newaxis, :] + cum - delta
-    bad = np.zeros(n, dtype=bool)
-    m = check_o >= 0
-    bad[m] |= before[rows[m], check_o[m]] == 0
-    m = check_d >= 0
-    bad[m] |= before[rows[m], check_d[m]] == c[check_d[m]]
-    if bad.any():
-        return float(t_sorted[int(bad.argmax())]), cum
-    return None, cum
-
-
-def dense_simulate(model, plan, design, T, seed, with_delay, sample_times):
-    """One run replayed in full lexicographic event order through the dense scan.
-
-    Draws the same streams as ``simulate_run`` and returns
-    (failed_at, occupancy, occupancy_valid).
-    """
-    tables = compile_tables(model)
-    t_pl, o_pl, d_pl, eta_pl = _plan_arrays(model, plan)
-    v = np.asarray(design.v, dtype=np.int32)
-    c = np.asarray(design.c, dtype=np.int32)
-    t_req, o_req, d_req, eta_req = sample_requests(tables, T, np.random.default_rng(seed))
-    keep = t_pl <= T
-    t_all = np.concatenate([t_req, t_pl[keep]])
-    o_all = np.concatenate([o_req, o_pl[keep]]).astype(np.int64)
-    d_all = np.concatenate([d_req, d_pl[keep]]).astype(np.int64)
-    eta_all = np.concatenate([eta_req, eta_pl[keep]])
-    if not with_delay:
-        order = np.lexsort((d_all, o_all, t_all))
-        t_s = t_all[order]
-        o_s = o_all[order] - 1
-        d_s = d_all[order] - 1
-        station_rows = np.stack([o_s, d_s], axis=1)
-        delta_rows = np.tile(np.array([-1, 1], dtype=np.int32), (len(t_s), 1))
-        failed_at, cum = dense_first_failure(
-            t_s, station_rows, delta_rows, o_s.copy(), d_s.copy(), v, c
-        )
-    else:
-        arr_keep = t_all + eta_all <= T
-        t_ev = np.concatenate([t_all, (t_all + eta_all)[arr_keep]])
-        st_ev = np.concatenate([o_all, d_all[arr_keep]]) - 1
-        kind = np.concatenate(
-            [np.full(len(t_all), 2, np.int8), np.ones(int(arr_keep.sum()), np.int8)]
-        )
-        sign = np.where(kind == 2, -1, 1).astype(np.int32)
-        order = np.lexsort((st_ev, kind, t_ev))
-        t_s = t_ev[order]
-        st_s = st_ev[order]
-        sign_s = sign[order]
-        station_rows = np.stack([st_s, np.full_like(st_s, -1)], axis=1)
-        delta_rows = np.stack([sign_s, np.zeros_like(sign_s)], axis=1)
-        check_o = np.where(sign_s < 0, st_s, -1)
-        check_d = np.where(sign_s > 0, st_s, -1)
-        failed_at, cum = dense_first_failure(
-            t_s, station_rows, delta_rows, check_o, check_d, v, c
-        )
-    sample_times = np.asarray(sample_times, dtype=float)
-    pos = np.searchsorted(t_s, sample_times, side="right")
-    padded = np.vstack([np.zeros((1, len(v)), dtype=cum.dtype), cum])
-    occ = v[np.newaxis, :] + padded[pos]
-    valid = (
-        np.ones(len(sample_times), dtype=bool)
-        if failed_at is None
-        else sample_times < failed_at
+def reference_marginals(runs, station, capacity):
+    """Stock distribution of the 1-based ``station`` at each sample time over
+    the reference ``runs``, with standard errors; failed runs hold no stock."""
+    occ = np.stack([run[1][:, station - 1] for run in runs])
+    valid = np.stack([run[2] for run in runs])
+    counts = np.array(
+        [np.bincount(occ[valid[:, j], j], minlength=capacity + 1) for j in range(occ.shape[1])]
     )
-    return failed_at, occ, valid
+    mean = counts / len(runs)
+    return mean, np.sqrt(mean * (1.0 - mean) / len(runs))
 
 
 SHARED_INSTANTS = (0.5, 1.0, 1.5)
@@ -186,17 +111,14 @@ def two_station_model(lam_12=1.0, lam_21=0.0, horizon=1.0):
 class TestSimulateRun:
     def test_zero_demand_never_fails(self):
         m = DemandModel(2, {}, ((0.0, 0.0), (0.0, 0.0)), 1.0)
-        run = simulate_run(
-            m,
-            RebalancingPlan.empty(2, 1.0),
-            SystemDesign((1, 2), (2, 2)),
-            1.0,
-            seed=5,
-            sample_times=[0.25, 0.5, 1.0],
-        )
-        assert run.failed_at is None
-        assert np.all(run.occupancy == np.array([[1, 2]] * 3))
-        assert run.occupancy_valid.all()
+        plan = RebalancingPlan.empty(2, 1.0)
+        design = SystemDesign((1, 2), (2, 2))
+        assert np.all(failure_times(m, plan, design, 1.0, [5]) == np.inf)
+        times = [0.25, 0.5, 1.0]
+        [(failed_at, occ, valid)] = dense_simulate(m, plan, design, 1.0, [5], False, times)
+        assert failed_at == np.inf
+        assert np.all(occ == np.array([[1, 2]] * 3))
+        assert valid.all()
 
     def test_fails_exactly_at_second_request(self):
         # single flow 1->2 with one vehicle at 1: the first request is served,
@@ -205,37 +127,39 @@ class TestSimulateRun:
         m = two_station_model()
         design = SystemDesign((1, 0), (1, 1))
         plan = RebalancingPlan.empty(2, 1.0)
+        expected = []
         for seed in range(25):
             rng = np.random.default_rng(seed)
             count = rng.poisson(np.array([1.0]) * 1.0)[0]
             times = np.sort(rng.uniform(0.0, 1.0, count))
-            expected = float(times[1]) if count >= 2 else None
-            run = simulate_run(m, plan, design, 1.0, seed)
-            assert run.failed_at == expected
+            expected.append(float(times[1]) if count >= 2 else np.inf)
+        failed = failure_times(m, plan, design, 1.0, range(25))
+        assert failed.dtype == np.float64 and failed.tolist() == expected
 
     def test_identical_seed_identical_run(self, rng):
         model, plan, design = random_small_instance(rng)
-        st = np.linspace(0.1, model.horizon, 5)
-        a = simulate_run(model, plan, design, model.horizon, 7, sample_times=st)
-        b = simulate_run(model, plan, design, model.horizon, 7, sample_times=st)
-        assert a.failed_at == b.failed_at
-        assert np.array_equal(a.occupancy, b.occupancy)
-        assert np.array_equal(a.occupancy_valid, b.occupancy_valid)
+        seeds = [7, 3, 7]
+        a = failure_times(model, plan, design, model.horizon, seeds)
+        b = failure_times(model, plan, design, model.horizon, seeds)
+        assert a.tobytes() == b.tobytes()
+        assert a[0] == a[2]
 
     def test_different_seeds_differ(self):
         m = two_station_model(lam_12=3.0, lam_21=3.0)
         design = SystemDesign((1, 1), (2, 2))
         plan = RebalancingPlan.empty(2, 1.0)
-        outcomes = {simulate_run(m, plan, design, 1.0, s).failed_at for s in range(20)}
-        assert len(outcomes) > 1
+        assert len(set(failure_times(m, plan, design, 1.0, range(20)).tolist())) > 1
 
     def test_zero_delay_snapshots_conserve_fleet(self, rng):
         for _ in range(5):
             model, plan, design = random_small_instance(rng)
             st = np.linspace(0.05, model.horizon, 9)
-            run = simulate_run(model, plan, design, model.horizon, 3, sample_times=st)
-            sums = run.occupancy.sum(axis=1)
-            assert np.all(sums[run.occupancy_valid] == design.fleet_size)
+            seeds = range(3, 8)
+            refs = dense_simulate(model, plan, design, model.horizon, seeds, False, st)
+            failed = failure_times(model, plan, design, model.horizon, seeds)
+            assert failed.tolist() == [ref[0] for ref in refs]
+            for _, occ, valid in refs:
+                assert np.all(occ.sum(axis=1)[valid] == design.fleet_size)
 
     def test_delayed_arrivals_cannot_land_before_travel_time(self):
         # station 1 holds far more stock than requests can drain, station 2
@@ -245,10 +169,9 @@ class TestSimulateRun:
         m = DemandModel(2, intensities, ((0.0, 0.4), (0.4, 0.0)), 1.0)
         design = SystemDesign((200, 0), (200, 0))
         plan = RebalancingPlan.empty(2, 1.0)
-        for seed in range(10):
-            run = simulate_run(m, plan, design, 1.0, seed, with_delay=True)
-            assert run.failed_at is not None  # ~50 arrivals hit zero parking
-            assert run.failed_at >= 0.4
+        failed = failure_times(m, plan, design, 1.0, range(10), with_delay=True)
+        assert np.all(np.isfinite(failed))  # ~50 arrivals hit zero parking
+        assert np.all(failed >= 0.4)
 
 
 class TestEstimateFailureCurve:
@@ -264,12 +187,12 @@ class TestEstimateFailureCurve:
         m = two_station_model(lam_12=50.0)
         design = SystemDesign((0, 0), (1, 1))
         plan = RebalancingPlan.empty(2, 1.0)
-        run = simulate_run(m, plan, design, 1.0, seed=1)
-        assert run.failed_at is not None
+        [failed_at] = failure_times(m, plan, design, 1.0, [1])
+        assert failed_at < 1.0
         times = np.linspace(0.01, 1.0, 50)
         curve = estimate_failure_curve(m, plan, design, 1.0, 1, times, seed=1)
         for t, est in curve:
-            assert est.mean == (1.0 if t >= run.failed_at else 0.0)
+            assert est.mean == (1.0 if t >= failed_at else 0.0)
 
     def test_curve_is_non_decreasing(self, rng):
         model, plan, design = random_small_instance(rng)
@@ -327,18 +250,16 @@ class TestEstimateFailureCurve:
 
 
 class TestEstimateMarginals:
+    """Stock marginals read from the dense reference runs."""
+
     def test_zero_demand_point_mass(self):
         m = DemandModel(2, {}, ((0.0, 0.0), (0.0, 0.0)), 1.0)
-        est = estimate_marginals(
-            m,
-            RebalancingPlan.empty(2, 1.0),
-            SystemDesign((1, 2), (2, 2)),
-            1.0,
-            200,
-            station=2,
-            sample_times=[0.5, 1.0],
+        design = SystemDesign((1, 2), (2, 2))
+        runs = dense_simulate(
+            m, RebalancingPlan.empty(2, 1.0), design, 1.0, range(200), False, [0.5, 1.0]
         )
-        assert np.allclose(est.mean[:, 2], 1.0)
+        mean, _ = reference_marginals(runs, 2, design.c[1])
+        assert np.allclose(mean[:, 2], 1.0)
 
     def test_matches_exact_marginals(self):
         m = two_station_model(lam_12=1.0, lam_21=0.8, horizon=1.0)
@@ -346,65 +267,47 @@ class TestEstimateMarginals:
         plan = RebalancingPlan.empty(2, 1.0)
         times = [0.4, 1.0]
         snaps = joint_transient(m, plan, design, times)
-        est = estimate_marginals(
-            m, plan, design, 1.0, 30_000, station=1, sample_times=times, seed=4
-        )
+        runs = dense_simulate(m, plan, design, 1.0, range(4, 4 + 30_000), False, times)
+        mean, stderr = reference_marginals(runs, 1, design.c[0])
         for row, snap in enumerate(snaps):
             exact = marginal_distribution(snap, 1)
             for j in range(design.c[0] + 1):
-                dev = abs(est.mean[row, j] - exact[j])
-                assert dev <= 3.0 * max(est.stderr[row, j], 1e-4)
+                dev = abs(mean[row, j] - exact[j])
+                assert dev <= 3.0 * max(stderr[row, j], 1e-4)
 
     def test_marginals_partition_the_unfailed_mass(self, rng):
         model, plan, design = random_small_instance(rng)
         times = np.linspace(0.2, model.horizon, 5)
         n = 800
         curve = estimate_failure_curve(model, plan, design, model.horizon, n, times, seed=6)
+        runs = dense_simulate(model, plan, design, model.horizon, range(6, 6 + n), False, times)
         for i in range(1, model.k + 1):
-            est = estimate_marginals(
-                model, plan, design, model.horizon, n, station=i, sample_times=times, seed=6
-            )
+            mean, _ = reference_marginals(runs, i, design.c[i - 1])
             for row, (t, fail) in enumerate(curve):
-                assert est.mean[row].sum() == pytest.approx(1.0 - fail.mean, abs=1e-12)
+                assert mean[row].sum() == pytest.approx(1.0 - fail.mean, abs=1e-12)
 
 
 class TestProcessPool:
     @pytest.mark.parametrize("with_delay", [False, True])
     def test_two_workers_match_serial(self, rng, monkeypatch, with_delay):
         model, plan, design = random_small_instance(rng)
-        times = np.linspace(0.1, model.horizon, 7)
-        T, n = model.horizon, 300
-
-        def estimates():
-            curve = estimate_failure_curve(
-                model, plan, design, T, n, times, with_delay=with_delay, seed=5
-            )
-            marginals = estimate_marginals(
-                model, plan, design, T, n, station=2, sample_times=times,
-                with_delay=with_delay, seed=5,
-            )
-            return curve, marginals
-
+        seeds = range(5, 305)
         monkeypatch.setenv("FLEETSIZING_WORKERS", "1")
-        serial_curve, serial_marg = estimates()
+        serial = failure_times(model, plan, design, model.horizon, seeds, with_delay)
         monkeypatch.setenv("FLEETSIZING_WORKERS", "2")
-        pool_curve, pool_marg = estimates()
-        assert pool_curve == serial_curve
-        assert np.array_equal(pool_marg.mean, serial_marg.mean)
-        assert np.array_equal(pool_marg.stderr, serial_marg.stderr)
-        # the runs must see failures and stocks for the comparison to mean anything
-        assert 0.0 < serial_curve[-1][1].mean < 1.0
+        pooled = failure_times(model, plan, design, model.horizon, seeds, with_delay)
+        assert pooled.dtype == serial.dtype and pooled.tobytes() == serial.tobytes()
+        # the runs must fail and survive for the comparison to mean anything
+        assert 0 < np.isfinite(serial).sum() < len(seeds)
 
     def test_one_run_starts_no_pool(self, rng, monkeypatch):
         model, plan, design = random_small_instance(rng)
-        times = np.linspace(0.1, model.horizon, 7)
-        serial = simulate_run(model, plan, design, model.horizon, 3, sample_times=times)
+        serial = failure_times(model, plan, design, model.horizon, [3])
         monkeypatch.setenv("FLEETSIZING_WORKERS", "2")
         with mock.patch("fleetsizing.simulate.ProcessPoolExecutor") as pool:
-            run = simulate_run(model, plan, design, model.horizon, 3, sample_times=times)
+            run = failure_times(model, plan, design, model.horizon, [3])
         pool.assert_not_called()
-        assert run.failed_at == serial.failed_at
-        assert np.array_equal(run.occupancy, serial.occupancy)
+        assert run.tobytes() == serial.tobytes()
 
 
 class TestThinning:
@@ -476,14 +379,10 @@ class TestSegmentedScanMatchesDenseReference:
     @given(small_systems(), st.integers(0, 2**16), st.booleans())
     def test_runs_match(self, system, seed, with_delay):
         model, plan, design = system
-        times = np.array([0.0, 0.5, 0.77, 1.0, 1.5, 2.0])
-        ref = dense_simulate(model, plan, design, 2.0, seed, with_delay, times)
-        run = simulate_run(model, plan, design, 2.0, seed, with_delay, times)
-        assert run.failed_at == ref[0]
-        assert np.array_equal(run.occupancy, ref[1])
-        assert np.array_equal(run.occupancy_valid, ref[2])
-        bare = simulate_run(model, plan, design, 2.0, seed, with_delay)
-        assert bare.failed_at == ref[0]
+        seeds = range(seed, seed + 2)
+        refs = dense_simulate(model, plan, design, 2.0, seeds, with_delay, [2.0])
+        failed = failure_times(model, plan, design, 2.0, seeds, with_delay)
+        assert failed.tolist() == [ref[0] for ref in refs]
 
     @settings(max_examples=25, deadline=None)
     @given(small_systems(), st.integers(0, 2**16), st.booleans())
@@ -491,25 +390,13 @@ class TestSegmentedScanMatchesDenseReference:
         model, plan, design = system
         times = np.array([0.25, 1.0, 1.5, 2.0])
         n = 6
-        refs = [
-            dense_simulate(model, plan, design, 2.0, seed + i, with_delay, times)
-            for i in range(n)
-        ]
+        refs = dense_simulate(model, plan, design, 2.0, range(seed, seed + n), with_delay, times)
         curve = estimate_failure_curve(
             model, plan, design, 2.0, n, times, with_delay=with_delay, seed=seed
         )
         for t, est in curve:
-            hits = sum(f is not None and f <= t for f, _, _ in refs)
+            hits = sum(f <= t for f, _, _ in refs)
             assert est.mean == hits / n
-        station = 1 + seed % model.k
-        est = estimate_marginals(
-            model, plan, design, 2.0, n, station, times, with_delay=with_delay, seed=seed
-        )
-        counts = np.zeros_like(est.mean)
-        for _, occ, valid in refs:
-            for row in np.flatnonzero(valid):
-                counts[row, occ[row, station - 1]] += 1
-        assert np.array_equal(est.mean, counts / n)
 
     def test_busy_network_matches(self):
         # hundreds of entries per station segment, relocations at shared
@@ -527,32 +414,23 @@ class TestSegmentedScanMatchesDenseReference:
         failures = []
         for design in designs:
             for with_delay in (False, True):
-                refs = [
-                    dense_simulate(model, plan, design, model.horizon, 40 + i, with_delay, times)
-                    for i in range(n)
-                ]
-                for i, ref in enumerate(refs):
-                    run = simulate_run(
-                        model, plan, design, model.horizon, 40 + i, with_delay, times
-                    )
-                    assert run.failed_at == ref[0]
-                    assert np.array_equal(run.occupancy, ref[1])
-                    assert np.array_equal(run.occupancy_valid, ref[2])
-                    failures.append(ref[0])
+                seeds = range(40, 40 + n)
+                refs = dense_simulate(model, plan, design, model.horizon, seeds, with_delay, times)
+                failed = failure_times(model, plan, design, model.horizon, seeds, with_delay)
+                assert failed.tolist() == [ref[0] for ref in refs]
+                failures.extend(failed.tolist())
                 curve = estimate_failure_curve(
                     model, plan, design, model.horizon, n, times, with_delay=with_delay, seed=40
                 )
                 for t, est in curve:
-                    assert est.mean == sum(f is not None and f <= t for f, _, _ in refs) / n
+                    assert est.mean == np.count_nonzero(failed <= t) / n
                 # T = 0: no request and no relocation is due, so the run has no events
-                ref = dense_simulate(model, plan, design, 0.0, 40, with_delay, [0.0])
-                run = simulate_run(model, plan, design, 0.0, 40, with_delay, [0.0])
-                assert ref[0] is None and run.failed_at is None
-                assert np.array_equal(run.occupancy, ref[1])
-                assert np.array_equal(run.occupancy, [design.v])
+                [ref] = dense_simulate(model, plan, design, 0.0, [40], with_delay, [0.0])
+                assert ref[0] == np.inf and np.array_equal(ref[1], [design.v])
+                assert failure_times(model, plan, design, 0.0, [40], with_delay).tolist() == [np.inf]
         # the comparison must see runs that fail early, late and never
-        failed = [f for f in failures if f is not None]
-        assert None in failures and min(failed) < 1.0 and max(failed) > 3.0
+        failed = [f for f in failures if f < np.inf]
+        assert np.inf in failures and min(failed) < 1.0 and max(failed) > 3.0
         tables = compile_tables(model)
         _, o, d, _ = sample_requests(tables, model.horizon, np.random.default_rng(40))
         entries = np.bincount(np.concatenate([o, d]) - 1, minlength=k)
@@ -563,14 +441,11 @@ class TestSegmentedScanMatchesDenseReference:
         intensities = {(1, 2): PiecewiseConstantIntensity.constant(1.0, 2.0)}
         m = DemandModel(2, intensities, ((0.0, 0.5), (0.5, 0.0)), 2.0)
         plan = RebalancingPlan(2, 2.0, {(1, 2): (0.5, 1.0), (2, 1): (0.5, 1.0)})
-        times = np.linspace(0.0, 2.0, 9)
         for design in (SystemDesign((0, 1), (1, 1)), SystemDesign((1, 1), (2, 2))):
             for with_delay in (False, True):
-                for seed in range(20):
-                    ref = dense_simulate(m, plan, design, 2.0, seed, with_delay, times)
-                    run = simulate_run(m, plan, design, 2.0, seed, with_delay, times)
-                    assert run.failed_at == ref[0]
-                    assert np.array_equal(run.occupancy, ref[1])
+                refs = dense_simulate(m, plan, design, 2.0, range(20), with_delay, [2.0])
+                failed = failure_times(m, plan, design, 2.0, range(20), with_delay)
+                assert failed.tolist() == [ref[0] for ref in refs]
 
     def test_tied_arrival_lands_before_departure(self):
         # with delay, the 2->1 relocation lands at station 1 at t = 1.0, the
@@ -579,6 +454,7 @@ class TestSegmentedScanMatchesDenseReference:
         m = DemandModel(2, {}, ((0.0, 0.5), (0.5, 0.0)), 2.0)
         plan = RebalancingPlan(2, 2.0, {(2, 1): (0.5,), (1, 2): (1.0,)})
         design = SystemDesign((0, 1), (1, 1))
-        run = simulate_run(m, plan, design, 2.0, 0, with_delay=True, sample_times=[1.0, 2.0])
-        assert run.failed_at is None
-        assert np.array_equal(run.occupancy, [[0, 0], [0, 1]])
+        assert failure_times(m, plan, design, 2.0, [0], with_delay=True).tolist() == [np.inf]
+        [(failed_at, occ, _)] = dense_simulate(m, plan, design, 2.0, [0], True, [1.0, 2.0])
+        assert failed_at == np.inf
+        assert np.array_equal(occ, [[0, 0], [0, 1]])

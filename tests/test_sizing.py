@@ -172,25 +172,10 @@ class TestSizingRequest:
     def test_even_split(self):
         assert SizingRequest(0.1, 1.0).station_budgets(4) == (0.025,) * 4
 
-    def test_partition_must_match(self):
-        req = SizingRequest(0.1, 1.0, partition=(0.06, 0.04))
-        assert req.station_budgets(2) == (0.06, 0.04)
-        with pytest.raises(ValueError):
-            req.station_budgets(3)
-        with pytest.raises(ValueError):
-            SizingRequest(0.1, 1.0, partition=(0.2, 0.4)).station_budgets(2)
-        with pytest.raises(ValueError):
-            SizingRequest(0.1, 1.0, partition=(0.1, -0.0)).station_budgets(2)
-
     @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
     def test_horizon_must_be_finite(self, T):
         with pytest.raises(ValueError, match="sizing horizon T must be finite and positive"):
             SizingRequest(0.1, T)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_partition_entries_must_be_finite(self, bad):
-        with pytest.raises(ValueError, match="per-station budgets must be finite and positive"):
-            SizingRequest(0.1, 1.0, partition=(0.1, bad))
 
 
 def two_station_symmetric(rate=1.0, horizon=1.0):
