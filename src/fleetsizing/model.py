@@ -19,7 +19,6 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from types import MappingProxyType
 
 import numpy as np
 
@@ -70,10 +69,6 @@ class PiecewiseConstantIntensity:
     @classmethod
     def constant(cls, rate, horizon_end):
         return cls((0.0,), (float(rate),), horizon_end)
-
-    @classmethod
-    def zero(cls, horizon_end):
-        return cls((0.0,), (0.0,), horizon_end)
 
     def value_at(self, t):
         if t < -_TIME_EPS or t > self.horizon_end + _TIME_EPS:
@@ -323,21 +318,6 @@ class DemandModel:
                            pair_d=arrays[1], pieces=arrays[2:])
         return model
 
-    @property
-    def intensities(self):
-        """The rates as a read-only (o, d) -> PiecewiseConstantIntensity mapping, in (o, d) order."""
-        if "_intensities" not in vars(self):  # built on first read
-            vars(self)["_intensities"] = {
-                (e["o"], e["d"]): PiecewiseConstantIntensity(e["breakpoints"], e["values"], self.horizon)
-                for e in model_to_json(self)["lambda"]
-            }
-        return MappingProxyType(vars(self)["_intensities"])
-
-    def rate(self, o, d):
-        _check_station(o, self.k, "origin")
-        _check_station(d, self.k, "destination")
-        return self.intensities.get((o, d)) or PiecewiseConstantIntensity.zero(self.horizon)
-
     def eta_hours(self, o, d):
         return self.eta[o - 1][d - 1]
 
@@ -422,35 +402,41 @@ class SystemDesign:
         return sum(self.c)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class StationFlowProfile:
     """Aggregate arrival/departure streams seen by one station.
 
-    ``lambda_a``/``lambda_d`` are the total vehicle arrival and rental
-    departure rates; ``rho_a``/``rho_d`` are the instants of scheduled
+    ``pieces`` are the read-only ``(starts, values, counts)`` of the total
+    vehicle arrival rate, then the total rental departure rate, on ``[0,
+    horizon]``; ``rho_a``/``rho_d`` are the sorted instants of scheduled
     relocation arrivals/departures (duplicates mean several vehicles).
+    The constructor checks the instants; ``_of_pieces`` takes them as given.
     """
 
-    lambda_a: PiecewiseConstantIntensity
-    lambda_d: PiecewiseConstantIntensity
+    pieces: tuple
+    horizon: float
     rho_a: tuple
     rho_d: tuple
 
-    def __post_init__(self):
-        if self.lambda_a.horizon_end != self.lambda_d.horizon_end:
+    def __init__(self, lambda_a, lambda_d, rho_a, rho_d):
+        if lambda_a.horizon_end != lambda_d.horizon_end:
             raise ValueError("arrival and departure intensities must share a horizon")
-        horizon = self.lambda_a.horizon_end
-        for name in ("rho_a", "rho_d"):
-            ts = _float_tuple(getattr(self, name))
+        rho = {"rho_a": _float_tuple(rho_a), "rho_d": _float_tuple(rho_d)}
+        for name, ts in rho.items():
             if any(b > a for b, a in zip(ts, ts[1:])):
                 raise ValueError(f"{name} must be sorted")
-            if ts and (ts[0] < 0.0 or ts[-1] > horizon):
-                raise ValueError(f"{name} instants must lie within [0, horizon]")
-            object.__setattr__(self, name, ts)
+            if not all(0.0 <= t <= lambda_a.horizon_end for t in ts):  # NaN included
+                raise ValueError(f"{name} instants must be finite and lie within [0, horizon]")
+        vars(self).update(vars(self._of_pieces(_pieces([lambda_a, lambda_d]), lambda_a.horizon_end, **rho)))
 
-    @property
-    def horizon(self):
-        return self.lambda_a.horizon_end
+    @classmethod
+    def _of_pieces(cls, pieces, horizon, rho_a, rho_d):
+        """The profile of checked ``pieces`` and sorted float tuples of instants."""
+        for a in pieces:
+            a.flags.writeable = False
+        profile = object.__new__(cls)
+        vars(profile).update(pieces=pieces, horizon=horizon, rho_a=rho_a, rho_d=rho_d)
+        return profile
 
 
 def checked_plan(model, plan):
@@ -480,11 +466,11 @@ def check_design(model, design):
 
 
 def _delayed_sum(pieces, delays, horizon):
-    """The pointwise sum of intensities delayed by ``delays`` hours, rates added in item order.
+    """The pointwise sum of intensities delayed by ``delays`` hours, as the pieces of one item.
 
     An intensity delayed by ``delay`` hours is 0 on ``[0, delay)`` and loses
     the pieces that then start at or past the horizon; a delay of 0 leaves
-    it as it is.
+    it as it is.  Rates are added in item order, from 0.0.
     """
     starts, values, counts = pieces
     owner = np.repeat(np.arange(len(counts)), counts)
@@ -495,56 +481,42 @@ def _delayed_sum(pieces, delays, horizon):
     owner = np.insert(owner, lead, owner[lead])
     keep = starts < horizon
     edges, rates = rate_grid((starts[keep], values[keep], np.bincount(owner[keep], minlength=len(counts))))
-    total = sum(rates, np.zeros(len(edges)))  # 0.0 + r_0 + r_1 + ...
-    return PiecewiseConstantIntensity(tuple(edges), tuple(total), horizon)
+    return edges, sum(rates, np.zeros(len(edges))), np.array([len(edges)])  # 0.0 + r_0 + r_1 + ...
 
 
 def aggregate_station_flows(model, plan, *, with_delay=False):
     """Fold a demand model and relocation plan into every station's flow profile.
 
-    Returns k profiles, station i's at index i - 1.  With ``with_delay`` the
-    arrival stream of station i is the sum of the origin streams delayed
-    by the pairwise travel times (vehicles arrive eta hours after they
-    depart); otherwise transfers are instantaneous.  Scheduled relocation
-    arrivals shift the same way; shifted instants falling past the horizon
-    are discarded.  Sums add pairs in (o, d) order: on the model's rate
-    grid, keeping each station's own breakpoints, or when delayed per station.
+    Returns k profiles, station i's at index i - 1.  Station i's departure
+    and arrival rates are the sums, each one ``_delayed_sum`` in (o, d)
+    order, of the pairs leaving and entering it.  With ``with_delay`` the
+    arrivals are delayed by the pairs' travel times, and so are scheduled
+    relocation arrivals, those past the horizon dropped.
     """
     t0 = time.perf_counter()
     plan = checked_plan(model, plan)
     k, horizon = model.k, model.horizon
     origin, destination = model.pair_o - 1, model.pair_d - 1
-    starts, _, counts = model.pieces
-    edges, rates = rate_grid(model.pieces)
-    owner = np.repeat(np.arange(counts.size), counts)
+    eta = np.array(model.eta) if with_delay else np.zeros((k, k))
 
-    def undelayed(station):
-        # each station adds its rows in (o, d) order, from 0.0: its j-th row at step j
-        order, n = np.argsort(station, kind="stable"), np.bincount(station, minlength=k)
-        first, total = np.cumsum(n) - n, np.zeros((k, edges.size))
-        for j in range(n.max(initial=0)):
-            has = np.flatnonzero(n > j)
-            total[has] += rates[order[first[has] + j]]
-        own = np.zeros(total.shape, dtype=bool)
-        own[:, 0] = own[station[owner], np.searchsorted(edges, starts)] = True
-        return [PiecewiseConstantIntensity(tuple(edges[u]), tuple(r[u]), horizon) for r, u in zip(total, own)]
+    def sums(station, delays):  # each station's pairs, in (o, d) order
+        rows = np.split(np.argsort(station, kind="stable"), np.cumsum(np.bincount(station, minlength=k))[:-1])
+        return [_delayed_sum(_take(model.pieces, r), delays[r], horizon) for r in rows]
 
-    if with_delay:
-        delays = np.array(model.eta)[origin, destination]
-        rows = [np.flatnonzero(destination == i) for i in range(k)]
-        lambda_a = [_delayed_sum(_take(model.pieces, r), delays[r], horizon) for r in rows]
-    else:
-        lambda_a = undelayed(destination)
     rho_d, rho_a = ([[] for _ in range(k)] for _ in range(2))
     for (o, d), ts in plan.rho.items():
         rho_d[o - 1].extend(ts)
-        e = model.eta[o - 1][d - 1] if with_delay else 0.0
+        e = eta[o - 1, d - 1].item()
         rho_a[d - 1].extend(t + e for t in ts if t + e <= horizon)
-    log.debug(
-        "flow aggregation: %d pairs, %d shared-grid edges, %d delayed stations, %.3f s",
-        counts.size, edges.size, k if with_delay else 0, time.perf_counter() - t0,
+    arrivals, departures = sums(destination, eta[origin, destination]), sums(origin, np.zeros(origin.size))
+    profiles = tuple(
+        StationFlowProfile._of_pieces(tuple(map(np.concatenate, zip(a, d))), horizon, tuple(ra), tuple(rd))
+        for a, d, ra, rd in zip(arrivals, departures, map(sorted, rho_a), map(sorted, rho_d))
     )
-    return tuple(map(StationFlowProfile, lambda_a, undelayed(origin), map(sorted, rho_a), map(sorted, rho_d)))
+    log.debug("flow aggregation: %d pairs, %d stations, %d edges, travel delays %s, %.3f s",
+              origin.size, k, sum(p.pieces[0].size for p in profiles), "on" if with_delay else "off",
+              time.perf_counter() - t0)
+    return profiles
 
 
 # --- JSON wire format ------------------------------------------------------

@@ -48,7 +48,6 @@ import numpy as np
 from .model import (
     InvariantViolationError,
     SystemDesign,
-    _pieces,
     aggregate_station_flows,
     bin_integrals,
     parsing,
@@ -221,7 +220,7 @@ def _stock(profile, T, budget, search_cap):
     if not 0.0 < budget < 1.0:
         raise ValueError("budget must lie in (0, 1)")
     tail = 1e-3 * budget
-    start = max(1, math.ceil(bin_integrals(_pieces([profile.lambda_d]), profile.horizon, (0.0, T))[0, 0]))
+    start = max(1, math.ceil(bin_integrals(profile.pieces, profile.horizon, (0.0, T))[1, 0]))  # departures
     reach, sweeps, terms, sweep, fallback = 2 * start, 0, 0, None, None
     while True:
         try:
@@ -282,7 +281,7 @@ def _capacity(profile, T, v, budget, search_cap, sweep):
             profile, [v] * len(extras), [v + e for e in extras], T
         )
 
-    start = max(1, math.ceil(bin_integrals(_pieces([profile.lambda_a]), profile.horizon, (0.0, T))[0, 0]))
+    start = max(1, math.ceil(bin_integrals(profile.pieces, profile.horizon, (0.0, T))[0, 0]))  # arrivals
     extra, qf = _minimal_feasible(g, 0, start, search_cap, budget, 1e-9, "capacity sizing", predict)
     return v + extra, qf
 

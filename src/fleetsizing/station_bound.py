@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from . import model as model_module  # read at call time, where a tracer may wrap it
-from .model import InvariantViolationError, _pieces, bin_integrals, check_design
+from .model import InvariantViolationError, bin_integrals, check_design
 from .uniformization import NEG_CLIP, RECORD, check_mass, timeline, uniformize
 
 log = logging.getLogger(__name__)
@@ -78,7 +78,7 @@ _SWEEP_EDGES = np.eye(2)  # (fail, lost) at the failed boundary and at the escap
 def _timeline(profile, T, record_times):
     """One station's ``timeline`` to T: pieces of (dt, lambda_a, lambda_d), and its jumps."""
     jumps = [(t, "arrival") for t in profile.rho_a] + [(t, "departure") for t in profile.rho_d]
-    return timeline(_pieces([profile.lambda_a, profile.lambda_d]), jumps, T, record_times)
+    return timeline(profile.pieces, jumps, T, record_times)
 
 
 def _evolve_columns(profiles, starts, tops, T, cap_absorbs, record_times=(), keep_q=False):
@@ -244,10 +244,10 @@ def _evolve_columns(profiles, starts, tops, T, cap_absorbs, record_times=(), kee
 
 
 def _validate_vcT(profile, v, c, T):
-    if not isinstance(v, (int, np.integer)) or v < 0:
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0:
         raise ValueError("initial stock v must be a non-negative integer")
     if c is not None:
-        if not isinstance(c, (int, np.integer)) or c < 0:
+        if not isinstance(c, (int, np.integer)) or isinstance(c, bool) or c < 0:
             raise ValueError("capacity c must be a non-negative integer or None")
         if v > c:
             raise ValueError("initial stock cannot exceed capacity")
@@ -261,7 +261,7 @@ def _unbounded_start(arrivals, v):
 
 def _arrivals(profile, T):
     """Expected arrivals by T plus the relocations that arrive by T."""
-    expected = bin_integrals(_pieces([profile.lambda_a]), profile.horizon, (0.0, T))[0, 0]
+    expected = bin_integrals(profile.pieces, profile.horizon, (0.0, T))[0, 0]
     return expected + sum(t <= T for t in profile.rho_a)
 
 

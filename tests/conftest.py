@@ -53,6 +53,26 @@ def make_pci(rng, horizon, max_rate=2.0, max_pieces=3):
     return PiecewiseConstantIntensity(bps, values, horizon)
 
 
+def intensities(model):
+    """The model's demand as an (o, d) -> PiecewiseConstantIntensity dict, in (o, d) order."""
+    starts, values, counts = model.pieces
+    ends = np.cumsum(counts)
+    return {
+        pair: PiecewiseConstantIntensity(starts[a:b], values[a:b], model.horizon)
+        for pair, a, b in zip(model.pairs(), ends - counts, ends)
+    }
+
+
+def profile_rates(profile):
+    """A station profile's arrival and departure rates, as two PiecewiseConstantIntensity."""
+    starts, values, counts = profile.pieces
+    cut = counts[:1]
+    return tuple(
+        PiecewiseConstantIntensity(b, v, profile.horizon)
+        for b, v in zip(np.split(starts, cut), np.split(values, cut))
+    )
+
+
 def reference_integral(pci, a, b):
     """The integral of ``pci`` over [a, b] by a walk over its own breakpoints.
 
@@ -92,7 +112,7 @@ def reference_shifted(pci, delay):
     if delay == 0.0:
         return pci
     if delay >= pci.horizon_end:
-        return PiecewiseConstantIntensity.zero(pci.horizon_end)
+        return PiecewiseConstantIntensity.constant(0.0, pci.horizon_end)
     bps = [0.0]
     vals = [0.0]
     for b, v in zip(pci.breakpoints, pci.values):
@@ -272,17 +292,18 @@ def mc_station_failure(profile, v, c, T, n_runs, seed):
     arrival jump) at stock c.  Returns (p_hat, stderr).
     """
     rng = np.random.default_rng(seed)
+    lambda_a, lambda_d = profile_rates(profile)
     grid = sorted(
         {0.0, T}
-        | {b for b in profile.lambda_a.breakpoints if b < T}
-        | {b for b in profile.lambda_d.breakpoints if b < T}
+        | {b for b in lambda_a.breakpoints if b < T}
+        | {b for b in lambda_d.breakpoints if b < T}
     )
     failures = 0
     for _ in range(n_runs):
         events = []
         for t0, t1 in zip(grid[:-1], grid[1:]):
             mid = 0.5 * (t0 + t1)
-            for pci, kind in ((profile.lambda_a, +1), (profile.lambda_d, -1)):
+            for pci, kind in ((lambda_a, +1), (lambda_d, -1)):
                 rate = pci.value_at(mid)
                 n = rng.poisson(rate * (t1 - t0))
                 events.extend((float(t), 0, kind) for t in rng.uniform(t0, t1, n))
@@ -313,10 +334,9 @@ def mc_station_failure_fast(profile, v, c, T, n_runs, seed):
     refused event from cumulative stock sums (before the first refusal
     every event succeeds, so plain cumulative bookkeeping is exact).
     """
-    assert len(profile.lambda_a.values) == 1 and len(profile.lambda_d.values) == 1
+    assert profile.pieces[2].tolist() == [1, 1]
     rng = np.random.default_rng(seed)
-    lam_a = profile.lambda_a.values[0]
-    lam_d = profile.lambda_d.values[0]
+    lam_a, lam_d = profile.pieces[1].tolist()
     jumps_t = np.array(
         [t for t in profile.rho_a if t <= T] + [t for t in profile.rho_d if t <= T]
     )

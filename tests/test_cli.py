@@ -343,8 +343,8 @@ class TestDeterminism:
                  and r.getMessage().startswith("flow aggregation:")]
         pairs = len(json.loads(pipeline["model"].read_text())["lambda"])
         assert len(flows) == 3 and all(
-            re.fullmatch(rf"flow aggregation: {pairs} pairs, \d+ shared-grid edges, "
-                         r"0 delayed stations, \d+\.\d{3} s", line) for line in flows
+            re.fullmatch(rf"flow aggregation: {pairs} pairs, 3 stations, \d+ edges, "
+                         r"travel delays off, \d+\.\d{3} s", line) for line in flows
         ), flows
         passes = [r.getMessage() for r in caplog.records if r.name == "fleetsizing.station_bound"]
         line = re.compile(

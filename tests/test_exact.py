@@ -28,7 +28,7 @@ from fleetsizing.model import (
 )
 from fleetsizing.station_bound import station_transient, system_failure_bound_curve
 
-from conftest import random_small_instance
+from conftest import intensities, random_small_instance
 
 P_GE_2 = 0.26424111765711533  # 1 - 2 e^-1
 
@@ -77,7 +77,7 @@ class TestJointIntegration:
 
         # swap the two station labels everywhere
         swap = {1: 2, 2: 1}
-        sw_int = {(swap[o], swap[d]): pci for (o, d), pci in model.intensities.items()}
+        sw_int = {(swap[o], swap[d]): pci for (o, d), pci in intensities(model).items()}
         sw_eta = ((model.eta[1][1], model.eta[1][0]), (model.eta[0][1], model.eta[0][0]))
         sw_model = DemandModel(2, sw_int, sw_eta, T)
         sw_plan = RebalancingPlan(
@@ -212,16 +212,16 @@ def reference_kernel(self, rates):
 
 def with_idle_pieces(model, rng):
     """The model with some pieces switched off and some pairs never active."""
-    intensities = {}
-    for pair, pci in model.intensities.items():
+    idle = {}
+    for pair, pci in intensities(model).items():
         roll = rng.random()
         if roll < 0.2:
-            pci = PiecewiseConstantIntensity.zero(model.horizon)
+            pci = PiecewiseConstantIntensity.constant(0.0, model.horizon)
         elif roll < 0.6:
             values = [0.0 if rng.random() < 0.5 else v for v in pci.values]
             pci = PiecewiseConstantIntensity(pci.breakpoints, values, model.horizon)
-        intensities[pair] = pci
-    return DemandModel(model.k, intensities, model.eta, model.horizon)
+        idle[pair] = pci
+    return DemandModel(model.k, idle, model.eta, model.horizon)
 
 
 def solve(model, plan, design, times):
@@ -263,7 +263,7 @@ class TestMoveMatrixKernel:
         intensities = {
             (1, 2): PiecewiseConstantIntensity((0.0, 0.5), (1.5, 0.0), 1.0),
             (2, 1): PiecewiseConstantIntensity.constant(0.7, 1.0),
-            (3, 1): PiecewiseConstantIntensity.zero(1.0),
+            (3, 1): PiecewiseConstantIntensity.constant(0.0, 1.0),
         }
         eta = tuple(tuple(0.0 for _ in range(3)) for _ in range(3))
         model = DemandModel(3, intensities, eta, 1.0)

@@ -29,7 +29,7 @@ from fleetsizing.synth import (
     uniform_demand_model,
 )
 
-from conftest import days_of, reference_integral
+from conftest import days_of, intensities, reference_integral
 
 HEADER = "start_time,end_time,start_station_id,end_station_id"
 
@@ -187,7 +187,7 @@ class TestEstimateDemand:
             ],
         )
         model = estimate_demand(extract_day_sequences(parse_trips(path)))
-        lam = model.intensities[(1, 2)]
+        lam = intensities(model)[(1, 2)]
         assert lam.value_at(8.5) == pytest.approx(2.0)
         assert lam.value_at(9.5) == 0.0
         assert model.k == 2
@@ -197,7 +197,7 @@ class TestEstimateDemand:
             extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")))
         )
         # 44 trips in bin [8, 9) over 22 working days
-        assert model.intensities[(1, 2)].value_at(8.25) == pytest.approx(2.0)
+        assert intensities(model)[(1, 2)].value_at(8.25) == pytest.approx(2.0)
 
     def test_exposure_identity(self, tmp_path):
         model = estimate_demand(
@@ -206,7 +206,7 @@ class TestEstimateDemand:
         n_days = 22
         total = sum(
             reference_integral(lam, 0.0, model.horizon) * n_days
-            for lam in model.intensities.values()
+            for lam in intensities(model).values()
         )
         assert total == pytest.approx(44.0, abs=1e-9)
 
@@ -229,9 +229,9 @@ class TestEstimateDemand:
         )
         trips = parse_trips(path)
         model = estimate_demand(extract_day_sequences(trips))
-        assert (2, 1) not in model.intensities
+        assert (2, 1) not in intensities(model)
         everything = estimate_demand(extract_day_sequences(trips, days="all"))
-        assert (2, 1) in everything.intensities
+        assert (2, 1) in intensities(everything)
 
     def test_month_filter(self, tmp_path):
         path = write_trips(
@@ -242,7 +242,7 @@ class TestEstimateDemand:
             ],
         )
         model = estimate_demand(extract_day_sequences(parse_trips(path), month="2016-05"))
-        assert reference_integral(model.intensities[(1, 2)], 0.0, 24.0) == pytest.approx(1.0)
+        assert reference_integral(intensities(model)[(1, 2)], 0.0, 24.0) == pytest.approx(1.0)
 
     def test_round_trips_are_dropped(self, tmp_path):
         path = write_trips(
@@ -253,16 +253,16 @@ class TestEstimateDemand:
             ],
         )
         model = estimate_demand(extract_day_sequences(parse_trips(path)))
-        assert set(model.intensities) == {(1, 2)}
+        assert set(intensities(model)) == {(1, 2)}
 
     def test_row_order_does_not_matter(self, tmp_path):
         rows = month_of_commutes(tmp_path / "t.csv").read_text().splitlines()[1:]
         forward = estimate_demand(extract_day_sequences(parse_trips(tmp_path / "t.csv")))
         reversed_trips = parse_trips(write_trips(tmp_path / "r.csv", rows[::-1]))
         backward = estimate_demand(extract_day_sequences(reversed_trips))
-        assert forward.intensities.keys() == backward.intensities.keys()
-        for key, lam in forward.intensities.items():
-            other = backward.intensities[key]
+        assert intensities(forward).keys() == intensities(backward).keys()
+        for key, lam in intensities(forward).items():
+            other = intensities(backward)[key]
             assert lam.breakpoints == other.breakpoints
             assert lam.values == other.values
         assert forward.eta == backward.eta
@@ -282,10 +282,10 @@ class TestEstimateDemand:
         days = extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")))
         model = estimate_demand(days, bin_hours=bin_hours)
         n_bins = round(24 / bin_hours)
-        for lam in model.intensities.values():
+        for lam in intensities(model).values():
             assert len(lam.breakpoints) == n_bins
         # integrating over the day recovers the two trips per working day
-        per_day = sum(reference_integral(lam, 0.0, 24.0) for lam in model.intensities.values())
+        per_day = sum(reference_integral(lam, 0.0, 24.0) for lam in intensities(model).values())
         assert per_day == pytest.approx(2.0)
 
     def test_nothing_left_after_filtering_is_an_error(self, tmp_path):
@@ -303,7 +303,7 @@ class TestEstimateDemand:
         trips = parse_trips(path)
         model = estimate_demand(extract_day_sequences(trips, station_ids=(7, 22, 36)))
         assert model.k == 3
-        assert set(model.intensities) == {(3, 2)}
+        assert set(intensities(model)) == {(3, 2)}
 
 
     def test_days_sampled_from_a_model(self):
@@ -313,7 +313,7 @@ class TestEstimateDemand:
         assert estimate.k == 4
         total = sum(
             reference_integral(lam, 0.0, 24.0) * len(days)
-            for lam in estimate.intensities.values()
+            for lam in intensities(estimate).values()
         )
         assert total == pytest.approx(days.t.size)
         assert estimate.eta == model.eta
@@ -342,9 +342,9 @@ class TestEstimateDemand:
             durations.setdefault((o, d), []).append(eta)
         overall = median(t for ts in durations.values() for t in ts)
         model = estimate_demand(days, bin_hours)
-        assert sorted(counts) == list(model.intensities)
+        assert sorted(counts) == list(intensities(model))
         for key, per_bin in counts.items():
-            lam = model.intensities[key]
+            lam = intensities(model)[key]
             assert lam.breakpoints == tuple(b * bin_hours for b in range(n_bins))
             assert lam.values == tuple(c / (len(days) * bin_hours) for c in per_bin)
         expected = [[0.0 if o == d else median(durations[o, d]) if (o, d) in durations else overall

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fleetsizing import model as model_module
@@ -37,14 +37,21 @@ from fleetsizing.sizing import design_from_json
 from fleetsizing.station_bound import _timeline
 from fleetsizing.uniformization import JUMP, RECORD
 
-from conftest import make_pci, random_small_instance, reference_integral, reference_shifted
+from conftest import (
+    intensities,
+    make_pci,
+    profile_rates,
+    random_small_instance,
+    reference_integral,
+    reference_shifted,
+)
 
 
 def reference_sum_intensities(items, horizon_end):
     """The scalar sum: each item's ``value_at`` at every merged breakpoint, in item order."""
     items = list(items)
     if not items:
-        return PiecewiseConstantIntensity.zero(horizon_end)
+        return PiecewiseConstantIntensity.constant(0.0, horizon_end)
     merged = sorted({b for it in items for b in it.breakpoints})
     values = tuple(sum(it.value_at(s) for it in items) for s in merged)
     return PiecewiseConstantIntensity(tuple(merged), values, horizon_end)
@@ -53,15 +60,14 @@ def reference_sum_intensities(items, horizon_end):
 def reference_station_flows(model, plan, station, with_delay=False):
     """One station's flow profile from a scan over every pair, as it was built per station."""
     i = station
-    dep_items = [pci for (o, d), pci in model.intensities.items() if o == i]
+    demand = intensities(model)
+    dep_items = [pci for (o, d), pci in demand.items() if o == i]
     if with_delay:
         arr_items = [
-            reference_shifted(pci, model.eta_hours(o, i))
-            for (o, d), pci in model.intensities.items()
-            if d == i
+            reference_shifted(pci, model.eta_hours(o, i)) for (o, d), pci in demand.items() if d == i
         ]
     else:
-        arr_items = [pci for (o, d), pci in model.intensities.items() if d == i]
+        arr_items = [pci for (o, d), pci in demand.items() if d == i]
     lambda_d = reference_sum_intensities(dep_items, model.horizon)
     lambda_a = reference_sum_intensities(arr_items, model.horizon)
     rho_d = sorted(t for (o, d), ts in plan.rho.items() if o == i for t in ts)
@@ -90,28 +96,29 @@ def grid_points(horizon, max_size, steps=100):
 
 
 @st.composite
-def piecewise_rates(draw, horizon, max_breaks=4):
+def piecewise_rates(draw, horizon, max_breaks=4, steps=100):
     """A piecewise-constant rate with its own breakpoints, some pieces exactly 0."""
-    bps = (0.0, *draw(grid_points(horizon, max_breaks)))
+    bps = (0.0, *draw(grid_points(horizon, max_breaks, steps)))
     rate = st.one_of(st.just(0.0), st.floats(0.0, 3.0, allow_subnormal=False))
     return PiecewiseConstantIntensity(bps, tuple(draw(rate) for _ in bps), horizon)
 
 
 @st.composite
 def models_with_plans(draw):
-    """Random demand, travel times (some past the horizon) and relocations.
+    """Random demand, travel times (zero, positive, past the horizon) and relocations.
 
-    Travel times and relocation instants lie on a grid of horizon / 16, so
-    their sums are exact and a shifted relocation often lands on the horizon.
+    Breakpoints, travel times and relocation instants lie on a grid of
+    horizon / 16, so their sums are exact, and a shifted piece or
+    relocation often lands on the horizon.  A station often has no pairs.
     """
     k = draw(st.integers(2, 4))
     horizon = draw(st.sampled_from([2.0, 24.0]))
     pairs = [(o, d) for o in range(1, k + 1) for d in range(1, k + 1) if o != d]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
-    lam = {pair: draw(piecewise_rates(horizon)) for pair in chosen}
+    lam = {pair: draw(piecewise_rates(horizon, steps=16)) for pair in chosen}
+    hops = st.one_of(st.just(0), st.integers(1, 24))  # a zero travel time, often
     eta = tuple(
-        tuple(0.0 if o == d else draw(st.integers(0, 24)) * horizon / 16 for d in range(k))
-        for o in range(k)
+        tuple(0.0 if o == d else draw(hops) * horizon / 16 for d in range(k)) for o in range(k)
     )
     moved = draw(st.lists(st.sampled_from(pairs), unique=True))
     rho = {pair: draw(grid_points(horizon, 3, steps=16)) for pair in moved}
@@ -160,7 +167,7 @@ class TestPiecewiseConstantIntensity:
     def test_sum_of_constants(self):
         pci = PiecewiseConstantIntensity.constant(0.05, 24.0)
         model = DemandModel(50, {(o, 50): pci for o in range(1, 50)}, ((0.0,) * 50,) * 50, 24.0)
-        total = aggregate_station_flows(model, None)[-1].lambda_a
+        total, _ = profile_rates(aggregate_station_flows(model, None)[-1])
         assert total.value_at(12.0) == pytest.approx(2.45, rel=1e-12)
 
     @given(st.sampled_from([2.0, 24.0]).flatmap(lambda h: st.lists(piecewise_rates(h), max_size=6)))
@@ -173,7 +180,7 @@ class TestPiecewiseConstantIntensity:
                             ((0.0,) * k,) * k, horizon)
         kept = [it for it in items if any(it.values)]
         assert same_intensity(
-            aggregate_station_flows(model, None)[-1].lambda_a,
+            profile_rates(aggregate_station_flows(model, None)[-1])[0],
             reference_sum_intensities(kept, horizon),
         )
 
@@ -267,8 +274,8 @@ class TestDemandModel:
     def test_absent_pairs_have_zero_rate(self):
         pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
         m = DemandModel(2, {(1, 2): pci}, ((0.0, 0.1), (0.1, 0.0)), 24.0)
-        assert m.rate(2, 1).values == (0.0,)
-        assert m.rate(1, 2).value_at(3.0) == 1.0
+        assert m.pairs() == [(1, 2)]
+        assert intensities(m)[(1, 2)].value_at(3.0) == 1.0
 
     def test_eta_diagonal_must_be_zero(self):
         with pytest.raises(ValueError):
@@ -341,39 +348,38 @@ class TestAggregateStationFlows:
         }
         eta = tuple(tuple(0.0 for _ in range(50)) for _ in range(50))
         m = DemandModel(50, intensities, eta, 24.0)
-        prof = aggregate_station_flows(m, RebalancingPlan.empty(50, 24.0))[6]
+        lambda_a, lambda_d = profile_rates(aggregate_station_flows(m, RebalancingPlan.empty(50, 24.0))[6])
         for t in (0.0, 6.0, 23.0):
-            assert prof.lambda_a.value_at(t) == pytest.approx(2.45, rel=1e-12)
-            assert prof.lambda_d.value_at(t) == pytest.approx(2.45, rel=1e-12)
+            assert lambda_a.value_at(t) == pytest.approx(2.45, rel=1e-12)
+            assert lambda_d.value_at(t) == pytest.approx(2.45, rel=1e-12)
 
     def test_departure_rate_is_row_sum(self, rng):
         model, plan, _ = random_small_instance(rng)
         for i in range(1, model.k + 1):
-            prof = aggregate_station_flows(model, plan)[i - 1]
+            _, lambda_d = profile_rates(aggregate_station_flows(model, plan)[i - 1])
             for t in (0.0, 0.3, 1.1, 1.9):
-                expected = sum(
-                    model.rate(i, d).value_at(t) for d in range(1, model.k + 1) if d != i
-                )
-                assert prof.lambda_d.value_at(t) == pytest.approx(expected, abs=1e-12)
+                expected = sum(lam.value_at(t) for (o, _), lam in intensities(model).items() if o == i)
+                assert lambda_d.value_at(t) == pytest.approx(expected, abs=1e-12)
 
     def test_delayed_arrival_turns_on_after_travel_time(self):
         pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
         m = DemandModel(2, {(1, 2): pci}, ((0.0, 0.5), (0.5, 0.0)), 24.0)
         prof = aggregate_station_flows(m, RebalancingPlan.empty(2, 24.0), with_delay=True)[1]
-        assert prof.lambda_a.value_at(0.25) == 0.0
-        assert prof.lambda_a.value_at(0.5) == 1.0
+        lambda_a, _ = profile_rates(prof)
+        assert lambda_a.value_at(0.25) == 0.0
+        assert lambda_a.value_at(0.5) == 1.0
 
     def test_delayed_arrival_integral_identity(self, rng):
         model, plan, _ = random_small_instance(rng)
         T = model.horizon
         for i in range(1, model.k + 1):
-            prof = aggregate_station_flows(model, plan, with_delay=True)[i - 1]
+            lambda_a, _ = profile_rates(aggregate_station_flows(model, plan, with_delay=True)[i - 1])
             expected = sum(
-                reference_integral(model.rate(o, i), 0.0, max(0.0, T - model.eta_hours(o, i)))
-                for o in range(1, model.k + 1)
-                if o != i
+                reference_integral(lam, 0.0, max(0.0, T - model.eta_hours(o, i)))
+                for (o, d), lam in intensities(model).items()
+                if d == i
             )
-            assert reference_integral(prof.lambda_a, 0.0, T) == pytest.approx(
+            assert reference_integral(lambda_a, 0.0, T) == pytest.approx(
                 expected, rel=1e-9, abs=1e-12
             )
 
@@ -386,6 +392,13 @@ class TestAggregateStationFlows:
         prof_o = aggregate_station_flows(m, plan, with_delay=True)[0]
         assert prof_o.rho_d == (1.0,)
 
+    # station 1 sends with a zero travel time, station 2 with one that shifts
+    # its second piece and its relocation exactly onto the horizon, and
+    # station 3 has no pairs
+    @example((DemandModel(3, {(1, 2): PiecewiseConstantIntensity((0.0, 1.5), (1.0, 2.0), 2.0),
+                              (2, 1): PiecewiseConstantIntensity((0.0, 1.5), (0.5, 3.0), 2.0)},
+                          ((0.0, 0.0, 1.0), (0.5, 0.0, 1.0), (1.0, 1.0, 0.0)), 2.0),
+              RebalancingPlan(3, 2.0, {(2, 1): (0.25, 1.5)})), True)
     @given(models_with_plans(), st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_one_pass_matches_the_per_station_scan(self, model_plan, with_delay):
@@ -394,19 +407,30 @@ class TestAggregateStationFlows:
         assert len(profiles) == model.k
         for i, prof in enumerate(profiles, start=1):
             ref = reference_station_flows(model, plan, i, with_delay)
-            assert same_intensity(prof.lambda_a, ref.lambda_a)
-            assert same_intensity(prof.lambda_d, ref.lambda_d)
+            for a, b in zip(prof.pieces, ref.pieces, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert prof.horizon == ref.horizon
             assert prof.rho_a == ref.rho_a
             assert prof.rho_d == ref.rho_d
 
-    def test_delay_builds_only_the_station_intensities(self, rng):
+    def test_a_profile_holds_its_rates_as_read_only_pieces(self):
+        lambda_a = PiecewiseConstantIntensity((0.0, 1.0), (0.5, 2.0), 4.0)
+        lambda_d = PiecewiseConstantIntensity.constant(1.5, 4.0)
+        prof = StationFlowProfile(lambda_a, lambda_d, [0.5, 1.0], (2.0,))
+        starts, values, counts = prof.pieces
+        assert (starts.tolist(), values.tolist(), counts.tolist()) == ([0.0, 1.0, 0.0], [0.5, 2.0, 1.5], [2, 1])
+        assert (prof.horizon, prof.rho_a, prof.rho_d) == (4.0, (0.5, 1.0), (2.0,))
+        for a in prof.pieces:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        assert all(map(same_intensity, profile_rates(prof), (lambda_a, lambda_d)))
+
+    def test_aggregation_builds_no_intensity(self, rng):
         model, plan, _ = random_small_instance(rng, k_max=4)
-        check = PiecewiseConstantIntensity.__post_init__
-        with mock.patch.object(
-            PiecewiseConstantIntensity, "__post_init__", autospec=True, side_effect=check
-        ) as built:
-            aggregate_station_flows(model, plan, with_delay=True)
-        assert built.call_count == 2 * model.k
+        with mock.patch.object(PiecewiseConstantIntensity, "__post_init__", autospec=True) as built:
+            for with_delay in (False, True):
+                aggregate_station_flows(model, plan, with_delay=with_delay)
+        assert built.call_count == 0
 
     def test_delayed_relocation_arrivals_past_horizon_are_dropped(self):
         pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
@@ -420,7 +444,7 @@ class TestMergedEventTimeline:
     def test_orders_breakpoints_then_arrivals_then_departures(self):
         prof_lambda = PiecewiseConstantIntensity((0.0, 8.0, 17.0), (1.0, 2.0, 1.0), 24.0)
         prof = StationFlowProfile(
-            prof_lambda, PiecewiseConstantIntensity.zero(24.0), (9.0,), (12.0,)
+            prof_lambda, PiecewiseConstantIntensity.constant(0.0, 24.0), (9.0,), (12.0,)
         )
         pieces, ends, actions, cuts = _timeline(prof, 24.0, ())
         assert ends.tolist() == [8.0, 9.0, 12.0, 17.0, 24.0]
@@ -451,7 +475,7 @@ class TestMergedEventTimeline:
     def test_simultaneous_arrival_precedes_departure(self):
         prof = StationFlowProfile(
             PiecewiseConstantIntensity((0.0, 5.0), (0.0, 1.0), 24.0),
-            PiecewiseConstantIntensity.zero(24.0),
+            PiecewiseConstantIntensity.constant(0.0, 24.0),
             (5.0,),
             (5.0,),
         )
@@ -480,7 +504,7 @@ class TestWireFormat:
         assert again.horizon == model.horizon
         for o, d in model.pairs():
             for t in (0.0, 0.7, 1.5, model.horizon):
-                assert again.rate(o, d).value_at(t) == model.rate(o, d).value_at(t)
+                assert intensities(again)[o, d].value_at(t) == intensities(model)[o, d].value_at(t)
             assert again.eta_hours(o, d) == model.eta_hours(o, d)
 
     def test_plan_roundtrip(self, rng):
@@ -594,7 +618,7 @@ class TestOneRepresentation:
 
         model = shuffled_model(seed)
         again = model_from_json(json.loads(json.dumps(model_to_json(model))))
-        assert list(model.intensities) == sorted(model.intensities) == again.pairs()
+        assert model.pairs() == sorted(model.pairs()) == again.pairs()
         plan = RebalancingPlan(4, 4.0, {(1, 3): (0.5, 2.25), (4, 2): (1.0,)})
         design = SystemDesign((1, 2, 1, 1), (2, 3, 2, 2))
         for with_delay in (False, True):
@@ -603,10 +627,8 @@ class TestOneRepresentation:
             for i, (a, b) in enumerate(zip(ours, theirs, strict=True), start=1):
                 # both are the scalar sum over the station's pairs in (o, d) order
                 ref = reference_station_flows(model, plan, i, with_delay)
-                for lam in ("lambda_a", "lambda_d"):
-                    x, y, z = getattr(a, lam), getattr(b, lam), getattr(ref, lam)
-                    assert bits(x.breakpoints) == bits(y.breakpoints) == bits(z.breakpoints)
-                    assert bits(x.values) == bits(y.values) == bits(z.values)
+                for x, y, z in zip(a.pieces, b.pieces, ref.pieces, strict=True):
+                    assert x.tobytes() == y.tobytes() == z.tobytes()
                 assert (a.rho_a, a.rho_d) == (b.rho_a, b.rho_d)
             assert bits(system_failure_upper_bound(model, plan, design, 3.0, with_delay)) == bits(
                 system_failure_upper_bound(again, plan, design, 3.0, with_delay))
@@ -634,16 +656,12 @@ class TestOneRepresentation:
         for a in (model.pair_o, model.pair_d, *model.pieces):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
-        assert list(model.intensities) == [(1, 3), (2, 3), (3, 1)]
-        assert same_intensity(model.intensities[(2, 3)], lam)
-        with pytest.raises(TypeError):
-            model.intensities[(1, 2)] = lam
-        assert model.rate(1, 2).values == (0.0,)
-        again = pickle.loads(pickle.dumps(model))  # with the mapping built
+        assert model.pairs() == [(1, 3), (2, 3), (3, 1)]
+        assert same_intensity(intensities(model)[(2, 3)], lam)
+        again = pickle.loads(pickle.dumps(model))
         assert model_to_json(again) == model_to_json(model)
-        assert list(again.intensities) == list(model.intensities)
 
-    def test_readers_of_a_loaded_model_never_build_the_mapping(self, rng, tmp_path):
+    def test_readers_of_a_loaded_model_build_no_intensity(self, rng, tmp_path):
         from fleetsizing.exact import joint_transient
         from fleetsizing.rebalance import build_plan
         from fleetsizing.simulate import compile_tables
@@ -653,10 +671,10 @@ class TestOneRepresentation:
         model, plan, design = random_small_instance(rng, k_max=3)
         save_model(model, tmp_path / "m.json")
 
-        def unread(_):
-            pytest.fail("the per-pair mapping was built")
+        def unbuilt(_):
+            pytest.fail("a PiecewiseConstantIntensity was built")
 
-        with mock.patch.object(DemandModel, "intensities", property(unread)):
+        with mock.patch.object(PiecewiseConstantIntensity, "__post_init__", unbuilt):
             loaded = load_model(tmp_path / "m.json")
             build_plan(loaded, bin_hours=0.5)
             size_system(loaded, plan, SizingRequest(0.3, 1.5), with_delay=True)

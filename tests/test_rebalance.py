@@ -16,7 +16,12 @@ from fleetsizing.rebalance import (
 )
 from fleetsizing.synth import synthetic_imbalanced_model
 
-from conftest import brute_force_transport, random_small_instance, reference_integral
+from conftest import (
+    brute_force_transport,
+    intensities,
+    random_small_instance,
+    reference_integral,
+)
 
 
 def model_from_rates(k, rates, horizon=1.0, eta=None):
@@ -33,7 +38,7 @@ def model_from_rates(k, rates, horizon=1.0, eta=None):
 def reference_imbalance(model, edges):
     """delta[i, b] from a loop over the pairs and bins, in pair order."""
     delta = np.zeros((model.k, len(edges) - 1))
-    for (o, d), pci in model.intensities.items():
+    for (o, d), pci in intensities(model).items():
         for b in range(len(edges) - 1):
             flow = reference_integral(pci, edges[b], edges[b + 1])
             delta[d - 1, b] += flow

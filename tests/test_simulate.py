@@ -23,7 +23,7 @@ from fleetsizing.simulate import (
 )
 from fleetsizing.station_bound import system_failure_bound_curve
 
-from conftest import dense_simulate, random_small_instance, reference_integral
+from conftest import dense_simulate, intensities, random_small_instance, reference_integral
 
 P_GE_2 = 0.26424111765711533  # 1 - 2 e^-1
 
@@ -72,6 +72,35 @@ def small_systems(draw, horizon=2.0):
     c = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
     v = [draw(st.integers(0, ci)) for ci in c]
     return model, plan, SystemDesign(tuple(v), tuple(c))
+
+
+@st.composite
+def tied_systems(draw, horizon=2.0):
+    """``small_systems`` in which a relocation lands at the instant another leaves.
+
+    With travel delays, relocation a -> i leaves at t0 and lands at 2 t0,
+    when relocation i -> b leaves.  Station i has no other traffic and
+    starts empty or full, so the order of the two decides whether it
+    refuses one; at every tie the arrival goes first.
+    """
+    model, plan, design = draw(small_systems(horizon))
+    k = model.k
+    i = draw(st.integers(1, k))
+    others = st.sampled_from([s for s in range(1, k + 1) if s != i])
+    a, b = draw(others), draw(others)
+    t0 = draw(st.sampled_from([0.125, 0.25, 0.5]))
+    eta = [list(row) for row in model.eta]
+    eta[a - 1][i - 1] = t0
+    demand = {pair: lam for pair, lam in intensities(model).items() if i not in pair}
+    rho = {pair: ts for pair, ts in plan.rho.items() if i not in pair}
+    rho[(a, i)], rho[(i, b)] = (t0,), (2 * t0,)
+    v, c = list(design.v), list(design.c)
+    c[i - 1] = max(c[i - 1], 1)
+    v[i - 1] = c[i - 1] if draw(st.booleans()) else 0
+    v[a - 1] = max(v[a - 1], 1)
+    c[a - 1] = max(c[a - 1], 1)
+    return (DemandModel(k, demand, eta, horizon), RebalancingPlan(k, horizon, rho),
+            SystemDesign(tuple(v), tuple(c)))
 
 
 def busy_network(k=16, horizon=6.0):
@@ -397,6 +426,15 @@ class TestSegmentedScanMatchesDenseReference:
         for t, est in curve:
             hits = sum(f <= t for f, _, _ in refs)
             assert est.mean == hits / n
+
+    @settings(max_examples=40, deadline=None)
+    @given(tied_systems(), st.integers(0, 2**16))
+    def test_tied_relocation_runs_match(self, system, seed):
+        model, plan, design = system
+        seeds = range(seed, seed + 2)
+        refs = dense_simulate(model, plan, design, 2.0, seeds, True, [2.0])
+        failed = failure_times(model, plan, design, 2.0, seeds, True)
+        assert failed.tolist() == [ref[0] for ref in refs]
 
     def test_busy_network_matches(self):
         # hundreds of entries per station segment, relocations at shared

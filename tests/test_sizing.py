@@ -32,7 +32,7 @@ from fleetsizing.sizing import (
 )
 from fleetsizing.station_bound import station_failure_probability
 
-from conftest import constant_profile, random_small_instance, reference_integral
+from conftest import constant_profile, profile_rates, random_small_instance, reference_integral
 
 # P(Poisson(1) >= n) for the unit-demand closed forms below.
 P_GE_4 = 0.01898815687615385
@@ -318,7 +318,7 @@ def reference_stock(profile, T, budget):
     return reference_minimal_feasible(
         lambda v: station_failure_probability(profile, v, None, T, tail_tolerance=tail),
         0,
-        max(1, math.ceil(reference_integral(profile.lambda_d, 0.0, T))),
+        max(1, math.ceil(reference_integral(profile_rates(profile)[1], 0.0, T))),
         1_000_000,
         budget,
         2.0 * tail,
@@ -520,7 +520,7 @@ def assert_one_candidate_design(model, plan, z, with_delay):
         extra = reference_minimal_feasible(
             lambda e: station_failure_probability(profile, v, v + e, T),
             0,
-            max(1, math.ceil(reference_integral(profile.lambda_a, 0.0, T))),
+            max(1, math.ceil(reference_integral(profile_rates(profile)[0], 0.0, T))),
             1_000_000,
             z_i,
             1e-9,

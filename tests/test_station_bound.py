@@ -33,6 +33,7 @@ from conftest import (
     constant_profile,
     make_pci,
     mc_station_failure_fast,
+    profile_rates,
     random_small_instance,
 )
 
@@ -134,7 +135,8 @@ def reference_evolve(profile, v, c_eff, T, cap_absorbs, record_times=(), mass_to
     Returns (q, qF, lost, recorded) with one (q copy, qF) per record time;
     record times coinciding with an event see the post-event state.
     """
-    bps = sorted(set(profile.lambda_a.breakpoints) | set(profile.lambda_d.breakpoints))
+    lambda_a, lambda_d = profile_rates(profile)
+    bps = sorted(set(lambda_a.breakpoints) | set(lambda_d.breakpoints))
     schedule = [(t, 0, None) for t in bps if 0.0 < t <= T]
     schedule += [(t, 1, None) for t in profile.rho_a if t <= T]
     schedule += [(t, 2, None) for t in profile.rho_d if t <= T]
@@ -151,8 +153,8 @@ def reference_evolve(profile, v, c_eff, T, cap_absorbs, record_times=(), mass_to
     def run_to(t_next):
         nonlocal q, qF, lost, t
         if t_next > t:
-            la = profile.lambda_a.value_at(0.5 * (t + t_next))
-            ld = profile.lambda_d.value_at(0.5 * (t + t_next))
+            la = lambda_a.value_at(0.5 * (t + t_next))
+            ld = lambda_d.value_at(0.5 * (t + t_next))
             q, qF, lost = reference_advance(q, qF, lost, la, ld, t_next - t, cap_absorbs)
             q, qF, lost = reference_guard(q, qF, lost, f"at t={t_next}", mass_tol)
             t = t_next
@@ -320,6 +322,19 @@ class TestStationFailureProbability:
         tight = station_failure_probability(prof, 2, None, 4.0, tail_tolerance=1e-12)
         assert abs(loose - tight) < 1e-6
 
+    @pytest.mark.parametrize("rho_a, rho_d", [((0.5, math.nan), ()), ((), (math.nan, 1.0)), ((math.inf,), ())])
+    def test_instants_that_are_not_finite_are_rejected(self, rho_a, rho_d):
+        # a NaN passes the order and range checks, and the bound would drop it
+        rate = PiecewiseConstantIntensity.constant(1.0, 2.0)
+        with pytest.raises(ValueError, match="instants must be finite and lie within"):
+            StationFlowProfile(rate, rate, rho_a, rho_d)
+
+    @pytest.mark.parametrize("v, c", [(True, 2), (1, True), (False, None), (np.int64(1), False)])
+    def test_a_bool_is_no_stock_or_capacity(self, v, c):
+        prof = constant_profile(1.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            station_failure_probability(prof, v, c, 1.0)
+
     def test_failure_curve_non_decreasing(self, rng):
         prof = StationFlowProfile(
             make_pci(rng, 2.0), make_pci(rng, 2.0), (0.7,), (1.3,)
@@ -417,7 +432,7 @@ def random_profile(r, horizon, max_rate=8.0):
 
     def rate():
         if r.random() < 0.2:
-            return PiecewiseConstantIntensity.zero(horizon)
+            return PiecewiseConstantIntensity.constant(0.0, horizon)
         return make_pci(r, horizon, max_rate=max_rate, max_pieces=4)
 
     def instants():
@@ -482,7 +497,7 @@ def station_profile(r, horizon):
     """
     instants = lambda: tuple(sorted(np.round(r.uniform(0.05, 0.95 * horizon, r.integers(0, 4)), 6)))
     if r.random() < 0.2:
-        silent = PiecewiseConstantIntensity.zero(horizon)
+        silent = PiecewiseConstantIntensity.constant(0.0, horizon)
         return StationFlowProfile(silent, silent, instants(), instants())
 
     def rate():
@@ -528,15 +543,14 @@ class TestMultiStationPass:
                 assert qF_at[at, i] == qF1_at
                 assert np.array_equal(q_at[at, i, : top + 1], q1_at)
                 assert not q_at[at, i, top + 1 :].any()
-            silent = not any(prof.lambda_a.values + prof.lambda_d.values)
+            silent = not prof.pieces[1].any()
             if not strict or silent:
                 assert errors[i] is None
             elif errors[i] is not None:
                 # the failure names an event time of the row's own station
                 found = re.fullmatch(r"probability mass drifted by \S+ at t=(\S+)", str(errors[i]))
                 assert found, str(errors[i])
-                own = {*prof.lambda_a.breakpoints, *prof.lambda_d.breakpoints,
-                       *prof.rho_a, *prof.rho_d, *times, T}
+                own = {*prof.pieces[0].tolist(), *prof.rho_a, *prof.rho_d, *times, T}
                 assert float(found.group(1)) in own
 
     def test_failing_row_is_its_station_alone_and_the_others_finish(self):
@@ -619,9 +633,8 @@ def sweep_profile(r, horizon, T):
     for t in (0.0, T):
         for name in rho:
             rho[name] += [t] * int(r.integers(0, 3))
-    return StationFlowProfile(
-        silenced(prof.lambda_a), silenced(prof.lambda_d), sorted(rho["rho_a"]), sorted(rho["rho_d"])
-    )
+    lambda_a, lambda_d = map(silenced, profile_rates(prof))
+    return StationFlowProfile(lambda_a, lambda_d, sorted(rho["rho_a"]), sorted(rho["rho_d"]))
 
 
 class TestAvailabilityFailureSweep:
