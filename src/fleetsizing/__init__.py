@@ -10,7 +10,6 @@ it, a demand-driven rebalancing planner, and replay of recorded days.
 from .exact import (
     JointDistribution,
     StateSpaceTooLargeError,
-    joint_failure_probability,
     joint_transient,
     marginal_distribution,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "extract_day_sequences",
     "failure_rate",
     "failure_times",
-    "joint_failure_probability",
     "joint_transient",
     "load_model",
     "load_plan",

@@ -201,12 +201,6 @@ class _JointEngine:
         out[-1] = state[-1] + state[src_blocked].sum()
         return out
 
-    def marginal(self, p, station):
-        i = station - 1
-        return np.bincount(
-            self.states[:, i], weights=p, minlength=int(self.caps[i]) + 1
-        )
-
 
 @dataclass
 class JointDistribution:
@@ -224,20 +218,26 @@ class JointDistribution:
 
 def marginal_distribution(dist, station):
     """P(station holds j vehicles and the system has not failed), j = 0..c_i."""
-    return dist.engine.marginal(dist.p, station)
+    i = station - 1
+    return np.bincount(dist.states[:, i], weights=dist.p, minlength=int(dist.engine.caps[i]) + 1)
 
 
-def _walk(model, plan, design, T, record_times=()):
+def joint_transient(model, plan, design, times):
+    """Joint distribution snapshots at each requested time.
+
+    A snapshot taken exactly at an event time sees the post-event state.
+    """
+    times = np.asarray(times, dtype=float)
+    T = float(times.max()) if times.size else 0.0
     check_design(model, design)
     plan = checked_plan(model, plan)
     if not 0.0 <= T <= model.horizon + 1e-9:
         raise ValueError(f"evaluation time {T} outside [0, {model.horizon}]")
-    pairs = model.pairs()
-    engine = _JointEngine(design, pairs)
+    engine = _JointEngine(design, model.pairs())
     state = engine.initial(design.v)
     jumps = [(t, (o, d)) for t, o, d in plan.instants()]
-    pieces, ends, actions, cuts = timeline(model.pieces, jumps, T, record_times)
-    snapshots = [None] * len(record_times)
+    pieces, ends, actions, cuts = timeline(model.pieces, jumps, T, times)
+    snapshots = [None] * len(times)
     terms, worst_drift, last_rates = 0, 0.0, None
     bounds = [0.0, *ends.tolist()]
     for b, t in enumerate(bounds):
@@ -261,21 +261,4 @@ def _walk(model, plan, design, T, record_times=()):
         "worst mass drift %.3e (tolerance %.0e)",
         engine.n, engine._moves.nnz, len(pieces), terms, worst_drift, _MASS_TOL,
     )
-    return JointDistribution(state[:-1], state[-1], T, engine), snapshots
-
-
-def joint_failure_probability(model, plan, design, T):
-    """Probability that any request or relocation went unserved by T."""
-    dist, _ = _walk(model, plan, design, T)
-    return dist.pF
-
-
-def joint_transient(model, plan, design, times):
-    """Joint distribution snapshots at each requested time.
-
-    A snapshot taken exactly at an event time sees the post-event state.
-    """
-    times = np.asarray(times, dtype=float)
-    T = float(times.max()) if times.size else 0.0
-    _, snapshots = _walk(model, plan, design, T, record_times=times)
     return snapshots

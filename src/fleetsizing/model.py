@@ -15,7 +15,6 @@ import logging
 import math
 import os
 import time
-from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -69,11 +68,6 @@ class PiecewiseConstantIntensity:
     @classmethod
     def constant(cls, rate, horizon_end):
         return cls((0.0,), (float(rate),), horizon_end)
-
-    def value_at(self, t):
-        if t < -_TIME_EPS or t > self.horizon_end + _TIME_EPS:
-            raise ValueError(f"time {t} outside intensity domain [0, {self.horizon_end}]")
-        return self.values[bisect_right(self.breakpoints, min(max(t, 0.0), self.horizon_end)) - 1]
 
 
 _PIECE_CHECKS = (
@@ -179,7 +173,8 @@ def rate_grid(pieces):
     rates): the sorted union of the breakpoints (``[0.0]`` for no items),
     and an (items x pieces) array whose row r holds item r on ``[edges[j],
     edges[j+1])``, the last piece ending at the horizon.  Entries are looked
-    up, never computed, so each is bitwise ``value_at`` in its piece.
+    up, never computed, so each is bitwise the item's own value on the
+    interval of its breakpoints that holds the piece.
     """
     starts, values, counts = pieces
     edges = np.unique(np.append(starts, 0.0))
@@ -193,8 +188,8 @@ def bin_integrals(pieces, horizon, edges):
     horizon]``.  Entry (r, b) adds up the pieces of item r that meet bin b,
     each clipped to the bin as rate x width, from left to right, so it is
     bitwise the scalar walk over the item's own breakpoints.  Edges up to
-    1e-9 outside ``[0, horizon]`` are clamped to it, as ``value_at`` clamps
-    times; a zero-width bin gives 0.0.
+    1e-9 outside ``[0, horizon]`` are clamped to it; a zero-width bin gives
+    0.0.
     """
     edges = np.asarray(edges, dtype=float)
     if not (edges.size and np.isfinite(edges).all() and np.all(np.diff(edges) >= 0.0)):

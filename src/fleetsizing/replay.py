@@ -25,6 +25,9 @@ log = logging.getLogger(__name__)
 
 _ARRIVAL, _DEPARTURE = 1, 2
 
+# largest per-station capacity a baseline search tries
+MAX_BASELINE_CAPACITY = 400
+
 
 @dataclass(frozen=True)
 class ReplayOutcome:
@@ -38,7 +41,7 @@ class ReplayOutcome:
         return self.availability_failures + self.capacity_failures > 0
 
 
-def replay_day(seq, plan, design, eta=None, overflow=True, trace=None):
+def replay_day(seq, plan, design, eta=None, overflow=True):
     """Replay one day's rentals plus the plan's relocations against a design.
 
     ``seq`` is a one-day DaySequences, such as ``sequences[i]``.  eta
@@ -46,24 +49,18 @@ def replay_day(seq, plan, design, eta=None, overflow=True, trace=None):
     when omitted; rentals always ride for their recorded duration).  In
     overflow mode a vehicle arriving at a full station docks anyway and
     the violation is counted; with overflow=False it is discarded
-    instead.  trace, when a list, receives
-    (t, kind, station, stocks_sum, in_transit) after every event.  The
-    plan must span the same horizon as the day.
+    instead.  The plan must span the same horizon as the day.
     """
     k = design.k
     if plan.k != k:
         raise ValueError(f"plan is for {plan.k} stations, design for {k}")
     (date,) = seq.dates
     if plan.horizon != seq.horizon:
-        raise ValueError(
-            f"plan covers {plan.horizon:g} h, day {date} covers {seq.horizon:g} h"
-        )
+        raise ValueError(f"plan covers {plan.horizon:g} h, day {date} covers {seq.horizon:g} h")
     if seq.k != k:
         raise ValueError(f"sequences have {seq.k} stations, design has {k}")
     stocks = list(design.v)
-    in_transit = 0
-    availability = 0
-    capacity = 0
+    availability = capacity = 0
 
     n = seq.t.size
     heap = list(zip(seq.t.tolist(), repeat(_DEPARTURE), range(n), seq.o.tolist(),
@@ -82,21 +79,13 @@ def replay_day(seq, plan, design, eta=None, overflow=True, trace=None):
                 availability += 1
             else:
                 stocks[o - 1] -= 1
-                in_transit += 1
                 heapq.heappush(heap, (t + ride, _ARRIVAL, order, o, d, 0.0))
                 order += 1
-            station = o
         else:
-            in_transit -= 1
-            if stocks[d - 1] >= design.c[d - 1]:
-                capacity += 1
-                if overflow:
-                    stocks[d - 1] += 1
-            else:
+            full = stocks[d - 1] >= design.c[d - 1]
+            capacity += full
+            if overflow or not full:
                 stocks[d - 1] += 1
-            station = d
-        if trace is not None:
-            trace.append((t, kind, station, sum(stocks), in_transit))
 
     return ReplayOutcome(date, availability, capacity, tuple(stocks))
 
@@ -121,18 +110,30 @@ def baseline_design(k, per_station_capacity):
     """Equal capacity everywhere, half of it (rounded down) stocked."""
     if per_station_capacity < 0:
         raise ValueError("capacity must be non-negative")
-    return SystemDesign(
-        tuple(per_station_capacity // 2 for _ in range(k)),
-        tuple(per_station_capacity for _ in range(k)),
-    )
+    return SystemDesign((per_station_capacity // 2,) * k, (per_station_capacity,) * k)
+
+
+def smallest_baselines(sequences, plan, eta, targets):
+    """The least uniform baseline that meets each target failure rate, or None.
+
+    Entry i is the first ``baseline_design`` of capacity 1..MAX_BASELINE_CAPACITY
+    whose ``failure_rate`` under ``plan`` is at most ``targets[i]``.  One upward
+    scan serves every target and stops once each is met.
+    """
+    found = [None] * len(targets)
+    cap = 0
+    while None in found and cap < MAX_BASELINE_CAPACITY:
+        cap += 1
+        design = baseline_design(sequences.k, cap)
+        rate = failure_rate(replay_all(sequences, plan, design, eta=eta))
+        found = [f or (design if rate <= t else None) for f, t in zip(found, targets)]
+    return found
 
 
 def sweep(designs, sequences, plan, eta=None, overflow=True):
     """Failure rate for each labelled design, as rows ready for a curve table."""
-    rows = []
-    for label, design in designs:
-        outcomes = replay_all(sequences, plan, design, eta=eta, overflow=overflow)
-        rows.append(
-            (label, design.fleet_size, design.total_capacity, failure_rate(outcomes))
-        )
-    return rows
+    return [
+        (label, design.fleet_size, design.total_capacity,
+         failure_rate(replay_all(sequences, plan, design, eta=eta, overflow=overflow)))
+        for label, design in designs
+    ]

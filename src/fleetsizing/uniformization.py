@@ -162,7 +162,7 @@ def timeline(pieces, jumps, T, record_times=()):
     time up to T, and at T.  Returns (pieces, ends, actions, cuts): a
     (pieces, 1 + items) array of each piece's dt and the items' rates,
     read from their concatenated ``pieces`` through ``rate_grid``, so each
-    is bitwise ``value_at`` of the piece's start; each piece's end time;
+    is bitwise the item's own value at the piece's start; each piece's end time;
     the ``(JUMP, payload)`` of each ``(t, payload)`` in ``jumps`` up to T
     and the ``(RECORD, index)`` of each record time, in the order they
     run; and the cuts of that list, so that ``actions[cuts[b]:cuts[b + 1]]``

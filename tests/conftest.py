@@ -73,19 +73,25 @@ def profile_rates(profile):
     )
 
 
+def clamped(pci, t):
+    """``t`` clamped to ``[0, horizon_end]`` of ``pci``; more than 1e-9 outside is an error."""
+    if t < -1e-9 or t > pci.horizon_end + 1e-9:
+        raise ValueError(f"time {t} outside intensity domain [0, {pci.horizon_end}]")
+    return min(max(t, 0.0), pci.horizon_end)
+
+
+def value_at(pci, t):
+    """The rate of ``pci`` at time t: ``values[j]`` on ``[breakpoints[j], breakpoints[j+1])``."""
+    return pci.values[bisect_right(pci.breakpoints, clamped(pci, t)) - 1]
+
+
 def reference_integral(pci, a, b):
     """The integral of ``pci`` over [a, b] by a walk over its own breakpoints.
 
-    Times up to 1e-9 outside the horizon are clamped to it, as ``value_at``
-    clamps them; the pieces are added left to right.
+    Times are ``clamped`` as ``value_at`` clamps them; the pieces are
+    added left to right.
     """
-
-    def clamp(t):
-        if t < -1e-9 or t > pci.horizon_end + 1e-9:
-            raise ValueError(f"time {t} outside intensity domain [0, {pci.horizon_end}]")
-        return min(max(t, 0.0), pci.horizon_end)
-
-    a, b = clamp(a), clamp(b)
+    a, b = clamped(pci, a), clamped(pci, b)
     if b < a:
         raise ValueError("integral bounds must satisfy a <= b")
     bp, vals = pci.breakpoints, pci.values
@@ -304,7 +310,7 @@ def mc_station_failure(profile, v, c, T, n_runs, seed):
         for t0, t1 in zip(grid[:-1], grid[1:]):
             mid = 0.5 * (t0 + t1)
             for pci, kind in ((lambda_a, +1), (lambda_d, -1)):
-                rate = pci.value_at(mid)
+                rate = value_at(pci, mid)
                 n = rng.poisson(rate * (t1 - t0))
                 events.extend((float(t), 0, kind) for t in rng.uniform(t0, t1, n))
         events.extend((t, 1, +1) for t in profile.rho_a if t <= T)

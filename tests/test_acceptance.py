@@ -1,6 +1,6 @@
 """End-to-end acceptance checks for the headline guarantees.
 
-Each test prints one `[ACCEPTANCE] <name>: PASS/FAIL` line (visible with
+Each test prints one `[ACCEPTANCE] <name>: PASS/FAIL (<detail>)` line (visible with
 `pytest -s`) and asserts the property it names.  These are the slowest
 tests in the suite; the Monte Carlo reference comparison alone takes a
 few minutes of CPU.
@@ -21,7 +21,7 @@ from fleetsizing.model import (
     save_model,
 )
 from fleetsizing.rebalance import build_plan
-from fleetsizing.replay import baseline_design, failure_rate, replay_all
+from fleetsizing.replay import baseline_design, failure_rate, replay_all, smallest_baselines
 from fleetsizing.simulate import estimate_failure_curve
 from fleetsizing.sizing import (
     SizingRequest,
@@ -42,7 +42,7 @@ from conftest import constant_profile, random_small_instance
 
 
 def report(name, ok, detail=""):
-    print(f"[ACCEPTANCE] {name}: {'PASS' if ok else 'FAIL'}")
+    print(f"[ACCEPTANCE] {name}: {'PASS' if ok else 'FAIL'}" + (f" ({detail})" if detail else ""))
     assert ok, f"{name}: {detail}"
 
 
@@ -165,32 +165,37 @@ def test_tailored_design_beats_uniform_baseline_by_wide_margin():
     model = synthetic_imbalanced_model(20, seed=0, base_rate=1.2, peak_factor=12.0)
     empty = RebalancingPlan.empty(20, model.horizon)
     plan = build_plan(model, bin_hours=1.0)
-    sized = size_system(model, plan, SizingRequest(0.01, 24.0)).design
     days = sample_day_sequences(model, 22, seed=1)
-    target = failure_rate(replay_all(days, plan, sized, eta=model.eta))
+    sized, target = {}, {}
+    for label, p in (("plan", plan), ("none", empty)):
+        sized[label] = size_system(model, p, SizingRequest(0.01, 24.0)).design
+        target[label] = failure_rate(replay_all(days, p, sized[label], eta=model.eta))
+    base_1, base_2 = smallest_baselines(days, empty, model.eta, [target["plan"], target["none"]])
+    (base_3,) = smallest_baselines(days, plan, model.eta, [target["plan"]])
 
-    smallest = None
-    for cap in range(1, 401):
-        base = baseline_design(20, cap)
-        rate = failure_rate(replay_all(days, empty, base, eta=model.eta))
-        if rate <= target:
-            smallest = base
-            break
-    ok = smallest is not None
-    detail = "no uniform baseline matched the replay failure rate"
-    if ok:
-        fleet_ratio = sized.fleet_size / smallest.fleet_size
-        cap_ratio = sized.total_capacity / smallest.total_capacity
-        ok = fleet_ratio <= 0.6 and cap_ratio <= 0.6
-        detail = (
-            f"fleet {sized.fleet_size}/{smallest.fleet_size} = {fleet_ratio:.3f}, "
-            f"capacity {sized.total_capacity}/{smallest.total_capacity} = "
-            f"{cap_ratio:.3f} (need <= 0.6)"
+    detail = []
+    for name, design, base in (
+        ("sized with the plan, baseline without", sized["plan"], base_1),
+        ("neither with a plan", sized["none"], base_2),
+        ("both with the plan", sized["plan"], base_3),
+    ):
+        if base is None:
+            detail.append(f"{name}: no uniform baseline matched the replay failure rate")
+            continue
+        detail.append(
+            f"{name}: fleet {design.fleet_size}/{base.fleet_size} = "
+            f"{design.fleet_size / base.fleet_size:.3f}, capacity {design.total_capacity}/"
+            f"{base.total_capacity} = {design.total_capacity / base.total_capacity:.3f}"
         )
+    # only the first pairing is gated: the headline sizes with the plan, the baseline without
+    ok = base_1 is not None and max(
+        sized["plan"].fleet_size / base_1.fleet_size,
+        sized["plan"].total_capacity / base_1.total_capacity,
+    ) <= 0.6
     report(
         "tailored design undercuts the uniform baseline by 40%",
         ok,
-        detail,
+        "; ".join(detail) + " (the first needs <= 0.6)",
     )
 
 

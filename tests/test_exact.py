@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from fleetsizing import exact
 from fleetsizing.exact import (
     StateSpaceTooLargeError,
-    joint_failure_probability,
     joint_transient,
     marginal_distribution,
 )
@@ -47,9 +46,9 @@ class TestJointIntegration:
         # (1,0) -> (0,1) on the first request; the second finds station 1 empty,
         # so failure means at least two requests arrived
         m = two_station_model()
-        pF = joint_failure_probability(
-            m, RebalancingPlan.empty(2, 1.0), SystemDesign((1, 0), (1, 1)), 1.0
-        )
+        pF = joint_transient(
+            m, RebalancingPlan.empty(2, 1.0), SystemDesign((1, 0), (1, 1)), [1.0]
+        )[-1].pF
         assert pF == pytest.approx(P_GE_2, abs=1e-10)
 
     def test_zero_demand_is_inert(self):
@@ -63,9 +62,9 @@ class TestJointIntegration:
     def test_all_stock_at_origin_side_failure_is_first_request_tail(self):
         # with no vehicles anywhere every request fails on arrival at its origin
         m = two_station_model(lam_12=0.7)
-        pF = joint_failure_probability(
-            m, RebalancingPlan.empty(2, 1.0), SystemDesign((0, 0), (2, 2)), 1.0
-        )
+        pF = joint_transient(
+            m, RebalancingPlan.empty(2, 1.0), SystemDesign((0, 0), (2, 2)), [1.0]
+        )[-1].pF
         assert pF == pytest.approx(1.0 - math.exp(-0.7), abs=1e-10)
 
     def test_relabeling_symmetry(self, rng):
@@ -73,7 +72,7 @@ class TestJointIntegration:
         while model.k != 2:
             model, plan, design = random_small_instance(rng)
         T = model.horizon
-        pF = joint_failure_probability(model, plan, design, T)
+        pF = joint_transient(model, plan, design, [T])[-1].pF
 
         # swap the two station labels everywhere
         swap = {1: 2, 2: 1}
@@ -84,7 +83,7 @@ class TestJointIntegration:
             2, T, {(swap[o], swap[d]): ts for (o, d), ts in plan.rho.items()}
         )
         sw_design = SystemDesign(design.v[::-1], design.c[::-1])
-        assert joint_failure_probability(sw_model, sw_plan, sw_design, T) == pytest.approx(
+        assert joint_transient(sw_model, sw_plan, sw_design, [T])[-1].pF == pytest.approx(
             pF, abs=1e-12
         )
 
@@ -107,7 +106,7 @@ class TestJointIntegration:
         design = SystemDesign((1, 0), (1, 1))
         with mock.patch.object(exact, "_MASS_TOL", 0.0):
             with pytest.raises(InvariantViolationError, match=r"drifted by .* in piece \[0.0, 1.0\]"):
-                joint_failure_probability(m, RebalancingPlan.empty(2, 1.0), design, 1.0)
+                joint_transient(m, RebalancingPlan.empty(2, 1.0), design, [1.0])[-1].pF
 
     def test_state_space_cap_raises_early(self):
         k = 12
@@ -115,7 +114,7 @@ class TestJointIntegration:
         m = DemandModel(k, {}, eta, 1.0)
         design = SystemDesign(tuple(2 for _ in range(k)), tuple(4 for _ in range(k)))
         with pytest.raises(StateSpaceTooLargeError, match="Monte Carlo"):
-            joint_failure_probability(m, RebalancingPlan.empty(k, 1.0), design, 1.0)
+            joint_transient(m, RebalancingPlan.empty(k, 1.0), design, [1.0])[-1].pF
 
 
 def after_relocation(design, o=1, d=2):
@@ -225,10 +224,10 @@ def with_idle_pieces(model, rng):
 
 
 def solve(model, plan, design, times):
-    """joint_transient snapshots and joint_failure_probability at the horizon."""
+    """joint_transient snapshots and the failure probability at the horizon."""
     return (
         joint_transient(model, plan, design, times),
-        joint_failure_probability(model, plan, design, model.horizon),
+        joint_transient(model, plan, design, [model.horizon])[-1].pF,
     )
 
 
@@ -322,9 +321,9 @@ class TestMoveMatrixKernel:
     def test_debug_line_reports_the_solve(self, caplog):
         m = two_station_model()
         with caplog.at_level(logging.DEBUG, logger="fleetsizing.exact"):
-            joint_failure_probability(
-                m, RebalancingPlan.empty(2, 1.0), SystemDesign((1, 0), (1, 1)), 1.0
-            )
+            joint_transient(
+                m, RebalancingPlan.empty(2, 1.0), SystemDesign((1, 0), (1, 1)), [1.0]
+            )[-1].pF
         (line,) = [r.getMessage() for r in caplog.records if r.name == "fleetsizing.exact"]
         found = re.fullmatch(
             r"joint solve: 2 slice states, 1 matrix entries, 1 pieces, (\d+) kernel terms, "

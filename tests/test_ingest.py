@@ -29,7 +29,7 @@ from fleetsizing.synth import (
     uniform_demand_model,
 )
 
-from conftest import days_of, intensities, reference_integral
+from conftest import days_of, intensities, reference_integral, value_at
 
 HEADER = "start_time,end_time,start_station_id,end_station_id"
 
@@ -188,8 +188,8 @@ class TestEstimateDemand:
         )
         model = estimate_demand(extract_day_sequences(parse_trips(path)))
         lam = intensities(model)[(1, 2)]
-        assert lam.value_at(8.5) == pytest.approx(2.0)
-        assert lam.value_at(9.5) == 0.0
+        assert value_at(lam, 8.5) == pytest.approx(2.0)
+        assert value_at(lam, 9.5) == 0.0
         assert model.k == 2
 
     def test_rates_average_over_observed_days(self, tmp_path):
@@ -197,7 +197,7 @@ class TestEstimateDemand:
             extract_day_sequences(parse_trips(month_of_commutes(tmp_path / "t.csv")))
         )
         # 44 trips in bin [8, 9) over 22 working days
-        assert intensities(model)[(1, 2)].value_at(8.25) == pytest.approx(2.0)
+        assert value_at(intensities(model)[(1, 2)], 8.25) == pytest.approx(2.0)
 
     def test_exposure_identity(self, tmp_path):
         model = estimate_demand(

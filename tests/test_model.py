@@ -1,5 +1,6 @@
 """Domain types: intensity algebra, flow aggregation, timelines, JSON wire format."""
 
+import itertools
 import json
 import math
 import pickle
@@ -44,6 +45,7 @@ from conftest import (
     random_small_instance,
     reference_integral,
     reference_shifted,
+    value_at,
 )
 
 
@@ -53,7 +55,7 @@ def reference_sum_intensities(items, horizon_end):
     if not items:
         return PiecewiseConstantIntensity.constant(0.0, horizon_end)
     merged = sorted({b for it in items for b in it.breakpoints})
-    values = tuple(sum(it.value_at(s) for it in items) for s in merged)
+    values = tuple(sum(value_at(it, s) for it in items) for s in merged)
     return PiecewiseConstantIntensity(tuple(merged), values, horizon_end)
 
 
@@ -128,18 +130,18 @@ def models_with_plans(draw):
 class TestPiecewiseConstantIntensity:
     def test_right_open_interval_lookup(self):
         pci = PiecewiseConstantIntensity((0.0, 2.0, 5.0), (1.0, 3.0, 0.5), 10.0)
-        assert pci.value_at(0.0) == 1.0
-        assert pci.value_at(1.999) == 1.0
-        assert pci.value_at(2.0) == 3.0  # right-open: new value starts at its breakpoint
-        assert pci.value_at(5.0) == 0.5
-        assert pci.value_at(10.0) == 0.5
+        assert value_at(pci, 0.0) == 1.0
+        assert value_at(pci, 1.999) == 1.0
+        assert value_at(pci, 2.0) == 3.0  # right-open: new value starts at its breakpoint
+        assert value_at(pci, 5.0) == 0.5
+        assert value_at(pci, 10.0) == 0.5
 
     def test_evaluation_outside_horizon_is_an_error(self):
         pci = PiecewiseConstantIntensity.constant(1.0, 10.0)
         with pytest.raises(ValueError):
-            pci.value_at(10.5)
+            value_at(pci, 10.5)
         with pytest.raises(ValueError):
-            pci.value_at(-0.5)
+            value_at(pci, -0.5)
 
     def test_breakpoints_must_increase(self):
         with pytest.raises(ValueError):
@@ -168,7 +170,7 @@ class TestPiecewiseConstantIntensity:
         pci = PiecewiseConstantIntensity.constant(0.05, 24.0)
         model = DemandModel(50, {(o, 50): pci for o in range(1, 50)}, ((0.0,) * 50,) * 50, 24.0)
         total, _ = profile_rates(aggregate_station_flows(model, None)[-1])
-        assert total.value_at(12.0) == pytest.approx(2.45, rel=1e-12)
+        assert value_at(total, 12.0) == pytest.approx(2.45, rel=1e-12)
 
     @given(st.sampled_from([2.0, 24.0]).flatmap(lambda h: st.lists(piecewise_rates(h), max_size=6)))
     @settings(max_examples=200, deadline=None)
@@ -195,7 +197,7 @@ class TestPiecewiseConstantIntensity:
         ends = [*edges[1:], items[0].horizon_end]
         for row, it in zip(rates, items):
             for j, (a, b) in enumerate(zip(edges, ends)):
-                assert row[j] == it.value_at(a) == it.value_at(0.5 * (a + b))
+                assert row[j] == value_at(it, a) == value_at(it, 0.5 * (a + b))
 
     def test_rate_grid_of_no_items(self):
         edges, rates = rate_grid(_pieces([]))
@@ -205,9 +207,9 @@ class TestPiecewiseConstantIntensity:
     def test_shift_by_delay_prepends_zero(self):
         pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
         shifted = reference_shifted(pci, 0.5)
-        assert shifted.value_at(0.25) == 0.0
-        assert shifted.value_at(0.5) == 1.0
-        assert shifted.value_at(23.9) == 1.0
+        assert value_at(shifted, 0.25) == 0.0
+        assert value_at(shifted, 0.5) == 1.0
+        assert value_at(shifted, 23.9) == 1.0
 
     def test_shift_integral_identity(self):
         # integral of the shifted intensity over [0,T] equals the original
@@ -275,7 +277,7 @@ class TestDemandModel:
         pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
         m = DemandModel(2, {(1, 2): pci}, ((0.0, 0.1), (0.1, 0.0)), 24.0)
         assert m.pairs() == [(1, 2)]
-        assert intensities(m)[(1, 2)].value_at(3.0) == 1.0
+        assert value_at(intensities(m)[(1, 2)], 3.0) == 1.0
 
     def test_eta_diagonal_must_be_zero(self):
         with pytest.raises(ValueError):
@@ -350,24 +352,24 @@ class TestAggregateStationFlows:
         m = DemandModel(50, intensities, eta, 24.0)
         lambda_a, lambda_d = profile_rates(aggregate_station_flows(m, RebalancingPlan.empty(50, 24.0))[6])
         for t in (0.0, 6.0, 23.0):
-            assert lambda_a.value_at(t) == pytest.approx(2.45, rel=1e-12)
-            assert lambda_d.value_at(t) == pytest.approx(2.45, rel=1e-12)
+            assert value_at(lambda_a, t) == pytest.approx(2.45, rel=1e-12)
+            assert value_at(lambda_d, t) == pytest.approx(2.45, rel=1e-12)
 
     def test_departure_rate_is_row_sum(self, rng):
         model, plan, _ = random_small_instance(rng)
         for i in range(1, model.k + 1):
             _, lambda_d = profile_rates(aggregate_station_flows(model, plan)[i - 1])
             for t in (0.0, 0.3, 1.1, 1.9):
-                expected = sum(lam.value_at(t) for (o, _), lam in intensities(model).items() if o == i)
-                assert lambda_d.value_at(t) == pytest.approx(expected, abs=1e-12)
+                expected = sum(value_at(lam, t) for (o, _), lam in intensities(model).items() if o == i)
+                assert value_at(lambda_d, t) == pytest.approx(expected, abs=1e-12)
 
     def test_delayed_arrival_turns_on_after_travel_time(self):
         pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
         m = DemandModel(2, {(1, 2): pci}, ((0.0, 0.5), (0.5, 0.0)), 24.0)
         prof = aggregate_station_flows(m, RebalancingPlan.empty(2, 24.0), with_delay=True)[1]
         lambda_a, _ = profile_rates(prof)
-        assert lambda_a.value_at(0.25) == 0.0
-        assert lambda_a.value_at(0.5) == 1.0
+        assert value_at(lambda_a, 0.25) == 0.0
+        assert value_at(lambda_a, 0.5) == 1.0
 
     def test_delayed_arrival_integral_identity(self, rng):
         model, plan, _ = random_small_instance(rng)
@@ -504,7 +506,7 @@ class TestWireFormat:
         assert again.horizon == model.horizon
         for o, d in model.pairs():
             for t in (0.0, 0.7, 1.5, model.horizon):
-                assert intensities(again)[o, d].value_at(t) == intensities(model)[o, d].value_at(t)
+                assert value_at(intensities(again)[o, d], t) == value_at(intensities(model)[o, d], t)
             assert again.eta_hours(o, d) == model.eta_hours(o, d)
 
     def test_plan_roundtrip(self, rng):
@@ -610,7 +612,7 @@ def bits(x):
 class TestOneRepresentation:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_a_shuffled_mapping_gives_its_round_trip_bitwise(self, seed):
-        from fleetsizing.exact import joint_failure_probability
+        from fleetsizing.exact import joint_transient
         from fleetsizing.rebalance import compute_imbalance, uniform_bins
         from fleetsizing.simulate import compile_tables
         from fleetsizing.sizing import SizingRequest, size_system
@@ -641,8 +643,8 @@ class TestOneRepresentation:
         ours, theirs = compile_tables(model), compile_tables(again)
         for name in ("pair_o", "pair_d", "pair_eta", "grid", "rates", "max_rate"):
             assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
-        assert bits(joint_failure_probability(model, plan, design, 3.0)) == bits(
-            joint_failure_probability(again, plan, design, 3.0))
+        assert bits(joint_transient(model, plan, design, [3.0])[-1].pF) == bits(
+            joint_transient(again, plan, design, [3.0])[-1].pF)
 
     def test_the_pairs_are_sorted_arrays_without_zero_demand(self):
         lam = PiecewiseConstantIntensity((0.0, 1.0), (0.5, 2.0), 4.0)
@@ -834,6 +836,9 @@ DOCUMENTS = st.recursive(
 )
 
 
+_WRITES = itertools.count()
+
+
 def reference_bytes(doc):
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
@@ -842,12 +847,14 @@ class TestWriteJson:
     @given(DOCUMENTS)
     @settings(max_examples=200, deadline=None)
     def test_bytes_are_those_of_json_dump(self, tmp_path_factory, doc):
-        path = tmp_path_factory.getbasetemp() / "writer.json"
         # slices of 1 and 3 scalars make every container large enough to be cut
         for size in (1, 3, model_module._SLICE_SCALARS):
+            # a fresh file per write: truncating the one just written can wait for its data
+            path = tmp_path_factory.getbasetemp() / f"writer-{next(_WRITES)}.json"
             with mock.patch.object(model_module, "_SLICE_SCALARS", size):
                 write_json(doc, path)
             assert path.read_bytes() == reference_bytes(doc)
+            path.unlink()
 
     def test_long_lists_are_written_in_slices(self, tmp_path):
         doc = {

@@ -1,10 +1,13 @@
 """Replaying recorded days against candidate designs."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleetsizing import replay
 from fleetsizing.ingest import DaySequences
 from fleetsizing.model import RebalancingPlan, SystemDesign
 from fleetsizing.replay import (
@@ -13,6 +16,7 @@ from fleetsizing.replay import (
     failure_rate,
     replay_all,
     replay_day,
+    smallest_baselines,
     sweep,
 )
 from fleetsizing.simulate import compile_tables, failure_times, sample_requests
@@ -114,15 +118,15 @@ class TestReplayDay:
         assert out.final_stocks == (0, 1)
 
     def test_vehicles_are_conserved_at_every_event(self):
+        # each prefix of the day ends once its last departure has docked again
         model = synthetic_imbalanced_model(6, seed=4)
         (seq,) = sample_day_sequences(model, 1, seed=9)
         design = SystemDesign((3,) * 6, (8,) * 6)
-        trace = []
-        out = replay_day(seq, no_plan(6), design, trace=trace)
-        assert len(trace) >= 10
-        for t, kind, station, stocks_sum, in_transit in trace:
-            assert stocks_sum + in_transit == design.fleet_size
-        assert sum(out.final_stocks) == design.fleet_size
+        assert seq.t.size >= 5
+        for n in range(seq.t.size + 1):
+            prefix = DaySequences(6, seq.horizon, seq.dates, [n], seq.t[:n], seq.o[:n], seq.d[:n],
+                                  seq.eta[:n])
+            assert sum(replay_day(prefix, no_plan(6), design).final_stocks) == design.fleet_size
 
     def test_replay_is_deterministic(self):
         model = synthetic_imbalanced_model(5, seed=1)
@@ -210,6 +214,39 @@ class TestSweep:
         sequences = sample_day_sequences(model, 5, seed=3)
         outs = replay_all(sequences, no_plan(4), baseline_design(4, 6))
         assert [o.day for o in outs] == list(sequences.dates)
+
+
+def reference_smallest_baseline(sequences, plan, eta, target):
+    """The one-target search: the first uniform capacity in 1..400 that meets ``target``."""
+    for cap in range(1, 401):
+        base = baseline_design(sequences.k, cap)
+        if failure_rate(replay_all(sequences, plan, base, eta=eta)) <= target:
+            return base
+    return None
+
+
+class TestSmallestBaselines:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_one_target_search(self, seed):
+        rng = np.random.default_rng(seed)
+        model, plan, _ = random_small_instance(rng, max_rebalances=8)
+        days = sample_day_sequences(model, int(rng.integers(1, 5)), seed=seed)
+        rates = [j / len(days) for j in range(len(days) + 1)] + rng.uniform(0.0, 1.0, 2).tolist()
+        picked = rng.choice(rates, 3).tolist()
+        # decreasing, one repeated, and last one that no baseline can meet
+        targets = sorted(picked + picked[:1], reverse=True) + [-1.0]
+        got = smallest_baselines(days, plan, model.eta, targets)
+        assert got == [reference_smallest_baseline(days, plan, model.eta, t) for t in targets]
+        assert got[-1] is None
+
+    def test_several_targets_cost_one_scan(self):
+        model = synthetic_imbalanced_model(4, seed=8)
+        days = sample_day_sequences(model, 3, seed=3)
+        with mock.patch.object(replay, "replay_all", wraps=replay.replay_all) as spy:
+            found = smallest_baselines(days, no_plan(4), model.eta, [0.0, 1.0, 0.0])
+        assert found[1] == baseline_design(4, 1) and found[0] == found[2]
+        assert spy.call_count == found[0].c[0]
 
 
 class TestReplayMatchesMonteCarlo:

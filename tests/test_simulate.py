@@ -8,7 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetsizing.exact import joint_failure_probability, joint_transient, marginal_distribution
+from fleetsizing.exact import joint_transient, marginal_distribution
 from fleetsizing.model import (
     DemandModel,
     PiecewiseConstantIntensity,

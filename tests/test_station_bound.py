@@ -35,6 +35,7 @@ from conftest import (
     mc_station_failure_fast,
     profile_rates,
     random_small_instance,
+    value_at,
 )
 
 # frozen closed forms: Poisson tail probabilities at rate*t = 1
@@ -153,8 +154,8 @@ def reference_evolve(profile, v, c_eff, T, cap_absorbs, record_times=(), mass_to
     def run_to(t_next):
         nonlocal q, qF, lost, t
         if t_next > t:
-            la = lambda_a.value_at(0.5 * (t + t_next))
-            ld = lambda_d.value_at(0.5 * (t + t_next))
+            la = value_at(lambda_a, 0.5 * (t + t_next))
+            ld = value_at(lambda_d, 0.5 * (t + t_next))
             q, qF, lost = reference_advance(q, qF, lost, la, ld, t_next - t, cap_absorbs)
             q, qF, lost = reference_guard(q, qF, lost, f"at t={t_next}", mass_tol)
             t = t_next

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fleetsizing.model import InvariantViolationError, _pieces
 from fleetsizing.uniformization import JUMP, RECORD, check_mass, timeline, uniformize
 
-from conftest import make_pci
+from conftest import make_pci, value_at
 
 
 def shift_kernel(cur, out):
@@ -117,7 +117,7 @@ class TestTimeline:
         assert set(ends.tolist()) == expected_ends
         assert np.array_equal(pieces[:, 0], ends - starts)
         for j, start in enumerate(starts.tolist()):
-            assert pieces[j, 1:].tolist() == [it.value_at(start) for it in items]
+            assert pieces[j, 1:].tolist() == [value_at(it, start) for it in items]
 
         # each boundary runs the actions at its time, jumps before records,
         # each kind in input order
