@@ -3,34 +3,45 @@
 Request streams are sampled per origin-destination pair by thinning: a
 homogeneous candidate stream at the pair's maximum rate is generated
 over [0, T] (Poisson count, then i.i.d. uniform times), and each
-candidate is kept with probability rate(t)/max_rate.  When the model's
-rate grid has a single bin (every pair's rate is constant), each
-candidate's rate is read from that bin without a grid search; the
-values are those of the search, which would find the same bin.
+candidate is kept with probability rate(t)/max_rate.
 
 Reproducibility contract: run i of an estimate seeded with ``seed`` uses
 the stream ``numpy.random.default_rng(seed + i)``, and each run draws,
 in this fixed order: (1) one Poisson candidate count per pair, pairs
 sorted by (o, d); (2) all candidate times in one uniform block, laid out
 pair-by-pair in the same order; (3) one uniform thinning mark per
-candidate, aligned with the times.  Runs are therefore independent of
+candidate, aligned with the times.  When the model's rate grid has a
+single bin, a run keeps every candidate (mark * rate < rate for every
+mark in [0, 1)), so it skips its marks, the last draw, and no other
+number moves; ``sample_requests`` always draws them, and synthetic days
+(``synth.sample_day_sequences``) draw with it.  Runs are independent of
 scheduling: one driver serves ``failure_times`` and
 ``estimate_failure_curve``, and fans the runs out over FLEETSIZING_WORKERS
 processes, never more than there are runs (so one run starts no pool),
 without changing any result.
-``sample_requests`` is that sampler, and synthetic days
-(``synth.sample_day_sequences``) draw with it too.
 
 Within a run, events are replayed in time order; events at the same
 instant go by (origin, destination), and with travel delays arrivals go
-before departures, then by station.  The events are sorted by time alone
-and the full lexicographic sort runs only when sorted times tie (for
-example, relocations at a shared instant), so the order is the same
-either way.  Until the first unserved request the trajectory coincides
-with unconstrained stock bookkeeping (every earlier event succeeded), so
-the run is vectorized as one segmented scan: each event becomes one
-entry per station it touches (an int8 step, -1 at the origin and +1 at
-the destination, or a single entry with travel delays), the entries are
+before departures, then by station.  A run sorts its candidate times
+once: each candidate's rate bin is read from that order, with one search
+of the sorted times per grid edge, and thinning keeps the order.  The
+plan's entries are put in the replay order once per estimate, and a run
+merges its requests in with one stable sort of the sorted pieces (with
+travel delays, the requests' arrivals get one sort of their own first).
+Only entries of one station at one instant with opposite steps can
+change a stock path; entries of one step commute.  With travel delays
+the pieces go request arrivals, plan entries, request departures, so the
+merge puts every arrival at an instant before every departure, and no
+run needs more.  Without them, a run in which a request ties another
+event, and some station has one event leaving and one arriving at that
+instant, takes the full lexicographic sort (the tie path); the DEBUG
+line counts those runs.
+
+Until the first unserved request the trajectory coincides with
+unconstrained stock bookkeeping (every earlier event succeeded), so the
+run is vectorized as one segmented scan: each event becomes one entry
+per station it touches (an int8 step, -1 at the origin and +1 at the
+destination, or a single entry with travel delays), the entries are
 stably sorted by a station key of the narrowest unsigned type (a radix
 sort), and an int32 prefix sum, read relative to each station segment's
 start, gives the stock after every entry.  A station first refuses at
@@ -104,28 +115,20 @@ def _plan_arrays(model, plan):
     return t, o, d, eta
 
 
-def _sample_pairs(tables, T, rng):
-    """Thinned request times over [0, T] and the index of each one's pair, unsorted."""
+def _candidates(tables, T, rng):
+    """A run's first two draws: candidate times over [0, T] and each one's pair, unsorted."""
     counts = rng.poisson(tables.max_rate * T)
-    total = int(counts.sum())
-    times = rng.uniform(0.0, T, total)
-    marks = rng.uniform(0.0, 1.0, total)
-    pair_idx = np.repeat(np.arange(len(counts)), counts)
-    if tables.rates.shape[1] == 1:
-        # every candidate lies in the only bin of the grid
-        rate = tables.rates[:, 0].take(pair_idx)
-    else:
-        bins = np.searchsorted(tables.grid, times, side="right") - 1
-        rate = tables.rates[pair_idx, bins]
-    keep = marks * tables.max_rate[pair_idx] < rate
-    if keep.all():
-        return times, pair_idx
-    return times[keep], pair_idx[keep]
+    times = rng.uniform(0.0, T, int(counts.sum()))
+    return times, np.repeat(np.arange(len(counts)), counts)
 
 
 def sample_requests(tables, T, rng):
     """Thinned request events over [0, T]: (times, origins, dests, etas), unsorted."""
-    times, pair_idx = _sample_pairs(tables, T, rng)
+    times, pair_idx = _candidates(tables, T, rng)
+    marks = rng.uniform(0.0, 1.0, len(times))
+    bins = np.searchsorted(tables.grid, times, side="right") - 1
+    keep = marks * tables.max_rate[pair_idx] < tables.rates[pair_idx, bins]
+    times, pair_idx = times[keep], pair_idx[keep]
     return (
         times,
         tables.pair_o[pair_idx],
@@ -134,48 +137,82 @@ def sample_requests(tables, T, rng):
     )
 
 
-def _run(seed, tables, keys, plan, v, c, T, with_delay):
-    """One run: ``(failed_at, events)``, with ``failed_at`` inf if it never fails.
+def _bins(t, grid):
+    """``np.searchsorted(grid, t, side="right") - 1`` for sorted times ``t``.
 
-    ``keys`` holds each pair's 0-based origin and destination station keys,
-    ``plan`` the (t, o, d, eta) of the relocations that start by T, with the
-    same keys; ``events`` counts the run's requests and relocations.
+    One search of the sorted times per grid edge finds where each bin's
+    times start, and a ``repeat`` labels the runs in between.
     """
-    t, pair_idx = _sample_pairs(tables, T, np.random.default_rng(seed))
-    plan_t, plan_o, plan_d, plan_eta = plan
-    t = np.concatenate([t, plan_t])
-    o = np.concatenate([keys[0].take(pair_idx), plan_o])
-    d = np.concatenate([keys[1].take(pair_idx), plan_d])
-    events = len(t)
+    starts = t.searchsorted(grid)
+    sizes = np.empty(len(grid) + 1, dtype=np.intp)
+    sizes[0], sizes[-1] = starts[0], len(t) - starts[-1]
+    np.subtract(starts[1:], starts[:-1], out=sizes[1:-1])
+    return np.arange(-1, len(grid)).repeat(sizes)
+
+
+def _opposite_ties(t, o, d):
+    """Whether an event leaves some station at an instant when another arrives there."""
+    t = t.tolist()
+    return not set(zip(t, o.tolist())).isdisjoint(zip(t, d.tolist()))
+
+
+def _run(seed, tables, keys, plan, plan_events, plan_ties, v, c, T, with_delay):
+    """One run: ``(failed_at, events, tie_path)``, ``failed_at`` inf if it never fails.
+
+    ``keys`` holds each pair's 0-based origin and destination station keys.
+    ``plan`` holds the entries of the ``plan_events`` relocations that start
+    by T, with the same keys, in the reference order: (t, o, d) sorted by
+    (t, o, d) without delays, (t, station, step) of their departures and
+    landed arrivals sorted by (t, -step, station) with them.  ``plan_ties``
+    counts the plan's adjacent equal times.  ``events`` counts the run's
+    requests and relocations; ``tie_path`` is whether the run took the full
+    lexicographic sort.
+    """
+    rng = np.random.default_rng(seed)
+    t, pair = _candidates(tables, T, rng)
+    order = t.argsort()
+    t, pair = t.take(order), pair.take(order)
+    if tables.rates.shape[1] > 1:
+        marks = rng.uniform(0.0, 1.0, len(t)).take(order)
+        keep = marks * tables.max_rate.take(pair) < tables.rates[pair, _bins(t, tables.grid)]
+        t, pair = t[keep], pair[keep]
+    o, d = keys[0].take(pair), keys[1].take(pair)
+    events = len(t) + plan_events
+    tie_path = False
     if with_delay:
-        arrive = t + np.concatenate([tables.pair_eta.take(pair_idx), plan_eta])
+        arrive = t + tables.pair_eta.take(pair)
         landed = arrive <= T
-        t = np.concatenate([t, arrive[landed]])
-        st = np.concatenate([o, d[landed]])
-        step = np.ones(len(t), dtype=np.int8)
-        step[:events] = -1
-        # ties: arrivals (step +1) before departures, then by station
-        tiebreaks = (st, -step)
+        arrive, d = arrive[landed], d[landed]
+        first = arrive.argsort()
+        plan_t, plan_st, plan_step = plan
+        t = np.concatenate([arrive.take(first), plan_t, t])
+        st = np.concatenate([d.take(first), plan_st, o])
+        step = np.concatenate(
+            [np.ones(len(arrive), np.int8), plan_step, np.full(len(o), -1, np.int8)]
+        )
+        order = t.argsort(kind="stable")
+        t, st, step = t.take(order), st.take(order), step.take(order)
         per_event = 1
     else:
-        tiebreaks = (d, o)
-        per_event = 2
-    order = np.argsort(t)
-    t_s = t.take(order)
-    if (t_s[1:] == t_s[:-1]).any():
-        order = np.lexsort((*tiebreaks, t))
-        t_s = t.take(order)
-    if with_delay:
-        st = st.take(order)
-        step = step.take(order)
-    else:
+        plan_t, plan_o, plan_d = plan
+        if plan_events:
+            t = np.concatenate([t, plan_t])
+            o = np.concatenate([o, plan_o])
+            d = np.concatenate([d, plan_d])
+            order = t.argsort(kind="stable")
+            t, o, d = t.take(order), o.take(order), d.take(order)
+        if np.count_nonzero(t[1:] == t[:-1]) > plan_ties and _opposite_ties(t, o, d):
+            tie_path = True
+            order = np.lexsort((d, o, t))
+            t, o, d = t.take(order), o.take(order), d.take(order)
         # entries [o0, d0, o1, d1, ...]: each event removes at o, adds at d
-        st = np.empty(2 * events, dtype=o.dtype)
-        st[0::2] = o.take(order)
-        st[1::2] = d.take(order)
-        step = np.empty(2 * events, dtype=np.int8)
+        st = np.empty(2 * len(t), dtype=o.dtype)
+        st[0::2] = o
+        st[1::2] = d
+        step = np.empty(2 * len(t), dtype=np.int8)
         step[0::2] = -1
         step[1::2] = 1
+        per_event = 2
 
     # a stable sort by station makes each station's entries one segment in
     # event order
@@ -188,8 +225,8 @@ def _run(seed, tables, keys, plan, v, c, T, with_delay):
     # one it refuses; a negative stock reads as a large unsigned number
     after = prefix[1:] + np.repeat(base, counts)
     refused = after.view(np.uint32) > np.repeat(c, counts).view(np.uint32)
-    failed_at = float(t_s[perm[refused].min() // per_event]) if refused.any() else np.inf
-    return failed_at, events
+    failed_at = float(t[perm[refused].min() // per_event]) if refused.any() else np.inf
+    return failed_at, events, tie_path
 
 
 def _worker_count():
@@ -216,21 +253,32 @@ def failure_times(model, plan, design, T, seeds, with_delay=False):
         raise ValueError(f"simulation end {T} outside [0, {model.horizon}]")
     start = time.perf_counter()
     tables = compile_tables(model)
-    plan_t, plan_o, plan_d, plan_eta = _plan_arrays(model, plan)
-    due = plan_t <= T
     # the narrowest station key: the stable sort by station then runs as a
     # radix sort, in one pass over the entries up to 256 stations
     key_type = np.min_scalar_type(model.k - 1)
+    plan_t, plan_o, plan_d, plan_eta = _plan_arrays(model, plan)
+    due = plan_t <= T
+    plan_t, plan_eta = plan_t[due], plan_eta[due]
+    plan_o, plan_d = (plan_o[due] - 1).astype(key_type), (plan_d[due] - 1).astype(key_type)
+    if with_delay:
+        arrive = plan_t + plan_eta
+        landed = arrive <= T
+        t = np.concatenate([plan_t, arrive[landed]])
+        st = np.concatenate([plan_o, plan_d[landed]])
+        step = np.ones(len(t), dtype=np.int8)
+        step[: len(plan_t)] = -1
+        order = np.lexsort((st, -step, t))
+        entries = (t[order], st[order], step[order])
+    else:
+        # the plan lists its relocations by (t, o, d), the reference order
+        entries = (plan_t, plan_o, plan_d)
     run_batch = partial(
         _run_batch,
         tables=tables,
         keys=((tables.pair_o - 1).astype(key_type), (tables.pair_d - 1).astype(key_type)),
-        plan=(
-            plan_t[due],
-            (plan_o[due] - 1).astype(key_type),
-            (plan_d[due] - 1).astype(key_type),
-            plan_eta[due],
-        ),
+        plan=entries,
+        plan_events=len(plan_t),
+        plan_ties=int(np.count_nonzero(entries[0][1:] == entries[0][:-1])),
         v=np.asarray(design.v, dtype=np.int32),
         c=np.asarray(design.c, dtype=np.int32),
         T=T,
@@ -244,10 +292,11 @@ def failure_times(model, plan, design, T, seeds, with_delay=False):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = [run for batch in pool.map(run_batch, chunks) for run in batch]
     log.debug(
-        "monte carlo: %d runs, %d workers, %d events, %.3f s",
-        len(runs), workers, sum(events for _, events in runs), time.perf_counter() - start,
+        "monte carlo: %d runs, %d workers, %d events, %d tie-path runs, %.3f s",
+        len(runs), workers, sum(run[1] for run in runs), sum(run[2] for run in runs),
+        time.perf_counter() - start,
     )
-    return np.array([failed_at for failed_at, _ in runs], dtype=float)
+    return np.array([run[0] for run in runs], dtype=float)
 
 
 def estimate_failure_curve(

@@ -354,14 +354,6 @@ def result_to_json(result, z, T):
     }
 
 
-def design_to_json(design):
-    return {
-        "stations": [
-            {"id": i + 1, "v": design.v[i], "c": design.c[i]} for i in range(design.k)
-        ]
-    }
-
-
 def design_from_json(doc):
     with parsing("design"):
         stations = doc["stations"]

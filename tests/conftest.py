@@ -249,6 +249,15 @@ def dense_simulate(model, plan, design, T, seeds, with_delay, sample_times):
     return runs
 
 
+def design_to_json(design):
+    """The design.json document of ``design``: each station's id, stock and capacity."""
+    return {
+        "stations": [
+            {"id": i + 1, "v": design.v[i], "c": design.c[i]} for i in range(design.k)
+        ]
+    }
+
+
 def brute_force_transport(supply, demand, cost):
     """Minimum-cost integral transport by exhaustive enumeration.
 

@@ -25,7 +25,6 @@ from fleetsizing.replay import baseline_design, failure_rate, replay_all, smalle
 from fleetsizing.simulate import estimate_failure_curve
 from fleetsizing.sizing import (
     SizingRequest,
-    design_to_json,
     size_station_capacity,
     size_station_stock,
     size_system,
@@ -38,7 +37,7 @@ from fleetsizing.synth import (
     uniform_demand_model,
 )
 
-from conftest import constant_profile, random_small_instance
+from conftest import constant_profile, design_to_json, random_small_instance
 
 
 def report(name, ok, detail=""):

@@ -19,10 +19,10 @@ from fleetsizing.cli import (
 from fleetsizing import model as model_module
 from fleetsizing.ingest import estimate_demand, load_sequences, save_sequences
 from fleetsizing.model import InvariantViolationError, SystemDesign, save_model
-from fleetsizing.sizing import SizingInfeasibleError, design_to_json
+from fleetsizing.sizing import SizingInfeasibleError
 from fleetsizing.synth import uniform_demand_model
 
-from conftest import days_of
+from conftest import days_of, design_to_json
 
 
 def write_demo_trips(path):
@@ -292,7 +292,9 @@ class TestDeterminism:
         assert outs[0] == outs[1]
         lines = [r.getMessage() for r in caplog.records if r.name == "fleetsizing.simulate"]
         (line,) = lines
-        found = re.fullmatch(r"monte carlo: 200 runs, 1 workers, (\d+) events, \S+ s", line)
+        found = re.fullmatch(
+            r"monte carlo: 200 runs, 1 workers, (\d+) events, 0 tie-path runs, \S+ s", line
+        )
         assert found and int(found.group(1)) > 0, line
 
     def test_ingest_output_is_unchanged_by_debug_logging(self, pipeline, tmp_path, caplog, capsys):

@@ -1,5 +1,7 @@
 """Monte Carlo estimator: reproducibility contract, thinning, statistical checks."""
 
+import logging
+import re
 from unittest import mock
 
 import numpy as np
@@ -16,6 +18,7 @@ from fleetsizing.model import (
     SystemDesign,
 )
 from fleetsizing.simulate import (
+    _bins,
     compile_tables,
     estimate_failure_curve,
     failure_times,
@@ -370,7 +373,8 @@ class TestThinning:
 
     def test_one_bin_grid_reads_like_the_grid_lookup(self):
         # a redundant breakpoint splits the same rates into two bins, so the
-        # sampler takes the grid lookup instead of the one-bin shortcut
+        # run draws its thinning marks and reads them against the grid; with
+        # one bin it keeps every candidate without drawing them
         T = 2.0
         rates = {(1, 2): 1.5, (2, 3): 0.4, (3, 1): 2.25, (1, 3): 7.0}
         eta = ((0.0, 0.1, 0.2), (0.1, 0.0, 0.3), (0.2, 0.3, 0.0))
@@ -390,6 +394,14 @@ class TestThinning:
                 assert len(a[0]) > 0
                 for x, y in zip(a, b):
                     assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        plan = RebalancingPlan(3, T, {(2, 1): (0.5, 1.0), (3, 2): (1.0,)})
+        design = SystemDesign((10, 3, 2), (12, 8, 20))
+        for with_delay in (False, True):
+            for t_end in (T, 1.3):
+                a = failure_times(flat, plan, design, t_end, range(200), with_delay)
+                b = failure_times(split, plan, design, t_end, range(200), with_delay)
+                assert a.tobytes() == b.tobytes()
+                assert 0 < np.isfinite(a).sum() < len(a)
 
     def test_thinning_never_emits_events_where_rate_is_zero(self):
         pci = PiecewiseConstantIntensity((0.0, 5.0), (0.0, 3.0), 10.0)
@@ -399,6 +411,105 @@ class TestThinning:
         for _ in range(50):
             times, _, _, _ = sample_requests(tables, 10.0, rng)
             assert np.all(times >= 5.0)
+
+
+class TestBinRead:
+    def test_bins_match_the_grid_search(self):
+        # every edge exactly, and the float one ulp either side of it
+        model, _ = busy_network()
+        grids = [
+            compile_tables(model).grid, np.array([0.0, 0.7, 1.0, 2.5, 6.0]), np.array([0.0, 3.0])
+        ]
+        for grid in grids:
+            t = np.sort(np.concatenate([
+                [0.0],
+                grid,
+                np.nextafter(grid, -np.inf),
+                np.nextafter(grid, np.inf),
+                np.random.default_rng(3).uniform(0.0, grid[-1], 50),
+            ]))
+            bins = _bins(t, grid)
+            assert bins.tolist() == (np.searchsorted(grid, t, side="right") - 1).tolist()
+            assert bins.min() == -1 and bins.max() == len(grid) - 1
+            assert _bins(t[:0], grid).tolist() == []
+
+
+REAL_DEFAULT_RNG = np.random.default_rng
+
+
+class QuarterHourTimes:
+    """``default_rng(seed)`` with a run's candidate times floored to quarter hours.
+
+    A run's first ``uniform`` draw is its candidate times, so requests then
+    share instants with each other and with relocations on the same grid.
+    """
+
+    def __init__(self, seed):
+        self._rng = REAL_DEFAULT_RNG(seed)
+        self._draws = 0
+
+    def poisson(self, lam):
+        return self._rng.poisson(lam)
+
+    def uniform(self, low, high, size):
+        self._draws += 1
+        draws = self._rng.uniform(low, high, size)
+        return np.floor(draws * 4.0) / 4.0 if self._draws == 1 else draws
+
+
+def failures_and_ties(caplog, *args, **kwargs):
+    """``failure_times(*args, **kwargs)`` and the tie-path runs its DEBUG line counts."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="fleetsizing.simulate"):
+        failed = failure_times(*args, **kwargs)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "fleetsizing.simulate"]
+    return failed, int(re.search(r", (\d+) tie-path runs, ", line).group(1))
+
+
+class TestTiePath:
+    """Runs take the full lexicographic sort only where a request's tie can matter."""
+
+    def test_shared_instants_and_zero_travel_times_take_no_tie_path(self, caplog):
+        model, plan = busy_network()
+        k = model.k
+        design = SystemDesign((0,) + (15,) * (k - 1), (0,) + (30,) * (k - 1))
+        zero_eta = DemandModel(k, intensities(model), ((0.0,) * k,) * k, model.horizon)
+        for m, with_delay in ((model, False), (zero_eta, True)):
+            seeds = range(40, 48)
+            failed, ties = failures_and_ties(caplog, m, plan, design, m.horizon, seeds, with_delay)
+            refs = dense_simulate(m, plan, design, m.horizon, seeds, with_delay, [m.horizon])
+            assert failed.tolist() == [ref[0] for ref in refs]
+            assert ties == 0
+
+    def test_same_station_request_ties_take_the_tie_path(self, caplog, monkeypatch):
+        # requests 1->2 and 2->3 on the quarter-hour grid meet each other and
+        # the relocations 2->1 at 0.5 h and 3->2 at 1 h; a run needs the tie
+        # path where one event leaves a station at the instant another
+        # arrives there (the plan alone has no such pair)
+        T = 2.0
+        lam = {(1, 2): PiecewiseConstantIntensity.constant(0.8, T),
+               (2, 3): PiecewiseConstantIntensity.constant(0.4, T)}
+        eta = ((0.0, 0.5, 0.25), (0.25, 0.0, 0.5), (0.5, 0.25, 0.0))
+        model = DemandModel(3, lam, eta, T)
+        plan = RebalancingPlan(3, T, {(2, 1): (0.5,), (3, 2): (1.0,)})
+        monkeypatch.setattr(np.random, "default_rng", QuarterHourTimes)
+        tables = compile_tables(model)
+        seeds = range(60)
+        needs_tie_path = []
+        for seed in seeds:
+            t, o, d, _ = sample_requests(tables, T, QuarterHourTimes(seed))
+            events = list(zip(t, o, d)) + [(0.5, 2, 1), (1.0, 3, 2)]
+            leaving = {(te, oe) for te, oe, _ in events}
+            needs_tie_path.append(any((te, de) in leaving for te, _, de in events))
+        assert 0 < sum(needs_tie_path) < len(seeds)
+        for design in (SystemDesign((1, 1, 0), (1, 1, 1)), SystemDesign((1, 0, 1), (2, 2, 1))):
+            for with_delay in (False, True):
+                failed, ties = failures_and_ties(caplog, model, plan, design, T, seeds, with_delay)
+                refs = dense_simulate(model, plan, design, T, seeds, with_delay, [T])
+                assert failed.tolist() == [ref[0] for ref in refs]
+                # with travel delays, arrivals go before departures at every
+                # instant, the reference's rule, so no run needs the tie path
+                assert ties == (0 if with_delay else sum(needs_tie_path))
 
 
 class TestSegmentedScanMatchesDenseReference:

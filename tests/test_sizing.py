@@ -24,7 +24,6 @@ from fleetsizing.sizing import (
     SizingRequest,
     _minimal_feasible,
     design_from_json,
-    design_to_json,
     result_to_json,
     size_station_capacity,
     size_station_stock,
@@ -32,7 +31,13 @@ from fleetsizing.sizing import (
 )
 from fleetsizing.station_bound import station_failure_probability
 
-from conftest import constant_profile, profile_rates, random_small_instance, reference_integral
+from conftest import (
+    constant_profile,
+    design_to_json,
+    profile_rates,
+    random_small_instance,
+    reference_integral,
+)
 
 # P(Poisson(1) >= n) for the unit-demand closed forms below.
 P_GE_4 = 0.01898815687615385

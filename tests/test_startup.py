@@ -12,10 +12,9 @@ import pytest
 from fleetsizing.cli import EXIT_OK, run
 from fleetsizing.ingest import save_sequences
 from fleetsizing.model import SystemDesign, save_model
-from fleetsizing.sizing import design_to_json
 from fleetsizing.synth import sample_day_sequences, synthetic_imbalanced_model
 
-from conftest import fresh_python
+from conftest import design_to_json, fresh_python
 
 # reports on stderr which SciPy modules the interpreter has loaded
 REPORT_SCIPY = (
