@@ -206,9 +206,7 @@ def cmd_sweep(args):
                 print(f"z={z:g} ({plan_label}): no feasible design, skipped", file=sys.stderr)
                 continue
             designs.append((f"proposed-{plan_label}-z{z:g}", result.design))
-        rows.extend(
-            replay.sweep(designs, sequences, plan, eta=model.eta, overflow=not args.strict)
-        )
+        rows.extend(replay.sweep(designs, sequences, plan, eta=model.eta))
 
     _write_csv(
         args.out,
@@ -295,7 +293,6 @@ def build_parser():
     p.add_argument("--z-grid", default="0.5,0.2,0.1,0.05,0.01")
     p.add_argument("--capacity-grid", default="2,4,6,8,10,12,16,20,24,30")
     p.add_argument("--T", type=float, default=24.0)
-    p.add_argument("--strict", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -86,16 +86,11 @@ def _solve_transport(supply_idx, supply, demand_idx, demand, cost):
 
     n_s, n_d = len(supply_idx), len(demand_idx)
     c = cost.ravel()
-    rows = []
-    cols = []
-    for s in range(n_s):
-        rows.extend([s] * n_d)
-        cols.extend(range(s * n_d, (s + 1) * n_d))
-    for d in range(n_d):
-        rows.extend([n_s + d] * n_s)
-        cols.extend(range(d, n_s * n_d, n_d))
+    # flow j = s * n_d + d appears in supply row s and demand row n_s + d
+    j = np.arange(n_s * n_d)
+    rows = np.concatenate([j // n_d, n_s + j % n_d])
     a_eq = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n_s + n_d, n_s * n_d)
+        (np.ones(len(rows)), (rows, np.concatenate([j, j]))), shape=(n_s + n_d, n_s * n_d)
     )
     b_eq = np.concatenate([supply, demand])
     res = optimize.linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")

@@ -130,10 +130,14 @@ def smallest_baselines(sequences, plan, eta, targets):
     return found
 
 
-def sweep(designs, sequences, plan, eta=None, overflow=True):
-    """Failure rate for each labelled design, as rows ready for a curve table."""
+def sweep(designs, sequences, plan, eta=None):
+    """Failure rate for each labelled design, as rows ready for a curve table.
+
+    A day fails at its first refusal, and up to it overflow and strict
+    replay act the same, so the rates hold for either.
+    """
     return [
         (label, design.fleet_size, design.total_capacity,
-         failure_rate(replay_all(sequences, plan, design, eta=eta, overflow=overflow)))
+         failure_rate(replay_all(sequences, plan, design, eta=eta)))
         for label, design in designs
     ]

@@ -5,29 +5,34 @@ homogeneous candidate stream at the pair's maximum rate is generated
 over [0, T] (Poisson count, then i.i.d. uniform times), and each
 candidate is kept with probability rate(t)/max_rate.
 
-Reproducibility contract: run i of an estimate seeded with ``seed`` uses
-the stream ``numpy.random.default_rng(seed + i)``, and each run draws,
-in this fixed order: (1) one Poisson candidate count per pair, pairs
-sorted by (o, d); (2) all candidate times in one uniform block, laid out
-pair-by-pair in the same order; (3) one uniform thinning mark per
-candidate, aligned with the times.  When the model's rate grid has a
-single bin, a run keeps every candidate (mark * rate < rate for every
-mark in [0, 1)), so it skips its marks, the last draw, and no other
-number moves; ``sample_requests`` always draws them, and synthetic days
-(``synth.sample_day_sequences``) draw with it.  Runs are independent of
-scheduling: one driver serves ``failure_times`` and
-``estimate_failure_curve``, and fans the runs out over FLEETSIZING_WORKERS
-processes, never more than there are runs (so one run starts no pool),
-without changing any result.
+Reproducibility contract: one sampler, ``sample_requests``, draws the
+requests of every Monte Carlo run and of every synthetic day
+(``synth.sample_day_sequences``).  Run i of an estimate seeded with
+``seed`` uses the stream ``numpy.random.default_rng(seed + i)``, and each
+draw takes, in this fixed order: (1) one Poisson candidate count per
+pair, pairs sorted by (o, d); (2) all candidate times in one uniform
+block, laid out pair-by-pair in the same order; (3) one uniform thinning
+mark per candidate, aligned with the times.  The candidates are sorted by
+time once, and each mark is read in that order against its candidate's
+rate bin; a time at or past the grid's last edge reads the last bin.
+When the model's rate grid has a single bin, every candidate is kept
+(mark * rate < rate for every mark in [0, 1)), so the marks, the last
+draw, are skipped, and no other number moves.  A synthetic day keeps its
+requests in that order, so requests of one day at one exact instant go in
+sort order, not by pair (with real draws, a chance of about 1e-9 a day).
+Runs are independent of scheduling: one driver serves ``failure_times``
+and ``estimate_failure_curve``, and fans the runs out over
+FLEETSIZING_WORKERS processes, never more than there are runs (so one run
+starts no pool), without changing any result.
 
 Within a run, events are replayed in time order; events at the same
 instant go by (origin, destination), and with travel delays arrivals go
-before departures, then by station.  A run sorts its candidate times
-once: each candidate's rate bin is read from that order, with one search
-of the sorted times per grid edge, and thinning keeps the order.  The
-plan's entries are put in the replay order once per estimate, and a run
-merges its requests in with one stable sort of the sorted pieces (with
-travel delays, the requests' arrivals get one sort of their own first).
+before departures, then by station.  A run's requests come from the
+sampler in time order (it reads each candidate's rate bin with one search
+of the sorted times per grid edge).  The plan's entries are put in the
+replay order once per estimate, and a run merges its requests in with one
+stable sort of the sorted pieces (with travel delays, the requests'
+arrivals get one sort of their own first).
 Only entries of one station at one instant with opposite steps can
 change a stock path; entries of one step commute.  With travel delays
 the pieces go request arrivals, plan entries, request departures, so the
@@ -81,8 +86,6 @@ class EstimateWithCI:
 class RequestTables:
     """Demand model compiled to flat arrays for fast per-run sampling."""
 
-    k: int
-    horizon: float
     pair_o: np.ndarray
     pair_d: np.ndarray
     pair_eta: np.ndarray
@@ -92,15 +95,17 @@ class RequestTables:
 
 
 def compile_tables(model):
-    """The model's pairs, sorted by (o, d), and their rates on one shared grid."""
-    edges, rates = rate_grid(model.pieces)
+    """The model's pairs, sorted by (o, d), and their rates on one shared grid.
+
+    ``grid`` holds the bins' left edges, so a time at or past the last edge
+    reads the last bin.
+    """
+    grid, rates = rate_grid(model.pieces)
     return RequestTables(
-        k=model.k,
-        horizon=model.horizon,
         pair_o=model.pair_o.astype(np.int64),
         pair_d=model.pair_d.astype(np.int64),
         pair_eta=np.array(model.eta)[model.pair_o - 1, model.pair_d - 1],
-        grid=np.append(edges, model.horizon),
+        grid=grid,
         rates=rates,
         max_rate=rates.max(axis=1),
     )
@@ -115,26 +120,23 @@ def _plan_arrays(model, plan):
     return t, o, d, eta
 
 
-def _candidates(tables, T, rng):
-    """A run's first two draws: candidate times over [0, T] and each one's pair, unsorted."""
-    counts = rng.poisson(tables.max_rate * T)
-    times = rng.uniform(0.0, T, int(counts.sum()))
-    return times, np.repeat(np.arange(len(counts)), counts)
-
-
 def sample_requests(tables, T, rng):
-    """Thinned request events over [0, T]: (times, origins, dests, etas), unsorted."""
-    times, pair_idx = _candidates(tables, T, rng)
-    marks = rng.uniform(0.0, 1.0, len(times))
-    bins = np.searchsorted(tables.grid, times, side="right") - 1
-    keep = marks * tables.max_rate[pair_idx] < tables.rates[pair_idx, bins]
-    times, pair_idx = times[keep], pair_idx[keep]
-    return (
-        times,
-        tables.pair_o[pair_idx],
-        tables.pair_d[pair_idx],
-        tables.pair_eta[pair_idx],
-    )
+    """A run's thinned requests over [0, T]: ``(times, pair)`` in time order.
+
+    ``pair`` indexes the tables' pairs.  The draws go as the module
+    docstring lays out: candidate counts, then times, sorted once; each
+    candidate's mark is read in that order, and a one-bin grid draws none.
+    """
+    counts = rng.poisson(tables.max_rate * T)
+    t = rng.uniform(0.0, T, int(counts.sum()))
+    pair = np.arange(len(counts)).repeat(counts)
+    order = t.argsort()
+    t, pair = t.take(order), pair.take(order)
+    if tables.rates.shape[1] > 1:
+        marks = rng.uniform(0.0, 1.0, len(t)).take(order)
+        keep = marks * tables.max_rate.take(pair) < tables.rates[pair, _bins(t, tables.grid)]
+        t, pair = t[keep], pair[keep]
+    return t, pair
 
 
 def _bins(t, grid):
@@ -168,14 +170,7 @@ def _run(seed, tables, keys, plan, plan_events, plan_ties, v, c, T, with_delay):
     requests and relocations; ``tie_path`` is whether the run took the full
     lexicographic sort.
     """
-    rng = np.random.default_rng(seed)
-    t, pair = _candidates(tables, T, rng)
-    order = t.argsort()
-    t, pair = t.take(order), pair.take(order)
-    if tables.rates.shape[1] > 1:
-        marks = rng.uniform(0.0, 1.0, len(t)).take(order)
-        keep = marks * tables.max_rate.take(pair) < tables.rates[pair, _bins(t, tables.grid)]
-        t, pair = t[keep], pair[keep]
+    t, pair = sample_requests(tables, T, np.random.default_rng(seed))
     o, d = keys[0].take(pair), keys[1].take(pair)
     events = len(t) + plan_events
     tie_path = False

@@ -87,9 +87,10 @@ def _next_weekday(day):
 def sample_day_sequences(model, n_days, seed=0, start=date(2016, 5, 2)):
     """Draw synthetic weekdays from the model, one independent NHPP each.
 
-    Day i uses ``numpy.random.default_rng((seed, i))``; dates are
-    consecutive weekdays from ``start``.  Events carry the model's pair
-    travel times.
+    Day i is drawn as a Monte Carlo run over the horizon (see
+    ``simulate.sample_requests``) from ``numpy.random.default_rng((seed,
+    i))``; dates are consecutive weekdays from ``start``.  Events carry the
+    model's pair travel times.
     """
     tables = compile_tables(model)
     dates, draws = [], []
@@ -97,11 +98,9 @@ def sample_day_sequences(model, n_days, seed=0, start=date(2016, 5, 2)):
     if day.weekday() >= 5:
         day = _next_weekday(day)
     for i in range(n_days):
-        rng = np.random.default_rng((seed, i))
-        times, origins, dests, etas = sample_requests(tables, model.horizon, rng)
-        order = np.argsort(times, kind="stable")
-        draws.append([times[order], origins[order], dests[order], etas[order]])
+        draws.append(sample_requests(tables, model.horizon, np.random.default_rng((seed, i))))
         dates.append(day.isoformat())
         day = _next_weekday(day)
-    columns = [np.concatenate(c) for c in zip(*draws)] if draws else [()] * 4
-    return DaySequences(model.k, model.horizon, dates, [len(c[0]) for c in draws], *columns)
+    t, pair = (np.concatenate(c) for c in zip(*draws)) if draws else ((), [])
+    columns = (tables.pair_o[pair], tables.pair_d[pair], tables.pair_eta[pair])
+    return DaySequences(model.k, model.horizon, dates, [len(c[0]) for c in draws], t, *columns)

@@ -18,7 +18,7 @@ from fleetsizing.model import (
     StationFlowProfile,
     SystemDesign,
 )
-from fleetsizing.simulate import _plan_arrays, compile_tables, sample_requests
+from fleetsizing.simulate import _plan_arrays, compile_tables
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -191,14 +191,37 @@ def dense_first_failure(t_sorted, station_rows, delta_rows, check_o, check_d, v,
     return np.inf, cum
 
 
+def reference_requests(tables, T, rng):
+    """Thinned request events over [0, T]: (times, origins, dests, etas), unsorted.
+
+    The draws of ``simulate.sample_requests`` -- candidate counts, times,
+    then one mark per candidate -- thinned in the order they were drawn,
+    with each time's rate bin found by a search of the grid.
+    """
+    counts = rng.poisson(tables.max_rate * T)
+    times = rng.uniform(0.0, T, int(counts.sum()))
+    pair_idx = np.repeat(np.arange(len(counts)), counts)
+    marks = rng.uniform(0.0, 1.0, len(times))
+    bins = np.searchsorted(tables.grid, times, side="right") - 1
+    keep = marks * tables.max_rate[pair_idx] < tables.rates[pair_idx, bins]
+    times, pair_idx = times[keep], pair_idx[keep]
+    return (
+        times,
+        tables.pair_o[pair_idx],
+        tables.pair_d[pair_idx],
+        tables.pair_eta[pair_idx],
+    )
+
+
 def dense_simulate(model, plan, design, T, seeds, with_delay, sample_times):
     """Runs replayed in full lexicographic event order through the dense scan.
 
     Run ``seed`` draws the same streams as ``simulate.failure_times`` does
-    for it.  Returns one (failed_at, occupancy, occupancy_valid) per seed:
-    failed_at is inf for a run that never fails, ``occupancy[s]`` holds
-    every station's stock at ``sample_times[s]``, and rows at or after
-    failed_at are flagged invalid (the failed state is no stock state).
+    for it, through ``reference_requests``.  Returns one (failed_at,
+    occupancy, occupancy_valid) per seed: failed_at is inf for a run that
+    never fails, ``occupancy[s]`` holds every station's stock at
+    ``sample_times[s]``, and rows at or after failed_at are flagged invalid
+    (the failed state is no stock state).
     """
     tables = compile_tables(model)
     t_pl, o_pl, d_pl, eta_pl = _plan_arrays(model, plan)
@@ -209,7 +232,7 @@ def dense_simulate(model, plan, design, T, seeds, with_delay, sample_times):
     sample_times = np.asarray(sample_times, dtype=float)
     runs = []
     for seed in seeds:
-        t_req, o_req, d_req, eta_req = sample_requests(tables, T, np.random.default_rng(seed))
+        t_req, o_req, d_req, eta_req = reference_requests(tables, T, np.random.default_rng(seed))
         t_all = np.concatenate([t_req, t_pl])
         o_all = np.concatenate([o_req, o_pl]).astype(np.int64)
         d_all = np.concatenate([d_req, d_pl]).astype(np.int64)

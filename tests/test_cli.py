@@ -486,6 +486,15 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert f"sequences have 3 stations, design has {k}" in capsys.readouterr().err
 
+    def test_sweep_takes_no_strict_flag(self, pipeline, tmp_path, capsys):
+        # a day fails at its first refusal either way, so sweep has no mode
+        out = tmp_path / "sweep.csv"
+        code = run(["sweep", "--model", str(pipeline["model"]),
+                    "--sequences", str(pipeline["sequences"]), "--strict", "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "unrecognized arguments: --strict" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["replay", "sweep"])
     def test_plan_must_span_the_day(self, tmp_path, capsys, command):
         # a 72 h plan against 24 h days: its relocations at t=30, 40 and 50 h

@@ -209,6 +209,18 @@ class TestSweep:
         rho, _ = spearmanr(grid, rates)
         assert rho <= 0.0
 
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_a_day_fails_alike_with_and_without_overflow(self, instance_seed, day_seed):
+        # a day fails at its first refusal, and up to it overflow and strict
+        # replay act the same, so no sweep row depends on the mode
+        model, plan, design = random_small_instance(np.random.default_rng(instance_seed))
+        for seq in sample_day_sequences(model, 3, seed=day_seed):
+            for eta in (None, model.eta):
+                docked = replay_day(seq, plan, design, eta=eta)
+                strict = replay_day(seq, plan, design, eta=eta, overflow=False)
+                assert docked.day_failed == strict.day_failed
+
     def test_all_days_replayed(self):
         model = synthetic_imbalanced_model(4, seed=8)
         sequences = sample_day_sequences(model, 5, seed=3)
@@ -261,9 +273,10 @@ class TestReplayMatchesMonteCarlo:
             np.random.default_rng(instance_seed), c_max=8, max_rebalances=6
         )
         T = model.horizon
-        t, o, d, _ = sample_requests(compile_tables(model), T, np.random.default_rng(run_seed))
-        order = np.argsort(t, kind="stable")
-        seq = DaySequences(model.k, T, ["sampled"], [t.size], t[order], o[order], d[order], np.zeros(t.size))
+        tables = compile_tables(model)
+        t, pair = sample_requests(tables, T, np.random.default_rng(run_seed))
+        o, d = tables.pair_o[pair], tables.pair_d[pair]
+        seq = DaySequences(model.k, T, ["sampled"], [t.size], t, o, d, np.zeros(t.size))
         out = replay_day(seq, plan, design)
         [failed_at] = failure_times(model, plan, design, T, [run_seed])
         assert out.day_failed == (failed_at < np.inf)

@@ -25,8 +25,15 @@ from fleetsizing.simulate import (
     sample_requests,
 )
 from fleetsizing.station_bound import system_failure_bound_curve
+from fleetsizing.synth import sample_day_sequences, synthetic_imbalanced_model, uniform_demand_model
 
-from conftest import dense_simulate, intensities, random_small_instance, reference_integral
+from conftest import (
+    dense_simulate,
+    intensities,
+    random_small_instance,
+    reference_integral,
+    reference_requests,
+)
 
 P_GE_2 = 0.26424111765711533  # 1 - 2 e^-1
 
@@ -350,9 +357,8 @@ class TestThinning:
         rng = np.random.default_rng(123)
         gaps = []
         for _ in range(200):
-            times, _, _, _ = sample_requests(tables, 50.0, rng)
-            ts = np.sort(times)
-            gaps.extend(np.diff(ts))
+            times, _ = sample_requests(tables, 50.0, rng)
+            gaps.extend(np.diff(times))
         stat = scipy.stats.kstest(gaps, "expon", args=(0.0, 1.0 / lam))
         assert stat.pvalue > 0.01
 
@@ -365,7 +371,7 @@ class TestThinning:
         counts = np.zeros(3)
         n_rep = 400
         for _ in range(n_rep):
-            times, _, _, _ = sample_requests(tables, 20.0, rng)
+            times, _ = sample_requests(tables, 20.0, rng)
             counts += np.histogram(times, bins=edges)[0]
         for b, (a, t1) in enumerate(zip(edges[:-1], edges[1:])):
             expected = reference_integral(pci, a, t1) * n_rep
@@ -409,8 +415,66 @@ class TestThinning:
         tables = compile_tables(m)
         rng = np.random.default_rng(9)
         for _ in range(50):
-            times, _, _, _ = sample_requests(tables, 10.0, rng)
+            times, _ = sample_requests(tables, 10.0, rng)
             assert np.all(times >= 5.0)
+
+
+class PastTheLastEdge:
+    """A generator whose one candidate lands at 1 + 5e-10 h, with every mark ``mark``."""
+
+    def __init__(self, mark):
+        self._mark = mark
+        self._draws = 0
+
+    def poisson(self, lam):
+        return np.ones(len(lam), dtype=np.int64)
+
+    def uniform(self, low, high, size):
+        self._draws += 1
+        return np.full(size, 1.0 + 5e-10 if self._draws == 1 else self._mark)
+
+
+class TestLastBin:
+    def test_a_candidate_past_the_last_edge_reads_the_last_bin(self, monkeypatch):
+        # T may exceed the 1 h horizon by 1e-9; a candidate in [horizon, T)
+        # reads the last bin, where a mark of 0.2 keeps it (0.2 * 2 < 0.5)
+        # and one of 0.3 drops it (0.3 * 2 >= 0.5; the first bin would keep it)
+        T = 1.0 + 1e-9
+        lam = PiecewiseConstantIntensity((0.0, 0.5), (2.0, 0.5), 1.0)
+        model = DemandModel(2, {(1, 2): lam}, ((0.0, 0.0), (0.0, 0.0)), 1.0)
+        tables = compile_tables(model)
+        assert tables.grid.tolist() == [0.0, 0.5]
+        design = SystemDesign((0, 0), (1, 1))
+        monkeypatch.delenv("FLEETSIZING_WORKERS", raising=False)
+        for mark, kept in ((0.2, True), (0.3, False)):
+            t, pair = sample_requests(tables, T, PastTheLastEdge(mark))
+            assert t.tolist() == ([1.0 + 5e-10] if kept else [])
+            assert pair.tolist() == ([0] if kept else [])
+            with mock.patch.object(np.random, "default_rng", lambda seed: PastTheLastEdge(mark)):
+                for with_delay in (False, True):
+                    failed = failure_times(model, None, design, T, [0], with_delay)
+                    assert failed.tolist() == ([1.0 + 5e-10] if kept else [np.inf])
+
+
+class TestSyntheticDays:
+    """Synthetic days are the Monte Carlo sampler's runs over the horizon."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_days_are_the_reference_draws_in_time_order(self, seed):
+        flat = uniform_demand_model(3, 0.7, 24.0, eta_hours=0.3)
+        ragged, _, _ = random_small_instance(np.random.default_rng(seed), k_max=4)
+        models = [flat, ragged, synthetic_imbalanced_model(6, seed=seed)]
+        assert [compile_tables(m).rates.shape[1] > 1 for m in models] == [False, True, True]
+        for model in models:
+            days = sample_day_sequences(model, 5, seed=seed)
+            tables = compile_tables(model)
+            for i, day in enumerate(days):
+                rng = np.random.default_rng((seed, i))
+                drawn = reference_requests(tables, model.horizon, rng)
+                order = np.argsort(drawn[0], kind="stable")
+                for got, want in zip((day.t, day.o, day.d, day.eta), drawn, strict=True):
+                    assert got.dtype == want.dtype and got.tobytes() == want[order].tobytes()
+            assert days.t.size > 0
 
 
 class TestBinRead:
@@ -497,8 +561,9 @@ class TestTiePath:
         seeds = range(60)
         needs_tie_path = []
         for seed in seeds:
-            t, o, d, _ = sample_requests(tables, T, QuarterHourTimes(seed))
-            events = list(zip(t, o, d)) + [(0.5, 2, 1), (1.0, 3, 2)]
+            t, pair = sample_requests(tables, T, QuarterHourTimes(seed))
+            events = list(zip(t, tables.pair_o[pair], tables.pair_d[pair]))
+            events += [(0.5, 2, 1), (1.0, 3, 2)]
             leaving = {(te, oe) for te, oe, _ in events}
             needs_tie_path.append(any((te, de) in leaving for te, _, de in events))
         assert 0 < sum(needs_tie_path) < len(seeds)
@@ -581,8 +646,9 @@ class TestSegmentedScanMatchesDenseReference:
         failed = [f for f in failures if f < np.inf]
         assert np.inf in failures and min(failed) < 1.0 and max(failed) > 3.0
         tables = compile_tables(model)
-        _, o, d, _ = sample_requests(tables, model.horizon, np.random.default_rng(40))
-        entries = np.bincount(np.concatenate([o, d]) - 1, minlength=k)
+        _, pair = sample_requests(tables, model.horizon, np.random.default_rng(40))
+        stations = np.concatenate([tables.pair_o[pair], tables.pair_d[pair]])
+        entries = np.bincount(stations - 1, minlength=k)
         assert entries[0] == 0 and entries[1:].min() >= 200
 
     def test_tied_relocations_keep_lexicographic_order(self):
