@@ -19,7 +19,7 @@ from fleetsizing.cli import run
 from fleetsizing.ingest import save_sequences
 from fleetsizing.model import RebalancingPlan, save_model, save_plan
 from fleetsizing.rebalance import build_plan
-from fleetsizing.replay import MAX_BASELINE_CAPACITY, smallest_baselines
+from fleetsizing.replay import smallest_baselines
 from fleetsizing.synth import sample_day_sequences, synthetic_imbalanced_model
 
 
@@ -78,12 +78,9 @@ def main():
         ("2. neither with a plan", without_plan, base_2),
         ("3. both with the plan", with_plan, base_3),
     ):
-        saving = (
-            f"fleet {fleet} vs {base.fleet_size} ({share(fleet, base.fleet_size)}), capacity "
-            f"{capacity} vs {base.total_capacity} ({share(capacity, base.total_capacity)})"
-            if base else f"no uniform baseline up to C{MAX_BASELINE_CAPACITY} matches"
-        )
-        print(f"{name}: {saving} at z={z:g}, replay failure rate {rate:g}")
+        print(f"{name}: fleet {fleet} vs {base.fleet_size} ({share(fleet, base.fleet_size)}), "
+              f"capacity {capacity} vs {base.total_capacity} ({share(capacity, base.total_capacity)})"
+              f" at z={z:g}, replay failure rate {rate:g}")
 
 
 if __name__ == "__main__":

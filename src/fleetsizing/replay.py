@@ -8,25 +8,41 @@ model, the day keeps running after a failure -- the metric is the
 fraction of days with at least one failure, so every failure must be
 observed, not only the first.
 
-Simultaneous events process arrivals before departures (a vehicle that
-docks at time t is available to a request at time t); remaining ties
-fall back on scheduling order, which is itself deterministic.
+One event order serves every design.  A trip is a departure, -1 at its
+origin at time t, and an arrival, +1 at its destination at t + ride.  A
+day's trips are its rentals in recorded order, then the plan's
+relocations in ``plan.instants()`` order, each riding ``eta[o][d]``
+hours (zero when eta is omitted).  Within a day, entries go by time,
+and at one instant:
+
+1. arrivals of trips that left earlier, in the order their departures ran
+   (by departure time, then trip);
+2. departures by trip, each followed at once by its own arrival when
+   ``t + ride == t`` in floats (a zero ride, or one too small to move t).
+
+So entries sort by (day, time, departure time, trip, departure before
+arrival), which is the order a heap of pending events pops them in.  A
+refused departure skips its trip's arrival.  Arrivals that land after
+the horizon keep their place in this order: replay docks them and counts
+their refusals, while the Monte Carlo of ``simulate`` stops at T.
+
+Until a day's first refusal, each station's stock is its initial stock
+plus a path that no design changes.  Let ``need`` be minus the path's
+lowest point and ``peak`` its highest, both floored at 0: the day fails
+under (v, c) exactly when some station has ``v < need`` or
+``v + peak > c`` (``envelopes``).  So ``sweep`` and ``smallest_baselines``
+read every design's failure rate off one pass over the days.
 """
 
-import heapq
 import logging
 import time
 from dataclasses import dataclass
-from itertools import repeat
+
+import numpy as np
 
 from .model import SystemDesign
 
 log = logging.getLogger(__name__)
-
-_ARRIVAL, _DEPARTURE = 1, 2
-
-# largest per-station capacity a baseline search tries
-MAX_BASELINE_CAPACITY = 400
 
 
 @dataclass(frozen=True)
@@ -41,69 +57,123 @@ class ReplayOutcome:
         return self.availability_failures + self.capacity_failures > 0
 
 
-def replay_day(seq, plan, design, eta=None, overflow=True):
-    """Replay one day's rentals plus the plan's relocations against a design.
+def _check(sequences, plan, k):
+    """Raise if the plan or the days do not fit k stations or one another (no days: no check)."""
+    if not len(sequences):
+        return
+    if plan.k != k:
+        raise ValueError(f"plan is for {plan.k} stations, design for {k}")
+    if plan.horizon != sequences.horizon:
+        raise ValueError(f"plan covers {plan.horizon:g} h, day {sequences.dates[0]} "
+                         f"covers {sequences.horizon:g} h")
+    if sequences.k != k:
+        raise ValueError(f"sequences have {sequences.k} stations, design has {k}")
 
-    ``seq`` is a one-day DaySequences, such as ``sequences[i]``.  eta
-    supplies relocation travel times as a k x k matrix of hours (zero
+
+def _events(sequences, plan, eta):
+    """Every day's entries in replay order, as (day, station, step, trip) arrays.
+
+    Station is 0-based, step is -1 for a departure and +1 for an arrival,
+    and trip numbers the departures: the rentals, then the plan's
+    relocations day after day.
+    """
+    days = len(sequences)
+    instants = np.array(plan.instants(), dtype=float).reshape(-1, 3)
+    t_pl = instants[:, 0]
+    o_pl, d_pl = instants[:, 1:].T.astype(np.intp)
+    ride_pl = np.zeros(t_pl.size) if eta is None else np.asarray(eta, dtype=float)[o_pl - 1, d_pl - 1]
+    day = np.concatenate([np.repeat(np.arange(days), sequences.counts),
+                          np.repeat(np.arange(days), t_pl.size)])
+    t = np.concatenate([sequences.t, np.tile(t_pl, days)])
+    lands = t + np.concatenate([sequences.eta, np.tile(ride_pl, days)])
+    station = np.concatenate([sequences.o, np.tile(o_pl, days), sequences.d, np.tile(d_pl, days)]) - 1
+    n = t.size
+    arrival = np.arange(2 * n) >= n  # entries are the n departures, then their n arrivals
+    # by day, time, departure time, trip, then departure before arrival: at one
+    # instant, arrivals of trips that left earlier come first
+    order = np.lexsort((arrival, np.tile(np.arange(n), 2), np.tile(t, 2), np.concatenate([t, lands]),
+                        np.tile(day, 2)))
+    trip = order % n
+    return day[trip], station[order], np.where(arrival[order], 1, -1), trip
+
+
+def replay_all(sequences, plan, design, eta=None, overflow=True):
+    """Replay every day of a DaySequences against one design, one outcome per day.
+
+    eta supplies relocation travel times as a k x k matrix of hours (zero
     when omitted; rentals always ride for their recorded duration).  In
     overflow mode a vehicle arriving at a full station docks anyway and
     the violation is counted; with overflow=False it is discarded
-    instead.  The plan must span the same horizon as the day.
+    instead.  The plan must span the same horizon as the days.
     """
-    k = design.k
-    if plan.k != k:
-        raise ValueError(f"plan is for {plan.k} stations, design for {k}")
-    (date,) = seq.dates
-    if plan.horizon != seq.horizon:
-        raise ValueError(f"plan covers {plan.horizon:g} h, day {date} covers {seq.horizon:g} h")
-    if seq.k != k:
-        raise ValueError(f"sequences have {seq.k} stations, design has {k}")
-    stocks = list(design.v)
-    availability = capacity = 0
+    t0 = time.perf_counter()
+    _check(sequences, plan, design.k)
+    day, station, step, trip = _events(sequences, plan, eta)
+    ends = np.searchsorted(day, np.arange(len(sequences)), side="right").tolist()
+    refused = bytearray(trip.size // 2)
+    c = design.c
+    outcomes = []
+    for date, a, b in zip(sequences.dates, [0, *ends], ends):
+        stocks = list(design.v)
+        availability = capacity = 0
+        for s, dock, i in zip(station[a:b].tolist(), step[a:b].tolist(), trip[a:b].tolist()):
+            if dock < 0:
+                if stocks[s] == 0:
+                    availability += 1
+                    refused[i] = 1
+                else:
+                    stocks[s] -= 1
+            elif not refused[i]:
+                full = stocks[s] >= c[s]
+                capacity += full
+                if overflow or not full:
+                    stocks[s] += 1
+        outcomes.append(ReplayOutcome(date, availability, capacity, tuple(stocks)))
+    log.debug("replayed %d days, %d events: %d failed days, %.3f s", len(outcomes),
+              sequences.t.size, sum(o.day_failed for o in outcomes), time.perf_counter() - t0)
+    return outcomes
 
-    n = seq.t.size
-    heap = list(zip(seq.t.tolist(), repeat(_DEPARTURE), range(n), seq.o.tolist(),
-                    seq.d.tolist(), seq.eta.tolist()))
-    heapq.heapify(heap)
-    order = n
-    for t, o, d in plan.instants():
-        delay = eta[o - 1][d - 1] if eta is not None else 0.0
-        heapq.heappush(heap, (t, _DEPARTURE, order, o, d, delay))
-        order += 1
 
-    while heap:
-        t, kind, _, o, d, ride = heapq.heappop(heap)
-        if kind == _DEPARTURE:
-            if stocks[o - 1] == 0:
-                availability += 1
-            else:
-                stocks[o - 1] -= 1
-                heapq.heappush(heap, (t + ride, _ARRIVAL, order, o, d, 0.0))
-                order += 1
-        else:
-            full = stocks[d - 1] >= design.c[d - 1]
-            capacity += full
-            if overflow or not full:
-                stocks[d - 1] += 1
+def replay_day(seq, plan, design, eta=None, overflow=True):
+    """``replay_all`` of a one-day DaySequences, such as ``sequences[i]``: its one outcome."""
+    (outcome,) = replay_all(seq, plan, design, eta=eta, overflow=overflow)
+    return outcome
 
-    return ReplayOutcome(date, availability, capacity, tuple(stocks))
+
+def _rate(failed, days):
+    if not days:
+        raise ValueError("no replay outcomes to aggregate")
+    return int(failed) / days
 
 
 def failure_rate(outcomes):
     """Fraction of replayed days that saw at least one failure."""
-    if not outcomes:
-        raise ValueError("no replay outcomes to aggregate")
-    return sum(1 for o in outcomes if o.day_failed) / len(outcomes)
+    return _rate(sum(o.day_failed for o in outcomes), len(outcomes))
 
 
-def replay_all(sequences, plan, design, eta=None, overflow=True):
-    """Replay every day of a DaySequences against one design, one outcome per day."""
+def envelopes(sequences, plan, eta=None):
+    """Each day's ``need`` and ``peak`` at each station, as two (days, k) int arrays.
+
+    A station's path is the running sum of its entries' steps in replay
+    order; ``need`` is minus its lowest point and ``peak`` its highest,
+    both floored at 0.  Day i fails under (v, c) exactly when some station
+    s has ``v[s] < need[i, s]`` or ``v[s] + peak[i, s] > c[s]``.
+    """
     t0 = time.perf_counter()
-    outcomes = [replay_day(seq, plan, design, eta=eta, overflow=overflow) for seq in sequences]
-    log.debug("replayed %d days, %d events: %d failed days, %.3f s", len(outcomes),
-              sequences.t.size, sum(o.day_failed for o in outcomes), time.perf_counter() - t0)
-    return outcomes
+    _check(sequences, plan, sequences.k)
+    day, station, step, _ = _events(sequences, plan, eta)
+    key = day * sequences.k + station
+    order = np.argsort(key, kind="stable")
+    key, step = key[order], step[order]
+    path = np.cumsum(step)
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    before = path[start] - step[start]  # the running sum where each (day, station) begins
+    need, peak = (np.zeros((len(sequences), sequences.k), dtype=np.intp) for _ in range(2))
+    need.flat[key[start]] = np.maximum(before - np.minimum.reduceat(path, start), 0)
+    peak.flat[key[start]] = np.maximum(np.maximum.reduceat(path, start) - before, 0)
+    log.debug("enveloped %d days, %d entries, %.3f s", len(sequences), key.size,
+              time.perf_counter() - t0)
+    return need, peak
 
 
 def baseline_design(k, per_station_capacity):
@@ -114,20 +184,24 @@ def baseline_design(k, per_station_capacity):
 
 
 def smallest_baselines(sequences, plan, eta, targets):
-    """The least uniform baseline that meets each target failure rate, or None.
+    """The least uniform baseline that meets each target failure rate.
 
-    Entry i is the first ``baseline_design`` of capacity 1..MAX_BASELINE_CAPACITY
-    whose ``failure_rate`` under ``plan`` is at most ``targets[i]``.  One upward
-    scan serves every target and stops once each is met.
+    Entry i is the ``baseline_design`` of least capacity C >= 1 whose
+    ``failure_rate`` under ``plan`` is at most ``targets[i]``; a negative
+    target raises ValueError.  C serves a day when ``C // 2 >= need`` and
+    ``C - C // 2 >= peak`` at every station, so the day's least capacity
+    is ``max(2 need, 2 peak - 1, 1)``, and the rate only changes there.
     """
-    found = [None] * len(targets)
-    cap = 0
-    while None in found and cap < MAX_BASELINE_CAPACITY:
-        cap += 1
-        design = baseline_design(sequences.k, cap)
-        rate = failure_rate(replay_all(sequences, plan, design, eta=eta))
-        found = [f or (design if rate <= t else None) for f, t in zip(found, targets)]
-    return found
+    if not all(target >= 0 for target in targets):
+        raise ValueError("target failure rates must be non-negative")
+    need, peak = envelopes(sequences, plan, eta)
+    least = np.sort(np.maximum(np.maximum(2 * need, 2 * peak - 1).max(axis=1), 1))
+    caps = np.unique(np.append(least, 1))
+    failed = least.size - np.searchsorted(least, caps, side="right")
+    rates = [_rate(f, least.size) for f in failed.tolist()]
+    # rates fall as caps grow, and the largest cap serves every day
+    return [baseline_design(sequences.k, int(caps[sum(r > target for r in rates)]))
+            for target in targets]
 
 
 def sweep(designs, sequences, plan, eta=None):
@@ -136,8 +210,12 @@ def sweep(designs, sequences, plan, eta=None):
     A day fails at its first refusal, and up to it overflow and strict
     replay act the same, so the rates hold for either.
     """
-    return [
-        (label, design.fleet_size, design.total_capacity,
-         failure_rate(replay_all(sequences, plan, design, eta=eta)))
-        for label, design in designs
-    ]
+    for _, design in designs:
+        _check(sequences, plan, design.k)
+    need, peak = envelopes(sequences, plan, eta)
+    rows = []
+    for label, design in designs:
+        v, c = np.array(design.v), np.array(design.c)
+        failed = ((v < need) | (v + peak > c)).any(axis=1).sum()
+        rows.append((label, design.fleet_size, design.total_capacity, _rate(failed, len(sequences))))
+    return rows

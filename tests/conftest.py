@@ -1,5 +1,6 @@
 """Shared helpers: random small instances and independent brute-force oracles."""
 
+import heapq
 import itertools
 import os
 import subprocess
@@ -18,6 +19,7 @@ from fleetsizing.model import (
     StationFlowProfile,
     SystemDesign,
 )
+from fleetsizing.replay import ReplayOutcome
 from fleetsizing.simulate import _plan_arrays, compile_tables
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -128,6 +130,58 @@ def reference_shifted(pci, delay):
         bps.append(s)
         vals.append(v)
     return PiecewiseConstantIntensity(tuple(bps), tuple(vals), pci.horizon_end)
+
+
+_ARRIVAL, _DEPARTURE = 1, 2
+
+
+def reference_replay_day(seq, plan, design, eta=None, overflow=True):
+    """One day replayed through a heap of pending events: the order ``replay_all`` sorts into.
+
+    ``seq`` is a one-day DaySequences, such as ``sequences[i]``.  eta
+    supplies relocation travel times as a k x k matrix of hours (zero
+    when omitted; rentals always ride for their recorded duration).  In
+    overflow mode a vehicle arriving at a full station docks anyway and
+    the violation is counted; with overflow=False it is discarded
+    instead.  The plan must span the same horizon as the day.
+    """
+    k = design.k
+    if plan.k != k:
+        raise ValueError(f"plan is for {plan.k} stations, design for {k}")
+    (date,) = seq.dates
+    if plan.horizon != seq.horizon:
+        raise ValueError(f"plan covers {plan.horizon:g} h, day {date} covers {seq.horizon:g} h")
+    if seq.k != k:
+        raise ValueError(f"sequences have {seq.k} stations, design has {k}")
+    stocks = list(design.v)
+    availability = capacity = 0
+
+    n = seq.t.size
+    heap = list(zip(seq.t.tolist(), itertools.repeat(_DEPARTURE), range(n), seq.o.tolist(),
+                    seq.d.tolist(), seq.eta.tolist()))
+    heapq.heapify(heap)
+    order = n
+    for t, o, d in plan.instants():
+        delay = eta[o - 1][d - 1] if eta is not None else 0.0
+        heapq.heappush(heap, (t, _DEPARTURE, order, o, d, delay))
+        order += 1
+
+    while heap:
+        t, kind, _, o, d, ride = heapq.heappop(heap)
+        if kind == _DEPARTURE:
+            if stocks[o - 1] == 0:
+                availability += 1
+            else:
+                stocks[o - 1] -= 1
+                heapq.heappush(heap, (t + ride, _ARRIVAL, order, o, d, 0.0))
+                order += 1
+        else:
+            full = stocks[d - 1] >= design.c[d - 1]
+            capacity += full
+            if overflow or not full:
+                stocks[d - 1] += 1
+
+    return ReplayOutcome(date, availability, capacity, tuple(stocks))
 
 
 def random_small_instance(rng, k_max=3, c_max=4, max_rebalances=5, horizon=2.0):

@@ -178,16 +178,13 @@ def test_tailored_design_beats_uniform_baseline_by_wide_margin():
         ("neither with a plan", sized["none"], base_2),
         ("both with the plan", sized["plan"], base_3),
     ):
-        if base is None:
-            detail.append(f"{name}: no uniform baseline matched the replay failure rate")
-            continue
         detail.append(
             f"{name}: fleet {design.fleet_size}/{base.fleet_size} = "
             f"{design.fleet_size / base.fleet_size:.3f}, capacity {design.total_capacity}/"
             f"{base.total_capacity} = {design.total_capacity / base.total_capacity:.3f}"
         )
     # only the first pairing is gated: the headline sizes with the plan, the baseline without
-    ok = base_1 is not None and max(
+    ok = max(
         sized["plan"].fleet_size / base_1.fleet_size,
         sized["plan"].total_capacity / base_1.total_capacity,
     ) <= 0.6

@@ -380,6 +380,27 @@ class TestDeterminism:
         assert re.fullmatch(rf"replayed 10 days, {events} events: {failed} failed days, "
                             r"\d+\.\d{3} s", lines[1][1]), lines
 
+    def test_sweep_output_is_unchanged_by_debug_logging(self, pipeline, tmp_path, caplog, capsys):
+        outs = []
+        for level in (logging.WARNING, logging.DEBUG):
+            out = tmp_path / f"sweep-{level}.csv"
+            with caplog.at_level(level, logger="fleetsizing"):
+                assert run(["sweep", "--model", str(pipeline["model"]), "--sequences",
+                            str(pipeline["sequences"]), "--plan", str(pipeline["plan"]),
+                            "--z-grid", "0.5,0.1", "--capacity-grid", "2,4,8",
+                            "--out", str(out)]) == EXIT_OK
+            outs.append((out.read_bytes(), capsys.readouterr().out.replace(out.name, "sweep.csv")))
+        assert outs[0] == outs[1]
+        days = json.loads(pipeline["sequences"].read_text())["days"]
+        events = sum(len(day["events"]) for day in days)
+        relocations = sum(len(r["times"]) for r in json.loads(pipeline["plan"].read_text())["rho"])
+        lines = [r.getMessage() for r in caplog.records if r.name == "fleetsizing.replay"]
+        # one pass per plan: without relocations, then with them, each entry a departure
+        # or an arrival
+        entries = [2 * events, 2 * (events + len(days) * relocations)]
+        assert len(lines) == 2 and all(re.fullmatch(rf"enveloped 10 days, {n} entries, \d+\.\d{{3}} s", line)
+                   for line, n in zip(lines, entries)), lines
+
     def test_replay_output_is_byte_identical(self, pipeline, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):

@@ -1,5 +1,7 @@
 """Replaying recorded days against candidate designs."""
 
+import re
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -13,6 +15,7 @@ from fleetsizing.model import RebalancingPlan, SystemDesign
 from fleetsizing.replay import (
     ReplayOutcome,
     baseline_design,
+    envelopes,
     failure_rate,
     replay_all,
     replay_day,
@@ -22,7 +25,7 @@ from fleetsizing.replay import (
 from fleetsizing.simulate import compile_tables, failure_times, sample_requests
 from fleetsizing.synth import sample_day_sequences, synthetic_imbalanced_model
 
-from conftest import days_of, dense_simulate, random_small_instance
+from conftest import days_of, dense_simulate, random_small_instance, reference_replay_day
 
 
 def day(events, k=2):
@@ -31,6 +34,38 @@ def day(events, k=2):
 
 def no_plan(k):
     return RebalancingPlan(k, 24.0, {})
+
+
+RIDES = (0.0, 1e-300, 0.25, 30.0)  # 1e-300 h does not move t; 30 h lands after the day
+
+
+@st.composite
+def tied_instances(draw):
+    """Days, plan, relocation times and designs with every instant on a quarter hour.
+
+    k is 1-4 and there are 0-3 days; rental rides and relocation travel
+    times are drawn from RIDES, or eta is None.  Every departure falls in the day's first
+    three hours, so that many entries tie.
+    """
+    k = draw(st.integers(1, 4))
+    station = st.integers(1, k)
+    quarter = st.integers(0, 12).map(lambda q: q / 4)
+    event = st.tuples(quarter, station, station, st.sampled_from(RIDES))
+    days = [sorted(draw(st.lists(event, max_size=8)), key=lambda e: e[0])
+            for _ in range(draw(st.integers(0, 3)))]
+    pair = st.tuples(station, station).filter(lambda p: p[0] != p[1])
+    instants = st.sets(st.integers(1, 12).map(lambda q: q / 4), min_size=1, max_size=3)
+    rho = {} if k == 1 else draw(st.dictionaries(pair, instants.map(sorted), max_size=4))
+    ride = st.sampled_from(RIDES)
+    eta = draw(st.none() | st.tuples(*[st.tuples(*[ride] * k)] * k))
+    stock = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=k, max_size=k)
+    designs = [SystemDesign(*zip(*((v, v + spare) for v, spare in vs)))
+               for vs in draw(st.lists(stock, min_size=1, max_size=3))]
+    return days_of(days, k), RebalancingPlan(k, 24.0, rho), eta, designs
+
+
+def reference_rate(days, plan, design, eta):
+    return failure_rate([reference_replay_day(day, plan, design, eta=eta) for day in days])
 
 
 class TestReplayDay:
@@ -159,6 +194,65 @@ class TestReplayDay:
             replay_day(day([(1.0, 1, 2, 0.0)]), plan, design)
 
 
+class TestReplayAllMatchesTheHeap:
+    @given(tied_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_every_outcome_in_both_overflow_modes(self, instance):
+        days, plan, eta, designs = instance
+        for design in designs:
+            for overflow in (True, False):
+                got = replay_all(days, plan, design, eta=eta, overflow=overflow)
+                assert got == [reference_replay_day(day, plan, design, eta=eta, overflow=overflow)
+                               for day in days]
+
+    def test_a_ride_too_small_to_move_t_lands_with_its_departure(self):
+        # 1 -> 2 leaves at 8.0 and lands at 8.0 + 1e-300 == 8.0, so it docks
+        # right after it leaves and serves the 2 -> 1 request at 8.0
+        design = SystemDesign((1, 0), (1, 1))
+        events = [(8.0, 2, 1, 0.25), (8.0, 1, 2, 1e-300)]
+        out = replay_day(day(events), no_plan(2), design)
+        assert (out.availability_failures, out.final_stocks) == (1, (0, 1))
+        out = replay_day(day(events[::-1]), no_plan(2), design)
+        assert (out.availability_failures, out.final_stocks) == (0, (1, 0))
+
+    def test_a_trip_that_left_earlier_docks_before_the_instant_s_departures(self):
+        # the relocation 1 -> 2 leaves at 7.0 and lands at 7.5; the rental from
+        # station 2 at 7.5 is scheduled first, yet takes the relocated vehicle
+        design = SystemDesign((1, 0), (2, 2))
+        plan = RebalancingPlan(2, 24.0, {(1, 2): (7.0,)})
+        eta = ((0.0, 0.5), (0.5, 0.0))
+        out = replay_day(day([(7.5, 2, 1, 0.25)]), plan, design, eta=eta)
+        assert (out.availability_failures, out.final_stocks) == (0, (1, 0))
+
+    def test_departures_at_one_instant_go_rentals_first(self):
+        # one vehicle at station 1, wanted at 9.0 by a rental to 2 and by a
+        # relocation to 3: the rental takes it
+        design = SystemDesign((1, 0, 0), (2, 2, 2))
+        plan = RebalancingPlan(3, 24.0, {(1, 3): (9.0,)})
+        out = replay_day(day([(9.0, 1, 2, 0.25)], k=3), plan, design)
+        assert (out.availability_failures, out.final_stocks) == (1, (0, 1, 0))
+
+
+class TestEnvelopes:
+    def test_need_and_peak_of_one_day(self):
+        # station 1: -1, -1, +1 (low -2, high 0); station 2: +1, +1, -1 (high 2)
+        events = [(1.0, 1, 2, 0.5), (2.0, 1, 2, 0.5), (3.0, 2, 1, 0.5)]
+        need, peak = envelopes(day(events), no_plan(2))
+        assert need.tolist() == [[2, 0]] and peak.tolist() == [[0, 2]]
+
+    def test_no_days(self):
+        need, peak = envelopes(days_of([], 3), no_plan(3))
+        assert need.shape == peak.shape == (0, 3)
+
+    def test_one_debug_line(self, caplog):
+        events = [(1.0, 1, 2, 0.5), (2.0, 2, 1, 0.5)]
+        plan = RebalancingPlan(2, 24.0, {(1, 2): (7.0,)})
+        with caplog.at_level("DEBUG", logger="fleetsizing.replay"):
+            envelopes(days_of([events, events], 2), plan)
+        [line] = [r.getMessage() for r in caplog.records]
+        assert re.fullmatch(r"enveloped 2 days, 12 entries, \d+\.\d{3} s", line), line
+
+
 class TestFailureRate:
     def outcome(self, failed, i):
         return ReplayOutcome(f"d{i}", int(failed), 0, (0,))
@@ -221,6 +315,29 @@ class TestSweep:
                 strict = replay_day(seq, plan, design, eta=eta, overflow=False)
                 assert docked.day_failed == strict.day_failed
 
+    @given(tied_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_the_rates_of_replayed_days(self, instance):
+        days, plan, eta, designs = instance
+        labelled = [(f"d{i}", design) for i, design in enumerate(designs)]
+        if not len(days):
+            with pytest.raises(ValueError, match="no replay outcomes to aggregate"):
+                sweep(labelled, days, plan, eta=eta)
+            return
+        assert sweep(labelled, days, plan, eta=eta) == [
+            (label, design.fleet_size, design.total_capacity,
+             reference_rate(days, plan, design, eta))
+            for label, design in labelled
+        ]
+
+    def test_one_envelope_pass_and_no_replay(self):
+        model = synthetic_imbalanced_model(4, seed=8)
+        days = sample_day_sequences(model, 3, seed=3)
+        designs = [(f"C{c}", baseline_design(4, c)) for c in (2, 4, 8)]
+        with cost_spies() as (passes, walk, one_day):
+            sweep(designs, days, no_plan(4), eta=model.eta)
+        assert (passes.call_count, walk.call_count, one_day.call_count) == (1, 0, 0)
+
     def test_all_days_replayed(self):
         model = synthetic_imbalanced_model(4, seed=8)
         sequences = sample_day_sequences(model, 5, seed=3)
@@ -229,12 +346,20 @@ class TestSweep:
 
 
 def reference_smallest_baseline(sequences, plan, eta, target):
-    """The one-target search: the first uniform capacity in 1..400 that meets ``target``."""
-    for cap in range(1, 401):
-        base = baseline_design(sequences.k, cap)
-        if failure_rate(replay_all(sequences, plan, base, eta=eta)) <= target:
-            return base
-    return None
+    """The one-target search: the first uniform capacity from 1 up that meets ``target``."""
+    cap = 1
+    while reference_rate(sequences, plan, baseline_design(sequences.k, cap), eta) > target:
+        cap += 1
+    return baseline_design(sequences.k, cap)
+
+
+@contextmanager
+def cost_spies():
+    """Spies on ``replay.envelopes``, ``replay_all`` and ``replay_day``."""
+    with mock.patch.object(replay, "envelopes", wraps=replay.envelopes) as passes, \
+            mock.patch.object(replay, "replay_all", wraps=replay.replay_all) as walk, \
+            mock.patch.object(replay, "replay_day", wraps=replay.replay_day) as one_day:
+        yield passes, walk, one_day
 
 
 class TestSmallestBaselines:
@@ -246,19 +371,38 @@ class TestSmallestBaselines:
         days = sample_day_sequences(model, int(rng.integers(1, 5)), seed=seed)
         rates = [j / len(days) for j in range(len(days) + 1)] + rng.uniform(0.0, 1.0, 2).tolist()
         picked = rng.choice(rates, 3).tolist()
-        # decreasing, one repeated, and last one that no baseline can meet
-        targets = sorted(picked + picked[:1], reverse=True) + [-1.0]
+        # decreasing, one repeated
+        targets = sorted(picked + picked[:1], reverse=True)
         got = smallest_baselines(days, plan, model.eta, targets)
         assert got == [reference_smallest_baseline(days, plan, model.eta, t) for t in targets]
-        assert got[-1] is None
 
-    def test_several_targets_cost_one_scan(self):
+    @given(tied_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_an_upward_scan_on_tied_days(self, instance):
+        days, plan, eta, _ = instance
+        if not len(days):
+            with pytest.raises(ValueError, match="no replay outcomes to aggregate"):
+                smallest_baselines(days, plan, eta, [0.0])
+            return
+        # every rate a whole number of days can take, and 1 so that capacity 1 can answer
+        targets = [j / len(days) for j in range(len(days) + 1)]
+        got = smallest_baselines(days, plan, eta, targets)
+        assert got == [reference_smallest_baseline(days, plan, eta, t) for t in targets]
+
+    @pytest.mark.parametrize("target", [-1.0, -1e-12, float("nan")])
+    def test_a_target_below_zero_is_an_error(self, target):
         model = synthetic_imbalanced_model(4, seed=8)
         days = sample_day_sequences(model, 3, seed=3)
-        with mock.patch.object(replay, "replay_all", wraps=replay.replay_all) as spy:
+        with pytest.raises(ValueError, match="target failure rates must be non-negative"):
+            smallest_baselines(days, no_plan(4), model.eta, [0.5, target])
+
+    def test_several_targets_cost_one_envelope_pass_and_no_replay(self):
+        model = synthetic_imbalanced_model(4, seed=8)
+        days = sample_day_sequences(model, 3, seed=3)
+        with cost_spies() as (passes, walk, one_day):
             found = smallest_baselines(days, no_plan(4), model.eta, [0.0, 1.0, 0.0])
         assert found[1] == baseline_design(4, 1) and found[0] == found[2]
-        assert spy.call_count == found[0].c[0]
+        assert (passes.call_count, walk.call_count, one_day.call_count) == (1, 0, 0)
 
 
 class TestReplayMatchesMonteCarlo:
