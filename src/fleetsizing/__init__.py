@@ -23,7 +23,6 @@ from .ingest import (
 from .model import (
     DemandModel,
     InvariantViolationError,
-    PiecewiseConstantIntensity,
     RebalancingPlan,
     StationFlowProfile,
     SystemDesign,
@@ -72,7 +71,6 @@ __all__ = [
     "EstimateWithCI",
     "InvariantViolationError",
     "JointDistribution",
-    "PiecewiseConstantIntensity",
     "RebalancingPlan",
     "ReplayOutcome",
     "SizingInfeasibleError",

@@ -30,46 +30,6 @@ class InvariantViolationError(RuntimeError):
     """A numerical invariant (mass conservation, monotone bracket) failed."""
 
 
-def _float_tuple(xs):
-    return tuple(float(x) for x in xs)
-
-
-@dataclass(frozen=True)
-class PiecewiseConstantIntensity:
-    """Non-negative piecewise-constant rate (events/hour) on ``[0, horizon_end]``.
-
-    ``breakpoints[j]`` is the start of the j-th interval: the function
-    equals ``values[j]`` on ``[breakpoints[j], breakpoints[j+1])`` and
-    ``values[-1]`` on ``[breakpoints[-1], horizon_end]``.  The first
-    breakpoint must be 0, so the intervals cover the whole horizon.
-    Evaluation outside ``[0, horizon_end]`` is an error.
-    """
-
-    breakpoints: tuple
-    values: tuple
-    horizon_end: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "breakpoints", _float_tuple(self.breakpoints))
-        object.__setattr__(self, "values", _float_tuple(self.values))
-        object.__setattr__(self, "horizon_end", float(self.horizon_end))
-        bp, vals = self.breakpoints, self.values
-        if not bp or len(bp) != len(vals):
-            raise ValueError("need exactly one value per interval")
-        if bp[0] != 0.0:
-            raise ValueError("first breakpoint must be 0")
-        if not all(map(math.isfinite, bp)) or any(b >= a for b, a in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be finite and strictly increasing")
-        if not math.isfinite(self.horizon_end) or self.horizon_end <= bp[-1]:
-            raise ValueError("horizon_end must exceed the last breakpoint")
-        if any(not math.isfinite(v) or v < 0.0 for v in vals):
-            raise ValueError("rates must be finite and non-negative")
-
-    @classmethod
-    def constant(cls, rate, horizon_end):
-        return cls((0.0,), (float(rate),), horizon_end)
-
-
 _PIECE_CHECKS = (
     "need exactly one value per interval",
     "first breakpoint must be 0",
@@ -82,11 +42,11 @@ _PIECE_CHECKS = (
 def _number_lists(lists):
     """``lists`` of real numbers as tuples of floats.
 
-    A number is an int or a float; anything else (a bool, a string, None)
-    is ``number``'s TypeError.
+    Anything but a number (see ``number``) is ``number``'s TypeError.
     """
+    lists = [tuple(xs) for xs in lists]
     if set(map(type, chain.from_iterable(lists))) <= {float}:
-        return list(map(tuple, lists))  # float() would keep each number as it is
+        return lists  # float() would keep each number as it is
     return [tuple(map(number, xs)) for xs in lists]
 
 
@@ -96,13 +56,16 @@ def _owners(ends, wrong):
 
 
 def _checked_pieces(breakpoints, values, horizon_end):
-    """The pieces of ``PiecewiseConstantIntensity(b, v, horizon_end)`` for each b, v of the lists.
+    """Rates given as lists of ``breakpoints`` and of ``values``, checked, as concatenated pieces.
 
-    Returns them concatenated, as ``_pieces`` does, having checked them as
-    arrays.  Given numbers, it accepts exactly what the constructor accepts
-    and, when some item is invalid, raises the constructor's message for
-    the first such item.  Unlike the constructor, it rejects a bool or a
-    string where a number belongs.
+    Item r is a non-negative piecewise-constant rate (events/hour) on ``[0,
+    horizon_end]``: ``values[r][j]`` on ``[breakpoints[r][j],
+    breakpoints[r][j+1])`` and its last value up to ``horizon_end``, with
+    its first breakpoint at 0.  Returns ``(starts, values, counts)``: the
+    items' breakpoints and values, each concatenated, and each item's piece
+    count.  An entry that is not a number (see ``number``) is its
+    TypeError; otherwise the first item that fails a check raises, as a
+    ValueError, the first of ``_PIECE_CHECKS`` it fails.
     """
     nb = np.fromiter(map(len, breakpoints), np.intp, len(breakpoints))
     nv = np.fromiter(map(len, values), np.intp, len(values))
@@ -112,8 +75,8 @@ def _checked_pieces(breakpoints, values, horizon_end):
             list(map(number, chain.from_iterable(lists)))  # raises number's TypeError
     b, v = (np.fromiter(chain.from_iterable(lists), float) for lists in (breakpoints, values))
     horizon_end = float(horizon_end)
-    # one row per check of __post_init__, in its order; an item that fails
-    # the first check fails it whatever the other rows say of it
+    # one row per check, in their order; an item that fails the first check
+    # fails it whatever the other rows say of it
     bad = np.zeros((len(_PIECE_CHECKS), nb.size), dtype=bool)
     bad[0] = (nb == 0) | (nb != nv)
     has = nb > 0
@@ -129,14 +92,6 @@ def _checked_pieces(breakpoints, values, horizon_end):
     if failed.any():
         raise ValueError(_PIECE_CHECKS[bad[:, failed.argmax()].argmax()])
     return b, v, nb
-
-
-def _pieces(items):
-    """The items' breakpoints and rates, concatenated, and each item's piece count."""
-    starts = np.fromiter(chain.from_iterable(it.breakpoints for it in items), float)
-    values = np.fromiter(chain.from_iterable(it.values for it in items), float)
-    counts = np.fromiter((len(it.breakpoints) for it in items), np.intp, len(items))
-    return starts, values, counts
 
 
 def _take(pieces, rows):
@@ -166,10 +121,10 @@ def _holding(starts, counts, edges):
 
 
 def rate_grid(pieces):
-    """The merged breakpoints of several intensities and each one's rate per piece.
+    """The merged breakpoints of several rates and each one's rate per piece.
 
-    ``pieces`` are the items' concatenated ``(starts, values, counts)``, a
-    model's own or ``_pieces`` of some intensities.  Returns (edges,
+    ``pieces`` are the items' concatenated ``(starts, values, counts)``, as
+    ``_checked_pieces`` gives them.  Returns (edges,
     rates): the sorted union of the breakpoints (``[0.0]`` for no items),
     and an (items x pieces) array whose row r holds item r on ``[edges[j],
     edges[j+1])``, the last piece ending at the horizon.  Entries are looked
@@ -223,7 +178,7 @@ def _check_station(label, k, what="station"):
 
 def _checked_horizon(horizon):
     """A horizon checked; returns it as a float."""
-    horizon = float(horizon)
+    horizon = number(horizon)
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError("horizon must be a positive finite number of hours")
     return horizon
@@ -238,7 +193,7 @@ def _checked_size(k, horizon):
 
 def _checked_eta(k, eta):
     """A model's travel times checked, as a k x k tuple of float tuples."""
-    eta = tuple(_float_tuple(row) for row in eta)
+    eta = tuple(_number_lists(eta))
     if len(eta) != k or any(len(row) != k for row in eta):
         raise ValueError("eta must be a k x k matrix of hours")
     # the first entry in row-major order that fails a check names it
@@ -254,11 +209,11 @@ def _checked_eta(k, eta):
     return eta
 
 
-def _checked_pairs(k, labels, horizons=None, horizon=None):
+def _checked_pairs(k, labels):
     """Pairs given as flat labels ``[o_0, d_0, o_1, ...]``, checked, as (o, d) arrays.
 
     Each check names the first pair that fails it; they run in the order:
-    labels (``_check_station``), o != d, no repeat, ``horizons`` if given.
+    labels (``_check_station``), o != d, no repeat.
     """
     valid = (isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= k for x in labels)
     o, d = np.array([x if ok else 0 for x, ok in zip(labels, valid)], np.intp).reshape(-1, 2).T
@@ -272,8 +227,6 @@ def _checked_pairs(k, labels, horizons=None, horizon=None):
     if repeats.size:
         i = repeats.min()
         raise ValueError(f"duplicate intensity entry for pair {(labels[2 * i], labels[2 * i + 1])}")
-    if horizons is not None and np.not_equal(horizons, horizon).any():
-        raise ValueError("all intensities must share the model horizon")
     return o, d
 
 
@@ -281,23 +234,25 @@ def _checked_pairs(k, labels, horizons=None, horizon=None):
 class DemandModel:
     """Time-varying demand between k stations.
 
-    ``intensities`` maps ordered station pairs (o, d), o != d, 1-based, to
-    the rental request rate from o to d; absent and all-zero pairs have
-    zero demand.  ``eta[o-1][d-1]`` is the travel time in hours from o to d.
-    Pair p in (o, d) order is ``pair_o[p]`` -> ``pair_d[p]``, with the p-th
-    of ``counts`` in the read-only ``pieces = (starts, values, counts)``.
+    ``rates`` maps ordered station pairs (o, d), o != d, 1-based, to the
+    rental request rate from o to d as ``(breakpoints, values)``, the shape
+    of a model file's ``lambda`` entry (see ``_checked_pieces``); absent
+    and all-zero pairs have zero demand.  ``eta[o-1][d-1]`` is the travel
+    time in hours from o to d.  Pair p in (o, d) order is ``pair_o[p]`` ->
+    ``pair_d[p]``, with the p-th of ``counts`` in the read-only ``pieces =
+    (starts, values, counts)``.
     """
 
     k: int
     eta: tuple
     horizon: float
 
-    def __init__(self, k, intensities, eta, horizon):
+    def __init__(self, k, rates, eta, horizon):
         horizon = _checked_size(k, horizon)
-        items = dict(intensities)
-        horizons = [pci.horizon_end for pci in items.values()]
-        o, d = _checked_pairs(k, list(chain.from_iterable(items)), horizons, horizon)
-        vars(self).update(vars(self._of_pieces(k, o, d, _pieces(items.values()), eta, horizon)))
+        rates = dict(rates)
+        pieces = _checked_pieces([b for b, _ in rates.values()], [v for _, v in rates.values()], horizon)
+        o, d = _checked_pairs(k, list(chain.from_iterable(rates)))
+        vars(self).update(vars(self._of_pieces(k, o, d, pieces, eta, horizon)))
 
     @classmethod
     def _of_pieces(cls, k, o, d, pieces, eta, horizon):
@@ -331,14 +286,13 @@ class RebalancingPlan:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("need at least one station")
-        object.__setattr__(self, "horizon", float(self.horizon))
-        cleaned = {}
-        for (o, d), times in dict(self.rho).items():
+        object.__setattr__(self, "horizon", number(self.horizon))
+        cleaned, rho = {}, dict(self.rho)
+        for (o, d), ts in zip(rho, _number_lists(rho.values())):
             _check_station(o, self.k, "origin")
             _check_station(d, self.k, "destination")
             if o == d:
                 raise ValueError("relocating a vehicle to its own station is a no-op")
-            ts = _float_tuple(times)
             if not all(map(math.isfinite, ts)) or any(b >= a for b, a in zip(ts, ts[1:])):
                 raise ValueError(f"relocation instants for {(o, d)} must be finite and increasing")
             if ts and (ts[0] <= 0.0 or ts[-1] >= self.horizon):
@@ -405,7 +359,8 @@ class StationFlowProfile:
     vehicle arrival rate, then the total rental departure rate, on ``[0,
     horizon]``; ``rho_a``/``rho_d`` are the sorted instants of scheduled
     relocation arrivals/departures (duplicates mean several vehicles).
-    The constructor checks the instants; ``_of_pieces`` takes them as given.
+    The constructor takes each rate as ``(breakpoints, values)`` and checks
+    the rates and the instants; ``_of_pieces`` takes them as given.
     """
 
     pieces: tuple
@@ -413,16 +368,16 @@ class StationFlowProfile:
     rho_a: tuple
     rho_d: tuple
 
-    def __init__(self, lambda_a, lambda_d, rho_a, rho_d):
-        if lambda_a.horizon_end != lambda_d.horizon_end:
-            raise ValueError("arrival and departure intensities must share a horizon")
-        rho = {"rho_a": _float_tuple(rho_a), "rho_d": _float_tuple(rho_d)}
+    def __init__(self, arrivals, departures, horizon, rho_a, rho_d):
+        horizon = number(horizon)
+        pieces = _checked_pieces(*zip(arrivals, departures, strict=True), horizon)
+        rho = dict(zip(("rho_a", "rho_d"), _number_lists([rho_a, rho_d])))
         for name, ts in rho.items():
             if any(b > a for b, a in zip(ts, ts[1:])):
                 raise ValueError(f"{name} must be sorted")
-            if not all(0.0 <= t <= lambda_a.horizon_end for t in ts):  # NaN included
+            if not all(0.0 <= t <= horizon for t in ts):  # NaN included
                 raise ValueError(f"{name} instants must be finite and lie within [0, horizon]")
-        vars(self).update(vars(self._of_pieces(_pieces([lambda_a, lambda_d]), lambda_a.horizon_end, **rho)))
+        vars(self).update(vars(self._of_pieces(pieces, horizon, **rho)))
 
     @classmethod
     def _of_pieces(cls, pieces, horizon, rho_a, rho_d):
@@ -559,11 +514,12 @@ _NUMBER_TYPES = frozenset((int, float))
 
 
 def number(value):
-    """A real number read from a document: ``value`` as a float.
+    """A real number, read from a document or given in Python: ``value`` as a float.
 
-    Anything but an int or a float (a bool, a string, None) is a TypeError.
+    A number is an int that is not a bool, or a float (NumPy's float64 is
+    one); anything else (a bool, a string, None) is a TypeError.
     """
-    if type(value) not in _NUMBER_TYPES:
+    if type(value) not in _NUMBER_TYPES and not isinstance(value, float):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 
@@ -596,9 +552,8 @@ def model_from_json(doc):
         pieces = _checked_pieces(
             [e["breakpoints"] for e in entries], [e["values"] for e in entries], horizon
         )
-        eta = _number_lists(doc["eta"])
         o, d = _checked_pairs(k, labels)
-        return DemandModel._of_pieces(k, o, d, pieces, eta, horizon)
+        return DemandModel._of_pieces(k, o, d, pieces, doc["eta"], horizon)
 
 
 def eta_from_json(doc):
@@ -609,10 +564,8 @@ def eta_from_json(doc):
     """
     with parsing("demand model"):
         k = whole_number(doc["k"])
-        horizon = number(doc["horizon_hours"])
-        eta = _number_lists(doc["eta"])
-    _checked_size(k, horizon)
-    return _checked_eta(k, eta)
+        _checked_size(k, number(doc["horizon_hours"]))
+        return _checked_eta(k, doc["eta"])
 
 
 def plan_to_json(plan):
@@ -636,7 +589,7 @@ def plan_from_json(doc):
             if key in rho:
                 raise ValueError(f"duplicate plan entry for pair {key}")
             rho[key] = entry["times"]
-        return RebalancingPlan(k, horizon, dict(zip(rho, _number_lists(list(rho.values())))))
+        return RebalancingPlan(k, horizon, rho)
 
 
 def read_json(path):
@@ -656,6 +609,10 @@ _STRUCTURAL = np.zeros(256, dtype=np.int8)
 _STRUCTURAL[list(b"[{")] = 1
 _STRUCTURAL[list(b"]}")] = 2
 _STRUCTURAL[list(b",")] = 3
+# One _ENCODE and _reindent of a whole document is simpler, but held the
+# whole text and its byte arrays at once: over perfbench seeds 1-3 it raised
+# peak_rss_mb from 94-96 to 104-105 MB on commuter-k20 and from 121-122 to
+# 145-148 MB on city-k100, with pipeline_s within noise.
 _SLICE_SCALARS = 2048
 
 

@@ -75,26 +75,27 @@ def _events(sequences, plan, eta):
 
     Station is 0-based, step is -1 for a departure and +1 for an arrival,
     and trip numbers the departures: the rentals, then the plan's
-    relocations day after day.
+    relocations day after day.  Step is int8 and the others int32.
     """
     days = len(sequences)
     instants = np.array(plan.instants(), dtype=float).reshape(-1, 3)
     t_pl = instants[:, 0]
     o_pl, d_pl = instants[:, 1:].T.astype(np.intp)
     ride_pl = np.zeros(t_pl.size) if eta is None else np.asarray(eta, dtype=float)[o_pl - 1, d_pl - 1]
-    day = np.concatenate([np.repeat(np.arange(days), sequences.counts),
-                          np.repeat(np.arange(days), t_pl.size)])
+    day = np.concatenate([np.repeat(np.arange(days, dtype=np.int32), sequences.counts),
+                          np.repeat(np.arange(days, dtype=np.int32), t_pl.size)])
     t = np.concatenate([sequences.t, np.tile(t_pl, days)])
     lands = t + np.concatenate([sequences.eta, np.tile(ride_pl, days)])
-    station = np.concatenate([sequences.o, np.tile(o_pl, days), sequences.d, np.tile(d_pl, days)]) - 1
+    station = np.concatenate([sequences.o, np.tile(o_pl, days), sequences.d, np.tile(d_pl, days)],
+                             dtype=np.int32, casting="same_kind") - 1
     n = t.size
     arrival = np.arange(2 * n) >= n  # entries are the n departures, then their n arrivals
     # by day, time, departure time, trip, then departure before arrival: at one
     # instant, arrivals of trips that left earlier come first
     order = np.lexsort((arrival, np.tile(np.arange(n), 2), np.tile(t, 2), np.concatenate([t, lands]),
                         np.tile(day, 2)))
-    trip = order % n
-    return day[trip], station[order], np.where(arrival[order], 1, -1), trip
+    trip = (order % n).astype(np.int32)
+    return day[trip], station[order], np.where(arrival[order], np.int8(1), np.int8(-1)), trip
 
 
 def replay_all(sequences, plan, design, eta=None, overflow=True):
@@ -162,7 +163,7 @@ def envelopes(sequences, plan, eta=None):
     t0 = time.perf_counter()
     _check(sequences, plan, sequences.k)
     day, station, step, _ = _events(sequences, plan, eta)
-    key = day * sequences.k + station
+    key = day.astype(np.int64) * sequences.k + station  # int64: days x k may pass int32
     order = np.argsort(key, kind="stable")
     key, step = key[order], step[order]
     path = np.cumsum(step)

@@ -306,7 +306,7 @@ def size_station_capacity(profile, T, v, budget, search_cap=DEFAULT_SEARCH_CAP):
     return _capacity(profile, T, v, budget, search_cap, None)[0]
 
 
-def size_system(model, plan, request, with_delay=False, search_cap=DEFAULT_SEARCH_CAP):
+def size_system(model, plan, request, with_delay=False):
     """Size every station against an even split of the system budget.
 
     Both stages of a station share one backward sweep.  At DEBUG a
@@ -320,9 +320,9 @@ def size_system(model, plan, request, with_delay=False, search_cap=DEFAULT_SEARC
     for i, profile in enumerate(profiles, start=1):
         z_i = budgets[i - 1]
         t0 = time.perf_counter()
-        v, sweep = _stock(profile, request.T, 0.5 * z_i, search_cap)
+        v, sweep = _stock(profile, request.T, 0.5 * z_i, DEFAULT_SEARCH_CAP)
         t1 = time.perf_counter()
-        c, qf = _capacity(profile, request.T, v, z_i, search_cap, sweep)
+        c, qf = _capacity(profile, request.T, v, z_i, DEFAULT_SEARCH_CAP, sweep)
         t2 = time.perf_counter()
         if qf > z_i + 1e-9:
             raise InvariantViolationError(

@@ -13,18 +13,18 @@ from datetime import date, timedelta
 import numpy as np
 
 from .ingest import DAY_HOURS, DaySequences
-from .model import DemandModel, PiecewiseConstantIntensity
+from .model import DemandModel
 from .simulate import compile_tables, sample_requests
 
 
 def uniform_demand_model(k, rate, horizon, eta_hours=0.0):
     """Every ordered pair requests at the same constant rate."""
-    pci = PiecewiseConstantIntensity.constant(rate, horizon)
-    intensities = {(o, d): pci for o in range(1, k + 1) for d in range(1, k + 1) if o != d}
+    rates = dict.fromkeys(((o, d) for o in range(1, k + 1) for d in range(1, k + 1) if o != d),
+                          ((0.0,), (rate,)))
     eta = tuple(
         tuple(0.0 if o == d else float(eta_hours) for d in range(k)) for o in range(k)
     )
-    return DemandModel(k, intensities, eta, horizon)
+    return DemandModel(k, rates, eta, horizon)
 
 
 def synthetic_imbalanced_model(
@@ -60,21 +60,19 @@ def synthetic_imbalanced_model(
             return (off_factor, off_factor, 1.0, peak_factor, off_factor)
         return (off_factor, 1.0, 1.0, 1.0, off_factor)
 
-    intensities = {}
+    rates = {}
     for o in range(1, k + 1):
         for d in range(1, k + 1):
             if o == d:
                 continue
             scale = base_rate * weights[o - 1] * weights[d - 1] / (k - 1)
             values = tuple(scale * f for f in factors(kinds[o - 1], kinds[d - 1]))
-            intensities[(o, d)] = PiecewiseConstantIntensity(
-                breakpoints, values, DAY_HOURS
-            )
+            rates[(o, d)] = (breakpoints, values)
 
     eta = tuple(
         tuple(0.0 if o == d else float(eta_hours) for d in range(k)) for o in range(k)
     )
-    return DemandModel(k, intensities, eta, DAY_HOURS)
+    return DemandModel(k, rates, eta, DAY_HOURS)
 
 
 def _next_weekday(day):

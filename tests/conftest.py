@@ -2,23 +2,19 @@
 
 import heapq
 import itertools
+import math
 import os
 import subprocess
 import sys
 from bisect import bisect_right
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fleetsizing.ingest import DaySequences
-from fleetsizing.model import (
-    DemandModel,
-    PiecewiseConstantIntensity,
-    RebalancingPlan,
-    StationFlowProfile,
-    SystemDesign,
-)
+from fleetsizing.model import DemandModel, RebalancingPlan, StationFlowProfile, SystemDesign
 from fleetsizing.replay import ReplayOutcome
 from fleetsizing.simulate import _plan_arrays, compile_tables
 
@@ -43,7 +39,63 @@ def days_of(days, k, horizon=24.0):
     return DaySequences(k, horizon, dates, list(map(len, days)), t, o, d, eta)
 
 
-def make_pci(rng, horizon, max_rate=2.0, max_pieces=3):
+@dataclass(frozen=True)
+class Rate:
+    """A non-negative piecewise-constant rate (events/hour) on ``[0, horizon]``.
+
+    ``breakpoints[j]`` is the start of the j-th interval: the rate equals
+    ``values[j]`` on ``[breakpoints[j], breakpoints[j+1])`` and
+    ``values[-1]`` on ``[breakpoints[-1], horizon]``.  The first breakpoint
+    must be 0, so the intervals cover the whole horizon.  The constructor
+    checks a rate item by item, in the order and with the messages of
+    ``model._PIECE_CHECKS``: the scalar reference for ``_checked_pieces``.
+    The package's constructors take the rate as its ``pair``.
+    """
+
+    breakpoints: tuple
+    values: tuple
+    horizon: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "breakpoints", tuple(float(b) for b in self.breakpoints))
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "horizon", float(self.horizon))
+        bp, vals = self.breakpoints, self.values
+        if not bp or len(bp) != len(vals):
+            raise ValueError("need exactly one value per interval")
+        if bp[0] != 0.0:
+            raise ValueError("first breakpoint must be 0")
+        if not all(map(math.isfinite, bp)) or any(b >= a for b, a in zip(bp, bp[1:])):
+            raise ValueError("breakpoints must be finite and strictly increasing")
+        if not math.isfinite(self.horizon) or self.horizon <= bp[-1]:
+            raise ValueError("horizon_end must exceed the last breakpoint")
+        if any(not math.isfinite(v) or v < 0.0 for v in vals):
+            raise ValueError("rates must be finite and non-negative")
+
+    @classmethod
+    def constant(cls, rate, horizon):
+        return cls((0.0,), (rate,), horizon)
+
+    @property
+    def pair(self):
+        """``(breakpoints, values)``, as ``DemandModel`` and ``StationFlowProfile`` take a rate."""
+        return self.breakpoints, self.values
+
+
+def profile_of(arrivals, departures, rho_a=(), rho_d=()):
+    """The ``StationFlowProfile`` of two ``Rate`` on the arrivals' horizon."""
+    return StationFlowProfile(arrivals.pair, departures.pair, arrivals.horizon, rho_a, rho_d)
+
+
+def pieces_of(rates):
+    """The rates' breakpoints and values, concatenated, and each rate's piece count."""
+    starts = np.fromiter(itertools.chain.from_iterable(r.breakpoints for r in rates), float)
+    values = np.fromiter(itertools.chain.from_iterable(r.values for r in rates), float)
+    counts = np.fromiter((len(r.breakpoints) for r in rates), np.intp, len(rates))
+    return starts, values, counts
+
+
+def make_rate(rng, horizon, max_rate=2.0, max_pieces=3):
     """Random piecewise-constant rate on [0, horizon]."""
     n = int(rng.integers(1, max_pieces + 1))
     if n == 1:
@@ -52,51 +104,50 @@ def make_pci(rng, horizon, max_rate=2.0, max_pieces=3):
         interior = np.sort(rng.uniform(0.05 * horizon, 0.95 * horizon, n - 1))
         bps = (0.0, *np.round(interior, 6))
     values = tuple(np.round(rng.uniform(0.0, max_rate, n), 6))
-    return PiecewiseConstantIntensity(bps, values, horizon)
+    return Rate(bps, values, horizon)
 
 
 def intensities(model):
-    """The model's demand as an (o, d) -> PiecewiseConstantIntensity dict, in (o, d) order."""
+    """The model's demand as an (o, d) -> Rate dict, in (o, d) order."""
     starts, values, counts = model.pieces
     ends = np.cumsum(counts)
     return {
-        pair: PiecewiseConstantIntensity(starts[a:b], values[a:b], model.horizon)
+        pair: Rate(starts[a:b], values[a:b], model.horizon)
         for pair, a, b in zip(model.pairs(), ends - counts, ends)
     }
 
 
 def profile_rates(profile):
-    """A station profile's arrival and departure rates, as two PiecewiseConstantIntensity."""
+    """A station profile's arrival and departure rates, as two Rate."""
     starts, values, counts = profile.pieces
     cut = counts[:1]
     return tuple(
-        PiecewiseConstantIntensity(b, v, profile.horizon)
-        for b, v in zip(np.split(starts, cut), np.split(values, cut))
+        Rate(b, v, profile.horizon) for b, v in zip(np.split(starts, cut), np.split(values, cut))
     )
 
 
-def clamped(pci, t):
-    """``t`` clamped to ``[0, horizon_end]`` of ``pci``; more than 1e-9 outside is an error."""
-    if t < -1e-9 or t > pci.horizon_end + 1e-9:
-        raise ValueError(f"time {t} outside intensity domain [0, {pci.horizon_end}]")
-    return min(max(t, 0.0), pci.horizon_end)
+def clamped(rate, t):
+    """``t`` clamped to ``[0, horizon]`` of ``rate``; more than 1e-9 outside is an error."""
+    if t < -1e-9 or t > rate.horizon + 1e-9:
+        raise ValueError(f"time {t} outside intensity domain [0, {rate.horizon}]")
+    return min(max(t, 0.0), rate.horizon)
 
 
-def value_at(pci, t):
-    """The rate of ``pci`` at time t: ``values[j]`` on ``[breakpoints[j], breakpoints[j+1])``."""
-    return pci.values[bisect_right(pci.breakpoints, clamped(pci, t)) - 1]
+def value_at(rate, t):
+    """The rate of ``rate`` at time t: ``values[j]`` on ``[breakpoints[j], breakpoints[j+1])``."""
+    return rate.values[bisect_right(rate.breakpoints, clamped(rate, t)) - 1]
 
 
-def reference_integral(pci, a, b):
-    """The integral of ``pci`` over [a, b] by a walk over its own breakpoints.
+def reference_integral(rate, a, b):
+    """The integral of ``rate`` over [a, b] by a walk over its own breakpoints.
 
     Times are ``clamped`` as ``value_at`` clamps them; the pieces are
     added left to right.
     """
-    a, b = clamped(pci, a), clamped(pci, b)
+    a, b = clamped(rate, a), clamped(rate, b)
     if b < a:
         raise ValueError("integral bounds must satisfy a <= b")
-    bp, vals = pci.breakpoints, pci.values
+    bp, vals = rate.breakpoints, rate.values
     ia = bisect_right(bp, a) - 1
     ib = bisect_right(bp, b) - 1
     if ia == ib:
@@ -108,28 +159,28 @@ def reference_integral(pci, a, b):
     return total
 
 
-def reference_shifted(pci, delay):
-    """``pci`` delayed by ``delay`` hours within the same horizon.
+def reference_shifted(rate, delay):
+    """``rate`` delayed by ``delay`` hours within the same horizon.
 
     The shifted function is 0 on ``[0, delay)`` and whatever falls past
-    the horizon is discarded; a delay of 0 returns ``pci`` itself.
+    the horizon is discarded; a delay of 0 returns ``rate`` itself.
     """
     delay = float(delay)
     if delay < 0.0:
         raise ValueError("delay must be non-negative")
     if delay == 0.0:
-        return pci
-    if delay >= pci.horizon_end:
-        return PiecewiseConstantIntensity.constant(0.0, pci.horizon_end)
+        return rate
+    if delay >= rate.horizon:
+        return Rate.constant(0.0, rate.horizon)
     bps = [0.0]
     vals = [0.0]
-    for b, v in zip(pci.breakpoints, pci.values):
+    for b, v in zip(rate.breakpoints, rate.values):
         s = b + delay
-        if s >= pci.horizon_end:
+        if s >= rate.horizon:
             break
         bps.append(s)
         vals.append(v)
-    return PiecewiseConstantIntensity(tuple(bps), tuple(vals), pci.horizon_end)
+    return Rate(tuple(bps), tuple(vals), rate.horizon)
 
 
 _ARRIVAL, _DEPARTURE = 1, 2
@@ -191,7 +242,7 @@ def random_small_instance(rng, k_max=3, c_max=4, max_rebalances=5, horizon=2.0):
     for o in range(1, k + 1):
         for d in range(1, k + 1):
             if o != d and rng.random() < 0.8:
-                intensities[(o, d)] = make_pci(rng, horizon)
+                intensities[(o, d)] = make_rate(rng, horizon).pair
     eta = tuple(
         tuple(0.0 if o == d else round(float(rng.uniform(0.05, 0.3)), 6) for d in range(k))
         for o in range(k)
@@ -395,8 +446,8 @@ def mc_station_failure(profile, v, c, T, n_runs, seed):
         events = []
         for t0, t1 in zip(grid[:-1], grid[1:]):
             mid = 0.5 * (t0 + t1)
-            for pci, kind in ((lambda_a, +1), (lambda_d, -1)):
-                rate = value_at(pci, mid)
+            for lam, kind in ((lambda_a, +1), (lambda_d, -1)):
+                rate = value_at(lam, mid)
                 n = rng.poisson(rate * (t1 - t0))
                 events.extend((float(t), 0, kind) for t in rng.uniform(t0, t1, n))
         events.extend((t, 1, +1) for t in profile.rho_a if t <= T)
@@ -480,9 +531,4 @@ def rng():
 
 
 def constant_profile(lam_a, lam_d, horizon, rho_a=(), rho_d=()):
-    return StationFlowProfile(
-        PiecewiseConstantIntensity.constant(lam_a, horizon),
-        PiecewiseConstantIntensity.constant(lam_d, horizon),
-        rho_a,
-        rho_d,
-    )
+    return StationFlowProfile(((0.0,), (lam_a,)), ((0.0,), (lam_d,)), horizon, rho_a, rho_d)

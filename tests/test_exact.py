@@ -19,7 +19,6 @@ from fleetsizing.exact import (
 from fleetsizing.model import (
     DemandModel,
     InvariantViolationError,
-    PiecewiseConstantIntensity,
     RebalancingPlan,
     SystemDesign,
     aggregate_station_flows,
@@ -33,12 +32,12 @@ P_GE_2 = 0.26424111765711533  # 1 - 2 e^-1
 
 
 def two_station_model(lam_12=1.0, lam_21=0.0, horizon=1.0):
-    intensities = {}
+    rates = {}
     if lam_12:
-        intensities[(1, 2)] = PiecewiseConstantIntensity.constant(lam_12, horizon)
+        rates[(1, 2)] = ((0.0,), (lam_12,))
     if lam_21:
-        intensities[(2, 1)] = PiecewiseConstantIntensity.constant(lam_21, horizon)
-    return DemandModel(2, intensities, ((0.0, 0.0), (0.0, 0.0)), horizon)
+        rates[(2, 1)] = ((0.0,), (lam_21,))
+    return DemandModel(2, rates, ((0.0, 0.0), (0.0, 0.0)), horizon)
 
 
 class TestJointIntegration:
@@ -76,7 +75,7 @@ class TestJointIntegration:
 
         # swap the two station labels everywhere
         swap = {1: 2, 2: 1}
-        sw_int = {(swap[o], swap[d]): pci for (o, d), pci in intensities(model).items()}
+        sw_int = {(swap[o], swap[d]): lam.pair for (o, d), lam in intensities(model).items()}
         sw_eta = ((model.eta[1][1], model.eta[1][0]), (model.eta[0][1], model.eta[0][0]))
         sw_model = DemandModel(2, sw_int, sw_eta, T)
         sw_plan = RebalancingPlan(
@@ -212,14 +211,15 @@ def reference_kernel(self, rates):
 def with_idle_pieces(model, rng):
     """The model with some pieces switched off and some pairs never active."""
     idle = {}
-    for pair, pci in intensities(model).items():
+    for pair, lam in intensities(model).items():
         roll = rng.random()
         if roll < 0.2:
-            pci = PiecewiseConstantIntensity.constant(0.0, model.horizon)
+            lam = ((0.0,), (0.0,))
         elif roll < 0.6:
-            values = [0.0 if rng.random() < 0.5 else v for v in pci.values]
-            pci = PiecewiseConstantIntensity(pci.breakpoints, values, model.horizon)
-        idle[pair] = pci
+            lam = (lam.breakpoints, [0.0 if rng.random() < 0.5 else v for v in lam.values])
+        else:
+            lam = lam.pair
+        idle[pair] = lam
     return DemandModel(model.k, idle, model.eta, model.horizon)
 
 
@@ -259,13 +259,13 @@ class TestMoveMatrixKernel:
 
     def test_relocation_pairs_without_demand_and_idle_pairs(self):
         # (2, 3) only relocates, (3, 1) never has demand, (1, 2) stops halfway
-        intensities = {
-            (1, 2): PiecewiseConstantIntensity((0.0, 0.5), (1.5, 0.0), 1.0),
-            (2, 1): PiecewiseConstantIntensity.constant(0.7, 1.0),
-            (3, 1): PiecewiseConstantIntensity.constant(0.0, 1.0),
+        rates = {
+            (1, 2): ((0.0, 0.5), (1.5, 0.0)),
+            (2, 1): ((0.0,), (0.7,)),
+            (3, 1): ((0.0,), (0.0,)),
         }
         eta = tuple(tuple(0.0 for _ in range(3)) for _ in range(3))
-        model = DemandModel(3, intensities, eta, 1.0)
+        model = DemandModel(3, rates, eta, 1.0)
         plan = RebalancingPlan(3, 1.0, {(2, 3): (0.25, 0.75), (1, 3): (0.5,)})
         design = SystemDesign((2, 1, 1), (3, 3, 3))
         (snaps, pF), (ref_snaps, ref_pF) = solve_both(model, plan, design, [0.25, 0.6, 1.0])
@@ -276,11 +276,8 @@ class TestMoveMatrixKernel:
     def test_relocation_and_record_boundaries_rebuild_nothing(self):
         # constant rates; relocations at 0.25 and 0.75 and a record at 0.5 cut
         # [0, 1] into four pieces that all have the same rates
-        intensities = {
-            (1, 2): PiecewiseConstantIntensity.constant(1.0, 1.0),
-            (2, 1): PiecewiseConstantIntensity.constant(0.5, 1.0),
-        }
-        model = DemandModel(2, intensities, ((0.0, 0.0), (0.0, 0.0)), 1.0)
+        rates = {(1, 2): ((0.0,), (1.0,)), (2, 1): ((0.0,), (0.5,))}
+        model = DemandModel(2, rates, ((0.0, 0.0), (0.0, 0.0)), 1.0)
         plan = RebalancingPlan(2, 1.0, {(1, 2): (0.25,), (2, 1): (0.75,)})
         design = SystemDesign((1, 1), (2, 2))
         built = []
@@ -307,11 +304,8 @@ class TestMoveMatrixKernel:
             (2, 3): ((0.0, 0.4), (0.0, 1.5)),
             (3, 1): ((0.0, 0.8), (0.5, 0.0)),
         }
-        intensities = {
-            pair: PiecewiseConstantIntensity(bps, vals, horizon) for pair, (bps, vals) in on.items()
-        }
         eta = tuple(tuple(0.0 for _ in range(3)) for _ in range(3))
-        model = DemandModel(3, intensities, eta, horizon)
+        model = DemandModel(3, on, eta, horizon)
         _, rates = rate_grid(model.pieces)
         assert len({tuple(col > 0.0) for col in rates.T}) == 5
         with mock.patch.object(exact, "csr_matrix", wraps=exact.csr_matrix) as build:

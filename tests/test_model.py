@@ -1,5 +1,6 @@
 """Domain types: intensity algebra, flow aggregation, timelines, JSON wire format."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -16,11 +17,9 @@ from fleetsizing import model as model_module
 from fleetsizing.ingest import sequences_from_json
 from fleetsizing.model import (
     DemandModel,
-    PiecewiseConstantIntensity,
     RebalancingPlan,
     StationFlowProfile,
     SystemDesign,
-    _pieces,
     aggregate_station_flows,
     bin_integrals,
     load_model,
@@ -36,11 +35,16 @@ from fleetsizing.model import (
 )
 from fleetsizing.sizing import design_from_json
 from fleetsizing.station_bound import _timeline
+from fleetsizing.synth import synthetic_imbalanced_model, uniform_demand_model
 from fleetsizing.uniformization import JUMP, RECORD
 
 from conftest import (
+    Rate,
+    days_of,
     intensities,
-    make_pci,
+    make_rate,
+    pieces_of,
+    profile_of,
     profile_rates,
     random_small_instance,
     reference_integral,
@@ -49,27 +53,27 @@ from conftest import (
 )
 
 
-def reference_sum_intensities(items, horizon_end):
+def reference_sum_intensities(items, horizon):
     """The scalar sum: each item's ``value_at`` at every merged breakpoint, in item order."""
     items = list(items)
     if not items:
-        return PiecewiseConstantIntensity.constant(0.0, horizon_end)
+        return Rate.constant(0.0, horizon)
     merged = sorted({b for it in items for b in it.breakpoints})
     values = tuple(sum(value_at(it, s) for it in items) for s in merged)
-    return PiecewiseConstantIntensity(tuple(merged), values, horizon_end)
+    return Rate(tuple(merged), values, horizon)
 
 
 def reference_station_flows(model, plan, station, with_delay=False):
     """One station's flow profile from a scan over every pair, as it was built per station."""
     i = station
     demand = intensities(model)
-    dep_items = [pci for (o, d), pci in demand.items() if o == i]
+    dep_items = [lam for (o, d), lam in demand.items() if o == i]
     if with_delay:
         arr_items = [
-            reference_shifted(pci, model.eta_hours(o, i)) for (o, d), pci in demand.items() if d == i
+            reference_shifted(lam, model.eta_hours(o, i)) for (o, d), lam in demand.items() if d == i
         ]
     else:
-        arr_items = [pci for (o, d), pci in demand.items() if d == i]
+        arr_items = [lam for (o, d), lam in demand.items() if d == i]
     lambda_d = reference_sum_intensities(dep_items, model.horizon)
     lambda_a = reference_sum_intensities(arr_items, model.horizon)
     rho_d = sorted(t for (o, d), ts in plan.rho.items() if o == i for t in ts)
@@ -83,11 +87,11 @@ def reference_station_flows(model, plan, station, with_delay=False):
         )
     else:
         rho_a = sorted(t for (o, d), ts in plan.rho.items() if d == i for t in ts)
-    return StationFlowProfile(lambda_a, lambda_d, tuple(rho_a), tuple(rho_d))
+    return profile_of(lambda_a, lambda_d, tuple(rho_a), tuple(rho_d))
 
 
 def same_intensity(a, b):
-    return (a.breakpoints, a.values, a.horizon_end) == (b.breakpoints, b.values, b.horizon_end)
+    return (a.breakpoints, a.values, a.horizon) == (b.breakpoints, b.values, b.horizon)
 
 
 def grid_points(horizon, max_size, steps=100):
@@ -102,7 +106,7 @@ def piecewise_rates(draw, horizon, max_breaks=4, steps=100):
     """A piecewise-constant rate with its own breakpoints, some pieces exactly 0."""
     bps = (0.0, *draw(grid_points(horizon, max_breaks, steps)))
     rate = st.one_of(st.just(0.0), st.floats(0.0, 3.0, allow_subnormal=False))
-    return PiecewiseConstantIntensity(bps, tuple(draw(rate) for _ in bps), horizon)
+    return Rate(bps, tuple(draw(rate) for _ in bps), horizon)
 
 
 @st.composite
@@ -117,7 +121,7 @@ def models_with_plans(draw):
     horizon = draw(st.sampled_from([2.0, 24.0]))
     pairs = [(o, d) for o in range(1, k + 1) for d in range(1, k + 1) if o != d]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
-    lam = {pair: draw(piecewise_rates(horizon, steps=16)) for pair in chosen}
+    lam = {pair: draw(piecewise_rates(horizon, steps=16)).pair for pair in chosen}
     hops = st.one_of(st.just(0), st.integers(1, 24))  # a zero travel time, often
     eta = tuple(
         tuple(0.0 if o == d else draw(hops) * horizon / 16 for d in range(k)) for o in range(k)
@@ -127,48 +131,58 @@ def models_with_plans(draw):
     return DemandModel(k, lam, eta, horizon), RebalancingPlan(k, horizon, rho)
 
 
+def constructor_errors(rate, horizon):
+    """What a one-pair model and a profile with ``rate``, a pair, as either stream raise."""
+    other = ((0.0,), (1.0,))
+    return [
+        first_error(lambda: DemandModel(2, {(1, 2): rate}, ((0.0, 0.0), (0.0, 0.0)), horizon)),
+        first_error(lambda: StationFlowProfile(rate, other, horizon, (), ())),
+        first_error(lambda: StationFlowProfile(other, rate, horizon, (), ())),
+    ]
+
+
 class TestPiecewiseConstantIntensity:
+    """Rates as the constructors take and check them, and as the reference helpers read them."""
+
     def test_right_open_interval_lookup(self):
-        pci = PiecewiseConstantIntensity((0.0, 2.0, 5.0), (1.0, 3.0, 0.5), 10.0)
-        assert value_at(pci, 0.0) == 1.0
-        assert value_at(pci, 1.999) == 1.0
-        assert value_at(pci, 2.0) == 3.0  # right-open: new value starts at its breakpoint
-        assert value_at(pci, 5.0) == 0.5
-        assert value_at(pci, 10.0) == 0.5
+        lam = Rate((0.0, 2.0, 5.0), (1.0, 3.0, 0.5), 10.0)
+        assert value_at(lam, 0.0) == 1.0
+        assert value_at(lam, 1.999) == 1.0
+        assert value_at(lam, 2.0) == 3.0  # right-open: new value starts at its breakpoint
+        assert value_at(lam, 5.0) == 0.5
+        assert value_at(lam, 10.0) == 0.5
 
     def test_evaluation_outside_horizon_is_an_error(self):
-        pci = PiecewiseConstantIntensity.constant(1.0, 10.0)
+        lam = Rate.constant(1.0, 10.0)
         with pytest.raises(ValueError):
-            value_at(pci, 10.5)
+            value_at(lam, 10.5)
         with pytest.raises(ValueError):
-            value_at(pci, -0.5)
+            value_at(lam, -0.5)
 
     def test_breakpoints_must_increase(self):
-        with pytest.raises(ValueError):
-            PiecewiseConstantIntensity((0.0, 3.0, 3.0), (1.0, 1.0, 1.0), 10.0)
-        with pytest.raises(ValueError):
-            PiecewiseConstantIntensity((1.0,), (1.0,), 10.0)  # must start at 0
+        assert constructor_errors(((0.0, 3.0, 3.0), (1.0, 1.0, 1.0)), 10.0) == [
+            "breakpoints must be finite and strictly increasing"] * 3
+        assert constructor_errors(((1.0,), (1.0,)), 10.0) == ["first breakpoint must be 0"] * 3
 
     def test_rates_must_be_non_negative(self):
-        with pytest.raises(ValueError):
-            PiecewiseConstantIntensity((0.0,), (-0.1,), 10.0)
+        assert constructor_errors(((0.0,), (-0.1,)), 10.0) == ["rates must be finite and non-negative"] * 3
 
     @pytest.mark.parametrize("bps", [(0.0, math.nan), (0.0, 30.0, math.nan), (0.0, math.inf)])
     def test_breakpoints_must_be_finite(self, bps):
-        with pytest.raises(ValueError):
-            PiecewiseConstantIntensity(bps, (1.0,) * len(bps), 24.0)
+        assert constructor_errors((bps, (1.0,) * len(bps)), 24.0) == [
+            "breakpoints must be finite and strictly increasing"] * 3
 
     def test_integral_piecewise(self):
-        pci = PiecewiseConstantIntensity((0.0, 2.0), (1.0, 3.0), 10.0)
-        assert reference_integral(pci, 0.0, 2.0) == pytest.approx(2.0)
-        assert reference_integral(pci, 1.0, 3.0) == pytest.approx(1.0 + 3.0)
-        assert reference_integral(pci, 0.0, 10.0) == pytest.approx(2.0 + 24.0)
-        assert reference_integral(pci, 4.0, 4.0) == 0.0
-        assert bin_integrals(_pieces([pci]), 10.0, (0.0, 2.0, 3.0, 10.0)).tolist() == [[2.0, 3.0, 21.0]]
+        lam = Rate((0.0, 2.0), (1.0, 3.0), 10.0)
+        assert reference_integral(lam, 0.0, 2.0) == pytest.approx(2.0)
+        assert reference_integral(lam, 1.0, 3.0) == pytest.approx(1.0 + 3.0)
+        assert reference_integral(lam, 0.0, 10.0) == pytest.approx(2.0 + 24.0)
+        assert reference_integral(lam, 4.0, 4.0) == 0.0
+        assert bin_integrals(pieces_of([lam]), 10.0, (0.0, 2.0, 3.0, 10.0)).tolist() == [[2.0, 3.0, 21.0]]
 
     def test_sum_of_constants(self):
-        pci = PiecewiseConstantIntensity.constant(0.05, 24.0)
-        model = DemandModel(50, {(o, 50): pci for o in range(1, 50)}, ((0.0,) * 50,) * 50, 24.0)
+        lam = Rate.constant(0.05, 24.0)
+        model = DemandModel(50, {(o, 50): lam.pair for o in range(1, 50)}, ((0.0,) * 50,) * 50, 24.0)
         total, _ = profile_rates(aggregate_station_flows(model, None)[-1])
         assert value_at(total, 12.0) == pytest.approx(2.45, rel=1e-12)
 
@@ -176,9 +190,9 @@ class TestPiecewiseConstantIntensity:
     @settings(max_examples=200, deadline=None)
     def test_sum_matches_the_scalar_sum(self, items):
         # the items arrive at the last station, which sums its nonzero inflows
-        horizon = items[0].horizon_end if items else 24.0
+        horizon = items[0].horizon if items else 24.0
         k = len(items) + 1
-        model = DemandModel(k, dict(zip(((o, k) for o in range(1, k)), items)),
+        model = DemandModel(k, {(o, k): it.pair for o, it in enumerate(items, start=1)},
                             ((0.0,) * k,) * k, horizon)
         kept = [it for it in items if any(it.values)]
         assert same_intensity(
@@ -189,24 +203,23 @@ class TestPiecewiseConstantIntensity:
     @given(st.sampled_from([2.0, 24.0]).flatmap(lambda h: st.lists(piecewise_rates(h), max_size=6)))
     @settings(max_examples=200, deadline=None)
     def test_rate_grid_entries_are_value_at(self, items):
-        edges, rates = rate_grid(_pieces(items))
+        edges, rates = rate_grid(pieces_of(items))
         assert edges.tolist() == sorted({0.0, *(b for it in items for b in it.breakpoints)})
         assert rates.shape == (len(items), len(edges))
         if not items:
             return
-        ends = [*edges[1:], items[0].horizon_end]
+        ends = [*edges[1:], items[0].horizon]
         for row, it in zip(rates, items):
             for j, (a, b) in enumerate(zip(edges, ends)):
                 assert row[j] == value_at(it, a) == value_at(it, 0.5 * (a + b))
 
     def test_rate_grid_of_no_items(self):
-        edges, rates = rate_grid(_pieces([]))
+        edges, rates = rate_grid(pieces_of([]))
         assert edges.tolist() == [0.0]
         assert rates.shape == (0, 1)
 
     def test_shift_by_delay_prepends_zero(self):
-        pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
-        shifted = reference_shifted(pci, 0.5)
+        shifted = reference_shifted(Rate.constant(1.0, 24.0), 0.5)
         assert value_at(shifted, 0.25) == 0.0
         assert value_at(shifted, 0.5) == 1.0
         assert value_at(shifted, 23.9) == 1.0
@@ -214,19 +227,19 @@ class TestPiecewiseConstantIntensity:
     def test_shift_integral_identity(self):
         # integral of the shifted intensity over [0,T] equals the original
         # integral over [0, T - eta]
-        pci = PiecewiseConstantIntensity((0.0, 3.0, 7.0), (0.4, 1.2, 0.1), 24.0)
+        lam = Rate((0.0, 3.0, 7.0), (0.4, 1.2, 0.1), 24.0)
         eta = 1.75
-        assert reference_integral(reference_shifted(pci, eta), 0.0, 24.0) == pytest.approx(
-            reference_integral(pci, 0.0, 24.0 - eta), rel=1e-9
+        assert reference_integral(reference_shifted(lam, eta), 0.0, 24.0) == pytest.approx(
+            reference_integral(lam, 0.0, 24.0 - eta), rel=1e-9
         )
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.1, 0.9), st.floats(0.1, 0.9))
     @settings(max_examples=50, deadline=None)
     def test_integral_is_additive(self, seed, fa, fb):
-        pci = make_pci(np.random.default_rng(seed), 8.0)
+        lam = make_rate(np.random.default_rng(seed), 8.0)
         a, b = sorted((8.0 * fa, 8.0 * fb))
-        whole = reference_integral(pci, 0.0, 8.0)
-        parts = [reference_integral(pci, s, t) for s, t in ((0.0, a), (a, b), (b, 8.0))]
+        whole = reference_integral(lam, 0.0, 8.0)
+        parts = [reference_integral(lam, s, t) for s, t in ((0.0, a), (a, b), (b, 8.0))]
         assert sum(parts) == pytest.approx(whole, abs=1e-12)
 
 
@@ -250,32 +263,30 @@ class TestBinIntegrals:
     @settings(max_examples=300, deadline=None)
     def test_entries_are_the_scalar_integrals(self, case):
         horizon, items, edges = case
-        got = bin_integrals(_pieces(items), horizon, edges)
+        got = bin_integrals(pieces_of(items), horizon, edges)
         assert got.shape == (len(items), len(edges) - 1)
         for row, it in zip(got.tolist(), items):
             assert row == [reference_integral(it, a, b) for a, b in zip(edges, edges[1:])]
 
     def test_one_bin_over_many_pieces(self):
-        pci = PiecewiseConstantIntensity(tuple(np.arange(0.0, 24.0, 0.1)), (0.3,) * 240, 24.0)
-        assert bin_integrals(_pieces([pci]), 24.0, (0.0, 24.0))[0, 0] == reference_integral(pci, 0.0, 24.0)
+        lam = Rate(tuple(np.arange(0.0, 24.0, 0.1)), (0.3,) * 240, 24.0)
+        assert bin_integrals(pieces_of([lam]), 24.0, (0.0, 24.0))[0, 0] == reference_integral(lam, 0.0, 24.0)
 
     @pytest.mark.parametrize(
         "edges", [(0.0, 2.0, 1.0), (0.0, 24.1), (-0.1, 1.0), (0.0, math.nan), (0.0, math.inf), ()]
     )
     def test_bad_edges_are_rejected(self, edges):
         with pytest.raises(ValueError):
-            bin_integrals(_pieces([PiecewiseConstantIntensity.constant(1.0, 24.0)]), 24.0, edges)
+            bin_integrals(pieces_of([Rate.constant(1.0, 24.0)]), 24.0, edges)
 
 
 class TestDemandModel:
     def test_diagonal_demand_rejected(self):
-        pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
         with pytest.raises(ValueError):
-            DemandModel(2, {(1, 1): pci}, ((0.0, 0.0), (0.0, 0.0)), 24.0)
+            DemandModel(2, {(1, 1): ((0.0,), (1.0,))}, ((0.0, 0.0), (0.0, 0.0)), 24.0)
 
     def test_absent_pairs_have_zero_rate(self):
-        pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
-        m = DemandModel(2, {(1, 2): pci}, ((0.0, 0.1), (0.1, 0.0)), 24.0)
+        m = DemandModel(2, {(1, 2): ((0.0,), (1.0,))}, ((0.0, 0.1), (0.1, 0.0)), 24.0)
         assert m.pairs() == [(1, 2)]
         assert value_at(intensities(m)[(1, 2)], 3.0) == 1.0
 
@@ -284,9 +295,9 @@ class TestDemandModel:
             DemandModel(2, {}, ((0.5, 0.1), (0.1, 0.0)), 24.0)
 
     def test_horizon_mismatch_rejected(self):
-        pci = PiecewiseConstantIntensity.constant(1.0, 12.0)
-        with pytest.raises(ValueError):
-            DemandModel(2, {(1, 2): pci}, ((0.0, 0.0), (0.0, 0.0)), 24.0)
+        # a rate drawn for 24 h whose breakpoint is the 12 h model's horizon
+        with pytest.raises(ValueError, match="^horizon_end must exceed the last breakpoint$"):
+            DemandModel(2, {(1, 2): ((0.0, 12.0), (1.0, 2.0))}, ((0.0, 0.0), (0.0, 0.0)), 12.0)
 
     @given(
         st.integers(1, 4).flatmap(
@@ -344,12 +355,9 @@ class TestRebalancingPlan:
 
 class TestAggregateStationFlows:
     def test_uniform_all_pairs_sums(self):
-        pci = PiecewiseConstantIntensity.constant(0.05, 24.0)
-        intensities = {
-            (o, d): pci for o in range(1, 51) for d in range(1, 51) if o != d
-        }
+        rates = {(o, d): ((0.0,), (0.05,)) for o in range(1, 51) for d in range(1, 51) if o != d}
         eta = tuple(tuple(0.0 for _ in range(50)) for _ in range(50))
-        m = DemandModel(50, intensities, eta, 24.0)
+        m = DemandModel(50, rates, eta, 24.0)
         lambda_a, lambda_d = profile_rates(aggregate_station_flows(m, RebalancingPlan.empty(50, 24.0))[6])
         for t in (0.0, 6.0, 23.0):
             assert value_at(lambda_a, t) == pytest.approx(2.45, rel=1e-12)
@@ -364,8 +372,7 @@ class TestAggregateStationFlows:
                 assert value_at(lambda_d, t) == pytest.approx(expected, abs=1e-12)
 
     def test_delayed_arrival_turns_on_after_travel_time(self):
-        pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
-        m = DemandModel(2, {(1, 2): pci}, ((0.0, 0.5), (0.5, 0.0)), 24.0)
+        m = DemandModel(2, {(1, 2): ((0.0,), (1.0,))}, ((0.0, 0.5), (0.5, 0.0)), 24.0)
         prof = aggregate_station_flows(m, RebalancingPlan.empty(2, 24.0), with_delay=True)[1]
         lambda_a, _ = profile_rates(prof)
         assert value_at(lambda_a, 0.25) == 0.0
@@ -386,8 +393,7 @@ class TestAggregateStationFlows:
             )
 
     def test_relocation_arrivals_shift_by_travel_time(self):
-        pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
-        m = DemandModel(2, {(1, 2): pci}, ((0.0, 0.4), (0.4, 0.0)), 24.0)
+        m = DemandModel(2, {(1, 2): ((0.0,), (1.0,))}, ((0.0, 0.4), (0.4, 0.0)), 24.0)
         plan = RebalancingPlan(2, 24.0, {(1, 2): (1.0,)})
         prof = aggregate_station_flows(m, plan, with_delay=True)[1]
         assert prof.rho_a == (1.4,)
@@ -397,8 +403,7 @@ class TestAggregateStationFlows:
     # station 1 sends with a zero travel time, station 2 with one that shifts
     # its second piece and its relocation exactly onto the horizon, and
     # station 3 has no pairs
-    @example((DemandModel(3, {(1, 2): PiecewiseConstantIntensity((0.0, 1.5), (1.0, 2.0), 2.0),
-                              (2, 1): PiecewiseConstantIntensity((0.0, 1.5), (0.5, 3.0), 2.0)},
+    @example((DemandModel(3, {(1, 2): ((0.0, 1.5), (1.0, 2.0)), (2, 1): ((0.0, 1.5), (0.5, 3.0))},
                           ((0.0, 0.0, 1.0), (0.5, 0.0, 1.0), (1.0, 1.0, 0.0)), 2.0),
               RebalancingPlan(3, 2.0, {(2, 1): (0.25, 1.5)})), True)
     @given(models_with_plans(), st.booleans())
@@ -416,9 +421,9 @@ class TestAggregateStationFlows:
             assert prof.rho_d == ref.rho_d
 
     def test_a_profile_holds_its_rates_as_read_only_pieces(self):
-        lambda_a = PiecewiseConstantIntensity((0.0, 1.0), (0.5, 2.0), 4.0)
-        lambda_d = PiecewiseConstantIntensity.constant(1.5, 4.0)
-        prof = StationFlowProfile(lambda_a, lambda_d, [0.5, 1.0], (2.0,))
+        lambda_a = Rate((0.0, 1.0), (0.5, 2.0), 4.0)
+        lambda_d = Rate.constant(1.5, 4.0)
+        prof = StationFlowProfile(lambda_a.pair, lambda_d.pair, 4.0, [0.5, 1.0], (2.0,))
         starts, values, counts = prof.pieces
         assert (starts.tolist(), values.tolist(), counts.tolist()) == ([0.0, 1.0, 0.0], [0.5, 2.0, 1.5], [2, 1])
         assert (prof.horizon, prof.rho_a, prof.rho_d) == (4.0, (0.5, 1.0), (2.0,))
@@ -428,15 +433,15 @@ class TestAggregateStationFlows:
         assert all(map(same_intensity, profile_rates(prof), (lambda_a, lambda_d)))
 
     def test_aggregation_builds_no_intensity(self, rng):
+        # the model's rates were checked once, when it was built
         model, plan, _ = random_small_instance(rng, k_max=4)
-        with mock.patch.object(PiecewiseConstantIntensity, "__post_init__", autospec=True) as built:
+        with mock.patch.object(model_module, "_checked_pieces") as checked:
             for with_delay in (False, True):
                 aggregate_station_flows(model, plan, with_delay=with_delay)
-        assert built.call_count == 0
+        assert checked.call_count == 0
 
     def test_delayed_relocation_arrivals_past_horizon_are_dropped(self):
-        pci = PiecewiseConstantIntensity.constant(1.0, 24.0)
-        m = DemandModel(2, {(1, 2): pci}, ((0.0, 0.5), (0.5, 0.0)), 24.0)
+        m = DemandModel(2, {(1, 2): ((0.0,), (1.0,))}, ((0.0, 0.5), (0.5, 0.0)), 24.0)
         plan = RebalancingPlan(2, 24.0, {(1, 2): (23.8,)})
         prof = aggregate_station_flows(m, plan, with_delay=True)[1]
         assert prof.rho_a == ()
@@ -444,10 +449,8 @@ class TestAggregateStationFlows:
 
 class TestMergedEventTimeline:
     def test_orders_breakpoints_then_arrivals_then_departures(self):
-        prof_lambda = PiecewiseConstantIntensity((0.0, 8.0, 17.0), (1.0, 2.0, 1.0), 24.0)
-        prof = StationFlowProfile(
-            prof_lambda, PiecewiseConstantIntensity.constant(0.0, 24.0), (9.0,), (12.0,)
-        )
+        prof = StationFlowProfile(((0.0, 8.0, 17.0), (1.0, 2.0, 1.0)), ((0.0,), (0.0,)), 24.0,
+                                  (9.0,), (12.0,))
         pieces, ends, actions, cuts = _timeline(prof, 24.0, ())
         assert ends.tolist() == [8.0, 9.0, 12.0, 17.0, 24.0]
         assert pieces.tolist() == [
@@ -465,22 +468,12 @@ class TestMergedEventTimeline:
             _timeline(prof, 9.0, [9.5])
 
     def test_constant_intensity_empty_plan_has_no_events(self):
-        prof = StationFlowProfile(
-            PiecewiseConstantIntensity.constant(1.0, 24.0),
-            PiecewiseConstantIntensity.constant(2.0, 24.0),
-            (),
-            (),
-        )
+        prof = StationFlowProfile(((0.0,), (1.0,)), ((0.0,), (2.0,)), 24.0, (), ())
         pieces, ends, actions, cuts = _timeline(prof, 24.0, ())
         assert (pieces.tolist(), ends.tolist(), actions, cuts) == ([[24.0, 1.0, 2.0]], [24.0], [], [0, 0, 0])
 
     def test_simultaneous_arrival_precedes_departure(self):
-        prof = StationFlowProfile(
-            PiecewiseConstantIntensity((0.0, 5.0), (0.0, 1.0), 24.0),
-            PiecewiseConstantIntensity.constant(0.0, 24.0),
-            (5.0,),
-            (5.0,),
-        )
+        prof = StationFlowProfile(((0.0, 5.0), (0.0, 1.0)), ((0.0,), (0.0,)), 24.0, (5.0,), (5.0,))
         pieces, ends, actions, cuts = _timeline(prof, 24.0, ())
         assert pieces.tolist() == [[5.0, 0.0, 0.0], [19.0, 1.0, 0.0]]
         assert actions == [(JUMP, "arrival"), (JUMP, "departure")]
@@ -584,6 +577,25 @@ class TestWireFormat:
             model_from_json({"k": 1, "horizon_hours": value, "lambda": [], "eta": [[0.0]]})
 
 
+# the SHA-256 of each generator model's file, as ``save_model`` writes it
+GENERATED_MODELS = [
+    pytest.param(lambda: synthetic_imbalanced_model(20, seed=0, base_rate=1.2, peak_factor=12.0),
+                 "b5c87e1715961d5aed09ada7a287ea5d9053eecbfaae3f4cdba4d7a361a848ae", id="case-study"),
+    pytest.param(lambda: synthetic_imbalanced_model(20, seed=0),
+                 "12319eb888eff714108f6e80bcdf4d70f8c90fb62700f319fff2f348cdcea082", id="commuter"),
+    pytest.param(lambda: uniform_demand_model(50, 0.05, 72.0),
+                 "31ae9db4728c4e8bbcd192453d6a05a64ae55ac085305c7e894afbd323079caa", id="uniform-k50"),
+    pytest.param(lambda: uniform_demand_model(3, 0.5, 24.0, eta_hours=0.25),
+                 "72ec381d0600ec3f651476d15479e0fae268426a61305d1961b06de0fae934ce", id="uniform-k3"),
+]
+
+
+@pytest.mark.parametrize("build, digest", GENERATED_MODELS)
+def test_generated_models_keep_their_bytes(build, digest, tmp_path):
+    save_model(build(), tmp_path / "model.json")
+    assert hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest() == digest
+
+
 # --- one demand representation, whatever the mapping's order ---------------
 
 
@@ -595,14 +607,14 @@ def shuffled_model(seed, k=4, horizon=4.0):
     """
     rng = np.random.default_rng(seed)
     pairs = [(o, d) for o in range(1, k + 1) for d in range(1, k + 1) if o != d]
-    intensities = {}
+    rates = {}
     for i in rng.permutation(len(pairs)):
         cuts = np.sort(rng.choice(np.arange(1, 40), int(rng.integers(0, 4)), replace=False))
         bps = (0.0, *(cuts * horizon / 40).tolist())
-        intensities[pairs[i]] = PiecewiseConstantIntensity(bps, rng.uniform(0.1, 1.5, len(bps)), horizon)
+        rates[pairs[i]] = (bps, rng.uniform(0.1, 1.5, len(bps)))
     eta = tuple(tuple(0.0 if o == d else float(rng.uniform(0.05, 0.5)) for d in range(k))
                 for o in range(k))
-    return DemandModel(k, intensities, eta, horizon)
+    return DemandModel(k, rates, eta, horizon)
 
 
 def bits(x):
@@ -647,9 +659,9 @@ class TestOneRepresentation:
             joint_transient(again, plan, design, [3.0])[-1].pF)
 
     def test_the_pairs_are_sorted_arrays_without_zero_demand(self):
-        lam = PiecewiseConstantIntensity((0.0, 1.0), (0.5, 2.0), 4.0)
-        zero = PiecewiseConstantIntensity((0.0, 2.0), (0.0, -0.0), 4.0)
-        model = DemandModel(3, {(3, 1): lam, (1, 2): zero, (2, 3): lam, (1, 3): lam},
+        lam = Rate((0.0, 1.0), (0.5, 2.0), 4.0)
+        zero = ((0.0, 2.0), (0.0, -0.0))
+        model = DemandModel(3, {(3, 1): lam.pair, (1, 2): zero, (2, 3): lam.pair, (1, 3): lam.pair},
                             ((0.0,) * 3,) * 3, 4.0)
         assert model.pair_o.tolist() == [1, 2, 3] and model.pair_d.tolist() == [3, 3, 1]
         starts, values, counts = model.pieces
@@ -673,10 +685,8 @@ class TestOneRepresentation:
         model, plan, design = random_small_instance(rng, k_max=3)
         save_model(model, tmp_path / "m.json")
 
-        def unbuilt(_):
-            pytest.fail("a PiecewiseConstantIntensity was built")
-
-        with mock.patch.object(PiecewiseConstantIntensity, "__post_init__", unbuilt):
+        # loading checks the rates once, and no reader checks them again
+        with mock.patch.object(model_module, "_checked_pieces", wraps=model_module._checked_pieces) as checked:
             loaded = load_model(tmp_path / "m.json")
             build_plan(loaded, bin_hours=0.5)
             size_system(loaded, plan, SizingRequest(0.3, 1.5), with_delay=True)
@@ -684,12 +694,13 @@ class TestOneRepresentation:
             compile_tables(loaded)
             joint_transient(loaded, plan, design, [0.5, 1.5])
             assert model_to_json(loaded) == model_to_json(model)
+        assert checked.call_count == 1
 
 
 class TestPairChecks:
     """Every pair check keeps its message on each way a model is built."""
 
-    lam = PiecewiseConstantIntensity.constant(1.0, 24.0)
+    lam = ((0.0,), (1.0,))
     eta = ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0))
 
     @pytest.mark.parametrize(
@@ -710,9 +721,16 @@ class TestPairChecks:
             DemandModel(3, dict.fromkeys(pairs, self.lam), self.eta, 24.0)
 
     def test_a_horizon_other_than_the_models(self):
-        short = PiecewiseConstantIntensity.constant(1.0, 12.0)
-        with pytest.raises(ValueError, match="^all intensities must share the model horizon$"):
-            DemandModel(3, {(1, 2): self.lam, (2, 1): short}, self.eta, 24.0)
+        # a rate drawn for 36 h, with a breakpoint past the model's 24 h
+        long = ((0.0, 30.0), (1.0, 2.0))
+        message = "^horizon_end must exceed the last breakpoint$"
+        with pytest.raises(ValueError, match=message):
+            DemandModel(3, {(1, 2): self.lam, (2, 1): long}, self.eta, 24.0)
+        doc = {"k": 3, "horizon_hours": 24.0, "eta": self.eta, "lambda": [
+            {"o": 1, "d": 2, "breakpoints": [0.0], "values": [1.0]},
+            {"o": 2, "d": 1, "breakpoints": list(long[0]), "values": list(long[1])}]}
+        with pytest.raises(ValueError, match=message):
+            model_from_json(doc)
 
     @pytest.mark.parametrize(
         "pairs, message",
@@ -744,7 +762,60 @@ class TestPairChecks:
             estimate_demand(sequences_from_json(doc))
 
 
-# --- the array check against the checked constructor -------------------------
+class TestNumbersGivenInPython:
+    """Python input follows the file readers' rule: a bool or a string is no number."""
+
+    eta = ((0.0, 0.5), (0.5, 0.0))
+    one = ((0.0,), (1.0,))
+
+    @pytest.fixture(params=[True, "1.5"], ids=["bool", "string"])
+    def bad(self, request):
+        return request.param
+
+    def rejected(self, build, bad):
+        with pytest.raises(TypeError, match=f"^expected a number, got {re.escape(repr(bad))}$"):
+            build()
+
+    def test_demand_rates(self, bad):
+        for rate in (((0.0, bad), (1.0, 2.0)), ((0.0, 7.0), (bad, 2.0))):
+            self.rejected(lambda: DemandModel(2, {(1, 2): rate}, self.eta, 24.0), bad)
+
+    def test_travel_times(self, bad):
+        self.rejected(lambda: DemandModel(2, {(1, 2): self.one}, ((0.0, bad), (0.5, 0.0)), 24.0), bad)
+
+    def test_profile_rates(self, bad):
+        for rate in (((0.0, bad), (1.0, 2.0)), ((0.0, 7.0), (bad, 2.0))):
+            self.rejected(lambda: StationFlowProfile(rate, self.one, 24.0, (), ()), bad)
+            self.rejected(lambda: StationFlowProfile(self.one, rate, 24.0, (), ()), bad)
+
+    def test_profile_instants(self, bad):
+        self.rejected(lambda: StationFlowProfile(self.one, self.one, 24.0, (bad,), ()), bad)
+        self.rejected(lambda: StationFlowProfile(self.one, self.one, 24.0, (), (0.5, bad)), bad)
+
+    def test_plan_instants(self, bad):
+        self.rejected(lambda: RebalancingPlan(2, 24.0, {(1, 2): (bad, 3.5)}), bad)
+
+    def test_horizons(self, bad):
+        self.rejected(lambda: DemandModel(2, {(1, 2): self.one}, self.eta, bad), bad)
+        self.rejected(lambda: StationFlowProfile(self.one, self.one, bad, (), ()), bad)
+        self.rejected(lambda: RebalancingPlan(2, bad, {}), bad)
+        self.rejected(lambda: days_of([[(0.5, 1, 2, 0.25)]], 2, horizon=bad), bad)
+
+    def test_numpy_floats_and_ints_are_numbers(self):
+        rate = ((0, np.float64(7.0)), np.array([1.5, 0.25]))
+        model = DemandModel(2, {(1, 2): rate}, np.array(self.eta), 24)
+        profile = StationFlowProfile(rate, self.one, 24.0, np.array([0.5]), (1,))
+        plain = Rate((0.0, 7.0), (1.5, 0.25), 24.0)
+        assert same_intensity(intensities(model)[(1, 2)], plain)
+        assert same_intensity(profile_rates(profile)[0], plain)
+        assert model.eta == self.eta and type(model.eta[0][1]) is float
+        assert (profile.rho_a, profile.rho_d) == ((0.5,), (1.0,))
+        assert all(type(t) is float for t in profile.rho_a + profile.rho_d)
+        plan = RebalancingPlan(2, 24.0, {(1, 2): (np.float64(1.0), 3)})
+        assert plan.rho == {(1, 2): (1.0, 3.0)} and all(type(t) is float for t in plan.rho[(1, 2)])
+
+
+# --- the array check against the scalar checks --------------------------------
 
 
 def first_error(build):
@@ -757,7 +828,7 @@ def first_error(build):
 
 @st.composite
 def piece_lists(draw, horizon):
-    """One item's (breakpoints, values): valid, or broken in up to two of the constructor's ways."""
+    """One item's (breakpoints, values): valid, or broken in up to two of the checks' ways."""
     n = draw(st.integers(1, 4))
     inside = st.floats(0.0, horizon, exclude_min=True, exclude_max=True)
     bps = [0.0, *sorted(draw(st.lists(inside, min_size=n - 1, max_size=n - 1, unique=True)))]
@@ -798,9 +869,7 @@ class TestCheckedPieces:
     @settings(max_examples=300, deadline=None)
     def test_accepts_and_rejects_what_the_constructor_does(self, case):
         horizon, items = case
-        expected = first_error(
-            lambda: _pieces([PiecewiseConstantIntensity(b, v, horizon) for b, v in items])
-        )
+        expected = first_error(lambda: pieces_of([Rate(b, v, horizon) for b, v in items]))
         got = first_error(
             lambda: model_module._checked_pieces([b for b, _ in items], [v for _, v in items],
                                                  horizon)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetsizing.model import DemandModel, PiecewiseConstantIntensity, RebalancingPlan
+from fleetsizing.model import DemandModel
 from fleetsizing.rebalance import (
     ImbalanceProfile,
     balance_flows,
@@ -25,22 +25,17 @@ from conftest import (
 
 
 def model_from_rates(k, rates, horizon=1.0, eta=None):
-    intensities = {
-        pair: PiecewiseConstantIntensity.constant(r, horizon)
-        for pair, r in rates.items()
-        if r > 0
-    }
     if eta is None:
         eta = tuple(tuple(0.0 for _ in range(k)) for _ in range(k))
-    return DemandModel(k, intensities, eta, horizon)
+    return DemandModel(k, {pair: ((0.0,), (r,)) for pair, r in rates.items() if r > 0}, eta, horizon)
 
 
 def reference_imbalance(model, edges):
     """delta[i, b] from a loop over the pairs and bins, in pair order."""
     delta = np.zeros((model.k, len(edges) - 1))
-    for (o, d), pci in intensities(model).items():
+    for (o, d), lam in intensities(model).items():
         for b in range(len(edges) - 1):
-            flow = reference_integral(pci, edges[b], edges[b + 1])
+            flow = reference_integral(lam, edges[b], edges[b + 1])
             delta[d - 1, b] += flow
             delta[o - 1, b] -= flow
     return delta

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from fleetsizing.exact import joint_transient, marginal_distribution
 from fleetsizing.model import (
     DemandModel,
-    PiecewiseConstantIntensity,
     RebalancingPlan,
     SystemDesign,
 )
@@ -28,6 +27,7 @@ from fleetsizing.station_bound import system_failure_bound_curve
 from fleetsizing.synth import sample_day_sequences, synthetic_imbalanced_model, uniform_demand_model
 
 from conftest import (
+    Rate,
     dense_simulate,
     intensities,
     random_small_instance,
@@ -58,19 +58,16 @@ def small_systems(draw, horizon=2.0):
     """Random model, plan and design with k in 2..8; relocations share instants."""
     k = draw(st.integers(2, 8))
     pairs = [(o, d) for o in range(1, k + 1) for d in range(1, k + 1) if o != d]
-    intensities = {}
+    demand = {}
     for pair in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)):
         split = draw(st.sampled_from([None, 0.5, 1.3]))
         rates = draw(st.lists(st.floats(0.0, 6.0), min_size=2, max_size=2))
-        if split is None:
-            intensities[pair] = PiecewiseConstantIntensity.constant(rates[0], horizon)
-        else:
-            intensities[pair] = PiecewiseConstantIntensity((0.0, split), tuple(rates), horizon)
+        demand[pair] = ((0.0,), (rates[0],)) if split is None else ((0.0, split), tuple(rates))
     eta_choices = st.sampled_from([0.0, 0.1, 0.5, 1.0])
     eta = tuple(
         tuple(0.0 if o == d else draw(eta_choices) for d in range(k)) for o in range(k)
     )
-    model = DemandModel(k, intensities, eta, horizon)
+    model = DemandModel(k, demand, eta, horizon)
     rho = {}
     moves = st.tuples(
         st.sampled_from(pairs),
@@ -101,7 +98,7 @@ def tied_systems(draw, horizon=2.0):
     t0 = draw(st.sampled_from([0.125, 0.25, 0.5]))
     eta = [list(row) for row in model.eta]
     eta[a - 1][i - 1] = t0
-    demand = {pair: lam for pair, lam in intensities(model).items() if i not in pair}
+    demand = {pair: lam.pair for pair, lam in intensities(model).items() if i not in pair}
     rho = {pair: ts for pair, ts in plan.rho.items() if i not in pair}
     rho[(a, i)], rho[(i, b)] = (t0,), (2 * t0,)
     v, c = list(design.v), list(design.c)
@@ -120,8 +117,8 @@ def busy_network(k=16, horizon=6.0):
     among stations 2..k share the ``SHARED_INSTANTS``.
     """
     rng = np.random.default_rng(11)
-    intensities = {
-        (o, d): PiecewiseConstantIntensity((0.0, 2.5), tuple(rng.uniform(0.5, 3.5, 2)), horizon)
+    demand = {
+        (o, d): ((0.0, 2.5), tuple(rng.uniform(0.5, 3.5, 2)))
         for o in range(2, k + 1)
         for d in range(2, k + 1)
         if o != d
@@ -135,16 +132,16 @@ def busy_network(k=16, horizon=6.0):
         o, d = (int(x) for x in rng.choice(np.arange(2, k + 1), 2, replace=False))
         t = float(rng.choice(SHARED_INSTANTS)) if rng.random() < 0.5 else rng.uniform(0, horizon)
         rho[(o, d)] = tuple(sorted(set(rho.get((o, d), ())) | {round(t, 6)}))
-    return DemandModel(k, intensities, eta, horizon), RebalancingPlan(k, horizon, rho)
+    return DemandModel(k, demand, eta, horizon), RebalancingPlan(k, horizon, rho)
 
 
 def two_station_model(lam_12=1.0, lam_21=0.0, horizon=1.0):
-    intensities = {}
+    rates = {}
     if lam_12:
-        intensities[(1, 2)] = PiecewiseConstantIntensity.constant(lam_12, horizon)
+        rates[(1, 2)] = ((0.0,), (lam_12,))
     if lam_21:
-        intensities[(2, 1)] = PiecewiseConstantIntensity.constant(lam_21, horizon)
-    return DemandModel(2, intensities, ((0.0, 0.0), (0.0, 0.0)), horizon)
+        rates[(2, 1)] = ((0.0,), (lam_21,))
+    return DemandModel(2, rates, ((0.0, 0.0), (0.0, 0.0)), horizon)
 
 
 class TestSimulateRun:
@@ -204,8 +201,7 @@ class TestSimulateRun:
         # station 1 holds far more stock than requests can drain, station 2
         # has no parking at all, so the only possible failure is an arrival
         # into station 2 -- which is delayed by eta = 0.4 h
-        intensities = {(1, 2): PiecewiseConstantIntensity.constant(50.0, 1.0)}
-        m = DemandModel(2, intensities, ((0.0, 0.4), (0.4, 0.0)), 1.0)
+        m = DemandModel(2, {(1, 2): ((0.0,), (50.0,))}, ((0.0, 0.4), (0.4, 0.0)), 1.0)
         design = SystemDesign((200, 0), (200, 0))
         plan = RebalancingPlan.empty(2, 1.0)
         failed = failure_times(m, plan, design, 1.0, range(10), with_delay=True)
@@ -265,11 +261,11 @@ class TestEstimateFailureCurve:
         # until the first failure every departure succeeds, so each station sees
         # the delayed arrival streams the bound uses; rides take 15-90 minutes
         lam = {
-            (1, 2): PiecewiseConstantIntensity((0.0, 1.5), (1.2, 0.4), 4.0),
-            (2, 3): PiecewiseConstantIntensity((0.0, 2.0), (0.3, 0.9), 4.0),
-            (3, 1): PiecewiseConstantIntensity((0.0,), (0.7,), 4.0),
-            (2, 1): PiecewiseConstantIntensity((0.0, 1.0, 3.0), (0.2, 0.8, 0.3), 4.0),
-            (1, 3): PiecewiseConstantIntensity((0.0,), (0.3,), 4.0),
+            (1, 2): ((0.0, 1.5), (1.2, 0.4)),
+            (2, 3): ((0.0, 2.0), (0.3, 0.9)),
+            (3, 1): ((0.0,), (0.7,)),
+            (2, 1): ((0.0, 1.0, 3.0), (0.2, 0.8, 0.3)),
+            (1, 3): ((0.0,), (0.3,)),
         }
         eta = ((0.0, 0.75, 1.25), (0.5, 0.0, 1.0), (1.5, 0.25, 0.0))
         model = DemandModel(3, lam, eta, 4.0)
@@ -363,8 +359,8 @@ class TestThinning:
         assert stat.pvalue > 0.01
 
     def test_piecewise_rate_bin_counts_match_integrals(self):
-        pci = PiecewiseConstantIntensity((0.0, 5.0, 10.0), (2.0, 0.2, 1.0), 20.0)
-        m = DemandModel(2, {(1, 2): pci}, ((0.0, 0.0), (0.0, 0.0)), 20.0)
+        lam = Rate((0.0, 5.0, 10.0), (2.0, 0.2, 1.0), 20.0)
+        m = DemandModel(2, {(1, 2): lam.pair}, ((0.0, 0.0), (0.0, 0.0)), 20.0)
         tables = compile_tables(m)
         rng = np.random.default_rng(7)
         edges = [0.0, 5.0, 10.0, 20.0]
@@ -374,7 +370,7 @@ class TestThinning:
             times, _ = sample_requests(tables, 20.0, rng)
             counts += np.histogram(times, bins=edges)[0]
         for b, (a, t1) in enumerate(zip(edges[:-1], edges[1:])):
-            expected = reference_integral(pci, a, t1) * n_rep
+            expected = reference_integral(lam, a, t1) * n_rep
             assert abs(counts[b] - expected) <= 4.0 * np.sqrt(expected)
 
     def test_one_bin_grid_reads_like_the_grid_lookup(self):
@@ -384,13 +380,8 @@ class TestThinning:
         T = 2.0
         rates = {(1, 2): 1.5, (2, 3): 0.4, (3, 1): 2.25, (1, 3): 7.0}
         eta = ((0.0, 0.1, 0.2), (0.1, 0.0, 0.3), (0.2, 0.3, 0.0))
-        flat = DemandModel(
-            3, {p: PiecewiseConstantIntensity.constant(r, T) for p, r in rates.items()}, eta, T
-        )
-        split = DemandModel(
-            3, {p: PiecewiseConstantIntensity((0.0, 0.7), (r, r), T) for p, r in rates.items()},
-            eta, T,
-        )
+        flat = DemandModel(3, {p: ((0.0,), (r,)) for p, r in rates.items()}, eta, T)
+        split = DemandModel(3, {p: ((0.0, 0.7), (r, r)) for p, r in rates.items()}, eta, T)
         one_bin, two_bins = compile_tables(flat), compile_tables(split)
         assert one_bin.rates.shape[1] == 1 and two_bins.rates.shape[1] == 2
         for seed in range(20):
@@ -410,8 +401,7 @@ class TestThinning:
                 assert 0 < np.isfinite(a).sum() < len(a)
 
     def test_thinning_never_emits_events_where_rate_is_zero(self):
-        pci = PiecewiseConstantIntensity((0.0, 5.0), (0.0, 3.0), 10.0)
-        m = DemandModel(2, {(1, 2): pci}, ((0.0, 0.0), (0.0, 0.0)), 10.0)
+        m = DemandModel(2, {(1, 2): ((0.0, 5.0), (0.0, 3.0))}, ((0.0, 0.0), (0.0, 0.0)), 10.0)
         tables = compile_tables(m)
         rng = np.random.default_rng(9)
         for _ in range(50):
@@ -440,8 +430,7 @@ class TestLastBin:
         # reads the last bin, where a mark of 0.2 keeps it (0.2 * 2 < 0.5)
         # and one of 0.3 drops it (0.3 * 2 >= 0.5; the first bin would keep it)
         T = 1.0 + 1e-9
-        lam = PiecewiseConstantIntensity((0.0, 0.5), (2.0, 0.5), 1.0)
-        model = DemandModel(2, {(1, 2): lam}, ((0.0, 0.0), (0.0, 0.0)), 1.0)
+        model = DemandModel(2, {(1, 2): ((0.0, 0.5), (2.0, 0.5))}, ((0.0, 0.0), (0.0, 0.0)), 1.0)
         tables = compile_tables(model)
         assert tables.grid.tolist() == [0.0, 0.5]
         design = SystemDesign((0, 0), (1, 1))
@@ -537,7 +526,8 @@ class TestTiePath:
         model, plan = busy_network()
         k = model.k
         design = SystemDesign((0,) + (15,) * (k - 1), (0,) + (30,) * (k - 1))
-        zero_eta = DemandModel(k, intensities(model), ((0.0,) * k,) * k, model.horizon)
+        demand = {pair: lam.pair for pair, lam in intensities(model).items()}
+        zero_eta = DemandModel(k, demand, ((0.0,) * k,) * k, model.horizon)
         for m, with_delay in ((model, False), (zero_eta, True)):
             seeds = range(40, 48)
             failed, ties = failures_and_ties(caplog, m, plan, design, m.horizon, seeds, with_delay)
@@ -551,8 +541,7 @@ class TestTiePath:
         # path where one event leaves a station at the instant another
         # arrives there (the plan alone has no such pair)
         T = 2.0
-        lam = {(1, 2): PiecewiseConstantIntensity.constant(0.8, T),
-               (2, 3): PiecewiseConstantIntensity.constant(0.4, T)}
+        lam = {(1, 2): ((0.0,), (0.8,)), (2, 3): ((0.0,), (0.4,))}
         eta = ((0.0, 0.5, 0.25), (0.25, 0.0, 0.5), (0.5, 0.25, 0.0))
         model = DemandModel(3, lam, eta, T)
         plan = RebalancingPlan(3, T, {(2, 1): (0.5,), (3, 2): (1.0,)})
@@ -653,8 +642,7 @@ class TestSegmentedScanMatchesDenseReference:
 
     def test_tied_relocations_keep_lexicographic_order(self):
         # relocations 2->1 and 1->2 share instants; demand adds requests
-        intensities = {(1, 2): PiecewiseConstantIntensity.constant(1.0, 2.0)}
-        m = DemandModel(2, intensities, ((0.0, 0.5), (0.5, 0.0)), 2.0)
+        m = DemandModel(2, {(1, 2): ((0.0,), (1.0,))}, ((0.0, 0.5), (0.5, 0.0)), 2.0)
         plan = RebalancingPlan(2, 2.0, {(1, 2): (0.5, 1.0), (2, 1): (0.5, 1.0)})
         for design in (SystemDesign((0, 1), (1, 1)), SystemDesign((1, 1), (2, 2))):
             for with_delay in (False, True):

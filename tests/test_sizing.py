@@ -15,7 +15,6 @@ from fleetsizing import sizing, station_bound
 from fleetsizing.model import (
     DemandModel,
     InvariantViolationError,
-    PiecewiseConstantIntensity,
     RebalancingPlan,
     aggregate_station_flows,
 )
@@ -184,7 +183,7 @@ class TestSizingRequest:
 
 
 def two_station_symmetric(rate=1.0, horizon=1.0):
-    lam = PiecewiseConstantIntensity.constant(rate, horizon)
+    lam = ((0.0,), (rate,))
     eta = ((0.0, 0.0), (0.0, 0.0))
     return DemandModel(2, {(1, 2): lam, (2, 1): lam}, eta, horizon)
 
@@ -228,7 +227,7 @@ class TestSizeSystem:
             size_system(model, plan, SizingRequest(0.1, 2.0))
 
     def test_with_delay_costs_no_less(self):
-        lam = PiecewiseConstantIntensity.constant(2.0, 1.0)
+        lam = ((0.0,), (2.0,))
         eta = ((0.0, 0.4), (0.4, 0.0))
         model = DemandModel(2, {(1, 2): lam, (2, 1): lam}, eta, 1.0)
         plan = RebalancingPlan(2, 1.0, {})

@@ -14,9 +14,7 @@ from fleetsizing import station_bound
 from fleetsizing.model import (
     DemandModel,
     InvariantViolationError,
-    PiecewiseConstantIntensity,
     RebalancingPlan,
-    StationFlowProfile,
 )
 from fleetsizing.station_bound import (
     _evolve_columns,
@@ -30,9 +28,11 @@ from fleetsizing.station_bound import (
 from fleetsizing.uniformization import uniformize
 
 from conftest import (
+    Rate,
     constant_profile,
-    make_pci,
+    make_rate,
     mc_station_failure_fast,
+    profile_of,
     profile_rates,
     random_small_instance,
     value_at,
@@ -177,8 +177,8 @@ def reference_evolve(profile, v, c_eff, T, cap_absorbs, record_times=(), mass_to
 
 def around_relocations(v, c, rho_a=(), rho_d=()):
     """(q, qF) at t=1.2 and t=1.8 around relocations at t=1.5; rates stop at t=1."""
-    rate = PiecewiseConstantIntensity((0.0, 1.0), (1.5, 0.0), 2.0)
-    q, qF = station_transient(StationFlowProfile(rate, rate, rho_a, rho_d), v, c, [1.2, 1.8])
+    rate = Rate((0.0, 1.0), (1.5, 0.0), 2.0)
+    q, qF = station_transient(profile_of(rate, rate, rho_a, rho_d), v, c, [1.2, 1.8])
     return (q[0], qF[0]), (q[1], qF[1])
 
 
@@ -326,9 +326,8 @@ class TestStationFailureProbability:
     @pytest.mark.parametrize("rho_a, rho_d", [((0.5, math.nan), ()), ((), (math.nan, 1.0)), ((math.inf,), ())])
     def test_instants_that_are_not_finite_are_rejected(self, rho_a, rho_d):
         # a NaN passes the order and range checks, and the bound would drop it
-        rate = PiecewiseConstantIntensity.constant(1.0, 2.0)
         with pytest.raises(ValueError, match="instants must be finite and lie within"):
-            StationFlowProfile(rate, rate, rho_a, rho_d)
+            constant_profile(1.0, 1.0, 2.0, rho_a, rho_d)
 
     @pytest.mark.parametrize("v, c", [(True, 2), (1, True), (False, None), (np.int64(1), False)])
     def test_a_bool_is_no_stock_or_capacity(self, v, c):
@@ -337,16 +336,16 @@ class TestStationFailureProbability:
             station_failure_probability(prof, v, c, 1.0)
 
     def test_failure_curve_non_decreasing(self, rng):
-        prof = StationFlowProfile(
-            make_pci(rng, 2.0), make_pci(rng, 2.0), (0.7,), (1.3,)
+        prof = profile_of(
+            make_rate(rng, 2.0), make_rate(rng, 2.0), (0.7,), (1.3,)
         )
         times = np.linspace(0.1, 2.0, 25)
         curve = station_failure_curve(prof, 1, 3, times)
         assert all(b >= a - 1e-12 for a, b in zip(curve, curve[1:]))
 
     def test_transient_conserves_mass_everywhere(self, rng):
-        prof = StationFlowProfile(
-            make_pci(rng, 2.0), make_pci(rng, 2.0), (0.4, 1.1), (0.9,)
+        prof = profile_of(
+            make_rate(rng, 2.0), make_rate(rng, 2.0), (0.4, 1.1), (0.9,)
         )
         times = np.linspace(0.05, 2.0, 20)
         q, qF = station_transient(prof, 2, 4, times)
@@ -358,9 +357,9 @@ class TestStationFailureProbability:
     @settings(max_examples=25, deadline=None)
     def test_mass_conservation_on_random_profiles(self, seed):
         r = np.random.default_rng(seed)
-        prof = StationFlowProfile(
-            make_pci(r, 2.0),
-            make_pci(r, 2.0),
+        prof = profile_of(
+            make_rate(r, 2.0),
+            make_rate(r, 2.0),
             tuple(sorted(r.uniform(0.1, 1.9, r.integers(0, 3)))),
             tuple(sorted(r.uniform(0.1, 1.9, r.integers(0, 3)))),
         )
@@ -374,7 +373,7 @@ class TestStationFailureProbability:
     @settings(max_examples=15, deadline=None)
     def test_more_stock_never_hurts_when_parking_is_unbounded(self, seed):
         r = np.random.default_rng(seed)
-        prof = StationFlowProfile(make_pci(r, 1.5), make_pci(r, 1.5), (), ())
+        prof = profile_of(make_rate(r, 1.5), make_rate(r, 1.5), (), ())
         qfs = [
             station_failure_probability(prof, v, None, 1.5, tail_tolerance=1e-12)
             for v in range(5)
@@ -385,7 +384,7 @@ class TestStationFailureProbability:
     @settings(max_examples=15, deadline=None)
     def test_more_parking_never_hurts_at_fixed_stock(self, seed):
         r = np.random.default_rng(seed)
-        prof = StationFlowProfile(make_pci(r, 1.5), make_pci(r, 1.5), (), ())
+        prof = profile_of(make_rate(r, 1.5), make_rate(r, 1.5), (), ())
         v = int(r.integers(0, 3))
         qfs = [station_failure_probability(prof, v, c, 1.5) for c in range(v, v + 5)]
         assert all(b <= a + 1e-10 for a, b in zip(qfs, qfs[1:]))
@@ -393,8 +392,8 @@ class TestStationFailureProbability:
 
 class TestSystemBound:
     def test_sum_over_identical_stations(self):
-        pci = PiecewiseConstantIntensity.constant(0.4, 1.0)
-        m = DemandModel(2, {(1, 2): pci, (2, 1): pci}, ((0.0, 0.0), (0.0, 0.0)), 1.0)
+        lam = Rate.constant(0.4, 1.0)
+        m = DemandModel(2, {(1, 2): lam.pair, (2, 1): lam.pair}, ((0.0, 0.0), (0.0, 0.0)), 1.0)
         plan = RebalancingPlan.empty(2, 1.0)
         from fleetsizing.model import aggregate_station_flows
 
@@ -417,8 +416,8 @@ class TestSystemBound:
 
     def test_bound_is_reported_unclamped(self):
         # heavy symmetric traffic on tiny stations: each qF near 1, sum near k
-        pci = PiecewiseConstantIntensity.constant(5.0, 2.0)
-        pairs = {(o, d): pci for o in range(1, 4) for d in range(1, 4) if o != d}
+        lam = Rate.constant(5.0, 2.0)
+        pairs = {(o, d): lam.pair for o in range(1, 4) for d in range(1, 4) if o != d}
         m = DemandModel(3, pairs, tuple(tuple(0.0 for _ in range(3)) for _ in range(3)), 2.0)
         from fleetsizing.model import SystemDesign
 
@@ -433,13 +432,13 @@ def random_profile(r, horizon, max_rate=8.0):
 
     def rate():
         if r.random() < 0.2:
-            return PiecewiseConstantIntensity.constant(0.0, horizon)
-        return make_pci(r, horizon, max_rate=max_rate, max_pieces=4)
+            return Rate.constant(0.0, horizon)
+        return make_rate(r, horizon, max_rate=max_rate, max_pieces=4)
 
     def instants():
         return tuple(sorted(np.round(r.uniform(0.05, 0.95 * horizon, r.integers(0, 4)), 6)))
 
-    return StationFlowProfile(rate(), rate(), instants(), instants())
+    return profile_of(rate(), rate(), instants(), instants())
 
 
 def outcome(call):
@@ -498,15 +497,15 @@ def station_profile(r, horizon):
     """
     instants = lambda: tuple(sorted(np.round(r.uniform(0.05, 0.95 * horizon, r.integers(0, 4)), 6)))
     if r.random() < 0.2:
-        silent = PiecewiseConstantIntensity.constant(0.0, horizon)
-        return StationFlowProfile(silent, silent, instants(), instants())
+        silent = Rate.constant(0.0, horizon)
+        return profile_of(silent, silent, instants(), instants())
 
     def rate():
-        pci = make_pci(r, horizon, max_rate=float(r.choice([3.0, 25.0, 60.0])), max_pieces=4)
-        values = [0.0 if r.random() < 0.3 else v for v in pci.values]
-        return PiecewiseConstantIntensity(pci.breakpoints, values, horizon)
+        lam = make_rate(r, horizon, max_rate=float(r.choice([3.0, 25.0, 60.0])), max_pieces=4)
+        values = [0.0 if r.random() < 0.3 else v for v in lam.values]
+        return Rate(lam.breakpoints, values, horizon)
 
-    return StationFlowProfile(rate(), rate(), instants(), instants())
+    return profile_of(rate(), rate(), instants(), instants())
 
 
 class TestMultiStationPass:
@@ -626,16 +625,16 @@ def sweep_profile(r, horizon, T):
     """``random_profile`` with some pieces silenced and relocations possibly at t=0 and t=T."""
     prof = random_profile(r, horizon)
 
-    def silenced(pci):
-        values = [0.0 if r.random() < 0.3 else x for x in pci.values]
-        return PiecewiseConstantIntensity(pci.breakpoints, values, horizon)
+    def silenced(lam):
+        values = [0.0 if r.random() < 0.3 else x for x in lam.values]
+        return Rate(lam.breakpoints, values, horizon)
 
     rho = {name: list(getattr(prof, name)) for name in ("rho_a", "rho_d")}
     for t in (0.0, T):
         for name in rho:
             rho[name] += [t] * int(r.integers(0, 3))
     lambda_a, lambda_d = map(silenced, profile_rates(prof))
-    return StationFlowProfile(lambda_a, lambda_d, sorted(rho["rho_a"]), sorted(rho["rho_d"]))
+    return profile_of(lambda_a, lambda_d, sorted(rho["rho_a"]), sorted(rho["rho_d"]))
 
 
 class TestAvailabilityFailureSweep:
@@ -682,9 +681,9 @@ class TestAvailabilityFailureSweep:
     def test_boundaries_stay_exact_through_many_pieces(self):
         # the failed boundary enters start 0 through the departure at t=0,
         # after every piece's series has run over it
-        prof = StationFlowProfile(
-            make_pci(np.random.default_rng(3), 5.0, max_rate=9.0, max_pieces=6),
-            make_pci(np.random.default_rng(4), 5.0, max_rate=9.0, max_pieces=6),
+        prof = profile_of(
+            make_rate(np.random.default_rng(3), 5.0, max_rate=9.0, max_pieces=6),
+            make_rate(np.random.default_rng(4), 5.0, max_rate=9.0, max_pieces=6),
             (1.0, 2.5, 4.0),
             (0.0, 3.0),
         )

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetsizing.model import InvariantViolationError, _pieces
+from fleetsizing.model import InvariantViolationError
 from fleetsizing.uniformization import JUMP, RECORD, check_mass, timeline, uniformize
 
-from conftest import make_pci, value_at
+from conftest import make_rate, pieces_of, value_at
 
 
 def shift_kernel(cur, out):
@@ -101,13 +101,13 @@ class TestTimeline:
         # from each other, so ties of every kind occur
         r = np.random.default_rng(seed)
         horizon = 4.0
-        items = [make_pci(r, horizon, max_pieces=4) for _ in range(int(r.integers(0, 4)))]
+        items = [make_rate(r, horizon, max_pieces=4) for _ in range(int(r.integers(0, 4)))]
         pool = [b for it in items for b in it.breakpoints] + np.round(r.uniform(0, horizon, 4), 1).tolist()
         T = float(r.choice([horizon, r.choice(pool), round(float(r.uniform(0, horizon)), 1)]))
         jumps = [(float(r.choice(pool)), n) for n in range(int(r.integers(0, 6)))]
         pool += [t for t, _ in jumps]
         records = [min(float(r.choice(pool + [T])), T) for _ in range(int(r.integers(0, 5)))]
-        pieces, ends, actions, cuts = timeline(_pieces(items), jumps, T, records)
+        pieces, ends, actions, cuts = timeline(pieces_of(items), jumps, T, records)
 
         starts = np.concatenate([[0.0], ends])[:-1]
         assert np.all(np.diff(ends) > 0.0)
@@ -131,8 +131,8 @@ class TestTimeline:
 
     def test_record_times_must_lie_within_the_horizon(self):
         with pytest.raises(ValueError, match="record times"):
-            timeline(_pieces([]), [], 1.0, [1.5])
+            timeline(pieces_of([]), [], 1.0, [1.5])
         with pytest.raises(ValueError, match="record times"):
-            timeline(_pieces([]), [], 1.0, [-0.1])
+            timeline(pieces_of([]), [], 1.0, [-0.1])
         # within rounding of T a record is taken at T
-        assert timeline(_pieces([]), [], 1.0, [1.0 + 1e-12])[2:] == ([(RECORD, 0)], [0, 0, 1])
+        assert timeline(pieces_of([]), [], 1.0, [1.0 + 1e-12])[2:] == ([(RECORD, 0)], [0, 0, 1])
